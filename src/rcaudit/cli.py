@@ -132,7 +132,8 @@ def _cmd_construct(args) -> int:
             print(f"finding ({finding.kind}): {finding.detail}")
             print(f"reproducer: {finding.graph6}")
         return EXIT_FINDING
-    assert coloring is not None and trace is not None
+    if coloring is None or trace is None:
+        raise RuntimeError("construction passed without a coloring and trace")
     if args.format == "json":
         print(_dumps({
             "status": "ok",

@@ -43,7 +43,13 @@ from .graphs import (
     is_connected,
     to_graph6,
 )
-from .rainbow import EdgeColoring, FailingPair, is_rainbow_connected
+from .rainbow import (
+    EdgeColoring,
+    FailingPair,
+    edge_adjacency,
+    edge_color_bits,
+    first_failing_pair,
+)
 
 __all__ = [
     "Case",
@@ -158,7 +164,10 @@ def min_degree_clique(g: Graph) -> tuple[int, ...]:
     for v in range(g.n):
         if g.degree(v) == delta and all(g.has_edge(v, u) for u in clique):
             clique.append(v)
-    assert 1 <= len(clique) <= delta
+    if not 1 <= len(clique) <= delta:
+        raise ConstructionError(
+            f"clique size {len(clique)} outside [1, {delta}]", {"clique": tuple(clique)}
+        )
     return tuple(clique)
 
 
@@ -369,7 +378,8 @@ def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
 
     Returns the coloring and the audit trace; the root trace node records
     the rainbow verifier's outcome on the finished coloring. Structural
-    invariant failures raise ConstructionError.
+    invariant failures raise ConstructionError; a coloring that misses an
+    edge of g raises ValueError.
     """
     if g.n < 1:
         raise ValueError("construction requires at least one vertex")
@@ -377,8 +387,8 @@ def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
         raise ValueError("construction requires a connected graph")
     labels = tuple(str(v) for v in range(g.n))
     coloring, trace = _construct(g, labels)
-    outcome = is_rainbow_connected(g, coloring)
-    trace.verification = "pass" if not isinstance(outcome, FailingPair) else outcome
+    failing = first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
+    trace.verification = "pass" if failing is None else failing
     return coloring, trace
 
 

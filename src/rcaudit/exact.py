@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import Graph, diameter, is_connected
-from .rainbow import EdgeColoring, RainbowCertificate, is_rainbow_connected
+from .rainbow import EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
     "Budget",
@@ -92,6 +92,7 @@ def rc_lower_bound(g: Graph) -> int:
 
 
 def _all_pairs_distances(g: Graph) -> list[list[int]]:
+    """dist[s][t], -1 when t is unreachable from s."""
     dist = []
     for s in range(g.n):
         d = [-1] * g.n
@@ -107,6 +108,15 @@ def _all_pairs_distances(g: Graph) -> list[list[int]]:
                     queue.append(w)
         dist.append(d)
     return dist
+
+
+def _connected(dist: list[list[int]]) -> bool:
+    return not dist or -1 not in dist[0]
+
+
+def _diameter_from(dist: list[list[int]]) -> int:
+    """Diameter of a connected graph, read off its distance table."""
+    return max(max(row) for row in dist)
 
 
 def _shortest_paths_as_edges(
@@ -150,9 +160,14 @@ class _PruneTables:
     PER_PAIR_CAP = 512
     TOTAL_CAP = 8192
 
-    def __init__(self, g: Graph, q: int, edges: list[tuple[int, int]]):
+    def __init__(
+        self,
+        g: Graph,
+        q: int,
+        edges: list[tuple[int, int]],
+        dist: list[list[int]],
+    ):
         edge_index = {e: i for i, e in enumerate(edges)}
-        dist = _all_pairs_distances(g)
         self.path_edges: list[tuple[int, ...]] = []
         self.path_pair: list[int] = []
         self.edge_paths: list[list[int]] = [[] for _ in edges]
@@ -185,13 +200,21 @@ def rc_decision(
     q: int,
     budget: Budget | None = None,
     prune: bool = True,
+    *,
+    distances: list[list[int]] | None = None,
 ) -> DecisionResult:
     """Find a rainbow-connecting coloring with at most q colors, or prove
     none exists. Unsatisfiability is reported only after the canonical
-    space is exhausted (pruned subtrees are provably solution-free)."""
+    space is exhausted (pruned subtrees are provably solution-free).
+
+    distances is g's all-pairs distance table, for callers that decide
+    several q on one graph; it is computed here when not given.
+    """
     if q < 1:
         raise ValueError("color count must be at least 1")
-    if not is_connected(g):
+    if distances is None:
+        distances = _all_pairs_distances(g)
+    if not _connected(distances):
         raise ValueError("decision search requires a connected graph")
     edges = g.edge_list()
     m = len(edges)
@@ -207,13 +230,13 @@ def rc_decision(
 
     tables: _PruneTables | None = None
     if prune:
-        dist = _all_pairs_distances(g)
-        if max(max(row) for row in dist) > q:
+        if _diameter_from(distances) > q:
             # some pair is farther apart than q; no q-coloring can give it
             # a rainbow path, so the whole space is solution-free
             return DecisionResult(DecisionStatus.UNSAT, None, 0)
-        tables = _PruneTables(g, q, edges)
+        tables = _PruneTables(g, q, edges, distances)
 
+    adjacency = edge_adjacency(g)
     assignment = [-1] * m
     next_color = [0] * m
     max_plus = [0] * (m + 1)  # colors allowed at depth i: 0..min(max_plus[i], q-1)
@@ -231,8 +254,8 @@ def rc_decision(
 
     while True:
         if i == m:
-            coloring = EdgeColoring(dict(zip(edges, assignment)))
-            if isinstance(is_rainbow_connected(g, coloring), RainbowCertificate):
+            if first_failing_pair(adjacency, [1 << c for c in assignment]) is None:
+                coloring = EdgeColoring(dict(zip(edges, assignment)))
                 return DecisionResult(DecisionStatus.SAT, coloring, nodes)
             i -= 1
             unassign(i)
@@ -302,9 +325,10 @@ def rc_exact(
     exhausted search one color below (or the value equals the lower
     bound). Budget exhaustion yields a lower bound instead.
     """
-    if not is_connected(g):
-        raise ValueError("rc is defined for connected graphs only")
     started = time.monotonic()
+    distances = _all_pairs_distances(g)
+    if not _connected(distances):
+        raise ValueError("rc is defined for connected graphs only")
     budget = budget or Budget()
     if g.m == 0:
         # single vertex: the empty coloring is vacuously rainbow connected
@@ -314,7 +338,7 @@ def rc_exact(
             EdgeColoring({}),
             SearchStats(0, time.monotonic() - started),
         )
-    lb = rc_lower_bound(g)
+    lb = max(_diameter_from(distances), 1)  # rc_lower_bound, from the table
     total_nodes = 0
     last_refuted: int | None = None
     q = lb
@@ -322,7 +346,7 @@ def rc_exact(
         level_budget = _remaining(budget, total_nodes, started)
         if level_budget is None:
             break
-        res = rc_decision(g, q, level_budget, prune)
+        res = rc_decision(g, q, level_budget, prune, distances=distances)
         total_nodes += res.nodes
         if res.status is DecisionStatus.SAT:
             return ExactResult(
@@ -335,7 +359,8 @@ def rc_exact(
             last_refuted = q
             q += 1
             # a connected graph always admits the all-distinct coloring
-            assert q <= g.m, "deepening ran past the trivial upper bound"
+            if q > g.m:
+                raise RuntimeError("deepening ran past the trivial upper bound")
             continue
         break
 

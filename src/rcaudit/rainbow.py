@@ -2,12 +2,21 @@
 
 A path is rainbow when its edges carry pairwise distinct colors; a
 colored graph is rainbow connected when every vertex pair has a rainbow
-path. The verifier returns per-pair witness paths, or the
-lexicographically first pair with none.
+path. There are two entry points:
 
-The search runs over (vertex, used-color-set) states expanded breadth
-first, so states are visited in nondecreasing color-set size. States do
-not track visited vertices: any repeated vertex on a distinct-color walk
+- first_failing_pair answers the yes/no question and returns the
+  lexicographically first pair with no rainbow path, or None. It never
+  builds a witness, and each source's search stops as soon as every
+  higher-numbered vertex has been reached. The exact solver calls it at
+  every leaf of its search, and the construction calls it once to verify
+  its finished coloring. It works on the graph's edge-indexed adjacency
+  (edge_adjacency, built once per graph) and one color bit per edge.
+- is_rainbow_connected builds the full certificate, one witness path per
+  pair, for `rcaudit verify`.
+
+Both search over (vertex, used-color-set) states expanded breadth first,
+so states are visited in nondecreasing color-set size. States do not
+track visited vertices: any repeated vertex on a distinct-color walk
 could be cut out, giving a shorter distinct-color walk, so the first walk
 reaching a target is necessarily a simple path. Color sets are Python
 ints used as bit sets over a dense re-indexing of the color ids, which
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .graphs import Graph, GraphFormatError, components
 
@@ -28,12 +37,18 @@ __all__ = [
     "FailingPair",
     "CertificateCheck",
     "rainbow_path",
+    "edge_adjacency",
+    "edge_color_bits",
+    "first_failing_pair",
     "is_rainbow_connected",
     "verify_certificate",
     "parse_coloring",
     "coloring_to_text",
     "certificate_to_jsonl",
 ]
+
+# per vertex, (neighbor, edge index) pairs with neighbors ascending
+Adjacency = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -93,29 +108,87 @@ class CertificateCheck:
         return self.ok
 
 
-def _require_total(g: Graph, coloring: EdgeColoring) -> None:
+def edge_adjacency(g: Graph) -> Adjacency:
+    """Per vertex, its (neighbor, edge index) pairs, neighbors ascending.
+
+    Edge indices are positions in g.edge_list(); the per-edge color bits
+    that the searches below take are listed in that order.
+    """
+    index = {e: i for i, e in enumerate(g.edge_list())}
+    return tuple(
+        tuple((w, index[(v, w) if v < w else (w, v)]) for w in g.neighbors(v))
+        for v in range(g.n)
+    )
+
+
+def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
+    """One color bit per edge of g.edge_list(), the color ids re-indexed
+    densely. Raises ValueError unless the coloring colors exactly the
+    edges of g."""
+    colors = coloring.colors
     for e in g.edges:
-        if e not in coloring.colors:
+        if e not in colors:
             raise ValueError(f"coloring is not total: edge {e} has no color")
-    for e in coloring.colors:
+    for e in colors:
         if e not in g.edges:
             raise ValueError(f"coloring assigns a color to non-edge {e}")
+    index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+    return [1 << index[colors[e]] for e in g.edge_list()]
 
 
-def _color_bits(g: Graph, coloring: EdgeColoring) -> dict[tuple[int, int], int]:
-    distinct = sorted(set(coloring.colors.values()))
-    index = {c: i for i, c in enumerate(distinct)}
-    bits: dict[tuple[int, int], int] = {}
-    for (u, v), c in coloring.colors.items():
-        b = 1 << index[c]
-        bits[(u, v)] = b
-        bits[(v, u)] = b
-    return bits
+def _first_unreached(
+    adjacency: Adjacency,
+    bits: list[int],
+    source: int,
+) -> int | None:
+    """Smallest vertex above source with no rainbow path from it, or None.
+
+    Targets are marked when a state first reaches them, and the search
+    returns as soon as none is left.
+    """
+    n = len(adjacency)
+    reached = [True] * (source + 1) + [False] * (n - source - 1)
+    left = n - 1 - source
+    seen = {(source, 0)}
+    queue = [(source, 0)]
+    for v, mask in queue:  # the loop also visits states appended meanwhile
+        for w, e in adjacency[v]:
+            b = bits[e]
+            if mask & b:
+                continue
+            state = (w, mask | b)
+            if state in seen:
+                continue
+            seen.add(state)
+            queue.append(state)
+            if not reached[w]:
+                reached[w] = True
+                left -= 1
+                if not left:
+                    return None
+    return reached.index(False)
+
+
+def first_failing_pair(adjacency: Adjacency, bits: list[int]) -> FailingPair | None:
+    """Lexicographically first vertex pair with no rainbow path, or None
+    when the coloring is rainbow connected.
+
+    adjacency comes from edge_adjacency(g) and bits[i] is the color bit of
+    edge i (distinct colors must have distinct single bits). No witness
+    is built: each source's search stops once it has reached every
+    higher-numbered vertex, and the scan stops at the first source that
+    cannot.
+    """
+    for s in range(len(adjacency) - 1):
+        t = _first_unreached(adjacency, bits, s)
+        if t is not None:
+            return FailingPair(s, t)
+    return None
 
 
 def _witnesses_from(
-    g: Graph,
-    bits: Mapping[tuple[int, int], int],
+    adjacency: Adjacency,
+    bits: list[int],
     source: int,
     targets: set[int],
 ) -> dict[int, tuple[int, ...]]:
@@ -142,8 +215,8 @@ def _witnesses_from(
                 path.append(cur[0])
                 cur = parent[cur]
             found[v] = tuple(reversed(path))
-        for w in g.neighbors(v):
-            b = bits[(v, w)]
+        for w, e in adjacency[v]:
+            b = bits[e]
             if mask & b:
                 continue
             nxt = (w, mask | b)
@@ -162,8 +235,8 @@ def rainbow_path(
             raise ValueError(f"vertex {x} not in graph")
     if s == t:
         raise ValueError("endpoints must differ")
-    _require_total(g, coloring)
-    found = _witnesses_from(g, _color_bits(g, coloring), s, {t})
+    bits = edge_color_bits(g, coloring)
+    found = _witnesses_from(edge_adjacency(g), bits, s, {t})
     return found.get(t)
 
 
@@ -172,8 +245,9 @@ def is_rainbow_connected(
 ) -> RainbowCertificate | FailingPair:
     """Certificate with a witness per pair, or the lexicographically first
     failing pair. Disconnected graphs immediately yield the first
-    cross-component pair."""
-    _require_total(g, coloring)
+    cross-component pair. Use first_failing_pair when only the verdict
+    is needed."""
+    bits = edge_color_bits(g, coloring)
     if g.n <= 1:
         return RainbowCertificate({})
     part = components(g)
@@ -182,10 +256,10 @@ def is_rainbow_connected(
             for v in range(u + 1, g.n):
                 if part.block_index[u] != part.block_index[v]:
                     return FailingPair(u, v)
-    bits = _color_bits(g, coloring)
+    adjacency = edge_adjacency(g)
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     for s in range(g.n - 1):
-        found = _witnesses_from(g, bits, s, set(range(s + 1, g.n)))
+        found = _witnesses_from(adjacency, bits, s, set(range(s + 1, g.n)))
         for t in range(s + 1, g.n):
             if t not in found:
                 return FailingPair(s, t)

@@ -8,6 +8,7 @@ import pytest
 from rcaudit import (
     AuditTrace,
     Case,
+    EdgeColoring,
     FailingPair,
     Graph,
     audit_construction,
@@ -22,6 +23,7 @@ from rcaudit import (
     to_graph6,
     trace_to_dict,
 )
+import rcaudit.construct as construct_module
 from rcaudit.construct import iter_trace, measure_violations
 from rcaudit.generators import iter_connected_graphs
 
@@ -177,6 +179,24 @@ class TestConstructColoring:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             construct_coloring(Graph(3, [(0, 1)]))
+
+    def test_verification_rejects_partial_coloring(self, monkeypatch):
+        # a recursion bug that leaves an edge uncolored must raise, not
+        # pass or fail verification
+        g = gen_named("cycle", 5)
+        real = construct_module._construct
+
+        def drop_top_edge(h, labels):
+            coloring, trace = real(h, labels)
+            if h is g:
+                colors = dict(coloring.colors)
+                del colors[min(colors)]
+                coloring = EdgeColoring(colors)
+            return coloring, trace
+
+        monkeypatch.setattr(construct_module, "_construct", drop_top_edge)
+        with pytest.raises(ValueError, match="not total"):
+            construct_coloring(g)
 
     def test_contraction_branch_verifies(self):
         g = contraction_witness()

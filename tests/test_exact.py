@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from rcaudit import (
@@ -18,7 +19,7 @@ from rcaudit import (
     rc_exact,
     rc_lower_bound,
 )
-from rcaudit.generators import iter_connected_graphs
+from rcaudit.generators import iter_connected_graphs, random_corpus
 
 from .conftest import MASTER_SEED, random_connected_graph
 from .oracles import naive_rc
@@ -103,6 +104,19 @@ class TestDecision:
             rc_decision(gen_named("path", 3), 0)
         with pytest.raises(ValueError):
             rc_decision(Graph(2, []), 1)
+
+    def test_given_distances_match_standalone(self):
+        rng = random.Random(MASTER_SEED + 5)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
+            lengths = dict(nx.all_pairs_shortest_path_length(nx.Graph(list(g.edges))))
+            dist = [[lengths[s][t] for t in range(g.n)] for s in range(g.n)]
+            for q in range(1, 4):
+                alone = rc_decision(g, q)
+                shared = rc_decision(g, q, distances=dist)
+                assert (alone.status, alone.coloring, alone.nodes) == (
+                    shared.status, shared.coloring, shared.nodes
+                )
 
 
 class TestExact:
@@ -217,6 +231,31 @@ class TestExact:
         assert refute_budget is not None
         assert 2 < refute_budget.value <= 5
         assert refute_budget.witness is None
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="connected"):
+            rc_exact(Graph(3, [(0, 1)]))
+
+    def test_pinned_search_outcomes(self):
+        # (status, value, nodes) at a 2000-node budget; the search tree, and
+        # so these counts, must not depend on how leaves are checked or
+        # where the distance table comes from
+        got = [
+            (r.status.value, r.value, r.stats.nodes)
+            for r in (rc_exact(g, Budget(max_nodes=2000)) for g in random_corpus(10, 5, 16, 2))
+        ]
+        assert got == [
+            ("exact", 4, 37),
+            ("exact", 2, 34),
+            ("exact", 2, 74),
+            ("budget-exhausted", 3, 2001),
+            ("exact", 2, 70),
+            ("exact", 1, 10),
+            ("exact", 2, 39),
+            ("lower-bound-only", 4, 2001),
+            ("exact", 3, 551),
+            ("exact", 2, 54),
+        ]
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)

@@ -21,6 +21,7 @@ from rcaudit import (
     rainbow_path,
     verify_certificate,
 )
+from rcaudit.rainbow import edge_adjacency, edge_color_bits, first_failing_pair
 
 from .conftest import MASTER_SEED, random_connected_graph
 from .oracles import first_failing_pair_brute, has_rainbow_path_brute
@@ -169,6 +170,101 @@ class TestIsRainbowConnected:
         first = is_rainbow_connected(g, coloring)
         second = is_rainbow_connected(g, coloring)
         assert first == second
+
+
+def check(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
+    return first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
+
+
+class TestFirstFailingPair:
+    def test_edge_adjacency_follows_edge_list(self):
+        g = gen_named("cycle", 4)
+        assert g.edge_list() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert edge_adjacency(g) == (
+            ((1, 0), (3, 1)),
+            ((0, 0), (2, 2)),
+            ((1, 2), (3, 3)),
+            ((0, 1), (2, 3)),
+        )
+
+    def test_bits_reindex_sparse_colors(self):
+        g = gen_named("path", 4)
+        coloring = EdgeColoring({(0, 1): 10**18, (1, 2): 5, (2, 3): 10**18})
+        assert edge_color_bits(g, coloring) == [2, 1, 2]
+
+    def test_partial_coloring_rejected(self):
+        g = gen_named("path", 3)
+        with pytest.raises(ValueError, match="not total"):
+            edge_color_bits(g, EdgeColoring({(0, 1): 0}))
+
+    def test_bad_path_coloring_fails_at_endpoints(self):
+        g = gen_named("path", 4)
+        coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0})
+        assert check(g, coloring) == FailingPair(0, 3)
+
+    def test_passing_colorings(self):
+        g = gen_named("cycle", 5)
+        assert check(g, color_distinct(g)) is None
+        k = gen_named("complete", 5)
+        assert check(k, color_all(k)) is None
+
+    def test_trivial_graphs_pass(self):
+        assert first_failing_pair(edge_adjacency(Graph(0)), []) is None
+        assert first_failing_pair(edge_adjacency(Graph(1)), []) is None
+
+    def test_disconnected_reports_first_unreachable_pair(self):
+        # the monochrome path fails inside its component before any
+        # cross-component pair comes up
+        g = Graph(4, [(0, 1), (1, 2)])
+        assert check(g, color_all(g)) == FailingPair(0, 2)
+        assert check(g, color_distinct(g)) == FailingPair(0, 3)
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(MASTER_SEED + 4)
+        for _ in range(500):
+            n = rng.randint(2, 7)
+            g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
+            coloring = random_coloring(rng, g, rng.randint(1, max(g.m, 1)))
+            brute = first_failing_pair_brute(g, coloring)
+            expected = None if brute is None else FailingPair(*brute)
+            assert check(g, coloring) == expected
+
+
+@st.composite
+def connected_colored_graphs(draw):
+    """A connected graph (random spanning tree plus extra edges, relabeled)
+    with a coloring drawn from a palette of small, sparse or huge ids."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    edges = {
+        tuple(sorted((order[v], order[draw(st.integers(0, v - 1))])))
+        for v in range(1, n)
+    }
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12))) if pairs else set()
+    g = Graph(n, edges)
+    palette = draw(
+        st.lists(
+            st.one_of(st.integers(0, 4), st.integers(0, 10**6), st.integers(0, 10**30)),
+            min_size=1,
+            max_size=max(g.m, 1),
+            unique=True,
+        )
+    )
+    coloring = EdgeColoring({e: draw(st.sampled_from(palette)) for e in g.edge_list()})
+    return g, coloring
+
+
+@given(connected_colored_graphs())
+@settings(max_examples=300, deadline=None)
+def test_first_failing_pair_matches_certificate_builder(case):
+    g, coloring = case
+    outcome = is_rainbow_connected(g, coloring)
+    got = check(g, coloring)
+    if isinstance(outcome, RainbowCertificate):
+        assert got is None
+    else:
+        assert got == outcome
 
 
 class TestVerifyCertificate:
