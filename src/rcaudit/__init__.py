@@ -21,7 +21,6 @@ from .construct import (
     Case,
     ConstructionError,
     Finding,
-    audit_construction,
     construct_coloring,
     decompose,
     min_degree_clique,

@@ -172,7 +172,11 @@ def audit_graph(
     else:
         ds_bound = Fraction(g.n) - Fraction(stats.min_degree_sum, 2)
         ds_slack = ds_bound - rc.value if exact else None
-        t_top = decompose(g, min_degree_clique(g)).t
+        if trace is not None:
+            t_top = trace.decomposition.t
+        else:
+            # a structural failure leaves no trace to read the root level from
+            t_top = decompose(g, min_degree_clique(g)).t
         weakened = ds_bound + t_top
 
     report = BoundReport(

@@ -26,6 +26,13 @@ A violation of any of these checks is surfaced as a finding (with a
 reproducer), never repaired silently: the reused-color branch in
 particular is executed exactly as stated so that instances where it fails
 verification show up as findings.
+
+The recursion runs as one loop over an explicit stack of levels, so its
+depth is not bounded by Python's recursion limit (on a path it is one
+level per vertex). The checks run in the order a recursive descent would
+run them, so the first check to fail is the same. Colorings stay plain
+edge -> color dicts until the root, where one EdgeColoring is built and
+verified.
 """
 
 from __future__ import annotations
@@ -62,7 +69,6 @@ __all__ = [
     "min_degree_clique",
     "decompose",
     "construct_coloring",
-    "audit_construction",
     "run_construction",
     "trace_to_dict",
     "iter_trace",
@@ -200,21 +206,18 @@ def decompose(g: Graph, clique: tuple[int, ...]) -> DecompositionRecord:
     """
     delta = _validate_clique(g, clique)
     k = len(clique)
-    rest, kept = delete_vertices(g, clique)
-    if rest.n == 0:
+    if g.n == k:
         raise ConstructionError(
             "deleting the clique removed every vertex of a non-complete graph"
         )
-    part = components(rest)
     comps = []
-    for block in part.blocks:
-        orig = tuple(kept[v] for v in block)
-        sub, _ = delete_vertices(g, set(range(g.n)) - set(orig))
-        dmin = min(sub.degree(v) for v in range(sub.n))
-        attachment = tuple(
-            u for u in clique if any(g.has_edge(u, w) for w in orig)
-        )
-        comps.append(ComponentRecord(orig, len(orig), dmin, attachment))
+    for block in components(g, skip=set(clique)).blocks:
+        inside = set(block)
+        # block is a component of G - K, so a vertex's neighbors inside it
+        # are its neighbors in the induced subgraph G[block]
+        dmin = min(sum(1 for x in g.neighbors(w) if x in inside) for w in block)
+        attachment = tuple(u for u in clique if not inside.isdisjoint(g.neighbors(u)))
+        comps.append(ComponentRecord(block, len(block), dmin, attachment))
     comps.sort(key=lambda c: (-len(c.attachment), c.vertices[0]))
 
     floor = delta - k + 1
@@ -244,133 +247,167 @@ def decompose(g: Graph, clique: tuple[int, ...]) -> DecompositionRecord:
     return DecompositionRecord(tuple(clique), k, tuple(comps), k1, t, case)
 
 
-def _construct(g: Graph, labels: tuple[str, ...]) -> tuple[EdgeColoring, AuditTrace]:
-    delta = min(g.degree(v) for v in range(g.n))
-    budget = g.n - delta
+class _Level:
+    """One level of the construction: a frame on the explicit stack.
 
-    if is_complete(g):
-        colors = {e: 0 for e in g.edges}
-        used = 1 if colors else 0
-        trace = AuditTrace(Case.BASE, g.n, delta, budget, used, labels)
-        return EdgeColoring(colors), trace
+    Setting a level up reads its graph once, for the clique decomposition,
+    the child graphs and the level's own edges. The frame keeps no graph
+    afterwards, so a deep recursion does not hold one graph per level.
+    Colorings are plain dicts keyed by (u, v) with u < v.
+    """
 
-    clique = min_degree_clique(g)
-    rec = decompose(g, clique)
+    def __init__(self, g: Graph, labels: tuple[str, ...]) -> None:
+        delta = min(g.degree(v) for v in range(g.n))
+        rec = None if is_complete(g) else decompose(g, min_degree_clique(g))
+        case = Case.BASE if rec is None else rec.case
+        # colors_used counts the children's palettes until finish()
+        self.trace = AuditTrace(case, g.n, delta, g.n - delta, 0, labels, decomposition=rec)
+        self.colors: dict[tuple[int, int], int] = {}
+        # children not handed out yet: graph, labels, the child's ids in
+        # this graph (None for the contracted graph, see lift) and the
+        # component whose measure is checked when the child is handed out
+        self.todo: list[
+            tuple[Graph, tuple[str, ...], tuple[int, ...] | None, ComponentRecord | None]
+        ] = []
+        self.kept: tuple[int, ...] | None = None  # of the child handed out last
+        # contraction only: each edge outside the clique, with the edge of
+        # the contracted graph whose color it takes
+        self.lift: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        # this level's own edges, each with the index of its fresh color
+        # past the children's palettes, and the number of fresh colors
+        self.own: dict[tuple[int, int], int] = {}
+        self.fresh = 0
+        if rec is None:
+            self.own = dict.fromkeys(g.edges, 0)
+            self.fresh = 1 if self.own else 0
+        elif rec.case is Case.CONTRACTION:
+            self._contraction(g, rec)
+        else:
+            self._components(g, rec)
 
-    if rec.case is Case.CONTRACTION:
-        coloring, trace = _construct_contraction(g, labels, rec, delta, budget)
-    else:
-        coloring, trace = _construct_components(g, labels, rec, delta, budget)
+    def _components(self, g: Graph, rec: DecompositionRecord) -> None:
+        labels = self.trace.vertex_labels
+        everything = set(range(g.n))
+        for idx, comp in enumerate(rec.components):
+            sub, kept = delete_vertices(g, everything - set(comp.vertices))
+            self.todo.append((sub, tuple(labels[v] for v in kept), kept, comp))
+            for u in comp.attachment:
+                for w in comp.vertices:
+                    if g.has_edge(u, w):
+                        self.own[(u, w) if u < w else (w, u)] = idx
+        if rec.case is Case.NEW_CLIQUE_COLOR:
+            clique_color = rec.t
+            self.fresh = rec.t + 1
+        else:
+            # full attachment and the reused-color branch both put the lead
+            # cross color on the clique edges
+            clique_color = 0
+            self.fresh = rec.t
+        for u, v in combinations(rec.clique, 2):
+            self.own[(u, v) if u < v else (v, u)] = clique_color
 
-    if trace.colors_used > budget:
-        raise ConstructionError(
-            f"color budget exceeded: {trace.colors_used} > {budget}"
-            f" on vertices {labels}",
-            {"trace": trace},
-        )
-    return coloring, trace
-
-
-def _construct_components(
-    g: Graph,
-    labels: tuple[str, ...],
-    rec: DecompositionRecord,
-    delta: int,
-    budget: int,
-) -> tuple[EdgeColoring, AuditTrace]:
-    all_vertices = set(range(g.n))
-    colors: dict[tuple[int, int], int] = {}
-    children: list[AuditTrace] = []
-    offset = 0
-    for comp in rec.components:
-        measure = comp.size - comp.min_degree
-        if measure >= budget:
+    def _contraction(self, g: Graph, rec: DecompositionRecord) -> None:
+        trace = self.trace
+        res = contract_set(g, rec.clique)
+        delta_star = min(res.graph.degree(v) for v in range(res.graph.n))
+        if delta_star < trace.min_degree:
+            # with single-vertex attachments the outside keeps its degrees and
+            # the merged vertex collects one disjoint neighborhood per clique
+            # member, so the minimum degree cannot drop
             raise ConstructionError(
-                f"measure did not decrease: component {comp.vertices} has"
-                f" n-d = {measure}, parent has {budget}",
+                f"contraction lowered the minimum degree: {delta_star} < {trace.min_degree}",
                 {"decomposition": rec},
             )
-        sub, kept = delete_vertices(g, all_vertices - set(comp.vertices))
-        sublabels = tuple(labels[old] for old in kept)
-        subcol, subtrace = _construct(sub, sublabels)
-        for (a, b), c in subcol.colors.items():
-            u, v = kept[a], kept[b]
-            colors[(u, v) if u < v else (v, u)] = c + offset
-        offset += subtrace.colors_used
-        children.append(subtrace)
+        measure = res.graph.n - delta_star
+        if measure >= trace.budget:
+            raise ConstructionError(
+                f"measure did not decrease under contraction: {measure} >= {trace.budget}",
+                {"decomposition": rec},
+            )
+        labels = trace.vertex_labels
+        merged_label = "merged(" + ",".join(labels[v] for v in rec.clique) + ")"
+        child_labels: list[str] = [""] * res.graph.n
+        for old in range(g.n):
+            nid = res.origin_map[old]
+            child_labels[nid] = merged_label if nid == res.merged_vertex else labels[old]
+        trace.contraction = ContractionInfo(delta_star, measure, merged_label)
+        self.todo.append((res.graph, tuple(child_labels), None, None))
+        for u, v in g.edge_list():
+            a, b = res.origin_map[u], res.origin_map[v]
+            if a == b:
+                self.own[(u, v)] = 0  # inside the clique: one fresh color
+            else:
+                self.lift.append(((u, v), (a, b) if a < b else (b, a)))
+        self.fresh = 1
 
-    fresh_base = offset
-    for idx, comp in enumerate(rec.components):
-        ci = fresh_base + idx
-        for u in comp.attachment:
-            for w in comp.vertices:
-                if g.has_edge(u, w):
-                    colors[(u, w) if u < w else (w, u)] = ci
+    def next_child(self) -> tuple[Graph, tuple[str, ...]] | None:
+        """The next child to color, after its measure check; None once
+        every child has been handed out."""
+        if not self.todo:
+            return None
+        sub, labels, self.kept, comp = self.todo.pop(0)
+        if comp is not None:
+            measure = comp.size - comp.min_degree
+            if measure >= self.trace.budget:
+                raise ConstructionError(
+                    f"measure did not decrease: component {comp.vertices} has"
+                    f" n-d = {measure}, parent has {self.trace.budget}",
+                    {"decomposition": self.trace.decomposition},
+                )
+        return sub, labels
 
-    if rec.case is Case.NEW_CLIQUE_COLOR:
-        clique_color = fresh_base + rec.t
-        used = fresh_base + rec.t + 1
-    else:
-        # full attachment and the reused-color branch both put the lead
-        # cross color on the clique edges
-        clique_color = fresh_base
-        used = fresh_base + rec.t
-    for u, v in combinations(rec.clique, 2):
-        colors[(u, v) if u < v else (v, u)] = clique_color
-
-    trace = AuditTrace(
-        rec.case, g.n, delta, budget, used, labels,
-        decomposition=rec, children=tuple(children),
-    )
-    return EdgeColoring(colors), trace
-
-
-def _construct_contraction(
-    g: Graph,
-    labels: tuple[str, ...],
-    rec: DecompositionRecord,
-    delta: int,
-    budget: int,
-) -> tuple[EdgeColoring, AuditTrace]:
-    res = contract_set(g, rec.clique)
-    delta_star = min(res.graph.degree(v) for v in range(res.graph.n))
-    if delta_star < delta:
-        # with single-vertex attachments the outside keeps its degrees and
-        # the merged vertex collects one disjoint neighborhood per clique
-        # member, so the minimum degree cannot drop
-        raise ConstructionError(
-            f"contraction lowered the minimum degree: {delta_star} < {delta}",
-            {"decomposition": rec},
-        )
-    measure = res.graph.n - delta_star
-    if measure >= budget:
-        raise ConstructionError(
-            f"measure did not decrease under contraction: {measure} >= {budget}",
-            {"decomposition": rec},
-        )
-    merged_label = "merged(" + ",".join(labels[v] for v in rec.clique) + ")"
-    child_labels: list[str] = [""] * res.graph.n
-    for old in range(g.n):
-        nid = res.origin_map[old]
-        child_labels[nid] = merged_label if nid == res.merged_vertex else labels[old]
-    subcol, subtrace = _construct(res.graph, tuple(child_labels))
-
-    qstar = subtrace.colors_used
-    colors: dict[tuple[int, int], int] = {}
-    for u, v in g.edge_list():
-        a, b = res.origin_map[u], res.origin_map[v]
-        if a == b:
-            colors[(u, v)] = qstar  # inside the clique: one fresh color
+    def add_child(self, colors: dict[tuple[int, int], int], trace: AuditTrace) -> None:
+        """Take in the coloring of the child handed out last, its palette
+        offset past the colors of the children before it."""
+        offset = self.trace.colors_used
+        if self.kept is None:
+            for e, sub_e in self.lift:
+                self.colors[e] = colors[sub_e] + offset
         else:
-            colors[(u, v)] = subcol.color_of(a, b)
+            # kept is increasing, so translated edges stay ordered
+            for (a, b), c in colors.items():
+                self.colors[self.kept[a], self.kept[b]] = c + offset
+        self.trace.colors_used += trace.colors_used
+        self.trace.children += (trace,)
 
-    trace = AuditTrace(
-        Case.CONTRACTION, g.n, delta, budget, qstar + 1, labels,
-        decomposition=rec,
-        children=(subtrace,),
-        contraction=ContractionInfo(delta_star, measure, merged_label),
-    )
-    return EdgeColoring(colors), trace
+    def finish(self) -> tuple[dict[tuple[int, int], int], AuditTrace]:
+        """This level's coloring and trace, its fresh colors past every
+        child's palette."""
+        trace = self.trace
+        for e, idx in self.own.items():
+            self.colors[e] = trace.colors_used + idx
+        trace.colors_used += self.fresh
+        if trace.colors_used > trace.budget:
+            raise ConstructionError(
+                f"color budget exceeded: {trace.colors_used} > {trace.budget}"
+                f" on vertices {trace.vertex_labels}",
+                {"trace": trace},
+            )
+        return self.colors, trace
+
+
+def _construct(
+    g: Graph, labels: tuple[str, ...]
+) -> tuple[dict[tuple[int, int], int], AuditTrace]:
+    """The recursion as one loop over an explicit stack of levels.
+
+    The top level either hands out its next child, which is pushed, or,
+    with every child done, is popped and passes its coloring to the level
+    below. The checks therefore run in the order of a recursive descent,
+    at any depth. Returns the root's coloring and trace.
+    """
+    stack = [_Level(g, labels)]
+    while True:
+        top = stack[-1]
+        child = top.next_child()
+        if child is not None:
+            stack.append(_Level(*child))
+            continue
+        stack.pop()
+        colors, trace = top.finish()
+        if not stack:
+            return colors, trace
+        stack[-1].add_child(colors, trace)
 
 
 def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
@@ -386,24 +423,19 @@ def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
     if not is_connected(g):
         raise ValueError("construction requires a connected graph")
     labels = tuple(str(v) for v in range(g.n))
-    coloring, trace = _construct(g, labels)
+    colors, trace = _construct(g, labels)
+    coloring = EdgeColoring(colors)
     failing = first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
     trace.verification = "pass" if failing is None else failing
     return coloring, trace
 
 
-def audit_construction(g: Graph) -> Finding | None:
-    """Run the construction and report a Finding on any failure, None on a
-    clean pass (coloring verified rainbow connected and within budget)."""
-    finding, _, _ = run_construction(g)
-    return finding
-
-
 def run_construction(
     g: Graph,
 ) -> tuple[Finding | None, EdgeColoring | None, AuditTrace | None]:
-    """audit_construction plus the artifacts, for callers that need the
-    coloring and trace of a passing run too."""
+    """Run the construction and report a Finding on any failure, None on a
+    clean pass (coloring verified rainbow connected and within budget),
+    together with the coloring and trace when the run produced them."""
     g6 = to_graph6(g)
     try:
         coloring, trace = construct_coloring(g)
@@ -421,23 +453,27 @@ def run_construction(
 
 
 def iter_trace(trace: AuditTrace):
-    """Depth-first (parent, child) pairs over the recursion tree."""
-    for child in trace.children:
-        yield trace, child
-        yield from iter_trace(child)
+    """Depth-first (parent, child) pairs over the recursion tree, parents
+    before their children and siblings in order."""
+    stack = [(trace, child) for child in reversed(trace.children)]
+    while stack:
+        parent, child = stack.pop()
+        yield parent, child
+        stack.extend((child, grandchild) for grandchild in reversed(child.children))
 
 
 def measure_violations(trace: AuditTrace) -> list[str]:
     """Strict-decrease violations of the n - min_degree measure, plus any
     node over its color budget. Empty on a sound trace."""
+    pairs = list(iter_trace(trace))
     problems = []
-    for parent, child in iter_trace(trace):
+    for parent, child in pairs:
         if child.budget >= parent.budget:
             problems.append(
                 f"child measure {child.budget} did not decrease below"
                 f" parent measure {parent.budget}"
             )
-    for node in _nodes(trace):
+    for node in [trace] + [child for _, child in pairs]:
         if node.colors_used > node.budget:
             problems.append(
                 f"node with {node.n} vertices used {node.colors_used} colors,"
@@ -452,12 +488,6 @@ def measure_violations(trace: AuditTrace) -> list[str]:
             if node.contraction.min_degree_after < node.min_degree:
                 problems.append("contraction lowered the minimum degree")
     return problems
-
-
-def _nodes(trace: AuditTrace):
-    yield trace
-    for child in trace.children:
-        yield from _nodes(child)
 
 
 def trace_to_dict(trace: AuditTrace) -> dict:

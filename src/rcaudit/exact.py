@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, diameter, is_connected
+from .graphs import Graph, bfs_distances, diameter, is_connected
 from .rainbow import EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
@@ -91,32 +91,9 @@ def rc_lower_bound(g: Graph) -> int:
     return max(diameter(g), 1)
 
 
-def _all_pairs_distances(g: Graph) -> list[list[int]]:
+def _distance_table(g: Graph) -> list[list[int]]:
     """dist[s][t], -1 when t is unreachable from s."""
-    dist = []
-    for s in range(g.n):
-        d = [-1] * g.n
-        d[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in g.neighbors(v):
-                if d[w] < 0:
-                    d[w] = d[v] + 1
-                    queue.append(w)
-        dist.append(d)
-    return dist
-
-
-def _connected(dist: list[list[int]]) -> bool:
-    return not dist or -1 not in dist[0]
-
-
-def _diameter_from(dist: list[list[int]]) -> int:
-    """Diameter of a connected graph, read off its distance table."""
-    return max(max(row) for row in dist)
+    return [bfs_distances(g, s) for s in range(g.n)]
 
 
 def _shortest_paths_as_edges(
@@ -213,8 +190,8 @@ def rc_decision(
     if q < 1:
         raise ValueError("color count must be at least 1")
     if distances is None:
-        distances = _all_pairs_distances(g)
-    if not _connected(distances):
+        distances = _distance_table(g)
+    if distances and -1 in distances[0]:
         raise ValueError("decision search requires a connected graph")
     edges = g.edge_list()
     m = len(edges)
@@ -230,7 +207,7 @@ def rc_decision(
 
     tables: _PruneTables | None = None
     if prune:
-        if _diameter_from(distances) > q:
+        if max(map(max, distances)) > q:
             # some pair is farther apart than q; no q-coloring can give it
             # a rainbow path, so the whole space is solution-free
             return DecisionResult(DecisionStatus.UNSAT, None, 0)
@@ -326,8 +303,8 @@ def rc_exact(
     bound). Budget exhaustion yields a lower bound instead.
     """
     started = time.monotonic()
-    distances = _all_pairs_distances(g)
-    if not _connected(distances):
+    distances = _distance_table(g)
+    if distances and -1 in distances[0]:
         raise ValueError("rc is defined for connected graphs only")
     budget = budget or Budget()
     if g.m == 0:
@@ -338,7 +315,7 @@ def rc_exact(
             EdgeColoring({}),
             SearchStats(0, time.monotonic() - started),
         )
-    lb = max(_diameter_from(distances), 1)  # rc_lower_bound, from the table
+    lb = max(max(map(max, distances)), 1)  # rc_lower_bound, from the table
     total_nodes = 0
     last_refuted: int | None = None
     q = lb

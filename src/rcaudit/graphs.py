@@ -2,6 +2,10 @@
 builds on: graph6/edge-list codecs, degree statistics, connected
 components, vertex deletion, set contraction, and distances.
 
+Every traversal goes through one breadth-first search, bfs_distances:
+components, connectivity, the diameter, the contraction-set check and
+the exact solver's distance table all read its distance lists.
+
 Vertices are dense 0-based ids. Operations that drop or merge vertices
 return explicit id maps so downstream traces can always name vertices of
 the original input. Everything is deterministic: components are ordered
@@ -10,9 +14,8 @@ by minimum vertex id, edge lists lexicographically.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 __all__ = [
     "Graph",
@@ -25,6 +28,7 @@ __all__ = [
     "parse_edge_list",
     "to_edge_list",
     "degree_stats",
+    "bfs_distances",
     "components",
     "delete_vertices",
     "contract_set",
@@ -295,24 +299,37 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(delta, sigma)
 
 
-def components(g: Graph) -> ComponentPartition:
+def bfs_distances(
+    g: Graph, source: int, skip: Container[int] = ()
+) -> list[int]:
+    """Breadth-first distances from source, -1 for every vertex it does
+    not reach. Vertices in skip are never entered, so the result is the
+    distance in g minus skip (source itself must not be in skip)."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = [source]
+    for v in queue:  # the loop also visits vertices appended meanwhile
+        d = dist[v] + 1
+        for w in g.neighbors(v):
+            if dist[w] < 0 and w not in skip:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+def components(g: Graph, skip: Container[int] = ()) -> ComponentPartition:
+    """Components of g minus skip; skipped vertices get block index -1."""
     block_index = [-1] * g.n
     blocks: list[tuple[int, ...]] = []
     for start in range(g.n):
-        if block_index[start] >= 0:
+        if block_index[start] >= 0 or start in skip:
             continue
-        idx = len(blocks)
-        block_index[start] = idx
-        queue = deque([start])
-        block = [start]
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if block_index[w] < 0:
-                    block_index[w] = idx
-                    block.append(w)
-                    queue.append(w)
-        blocks.append(tuple(sorted(block)))
+        dist = bfs_distances(g, start, skip)
+        # vertices below start are skipped or in earlier blocks
+        block = tuple(v for v in range(start, g.n) if dist[v] >= 0)
+        for v in block:
+            block_index[v] = len(blocks)
+        blocks.append(block)
     return ComponentPartition(tuple(blocks), tuple(block_index))
 
 
@@ -346,16 +363,8 @@ def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
     if bad:
         raise ValueError(f"vertex {min(bad)} not in graph")
     # the set must induce a connected subgraph
-    start = min(mset)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in mset and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != mset:
+    reach = bfs_distances(g, min(mset), skip=set(range(g.n)) - mset)
+    if any(reach[v] < 0 for v in mset):
         raise ValueError("contraction set does not induce a connected subgraph")
 
     rep = min(mset)
@@ -377,33 +386,11 @@ def diameter(g: Graph) -> int:
         raise ValueError("diameter of the empty graph is undefined")
     if not is_connected(g):
         raise ValueError("diameter of a disconnected graph is undefined")
-    best = 0
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        best = max(best, max(dist))
-    return best
+    return max(max(bfs_distances(g, s)) for s in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return g.n <= 1 or -1 not in bfs_distances(g, 0)
 
 
 def is_complete(g: Graph) -> bool:

@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+import rcaudit.audit as audit_module
 from rcaudit import (
     AuditOptions,
     Budget,
+    Finding,
     Graph,
     audit_corpus,
     audit_graph,
+    decompose,
     gen_named,
+    min_degree_clique,
 )
 from rcaudit.audit import BoundReport, check_report, findings_for_report
 from rcaudit.generators import iter_connected_graphs
 
-from .test_construct import reused_color_witness
+from .test_construct import contraction_witness, reused_color_witness
 
 
 class TestAuditGraph:
@@ -47,6 +51,34 @@ class TestAuditGraph:
         assert report.degree_sum_slack == Fraction(0)
         assert report.top_components == 1
         assert report.weakened_degree_sum_bound == Fraction(4)
+
+    def test_top_components_read_from_the_trace(self, monkeypatch):
+        # the trace root already holds the top-level decomposition, also
+        # when the coloring fails verification
+        want = {
+            g: decompose(g, min_degree_clique(g)).t
+            for g in (contraction_witness(), reused_color_witness())
+        }
+
+        def no_decompose(*args):
+            raise AssertionError("decompose recomputed")
+
+        monkeypatch.setattr(audit_module, "decompose", no_decompose)
+        opts = AuditOptions(budget=Budget(max_nodes=200))
+        for g, t in want.items():
+            assert audit_graph(g, opts, strict=False).top_components == t == 2
+
+    def test_top_components_without_a_trace(self, monkeypatch):
+        # a structural failure returns no trace, so the audit decomposes
+        g = contraction_witness()
+
+        def structural(h):
+            return Finding("structural", "", None, None, "broken"), None, None
+
+        monkeypatch.setattr(audit_module, "run_construction", structural)
+        report = audit_graph(g, AuditOptions(budget=Budget(max_nodes=200)), strict=False)
+        assert report.top_components == 2
+        assert not report.construct_verified
 
     def test_odd_degree_sum_stays_rational(self):
         # triangle with a pendant: the nonadjacent pairs mix degrees 2 and 1

@@ -7,7 +7,7 @@ import pytest
 from rcaudit import gen_named, parse_graph6, to_edge_list, to_graph6
 from rcaudit.cli import main
 
-from .test_construct import reused_color_witness
+from .test_construct import recursion_limit, reused_color_witness
 
 
 def run(capsys, *argv):
@@ -96,6 +96,14 @@ class TestConstruct:
         assert trace["budget"] == 4
         assert trace["verification"] == "pass"
 
+    def test_path_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        graph = tmp_path / "p600.g6"
+        graph.write_text(to_graph6(gen_named("path", 600)) + "\n")
+        with recursion_limit(400):
+            code, out, _ = run(capsys, "construct", str(graph))
+        assert code == 0
+        assert out.startswith("colors used: 599 (budget 599)\n")
+
     def test_finding_exits_4(self, capsys):
         code, out, _ = run(capsys, "construct", to_graph6(reused_color_witness()))
         assert code == 4
@@ -161,6 +169,17 @@ class TestGen:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_random_hopeless_probability_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "random", "--n", "6", "--p", "0.01", "--seed", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: 1000 consecutive samples were disconnected;"
+            " increase the edge probability\n"
+        )
 
 
 class TestAuditCommand:

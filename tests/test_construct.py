@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -8,13 +10,13 @@ import pytest
 from rcaudit import (
     AuditTrace,
     Case,
-    EdgeColoring,
     FailingPair,
     Graph,
-    audit_construction,
+    components,
     construct_coloring,
     decompose,
     degree_stats,
+    delete_vertices,
     gen_named,
     min_degree_clique,
     parse_graph6,
@@ -27,7 +29,7 @@ import rcaudit.construct as construct_module
 from rcaudit.construct import iter_trace, measure_violations
 from rcaudit.generators import iter_connected_graphs
 
-from .conftest import MASTER_SEED, random_connected_graph
+from .conftest import MASTER_SEED, random_connected_graph, random_graph
 from .oracles import has_rainbow_path_brute
 
 
@@ -57,6 +59,16 @@ def reused_color_witness() -> Graph:
     edges += [(0, 9), (2, 9), (9, 10), (9, 11), (2, 12)]
     edges += list(combinations([10, 11, 12, 13, 14], 2))
     return Graph(15, edges)
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 class TestMinDegreeClique:
@@ -138,6 +150,46 @@ class TestDecompose:
             floor = degree_stats(g).min_degree - rec.k + 1
             assert all(c.min_degree >= floor for c in rec.components)
 
+    @staticmethod
+    def reference(g: Graph, clique: tuple[int, ...]):
+        """Blocks, minimum degrees and attachments computed by deleting
+        the clique and building each component's induced subgraph."""
+        rest, kept = delete_vertices(g, clique)
+        out = []
+        for block in components(rest).blocks:
+            orig = tuple(kept[v] for v in block)
+            sub, _ = delete_vertices(g, set(range(g.n)) - set(orig))
+            dmin = min(sub.degree(v) for v in range(sub.n))
+            attachment = tuple(u for u in clique if any(g.has_edge(u, w) for w in orig))
+            out.append((orig, dmin, attachment))
+        return sorted(out, key=lambda c: (-len(c[2]), c[0][0]))
+
+    def test_matches_induced_subgraph_reference(self):
+        rng = random.Random(MASTER_SEED + 24)
+        graphs = [contraction_witness(), new_color_witness(), reused_color_witness()]
+        while len(graphs) < 63:
+            g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.15, 0.7))
+            if len(graphs) % 2:
+                # half of them disjoint unions, so disconnected
+                h = random_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9))
+                g = Graph(g.n + h.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges])
+            if min(g.degree(v) for v in range(g.n)) >= 1 and g.m < g.n * (g.n - 1) // 2:
+                graphs.append(g)
+        disconnected = 0
+        for g in graphs:
+            disconnected += len(components(g).blocks) > 1
+            # min_degree_clique's greedy choice, without its connectivity check
+            delta = min(g.degree(v) for v in range(g.n))
+            clique: list[int] = []
+            for v in range(g.n):
+                if g.degree(v) == delta and all(g.has_edge(v, u) for u in clique):
+                    clique.append(v)
+            rec = decompose(g, tuple(clique))
+            got = [(c.vertices, c.min_degree, c.attachment) for c in rec.components]
+            assert got == self.reference(g, tuple(clique))
+            assert all(c.size == len(c.vertices) for c in rec.components)
+        assert disconnected >= 25
+
     def test_invalid_clique_rejected(self):
         g = gen_named("path", 4)
         with pytest.raises(ValueError, match="minimum degree"):
@@ -181,22 +233,30 @@ class TestConstructColoring:
             construct_coloring(Graph(3, [(0, 1)]))
 
     def test_verification_rejects_partial_coloring(self, monkeypatch):
-        # a recursion bug that leaves an edge uncolored must raise, not
-        # pass or fail verification
+        # a construction bug that leaves an edge uncolored must raise, not
+        # pass or fail verification; _construct hands the finished
+        # coloring to verification
         g = gen_named("cycle", 5)
         real = construct_module._construct
 
-        def drop_top_edge(h, labels):
-            coloring, trace = real(h, labels)
-            if h is g:
-                colors = dict(coloring.colors)
-                del colors[min(colors)]
-                coloring = EdgeColoring(colors)
-            return coloring, trace
+        def drop_one_edge(h, labels):
+            colors, trace = real(h, labels)
+            del colors[min(colors)]
+            return colors, trace
 
-        monkeypatch.setattr(construct_module, "_construct", drop_top_edge)
+        monkeypatch.setattr(construct_module, "_construct", drop_one_edge)
         with pytest.raises(ValueError, match="not total"):
             construct_coloring(g)
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        # one level per vertex: a recursive construction would need
+        # several hundred nested calls here
+        g = gen_named("path", 600)
+        with recursion_limit(400):
+            coloring, trace = construct_coloring(g)
+            assert measure_violations(trace) == []
+        assert trace.colors_used == g.n - 1 == coloring.num_colors
+        assert trace.verification == "pass"
 
     def test_contraction_branch_verifies(self):
         g = contraction_witness()
@@ -241,7 +301,7 @@ class TestConstructColoring:
 class TestAuditConstruction:
     def test_cliques_pass(self):
         for n in range(1, 8):
-            assert audit_construction(gen_named("complete", n)) is None
+            assert run_construction(gen_named("complete", n))[0] is None
 
     def test_path7_within_budget(self):
         finding, coloring, trace = run_construction(gen_named("path", 7))
@@ -252,22 +312,22 @@ class TestAuditConstruction:
         rng = random.Random(MASTER_SEED + 22)
         for _ in range(150):
             g = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.9))
-            finding = audit_construction(g)
+            finding = run_construction(g)[0]
             assert finding is None, finding.graph6
 
     def test_reused_color_witness_becomes_finding(self):
         g = reused_color_witness()
-        finding = audit_construction(g)
+        finding = run_construction(g)[0]
         assert finding is not None
         assert finding.kind == "verification-failed"
         assert finding.failing_pair == FailingPair(2, 3)
         assert parse_graph6(finding.graph6) == g
         # replaying the reproducer reproduces the finding
-        again = audit_construction(parse_graph6(finding.graph6))
+        again = run_construction(parse_graph6(finding.graph6))[0]
         assert again is not None and again.failing_pair == finding.failing_pair
 
     def test_finding_trace_serializes(self):
-        finding = audit_construction(reused_color_witness())
+        finding = run_construction(reused_color_witness())[0]
         d = trace_to_dict(finding.trace)
         assert d["case"] == "reused_clique_color"
         assert d["verification"] == {"failing_pair": [2, 3]}

@@ -180,7 +180,7 @@ class TestRandomConnected:
             gen_random_connected(3, 0.0)
 
     def test_rejection_limit_diagnostic(self):
-        with pytest.raises(RuntimeError, match="increase the edge probability"):
+        with pytest.raises(ValueError, match="increase the edge probability"):
             gen_random_connected(30, 1e-9, seed=1)
 
     def test_corpus_deterministic(self):

@@ -27,6 +27,7 @@ from rcaudit import (
     to_graph6,
 )
 from rcaudit.generators import CounterexampleParams
+from rcaudit.graphs import bfs_distances
 
 from .conftest import random_graph
 from .oracles import union_find_components
@@ -272,6 +273,51 @@ class TestContractSet:
         }
         assert set(res.graph.neighbors(res.merged_vertex)) == expected
         assert res.graph.n == g.n - len(chosen) + 1
+
+
+def seeded_graphs(seed: int, count: int = 60):
+    """Random graphs on up to 14 vertices, many of them disconnected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_graph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.6)), rng
+
+
+class TestBfsDistances:
+    def test_matches_networkx(self):
+        disconnected = 0
+        for g, _ in seeded_graphs(31):
+            theirs = nx.Graph()
+            theirs.add_nodes_from(range(g.n))
+            theirs.add_edges_from(g.edges)
+            disconnected += not nx.is_connected(theirs)
+            for s in range(g.n):
+                want = [-1] * g.n
+                for v, d in nx.single_source_shortest_path_length(theirs, s).items():
+                    want[v] = d
+                assert bfs_distances(g, s) == want
+        assert disconnected > 10
+
+    def test_skip_matches_networkx_on_the_rest(self):
+        for g, rng in seeded_graphs(32):
+            skip = {v for v in range(g.n) if rng.random() < 0.3}
+            rest = nx.Graph()
+            rest.add_nodes_from(v for v in range(g.n) if v not in skip)
+            rest.add_edges_from(e for e in g.edges if not skip.intersection(e))
+            for s in rest.nodes:
+                want = [-1] * g.n
+                for v, d in nx.single_source_shortest_path_length(rest, s).items():
+                    want[v] = d
+                assert bfs_distances(g, s, skip) == want
+
+    def test_components_match_union_find(self):
+        for g, rng in seeded_graphs(33):
+            assert list(components(g).blocks) == union_find_components(g.n, g.edges)
+            skip = {v for v in range(g.n) if rng.random() < 0.3}
+            kept = [e for e in g.edges if not skip.intersection(e)]
+            want = [b for b in union_find_components(g.n, kept) if b[0] not in skip]
+            part = components(g, skip)
+            assert list(part.blocks) == want
+            assert all(part.block_index[v] == -1 for v in skip)
 
 
 class TestDiameter:
