@@ -55,18 +55,26 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _graph6_lines(text: str) -> list[Graph]:
+    """One graph per non-blank line."""
+    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+
+
 def _load_graphs(source: str) -> list[Graph]:
     path = Path(source)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:
+        # a long graph6 literal is no valid file name (ENAMETOOLONG)
+        is_file = False
+    if is_file:
         text = path.read_text()
         stripped = text.lstrip()
         if not stripped:
             raise GraphFormatError(f"{source}: empty file")
         if stripped[0].isdigit():
             return [parse_edge_list(text)]
-        return [
-            parse_graph6(line) for line in text.splitlines() if line.strip()
-        ]
+        return _graph6_lines(text)
     return [parse_graph6(source)]
 
 
@@ -119,7 +127,16 @@ def _cmd_construct(args) -> int:
     g = _load_one(args.graph)
     finding, coloring, trace = run_construction(g)
     if args.trace and trace is not None:
-        Path(args.trace).write_text(_dumps(trace_to_dict(trace)) + "\n")
+        try:
+            text = _dumps(trace_to_dict(trace)) + "\n"
+        except RecursionError:
+            print(
+                "error: the construction trace is too deeply nested to write"
+                f" as JSON; {args.trace} was not written",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        Path(args.trace).write_text(text)
     if finding is not None:
         if args.format == "json":
             print(_dumps({
@@ -227,12 +244,7 @@ def _sweep_source(args) -> list[Graph]:
             "sweep needs exactly one source: a corpus file, --all-connected, or --random"
         )
     if args.corpus is not None:
-        graphs = []
-        text = Path(args.corpus).read_text()
-        for line in text.splitlines():
-            if line.strip():
-                graphs.append(parse_graph6(line))
-        return graphs
+        return _graph6_lines(Path(args.corpus).read_text())
     if args.all_connected is not None:
         if args.all_connected < 1:
             raise GraphFormatError("--all-connected needs a positive vertex count")

@@ -8,6 +8,21 @@ color relabelings without losing any coloring up to renaming. The
 exhausted search at q - 1 doubles as the optimality certificate for a hit
 at q.
 
+Two bookkeeping devices cut the search without changing its tree. Both
+rest on one path primitive, _paths_within: a DFS over the edge-indexed
+adjacency that lists every simple s-t path with at most a given number
+of edges. A rainbow path with q colors has at most q edges, so a pair
+fails exactly when all of those paths repeat a color.
+
+- Prune tables: for each pair at distance q, its shortest paths (the
+  paths of at most q edges). A partial coloring in which all of them
+  repeat a color is cut off.
+- Leaf-verdict reuse: when a leaf fails on a pair, its paths are kept
+  with the largest edge index at which one of them first repeats a
+  color. Later leaves that kept the colors of those edges fail too,
+  without a rainbow check; others test the kept paths first and run the
+  full check only when one of them is rainbow.
+
 Node and wall-time budgets cap each call so corpus sweeps never hang; a
 budgeted give-up is reported as such, never as unsatisfiability.
 """
@@ -19,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import Graph, bfs_distances, diameter, is_connected
-from .rainbow import EdgeColoring, edge_adjacency, first_failing_pair
+from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
     "Budget",
@@ -96,32 +111,72 @@ def _distance_table(g: Graph) -> list[list[int]]:
     return [bfs_distances(g, s) for s in range(g.n)]
 
 
-def _shortest_paths_as_edges(
-    g: Graph,
-    dist_from: list[list[int]],
-    u: int,
-    v: int,
-    edge_index: dict[tuple[int, int], int],
+# leaf-verdict reuse skips a failing pair with more short paths than this
+_LEAF_PATH_CAP = 512
+
+
+def _paths_within(
+    adjacency: Adjacency,
+    s: int,
+    dist_to_t: list[int],
+    limit: int,
     cap: int,
 ) -> list[tuple[int, ...]] | None:
-    """All shortest u-v paths as tuples of edge indices; None when more
-    than cap paths exist (the caller then skips tracking that pair)."""
-    du = dist_from[u]
-    target = du[v]
+    """Every simple path from s to t with at most limit edges, each as a
+    sorted tuple of edge indices; None when more than cap exist.
+
+    t is the vertex with dist_to_t[t] == 0, and s != t. The DFS over the
+    edge-indexed adjacency enters a vertex only if t is still within
+    limit from it, so for limit = dist(s, t) it walks exactly the
+    shortest paths.
+    """
     out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, list[int]]] = [(v, [])]
+    on_path = [False] * len(adjacency)
+    on_path[s] = True
+    path: list[int] = []  # edge indices from s to the top of the stack
+    stack = [(s, iter(adjacency[s]))]
     while stack:
-        x, acc = stack.pop()
-        if x == u:
-            out.append(tuple(reversed(acc)))
-            if len(out) > cap:
-                return None
-            continue
-        for w in g.neighbors(x):
-            if du[w] == du[x] - 1:
-                e = edge_index[(w, x) if w < x else (x, w)]
-                stack.append((w, acc + [e]))
+        v, untried = stack[-1]
+        slack = limit - len(stack)  # how far t may still be from the next vertex
+        for w, e in untried:
+            d = dist_to_t[w]
+            if d > slack or on_path[w]:
+                continue
+            if d == 0:
+                out.append(tuple(sorted(path + [e])))
+                if len(out) > cap:
+                    return None
+                continue
+            on_path[w] = True
+            path.append(e)
+            stack.append((w, iter(adjacency[w])))
+            break
+        else:
+            stack.pop()
+            on_path[v] = False
+            if stack:
+                path.pop()
     return out
+
+
+def _dead_from(paths: list[tuple[int, ...]], assignment: list[int]) -> int | None:
+    """None when one of the paths is rainbow under assignment; otherwise
+    the largest, over the paths, first edge index at which a path repeats
+    a color (-1 for no paths). The paths stay non-rainbow for as long as
+    edges 0..dead_from keep their colors."""
+    dead_from = -1
+    for p in paths:
+        seen = 0
+        for e in p:
+            b = 1 << assignment[e]
+            if seen & b:
+                if e > dead_from:
+                    dead_from = e
+                break
+            seen |= b
+        else:
+            return None
+    return dead_from
 
 
 class _PruneTables:
@@ -130,34 +185,29 @@ class _PruneTables:
     A pair at distance q can only be rainbow-connected along one of its
     length-q shortest paths; once every such path contains two assigned
     edges of equal color, no completion of the partial coloring can
-    succeed. Tracking is capped per pair and in total; skipped pairs just
-    weaken the prune, never its soundness.
+    succeed. The paths come from _paths_within with limit q, the same
+    primitive the leaf check uses. Tracking is capped per pair and in
+    total; skipped pairs just weaken the prune, never its soundness.
     """
 
     PER_PAIR_CAP = 512
     TOTAL_CAP = 8192
 
     def __init__(
-        self,
-        g: Graph,
-        q: int,
-        edges: list[tuple[int, int]],
-        dist: list[list[int]],
+        self, adjacency: Adjacency, m: int, q: int, dist: list[list[int]]
     ):
-        edge_index = {e: i for i, e in enumerate(edges)}
+        n = len(adjacency)
         self.path_edges: list[tuple[int, ...]] = []
         self.path_pair: list[int] = []
-        self.edge_paths: list[list[int]] = [[] for _ in edges]
+        self.edge_paths: list[list[int]] = [[] for _ in range(m)]
         self.alive: list[int] = []
         self.dead_at: list[int] = []
         total = 0
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
+        for u in range(n):
+            for v in range(u + 1, n):
                 if dist[u][v] != q:
                     continue
-                paths = _shortest_paths_as_edges(
-                    g, dist, u, v, edge_index, self.PER_PAIR_CAP
-                )
+                paths = _paths_within(adjacency, u, dist[v], q, self.PER_PAIR_CAP)
                 if paths is None or total + len(paths) > self.TOTAL_CAP:
                     continue
                 pair_id = len(self.alive)
@@ -205,21 +255,27 @@ def rc_decision(
         else None
     )
 
-    tables: _PruneTables | None = None
-    if prune:
-        if max(map(max, distances)) > q:
-            # some pair is farther apart than q; no q-coloring can give it
-            # a rainbow path, so the whole space is solution-free
-            return DecisionResult(DecisionStatus.UNSAT, None, 0)
-        tables = _PruneTables(g, q, edges, distances)
-
+    if prune and max(map(max, distances)) > q:
+        # some pair is farther apart than q; no q-coloring can give it a
+        # rainbow path, so the whole space is solution-free
+        return DecisionResult(DecisionStatus.UNSAT, None, 0)
     adjacency = edge_adjacency(g)
+    tables = _PruneTables(adjacency, m, q, distances) if prune else None
+
     assignment = [-1] * m
     next_color = [0] * m
     max_plus = [0] * (m + 1)  # colors allowed at depth i: 0..min(max_plus[i], q-1)
     killed: list[list[int]] = [[] for _ in range(m)]
     nodes = 0
     i = 0
+    # Leaf-verdict reuse. failing_paths holds every simple path with at
+    # most q edges between the vertices of the last failing pair (a longer
+    # path cannot be rainbow with q colors), and all of them repeat a color
+    # within edges 0..dead_from. low is the lowest depth assigned since
+    # the last leaf; while low > dead_from the pair still fails.
+    failing_paths: list[tuple[int, ...]] | None = None
+    dead_from = -1
+    low = m
 
     def unassign(depth: int) -> None:
         if tables is not None:
@@ -231,9 +287,29 @@ def rc_decision(
 
     while True:
         if i == m:
-            if first_failing_pair(adjacency, [1 << c for c in assignment]) is None:
-                coloring = EdgeColoring(dict(zip(edges, assignment)))
-                return DecisionResult(DecisionStatus.SAT, coloring, nodes)
+            if failing_paths is not None and low <= dead_from:
+                verdict = _dead_from(failing_paths, assignment)
+                if verdict is None:
+                    failing_paths = None
+                else:
+                    dead_from = verdict
+            if failing_paths is None:
+                failing = first_failing_pair(adjacency, [1 << c for c in assignment])
+                if failing is None:
+                    coloring = EdgeColoring(dict(zip(edges, assignment)))
+                    return DecisionResult(DecisionStatus.SAT, coloring, nodes)
+                failing_paths = _paths_within(
+                    adjacency, failing.u, distances[failing.v], q, _LEAF_PATH_CAP
+                )
+                if failing_paths is not None:
+                    verdict = _dead_from(failing_paths, assignment)
+                    if verdict is None:
+                        raise RuntimeError(
+                            f"pair ({failing.u}, {failing.v}) failed the leaf"
+                            " check but has a rainbow path"
+                        )
+                    dead_from = verdict
+            low = m
             i -= 1
             unassign(i)
             continue
@@ -257,6 +333,8 @@ def rc_decision(
             return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, nodes)
 
         assignment[i] = c
+        if i < low:
+            low = i
         dead_pair = False
         if tables is not None:
             for pid in tables.edge_paths[i]:

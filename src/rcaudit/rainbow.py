@@ -8,8 +8,9 @@ path. There are two entry points:
   lexicographically first pair with no rainbow path, or None. It never
   builds a witness, and each source's search stops as soon as every
   higher-numbered vertex has been reached. The exact solver calls it at
-  every leaf of its search, and the construction calls it once to verify
-  its finished coloring. It works on the graph's edge-indexed adjacency
+  the leaves of its search whose verdict it cannot reuse from an earlier
+  leaf, and the construction calls it once to verify its finished
+  coloring. It works on the graph's edge-indexed adjacency
   (edge_adjacency, built once per graph) and one color bit per edge.
 - is_rainbow_connected builds the full certificate, one witness path per
   pair, for `rcaudit verify`.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,27 @@ class TestConstruct:
             code, out, _ = run(capsys, "construct", str(graph))
         assert code == 0
         assert out.startswith("colors used: 599 (budget 599)\n")
+
+    def test_long_graph6_literal(self, capsys):
+        # a literal longer than a file name may be is still a graph
+        literal = to_graph6(gen_named("path", 60))
+        assert len(literal) > 255
+        code, out, _ = run(capsys, "construct", literal)
+        assert code == 0
+        assert out.startswith("colors used: 59 (budget 59)\n")
+
+    def test_trace_too_deep_is_an_error(self, tmp_path, capsys):
+        graph = tmp_path / "p600.g6"
+        graph.write_text(to_graph6(gen_named("path", 600)) + "\n")
+        trace_path = tmp_path / "trace.json"
+        with recursion_limit(400):
+            code, out, err = run(
+                capsys, "construct", "--trace", str(trace_path), str(graph)
+            )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not trace_path.exists()
 
     def test_finding_exits_4(self, capsys):
         code, out, _ = run(capsys, "construct", to_graph6(reused_color_witness()))
@@ -258,11 +280,35 @@ class TestSweep:
         assert json.loads(out)["findings"] == json.loads(out2)["findings"]
 
     def test_empty_corpus_exits_0(self, tmp_path, capsys):
+        # unlike a single-graph argument, an empty corpus is no error
+        self.check_empty_corpus(tmp_path, capsys, "")
+
+    def test_blank_lines_corpus_exits_0(self, tmp_path, capsys):
+        self.check_empty_corpus(tmp_path, capsys, "\n  \n")
+
+    @staticmethod
+    def check_empty_corpus(tmp_path, capsys, text):
         corpus = tmp_path / "empty.g6"
-        corpus.write_text("")
-        code, out, _ = run(capsys, "sweep", str(corpus), "--format", "json")
-        assert code == 0
-        assert json.loads(out)["aggregate"]["total"] == 0
+        corpus.write_text(text)
+        code, out, err = run(capsys, "sweep", str(corpus), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "aggregate": {
+                "complete_graphs": 0,
+                "construction_failures": 0,
+                "degree_sum_slack_count": 0,
+                "errors": 0,
+                "exact": 0,
+                "mean_degree_sum_slack": None,
+                "mean_min_degree_slack": None,
+                "min_degree_sum_slack": None,
+                "min_min_degree_slack": None,
+                "not_exact": 0,
+                "total": 0,
+            },
+            "errors": [],
+            "findings": [],
+        }
 
     def test_missing_source_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep")
@@ -276,6 +322,25 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["aggregate"]["total"] == 5
+
+
+def test_random_sweep_output_is_byte_stable(tmp_path, capsys):
+    # sha256 of the JSON summary and of the per-graph reports; a change
+    # to the solver or the construction that alters any byte of the
+    # output shows here
+    reports = tmp_path / "reports.jsonl"
+    code, out, _ = run(
+        capsys, "sweep", "--random", "60", "--n-min", "4", "--n-max", "40",
+        "--seed", "20260808", "--max-nodes", "2000", "--format", "json",
+        "--out", str(reports),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "530355c372f85deabdebd05dace7ea0e8115fa8f9769fb534fea03471ff576d4"
+    )
+    assert hashlib.sha256(reports.read_bytes()).hexdigest() == (
+        "59d51d303bbeab9b6328a25047f2ee7a7ecc5f2a4de03d52d7d6dd206f8f0c97"
+    )
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+import rcaudit.exact
 from rcaudit import (
     Budget,
     DecisionStatus,
@@ -18,11 +19,15 @@ from rcaudit import (
     rc_decision,
     rc_exact,
     rc_lower_bound,
+    to_graph6,
 )
+from rcaudit.exact import _paths_within
 from rcaudit.generators import iter_connected_graphs, random_corpus
+from rcaudit.graphs import bfs_distances, parse_graph6
+from rcaudit.rainbow import edge_adjacency
 
 from .conftest import MASTER_SEED, random_connected_graph
-from .oracles import naive_rc
+from .oracles import all_simple_paths, naive_rc
 
 
 class TestLowerBound:
@@ -46,6 +51,41 @@ class TestLowerBound:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             rc_lower_bound(Graph(2, []))
+
+
+class TestPathsWithin:
+    def oracle(self, g, s, t, limit):
+        index = {e: i for i, e in enumerate(g.edge_list())}
+        return sorted(
+            tuple(sorted(index[(a, b) if a < b else (b, a)] for a, b in zip(p, p[1:])))
+            for p in all_simple_paths(g, s, t)
+            if len(p) - 1 <= limit
+        )
+
+    def test_matches_simple_path_oracle(self):
+        rng = random.Random(MASTER_SEED + 20)
+        for _ in range(25):
+            g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
+            adjacency = edge_adjacency(g)
+            for t in range(g.n):
+                dist_to_t = bfs_distances(g, t)
+                for s in range(g.n):
+                    if s == t:
+                        continue
+                    for limit in range(1, g.n):
+                        got = _paths_within(adjacency, s, dist_to_t, limit, 10**6)
+                        assert sorted(got) == self.oracle(g, s, t, limit)
+
+    def test_cap_returns_none_above_it(self):
+        g = gen_named("complete", 5)
+        adjacency = edge_adjacency(g)
+        dist_to_t = bfs_distances(g, 4)
+        # 1 + 3 + 3*2 + 3*2*1 simple 0-4 paths in K5
+        assert len(_paths_within(adjacency, 0, dist_to_t, 4, 16)) == 16
+        assert _paths_within(adjacency, 0, dist_to_t, 4, 15) is None
+        # within 2 edges: the direct edge and 3 two-edge paths
+        assert len(_paths_within(adjacency, 0, dist_to_t, 2, 4)) == 4
+        assert _paths_within(adjacency, 0, dist_to_t, 2, 3) is None
 
 
 class TestDecision:
@@ -104,6 +144,27 @@ class TestDecision:
             rc_decision(gen_named("path", 3), 0)
         with pytest.raises(ValueError):
             rc_decision(Graph(2, []), 1)
+
+    def test_sat_exactly_from_naive_rc_on_long_graphs(self):
+        # diameter >= 3 makes leaves fail on pairs with several paths, so
+        # the reused leaf verdicts decide most of the UNSAT levels; without
+        # pruning the search also reaches leaves below the diameter, where
+        # a pair has no path within q edges at all
+        rng = random.Random(MASTER_SEED + 21)
+        graphs = [
+            g
+            for n in range(4, 7)
+            for g in iter_connected_graphs(n)
+            if diameter(g) >= 3 and (n < 6 or rng.random() < 0.004)
+        ]
+        assert len(graphs) > 100
+        for g in graphs:
+            rc = naive_rc(g)
+            for prune in (True, False):
+                sat = rc_decision(g, rc, prune=prune)
+                assert sat.status is DecisionStatus.SAT
+                assert isinstance(is_rainbow_connected(g, sat.coloring), RainbowCertificate)
+                assert rc_decision(g, rc - 1, prune=prune).status is DecisionStatus.UNSAT
 
     def test_given_distances_match_standalone(self):
         rng = random.Random(MASTER_SEED + 5)
@@ -256,6 +317,55 @@ class TestExact:
             ("exact", 3, 551),
             ("exact", 2, 54),
         ]
+
+    # (graph6, status, value, nodes, witness colors in edge-list order) at
+    # a 20000-node budget, on graphs of diameter 3-5 from
+    # random_corpus(60, 5, 10, 7); taken before leaf verdicts were reused
+    PINNED = [
+        ("HWtaHks", "budget-exhausted", 3, 20001, None),
+        ("G@oAqG", "exact", 5, 252, [0, 1, 0, 2, 1, 3, 2, 4]),
+        ("HRO_iCo", "exact", 4, 130, [0, 1, 2, 0, 3, 0, 0, 2, 1, 1, 1]),
+        ("HJmHtYV", "budget-exhausted", 3, 20001, None),
+        ("DHg", "exact", 4, 35, [0, 1, 2, 3]),
+        ("IaMYDK^Tw", "budget-exhausted", 3, 20001, None),
+        ("FJrCG", "exact", 3, 91, [0, 0, 1, 1, 1, 0, 2, 0, 0]),
+        ("GLBARS", "exact", 4, 392, [0, 0, 0, 0, 1, 1, 2, 3, 2, 1, 1]),
+        (
+            "HnztBkV", "exact", 3, 2484,
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 2, 0, 2, 1, 2],
+        ),
+        ("IYABhPECG", "budget-exhausted", 5, 20001, None),
+        ("Hv_@GC_", "lower-bound-only", 5, 20001, None),
+        ("FOCMo", "exact", 5, 1193, [0, 1, 2, 0, 2, 3, 4]),
+        ("Ecr_", "exact", 3, 108, [0, 0, 1, 2, 2, 0, 1]),
+        ("E^E_", "exact", 3, 28, [0, 0, 0, 0, 1, 0, 1, 2]),
+    ]
+
+    def test_pinned_outcomes_and_witnesses_on_long_graphs(self):
+        graphs = [g for g in random_corpus(60, 5, 10, 7) if 3 <= diameter(g) <= 5]
+        assert [to_graph6(g) for g in graphs[:14]] == [p[0] for p in self.PINNED]
+        for graph6, status, value, nodes, witness in self.PINNED:
+            g = parse_graph6(graph6)
+            r = rc_exact(g, Budget(max_nodes=20000))
+            got = None if r.witness is None else [r.witness.colors[e] for e in g.edge_list()]
+            assert (r.status.value, r.value, r.stats.nodes, got) == (
+                status, value, nodes, witness
+            ), graph6
+
+    def test_reused_leaf_verdicts_skip_rainbow_checks(self, monkeypatch):
+        # every leaf of this budgeted search fails; with one full check per
+        # leaf the search made 12,082 of them
+        calls = []
+        check = rcaudit.exact.first_failing_pair
+
+        def counted(adjacency, bits):
+            calls.append(1)
+            return check(adjacency, bits)
+
+        monkeypatch.setattr(rcaudit.exact, "first_failing_pair", counted)
+        r = rc_exact(parse_graph6("HJmHtYV"), Budget(max_nodes=20000))
+        assert (r.status, r.stats.nodes) == (ExactStatus.BUDGET_EXHAUSTED, 20001)
+        assert 1 <= len(calls) <= 1208
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)
