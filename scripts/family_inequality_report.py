@@ -39,10 +39,17 @@ def main() -> int:
             g, facts = gen_counterexample(params)
             report = counterexample_inequalities(g, params, facts)
             s_values = set(report.component_sums)
-            assert len(s_values) == 1
+            problem = None
+            if len(s_values) != 1:
+                problem = f"component degree sums differ: {sorted(s_values)}"
+            elif not report.refuted_claim_violated:
+                problem = "the refuted floor is not violated"
+            elif not (report.corrected_claim_holds and report.corrected_claim_tight):
+                problem = "the corrected floor is not met with equality"
+            if problem is not None:
+                print(f"error: delta={d} t={t}: {problem}", file=sys.stderr)
+                return 1
             s_i = s_values.pop()
-            assert report.refuted_claim_violated
-            assert report.corrected_claim_holds and report.corrected_claim_tight
             print(
                 f"{d:>5} {t:>3} {g.n:>4} {facts.clique_size:>3}"
                 f" {facts.min_degree_sum:>7} {s_i:>4}"

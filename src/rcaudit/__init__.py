@@ -7,19 +7,10 @@ counterexample family for the degree-sum recursion claim, and bound
 audits over graph corpora.
 """
 
-from .audit import (
-    AggregateStats,
-    AuditOptions,
-    BoundReport,
-    CorpusFinding,
-    CorpusResult,
-    audit_corpus,
-    audit_graph,
-)
+from .audit import AuditOptions, audit_corpus, audit_graph
 from .construct import (
     AuditTrace,
     Case,
-    ConstructionError,
     Finding,
     construct_coloring,
     decompose,
@@ -29,9 +20,7 @@ from .construct import (
 )
 from .exact import (
     Budget,
-    DecisionResult,
     DecisionStatus,
-    ExactResult,
     ExactStatus,
     rc_decision,
     rc_exact,
@@ -39,19 +28,13 @@ from .exact import (
 )
 from .generators import (
     CounterexampleParams,
-    FamilyFacts,
-    InequalityReport,
     counterexample_inequalities,
     gen_counterexample,
     gen_named,
     gen_random_connected,
-    iter_connected_graphs,
-    random_corpus,
 )
 from .graphs import (
     ComponentPartition,
-    ContractionResult,
-    DegreeStats,
     Graph,
     GraphFormatError,
     components,
@@ -67,7 +50,6 @@ from .graphs import (
     to_graph6,
 )
 from .rainbow import (
-    CertificateCheck,
     EdgeColoring,
     FailingPair,
     RainbowCertificate,

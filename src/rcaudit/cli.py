@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .audit import AuditOptions, audit_corpus, audit_graph
+from .audit import AuditOptions, audit_corpus, audit_graph, check_report
 from .construct import run_construction, trace_to_dict
 from .exact import Budget, ExactStatus, rc_exact
 from .generators import (
@@ -217,10 +217,10 @@ def _report_text(report) -> str:
 def _cmd_audit(args) -> int:
     g = _load_one(args.graph)
     opts = AuditOptions(budget=_budget(args), prune=not args.no_prune)
-    try:
-        report = audit_graph(g, opts)
-    except AssertionError as exc:
-        print(f"finding (solver-disagreement): {exc}", file=sys.stderr)
+    report = audit_graph(g, opts)
+    violations = check_report(report)
+    if violations:
+        print(f"finding (solver-disagreement): {'; '.join(violations)}", file=sys.stderr)
         return EXIT_FINDING
     if args.format == "json":
         print(_dumps(report.to_dict()))
@@ -263,6 +263,9 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     opts = AuditOptions(budget=_budget(args), prune=not args.no_prune)
     result = audit_corpus(graphs, opts)
+    findings = [
+        {"kind": f.kind, "graph6": f.graph6, "detail": f.detail} for f in result.findings
+    ]
 
     if args.out:
         lines = [_dumps(r.to_dict()) for r in result.reports]
@@ -270,20 +273,12 @@ def _cmd_sweep(args) -> int:
     if args.findings_dir:
         fdir = Path(args.findings_dir)
         fdir.mkdir(parents=True, exist_ok=True)
-        for i, finding in enumerate(result.findings):
-            payload = {
-                "kind": finding.kind,
-                "graph6": finding.graph6,
-                "detail": finding.detail,
-            }
+        for i, payload in enumerate(findings):
             (fdir / f"finding-{i:04d}.json").write_text(_dumps(payload) + "\n")
 
     summary = {
         "aggregate": result.aggregate.to_dict(),
-        "findings": [
-            {"kind": f.kind, "graph6": f.graph6, "detail": f.detail}
-            for f in result.findings
-        ],
+        "findings": findings,
         "errors": [{"graph": g, "error": e} for g, e in result.errors],
     }
     if args.format == "json":

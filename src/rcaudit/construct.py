@@ -147,64 +147,56 @@ class Finding:
     """A graph on which the construction did not deliver: either its
     coloring failed verification or an internal invariant broke."""
 
-    kind: str  # "verification-failed" | "budget-exceeded" | "structural"
+    kind: str  # "verification-failed" | "structural"
     graph6: str
     failing_pair: FailingPair | None
     trace: AuditTrace | None
     detail: str
 
 
-def min_degree_clique(g: Graph) -> tuple[int, ...]:
-    """Greedy maximal clique of minimum-degree vertices, ascending ids.
-
-    Maximality holds against all minimum-degree vertices: anything
-    skipped was non-adjacent to some earlier member. For a connected,
-    non-complete graph the size is between 1 and the minimum degree.
-    """
-    if not is_connected(g):
-        raise ValueError("clique selection requires a connected graph")
-    if is_complete(g):
-        raise ValueError("complete graph: base case, no decomposition clique")
+def _greedy_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The minimum degree and the greedy maximal clique of minimum-degree
+    vertices over ascending ids."""
     delta = min(g.degree(v) for v in range(g.n))
     clique: list[int] = []
     for v in range(g.n):
         if g.degree(v) == delta and all(g.has_edge(v, u) for u in clique):
             clique.append(v)
+    return delta, tuple(clique)
+
+
+def min_degree_clique(g: Graph) -> tuple[int, ...]:
+    """Greedy maximal clique of minimum-degree vertices, ascending ids:
+    the clique that decompose(g) deletes.
+
+    Maximality holds against all minimum-degree vertices: anything
+    skipped was non-adjacent to some earlier member. For a connected,
+    non-complete graph the size is between 1 and the minimum degree;
+    other graphs are rejected.
+    """
+    if not is_connected(g):
+        raise ValueError("clique selection requires a connected graph")
+    if is_complete(g):
+        raise ValueError("complete graph: base case, no decomposition clique")
+    delta, clique = _greedy_clique(g)
     if not 1 <= len(clique) <= delta:
         raise ConstructionError(
-            f"clique size {len(clique)} outside [1, {delta}]", {"clique": tuple(clique)}
+            f"clique size {len(clique)} outside [1, {delta}]", {"clique": clique}
         )
-    return tuple(clique)
+    return clique
 
 
-def _validate_clique(g: Graph, clique: tuple[int, ...]) -> int:
-    if not clique:
-        raise ValueError("clique must be nonempty")
-    delta = min(g.degree(v) for v in range(g.n))
-    for v in clique:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} not in graph")
-        if g.degree(v) != delta:
-            raise ValueError(f"vertex {v} does not have minimum degree")
-    for u, v in combinations(clique, 2):
-        if not g.has_edge(u, v):
-            raise ValueError(f"clique vertices {u} and {v} are not adjacent")
-    cset = set(clique)
-    for v in range(g.n):
-        if v not in cset and g.degree(v) == delta:
-            if all(g.has_edge(v, u) for u in clique):
-                raise ValueError(f"clique is not maximal: vertex {v} extends it")
-    return delta
+def decompose(g: Graph) -> DecompositionRecord:
+    """Delete G's greedy minimum-degree clique (see min_degree_clique),
+    split the rest into components and classify the level.
 
-
-def decompose(g: Graph, clique: tuple[int, ...]) -> DecompositionRecord:
-    """Split G minus the clique into components and classify the level.
-
-    Components are ordered by attachment size (descending), ties by
-    minimum vertex id. Every component's minimum degree is checked
-    against the floor d - k + 1 that clique maximality guarantees.
+    G must not be complete. Its connectivity is not checked: the
+    construction checks it once, at its entry. Components are ordered by
+    attachment size (descending), ties by minimum vertex id. Every
+    component's minimum degree is checked against the floor d - k + 1
+    that clique maximality guarantees.
     """
-    delta = _validate_clique(g, clique)
+    delta, clique = _greedy_clique(g)
     k = len(clique)
     if g.n == k:
         raise ConstructionError(
@@ -244,7 +236,7 @@ def decompose(g: Graph, clique: tuple[int, ...]) -> DecompositionRecord:
                 {"clique": clique},
             )
         case = Case.CONTRACTION
-    return DecompositionRecord(tuple(clique), k, tuple(comps), k1, t, case)
+    return DecompositionRecord(clique, k, tuple(comps), k1, t, case)
 
 
 class _Level:
@@ -258,7 +250,7 @@ class _Level:
 
     def __init__(self, g: Graph, labels: tuple[str, ...]) -> None:
         delta = min(g.degree(v) for v in range(g.n))
-        rec = None if is_complete(g) else decompose(g, min_degree_clique(g))
+        rec = None if is_complete(g) else decompose(g)
         case = Case.BASE if rec is None else rec.case
         # colors_used counts the children's palettes until finish()
         self.trace = AuditTrace(case, g.n, delta, g.n - delta, 0, labels, decomposition=rec)
@@ -435,20 +427,19 @@ def run_construction(
 ) -> tuple[Finding | None, EdgeColoring | None, AuditTrace | None]:
     """Run the construction and report a Finding on any failure, None on a
     clean pass (coloring verified rainbow connected and within budget),
-    together with the coloring and trace when the run produced them."""
-    g6 = to_graph6(g)
+    together with the coloring and trace when the run produced them.
+    A coloring over budget raises ConstructionError at the root level, so
+    it is reported as structural."""
     try:
         coloring, trace = construct_coloring(g)
     except ConstructionError as exc:
         trace = exc.context.get("trace")
-        return Finding("structural", g6, None, trace, str(exc)), None, None
+        return Finding("structural", to_graph6(g), None, trace, str(exc)), None, None
     if isinstance(trace.verification, FailingPair):
         pair = trace.verification
         detail = f"no rainbow path between {pair.u} and {pair.v}"
-        return Finding("verification-failed", g6, pair, trace, detail), coloring, trace
-    if trace.colors_used > trace.budget:
-        detail = f"{trace.colors_used} colors exceed the budget {trace.budget}"
-        return Finding("budget-exceeded", g6, None, trace, detail), coloring, trace
+        finding = Finding("verification-failed", to_graph6(g), pair, trace, detail)
+        return finding, coloring, trace
     return None, coloring, trace
 
 

@@ -244,10 +244,14 @@ def rainbow_path(
 def is_rainbow_connected(
     g: Graph, coloring: EdgeColoring
 ) -> RainbowCertificate | FailingPair:
-    """Certificate with a witness per pair, or the lexicographically first
-    failing pair. Disconnected graphs immediately yield the first
-    cross-component pair. Use first_failing_pair when only the verdict
-    is needed."""
+    """Certificate with a witness per pair, or a failing pair.
+
+    On a connected graph the failing pair is the lexicographically first
+    one, as first_failing_pair returns it. A disconnected graph yields its
+    lexicographically first cross-component pair at once, which need not
+    be the first failing pair: a one-colored P_3 plus an isolated vertex 3
+    gives (0, 3), where first_failing_pair gives (0, 2). Use
+    first_failing_pair when only the verdict is needed."""
     bits = edge_color_bits(g, coloring)
     if g.n <= 1:
         return RainbowCertificate({})

@@ -264,7 +264,6 @@ def test_criterion_5_degree_sum_probe_completes_deterministically(
                 replay = audit_graph(
                     parse_graph6(finding["graph6"]),
                     AuditOptions(budget=Budget(max_nodes=SWEEP_NODE_BUDGET)),
-                    strict=False,
                 )
                 assert str(replay.degree_sum_slack) == finding["detail"][
                     "degree_sum_slack"

@@ -14,7 +14,6 @@ from rcaudit import (
     audit_graph,
     decompose,
     gen_named,
-    min_degree_clique,
 )
 from rcaudit.audit import BoundReport, check_report, findings_for_report
 from rcaudit.generators import iter_connected_graphs
@@ -56,7 +55,7 @@ class TestAuditGraph:
         # the trace root already holds the top-level decomposition, also
         # when the coloring fails verification
         want = {
-            g: decompose(g, min_degree_clique(g)).t
+            g: decompose(g).t
             for g in (contraction_witness(), reused_color_witness())
         }
 
@@ -66,7 +65,7 @@ class TestAuditGraph:
         monkeypatch.setattr(audit_module, "decompose", no_decompose)
         opts = AuditOptions(budget=Budget(max_nodes=200))
         for g, t in want.items():
-            assert audit_graph(g, opts, strict=False).top_components == t == 2
+            assert audit_graph(g, opts).top_components == t == 2
 
     def test_top_components_without_a_trace(self, monkeypatch):
         # a structural failure returns no trace, so the audit decomposes
@@ -76,7 +75,7 @@ class TestAuditGraph:
             return Finding("structural", "", None, None, "broken"), None, None
 
         monkeypatch.setattr(audit_module, "run_construction", structural)
-        report = audit_graph(g, AuditOptions(budget=Budget(max_nodes=200)), strict=False)
+        report = audit_graph(g, AuditOptions(budget=Budget(max_nodes=200)))
         assert report.top_components == 2
         assert not report.construct_verified
 
@@ -114,7 +113,7 @@ class TestAuditGraph:
         # the witness is too big for an unbudgeted exact solve; the
         # construction outcome is independent of the rc budget
         opts = AuditOptions(budget=Budget(max_nodes=2000))
-        report = audit_graph(reused_color_witness(), opts, strict=False)
+        report = audit_graph(reused_color_witness(), opts)
         assert not report.construct_verified
         assert report.construction_failure["kind"] == "verification-failed"
         assert report.construction_failure["failing_pair"] == [2, 3]
@@ -171,7 +170,7 @@ class TestFindingsClassification:
         kinds = [f.kind for f in findings_for_report(report)]
         assert kinds == ["construction-failure"]
 
-    def test_strict_audit_raises_on_violation(self):
+    def test_colors_above_the_bound_are_a_violation(self):
         report = self._base_report(construct_colors=5)
         assert check_report(report)
 

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+import rcaudit.audit as audit_module
 from rcaudit import gen_named, parse_graph6, to_edge_list, to_graph6
 from rcaudit.cli import main
+from rcaudit.exact import ExactResult, ExactStatus, SearchStats
 
 from .test_construct import recursion_limit, reused_color_witness
 
@@ -225,6 +227,20 @@ class TestAuditCommand:
             capsys, "audit", "--max-nodes", "500", to_graph6(reused_color_witness())
         )
         assert code == 4
+
+    def test_solver_disagreement_exits_4(self, monkeypatch, capsys):
+        # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound
+        def over_the_bound(g, budget, prune):
+            return ExactResult(ExactStatus.EXACT, 4, None, SearchStats(0, 0.0))
+
+        monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)
+        code, out, err = run(capsys, "audit", to_graph6(gen_named("cycle", 5)))
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "finding (solver-disagreement): exact rc 4 exceeds the proven bound 3;"
+            " verified coloring with 3 colors undercuts the claimed optimum 4\n"
+        )
 
 
 class TestSweep:

@@ -104,35 +104,36 @@ class TestMinDegreeClique:
 class TestDecompose:
     def test_cycle5_is_full_attachment(self):
         g = gen_named("cycle", 5)
-        rec = decompose(g, min_degree_clique(g))
+        rec = decompose(g)
         assert rec.case is Case.FULL_ATTACHMENT
         assert rec.t == 1 and rec.k1 == 2
         assert rec.components[0].vertices == (2, 3, 4)
 
     def test_star_center_survives(self):
         g = gen_named("star", 4)
-        rec = decompose(g, (1,))
+        rec = decompose(g)
+        assert rec.clique == (1,)
         assert rec.case is Case.FULL_ATTACHMENT
         assert rec.t == 1
         assert set(rec.components[0].vertices) == {0, 2, 3}
 
     def test_contraction_witness_classified(self):
         g = contraction_witness()
-        clique = min_degree_clique(g)
-        assert clique == (0, 1)
-        rec = decompose(g, clique)
+        assert min_degree_clique(g) == (0, 1)
+        rec = decompose(g)
+        assert rec.clique == (0, 1)
         assert rec.case is Case.CONTRACTION
         assert rec.k1 == 1 and rec.t == 2
 
     def test_new_color_witness_classified(self):
         g = new_color_witness()
-        rec = decompose(g, min_degree_clique(g))
+        rec = decompose(g)
         assert rec.case is Case.NEW_CLIQUE_COLOR
         assert rec.k1 == 2
 
     def test_reused_color_witness_classified(self):
         g = reused_color_witness()
-        rec = decompose(g, min_degree_clique(g))
+        rec = decompose(g)
         assert rec.case is Case.REUSED_CLIQUE_COLOR
         assert rec.k1 == 2
         assert all(c.min_degree == 2 for c in rec.components)
@@ -143,7 +144,7 @@ class TestDecompose:
             g = random_connected_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.7))
             if g.m == g.n * (g.n - 1) // 2:
                 continue
-            rec = decompose(g, min_degree_clique(g))
+            rec = decompose(g)
             sizes = [len(c.attachment) for c in rec.components]
             assert sizes == sorted(sizes, reverse=True)
             assert rec.k1 == sizes[0]
@@ -184,18 +185,12 @@ class TestDecompose:
             for v in range(g.n):
                 if g.degree(v) == delta and all(g.has_edge(v, u) for u in clique):
                     clique.append(v)
-            rec = decompose(g, tuple(clique))
+            rec = decompose(g)
+            assert rec.clique == tuple(clique)
             got = [(c.vertices, c.min_degree, c.attachment) for c in rec.components]
             assert got == self.reference(g, tuple(clique))
             assert all(c.size == len(c.vertices) for c in rec.components)
         assert disconnected >= 25
-
-    def test_invalid_clique_rejected(self):
-        g = gen_named("path", 4)
-        with pytest.raises(ValueError, match="minimum degree"):
-            decompose(g, (1,))  # degree 2, not the minimum
-        with pytest.raises(ValueError, match="not maximal"):
-            decompose(gen_named("cycle", 4), (0,))
 
 
 class TestConstructColoring:
@@ -231,6 +226,21 @@ class TestConstructColoring:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             construct_coloring(Graph(3, [(0, 1)]))
+
+    def test_connectivity_checked_once(self, monkeypatch):
+        # every level below the root colors a component of a connected
+        # graph or the contraction of one, so only the entry checks
+        calls = []
+        real = construct_module.is_connected
+
+        def counted(h):
+            calls.append(h.n)
+            return real(h)
+
+        monkeypatch.setattr(construct_module, "is_connected", counted)
+        _, trace = construct_coloring(gen_named("path", 60))
+        assert trace.verification == "pass"
+        assert calls == [60]
 
     def test_verification_rejects_partial_coloring(self, monkeypatch):
         # a construction bug that leaves an edge uncolored must raise, not

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from rcaudit import (
@@ -198,3 +203,34 @@ class TestEnumeration:
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in iter_connected_graphs(4))
+
+
+def load_family_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "family_inequality_report.py"
+    spec = importlib.util.spec_from_file_location("family_inequality_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFamilyInequalityScript:
+    def test_grid_checks_pass(self, monkeypatch, capsys):
+        script = load_family_script()
+        monkeypatch.setattr(sys, "argv", ["family_inequality_report.py", "--max-delta", "4"])
+        assert script.main() == 0
+        out = capsys.readouterr().out
+        assert out.endswith("every row: s_i = corrected floor, refuted floor = s_i + 2\n")
+
+    def test_failed_check_returns_1(self, monkeypatch, capsys):
+        # the checks must hold under python -O too, so they are no asserts
+        script = load_family_script()
+        real = script.counterexample_inequalities
+
+        def unviolated(*args):
+            return dataclasses.replace(real(*args), refuted_claim_violated=False)
+
+        monkeypatch.setattr(script, "counterexample_inequalities", unviolated)
+        monkeypatch.setattr(sys, "argv", ["family_inequality_report.py", "--max-delta", "3"])
+        assert script.main() == 1
+        err = capsys.readouterr().err
+        assert err == "error: delta=2 t=1: the refuted floor is not violated\n"

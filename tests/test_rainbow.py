@@ -218,6 +218,8 @@ class TestFirstFailingPair:
         g = Graph(4, [(0, 1), (1, 2)])
         assert check(g, color_all(g)) == FailingPair(0, 2)
         assert check(g, color_distinct(g)) == FailingPair(0, 3)
+        # the certificate search reports the first cross-component pair
+        assert is_rainbow_connected(g, color_all(g)) == FailingPair(0, 3)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(MASTER_SEED + 4)
