@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .construct import Finding, decompose, run_construction, trace_to_dict
 from .exact import Budget, ExactStatus, rc_exact
-from .graphs import Graph, degree_stats, is_connected, to_graph6
+from .graphs import Graph, degree_stats, distance_table, to_graph6
 
 __all__ = [
     "AuditOptions",
@@ -154,12 +154,13 @@ def audit_graph(g: Graph, opts: AuditOptions | None = None) -> BoundReport:
     with an exact solve is a solver bug, not a result) are left in the
     report for check_report to find; they never raise here.
     """
-    if not is_connected(g):
+    distances = distance_table(g)
+    if distances and -1 in distances[0]:
         raise ValueError("audit requires a connected graph")
     opts = opts or AuditOptions()
     stats = degree_stats(g)
     finding, _, trace = run_construction(g)
-    rc = rc_exact(g, opts.budget, opts.prune)
+    rc = rc_exact(g, opts.budget, opts.prune, distances=distances)
 
     bound1 = g.n - stats.min_degree
     exact = rc.status is ExactStatus.EXACT

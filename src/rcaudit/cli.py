@@ -86,7 +86,15 @@ def _load_one(source: str) -> Graph:
 
 
 def _budget(args) -> Budget:
-    return Budget(getattr(args, "max_nodes", None), getattr(args, "max_seconds", None))
+    """The solver budget from --max-nodes and --max-seconds; a negative or
+    NaN cap is an input error, not a budget that runs no search."""
+    max_nodes = getattr(args, "max_nodes", None)
+    max_seconds = getattr(args, "max_seconds", None)
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"--max-nodes must be at least 0, got {max_nodes}")
+    if max_seconds is not None and not max_seconds >= 0:
+        raise ValueError(f"--max-seconds must be a number at least 0, got {max_seconds}")
+    return Budget(max_nodes, max_seconds)
 
 
 def _cmd_verify(args) -> int:
@@ -252,16 +260,24 @@ def _sweep_source(args) -> list[Graph]:
         for n in range(1, args.all_connected + 1):
             graphs.extend(iter_connected_graphs(n))
         return graphs
+    if args.random < 0:
+        raise GraphFormatError(f"--random needs a nonnegative count, got {args.random}")
+    if args.n_min < 1:
+        raise GraphFormatError(f"--n-min needs at least 1 vertex, got {args.n_min}")
+    if args.n_min > args.n_max:
+        raise GraphFormatError(
+            f"--n-min {args.n_min} is above --n-max {args.n_max}: empty size range"
+        )
     return random_corpus(args.random, args.n_min, args.n_max, args.seed)
 
 
 def _cmd_sweep(args) -> int:
+    opts = AuditOptions(budget=_budget(args), prune=not args.no_prune)
     try:
         graphs = _sweep_source(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    opts = AuditOptions(budget=_budget(args), prune=not args.no_prune)
     result = audit_corpus(graphs, opts)
     findings = [
         {"kind": f.kind, "graph6": f.graph6, "detail": f.detail} for f in result.findings
@@ -317,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--max-seconds", type=float, default=None,
                         help="wall-time budget for the exact solver")
     solver.add_argument("--no-prune", action="store_true",
-                        help="disable the distance-based fail-fast pruning")
+                        help="run the plain canonical search: no prune tables,"
+                             " no distance shortcut, no learning or backjumping")
 
     parser = argparse.ArgumentParser(
         prog="rcaudit",

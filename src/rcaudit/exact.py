@@ -8,20 +8,26 @@ color relabelings without losing any coloring up to renaming. The
 exhausted search at q - 1 doubles as the optimality certificate for a hit
 at q.
 
-Two bookkeeping devices cut the search without changing its tree. Both
-rest on one path primitive, _paths_within: a DFS over the edge-indexed
-adjacency that lists every simple s-t path with at most a given number
-of edges. A rainbow path with q colors has at most q edges, so a pair
-fails exactly when all of those paths repeat a color.
+Pruning rests on one path primitive, _paths_within: a DFS over the
+edge-indexed adjacency that lists every simple s-t path with at most a
+given number of edges. A rainbow path with q colors has at most q edges,
+so a pair fails exactly when all of those paths repeat a color. The
+prune tables hold such path sets, and a partial coloring in which every
+path of one pair repeats a color is cut off:
 
-- Prune tables: for each pair at distance q, its shortest paths (the
-  paths of at most q edges). A partial coloring in which all of them
-  repeat a color is cut off.
-- Leaf-verdict reuse: when a leaf fails on a pair, its paths are kept
-  with the largest edge index at which one of them first repeats a
-  color. Later leaves that kept the colors of those edges fail too,
-  without a rainbow check; others test the kept paths first and run the
-  full check only when one of them is rainbow.
+- Preloaded pairs: every pair at distance q, whose paths of at most q
+  edges are its shortest paths.
+- Learned pairs: when a leaf fails on a pair, its paths are added to
+  the tables (a learned nogood), each marked dead at the edge where it
+  first repeats a color. All of them stay dead for as long as the edges
+  up to the deepest of those depths keep their colors, so the search
+  jumps straight back to that depth (backjumping); every leaf it skips
+  fails on the same pair. A learned pair never fails at a later leaf of
+  the same level: the tables cut it off first.
+
+Both cuts only remove solution-free subtrees, so the first satisfying
+leaf in canonical order, and with it every value and witness, is the
+one the plain canonical search (prune=False) finds.
 
 Node and wall-time budgets cap each call so corpus sweeps never hang; a
 budgeted give-up is reported as such, never as unsatisfiability.
@@ -33,7 +39,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, bfs_distances, diameter, is_connected
+from .graphs import Graph, diameter, distance_table, is_connected
 from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
@@ -59,8 +65,12 @@ class Budget:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work of one rc_exact call, summed over its deepening levels."""
+
     nodes: int
     seconds: float
+    leaf_checks: int = 0  # full first_failing_pair calls
+    learned_pairs: int = 0  # failing leaf pairs added to the prune tables
 
 
 class DecisionStatus(Enum):
@@ -74,6 +84,8 @@ class DecisionResult:
     status: DecisionStatus
     coloring: EdgeColoring | None
     nodes: int
+    leaf_checks: int = 0
+    learned_pairs: int = 0
 
 
 class ExactStatus(Enum):
@@ -106,12 +118,7 @@ def rc_lower_bound(g: Graph) -> int:
     return max(diameter(g), 1)
 
 
-def _distance_table(g: Graph) -> list[list[int]]:
-    """dist[s][t], -1 when t is unreachable from s."""
-    return [bfs_distances(g, s) for s in range(g.n)]
-
-
-# leaf-verdict reuse skips a failing pair with more short paths than this
+# a failing leaf pair with more short paths than this is not learned
 _LEAF_PATH_CAP = 512
 
 
@@ -159,49 +166,33 @@ def _paths_within(
     return out
 
 
-def _dead_from(paths: list[tuple[int, ...]], assignment: list[int]) -> int | None:
-    """None when one of the paths is rainbow under assignment; otherwise
-    the largest, over the paths, first edge index at which a path repeats
-    a color (-1 for no paths). The paths stay non-rainbow for as long as
-    edges 0..dead_from keep their colors."""
-    dead_from = -1
-    for p in paths:
-        seen = 0
-        for e in p:
-            b = 1 << assignment[e]
-            if seen & b:
-                if e > dead_from:
-                    dead_from = e
-                break
-            seen |= b
-        else:
-            return None
-    return dead_from
-
-
 class _PruneTables:
-    """Fail-fast bookkeeping for pairs at distance exactly q.
+    """Fail-fast bookkeeping: for each tracked pair, every path of at most
+    q edges between its ends, and how many of them are still alive.
 
-    A pair at distance q can only be rainbow-connected along one of its
-    length-q shortest paths; once every such path contains two assigned
-    edges of equal color, no completion of the partial coloring can
-    succeed. The paths come from _paths_within with limit q, the same
-    primitive the leaf check uses. Tracking is capped per pair and in
-    total; skipped pairs just weaken the prune, never its soundness.
+    A path dies at the depth of its first edge whose color repeats an
+    earlier edge of the path, and revives when that depth is unassigned.
+    Once every path of a pair is dead, no completion of the partial
+    coloring can rainbow-connect the pair. The tables start with the
+    pairs at distance exactly q (their paths come from _paths_within with
+    limit q, which walks exactly the shortest paths); learn() adds a pair
+    that failed at a leaf. Preloading is capped per pair and in total;
+    skipped pairs just weaken the prune, never its soundness.
     """
 
     PER_PAIR_CAP = 512
     TOTAL_CAP = 8192
 
-    def __init__(
-        self, adjacency: Adjacency, m: int, q: int, dist: list[list[int]]
-    ):
-        n = len(adjacency)
+    def __init__(self, m: int):
         self.path_edges: list[tuple[int, ...]] = []
         self.path_pair: list[int] = []
         self.edge_paths: list[list[int]] = [[] for _ in range(m)]
         self.alive: list[int] = []
         self.dead_at: list[int] = []
+
+    def preload(self, adjacency: Adjacency, q: int, dist: list[list[int]]) -> None:
+        """Track every pair at distance exactly q, within the caps."""
+        n = len(adjacency)
         total = 0
         for u in range(n):
             for v in range(u + 1, n):
@@ -210,16 +201,54 @@ class _PruneTables:
                 paths = _paths_within(adjacency, u, dist[v], q, self.PER_PAIR_CAP)
                 if paths is None or total + len(paths) > self.TOTAL_CAP:
                     continue
-                pair_id = len(self.alive)
-                self.alive.append(len(paths))
-                for p in paths:
-                    pid = len(self.path_edges)
-                    self.path_edges.append(p)
-                    self.path_pair.append(pair_id)
-                    self.dead_at.append(-1)
-                    for e in p:
-                        self.edge_paths[e].append(pid)
+                self._add_pair(paths, [-1] * len(paths))
                 total += len(paths)
+
+    def _add_pair(self, paths: list[tuple[int, ...]], dead_at: list[int]) -> int:
+        """Track one pair's paths, each dead at the given depth (-1 when
+        alive); returns the id of its first path."""
+        first = len(self.path_edges)
+        pair_id = len(self.alive)
+        self.alive.append(dead_at.count(-1))
+        self.path_edges.extend(paths)
+        self.path_pair.extend([pair_id] * len(paths))
+        self.dead_at.extend(dead_at)
+        edge_paths = self.edge_paths
+        for pid, p in enumerate(paths, first):
+            for e in p:
+                edge_paths[e].append(pid)
+        return first
+
+    def learn(
+        self,
+        u: int,
+        v: int,
+        paths: list[tuple[int, ...]],
+        assignment: list[int],
+        killed: list[list[int]],
+    ) -> int:
+        """Add pair (u, v), which fails under the full assignment, with all
+        its paths of at most q edges. Each path is marked dead at its first
+        repeated-color edge and registered in killed[that depth]; returns
+        the deepest of those depths. After the distance shortcut every
+        pair has a path of at most q edges, so paths is not empty."""
+        dead_at = []
+        for p in paths:
+            seen = 0
+            for e in p:
+                b = 1 << assignment[e]
+                if seen & b:
+                    break
+                seen |= b
+            else:
+                raise RuntimeError(
+                    f"pair ({u}, {v}) failed the leaf check but has a rainbow path"
+                )
+            dead_at.append(e)
+        first = self._add_pair(paths, dead_at)
+        for pid, e in enumerate(dead_at, first):
+            killed[e].append(pid)
+        return max(dead_at)
 
 
 def rc_decision(
@@ -234,13 +263,18 @@ def rc_decision(
     none exists. Unsatisfiability is reported only after the canonical
     space is exhausted (pruned subtrees are provably solution-free).
 
+    prune=False runs the plain canonical search: no prune tables, no
+    distance shortcut, no learning and no backjumping. It visits a
+    superset of the pruned search's nodes and reaches the same verdict
+    and the same first satisfying leaf.
+
     distances is g's all-pairs distance table, for callers that decide
     several q on one graph; it is computed here when not given.
     """
     if q < 1:
         raise ValueError("color count must be at least 1")
     if distances is None:
-        distances = _distance_table(g)
+        distances = distance_table(g)
     if distances and -1 in distances[0]:
         raise ValueError("decision search requires a connected graph")
     edges = g.edge_list()
@@ -260,99 +294,95 @@ def rc_decision(
         # rainbow path, so the whole space is solution-free
         return DecisionResult(DecisionStatus.UNSAT, None, 0)
     adjacency = edge_adjacency(g)
-    tables = _PruneTables(adjacency, m, q, distances) if prune else None
+    tables = _PruneTables(m)
+    if prune:
+        tables.preload(adjacency, q, distances)
+    edge_paths, path_edges = tables.edge_paths, tables.path_edges
+    path_pair, alive, dead_at = tables.path_pair, tables.alive, tables.dead_at
+    max_nodes = budget.max_nodes
 
     assignment = [-1] * m
     next_color = [0] * m
-    max_plus = [0] * (m + 1)  # colors allowed at depth i: 0..min(max_plus[i], q-1)
-    killed: list[list[int]] = [[] for _ in range(m)]
-    nodes = 0
+    top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
+    killed: list[list[int]] = [[] for _ in range(m)]  # paths that died at each depth
+    # failing leaf pairs with more than _LEAF_PATH_CAP short paths: not
+    # learned, and not enumerated again when they fail once more
+    over_cap: set[tuple[int, int]] = set()
+    nodes = leaf_checks = learned = 0
     i = 0
-    # Leaf-verdict reuse. failing_paths holds every simple path with at
-    # most q edges between the vertices of the last failing pair (a longer
-    # path cannot be rainbow with q colors), and all of them repeat a color
-    # within edges 0..dead_from. low is the lowest depth assigned since
-    # the last leaf; while low > dead_from the pair still fails.
-    failing_paths: list[tuple[int, ...]] | None = None
-    dead_from = -1
-    low = m
+
+    def done(status: DecisionStatus, coloring: EdgeColoring | None = None) -> DecisionResult:
+        return DecisionResult(status, coloring, nodes, leaf_checks, learned)
 
     def unassign(depth: int) -> None:
-        if tables is not None:
-            for pid in killed[depth]:
-                tables.dead_at[pid] = -1
-                tables.alive[tables.path_pair[pid]] += 1
-            killed[depth].clear()
+        for pid in killed[depth]:
+            dead_at[pid] = -1
+            alive[path_pair[pid]] += 1
+        killed[depth].clear()
         assignment[depth] = -1
 
     while True:
         if i == m:
-            if failing_paths is not None and low <= dead_from:
-                verdict = _dead_from(failing_paths, assignment)
-                if verdict is None:
-                    failing_paths = None
-                else:
-                    dead_from = verdict
-            if failing_paths is None:
-                failing = first_failing_pair(adjacency, [1 << c for c in assignment])
-                if failing is None:
-                    coloring = EdgeColoring(dict(zip(edges, assignment)))
-                    return DecisionResult(DecisionStatus.SAT, coloring, nodes)
-                failing_paths = _paths_within(
+            leaf_checks += 1
+            failing = first_failing_pair(adjacency, [1 << c for c in assignment])
+            if failing is None:
+                return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
+            back = m - 1
+            pair = (failing.u, failing.v)
+            if prune and pair not in over_cap:
+                paths = _paths_within(
                     adjacency, failing.u, distances[failing.v], q, _LEAF_PATH_CAP
                 )
-                if failing_paths is not None:
-                    verdict = _dead_from(failing_paths, assignment)
-                    if verdict is None:
-                        raise RuntimeError(
-                            f"pair ({failing.u}, {failing.v}) failed the leaf"
-                            " check but has a rainbow path"
-                        )
-                    dead_from = verdict
-            low = m
-            i -= 1
+                if paths is None:
+                    over_cap.add(pair)
+                else:
+                    # every leaf that keeps edges 0..back fails on this pair
+                    back = tables.learn(failing.u, failing.v, paths, assignment, killed)
+                    learned += 1
+            for depth in range(m - 1, back, -1):
+                next_color[depth] = 0
+                unassign(depth)
+            i = back
             unassign(i)
             continue
         c = next_color[i]
-        if c > min(max_plus[i], q - 1):
+        if c > top[i]:
             next_color[i] = 0
             if i == 0:
-                return DecisionResult(DecisionStatus.UNSAT, None, nodes)
+                return done(DecisionStatus.UNSAT)
             i -= 1
             unassign(i)
             continue
         next_color[i] = c + 1
         nodes += 1
-        if budget.max_nodes is not None and nodes > budget.max_nodes:
-            return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, nodes)
+        if max_nodes is not None and nodes > max_nodes:
+            return done(DecisionStatus.BUDGET_EXHAUSTED)
         if (
             deadline is not None
             and nodes & 1023 == 1  # clock checked on the first node, then sparsely
             and time.monotonic() > deadline
         ):
-            return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, nodes)
+            return done(DecisionStatus.BUDGET_EXHAUSTED)
 
         assignment[i] = c
-        if i < low:
-            low = i
         dead_pair = False
-        if tables is not None:
-            for pid in tables.edge_paths[i]:
-                if tables.dead_at[pid] >= 0:
-                    continue
-                for e in tables.path_edges[pid]:
-                    if e != i and assignment[e] == c:
-                        tables.dead_at[pid] = i
-                        killed[i].append(pid)
-                        pair = tables.path_pair[pid]
-                        tables.alive[pair] -= 1
-                        if tables.alive[pair] == 0:
-                            dead_pair = True
-                        break
+        for pid in edge_paths[i]:
+            if dead_at[pid] >= 0:
+                continue
+            for e in path_edges[pid]:
+                if e != i and assignment[e] == c:
+                    dead_at[pid] = i
+                    killed[i].append(pid)
+                    pair_id = path_pair[pid]
+                    alive[pair_id] -= 1
+                    if alive[pair_id] == 0:
+                        dead_pair = True
+                    break
         if dead_pair:
             unassign(i)
             continue
-        max_plus[i + 1] = max(max_plus[i], c + 1)
+        # canonical order: a new color is one above the largest so far
+        top[i + 1] = c + 1 if c == top[i] and c < q - 1 else top[i]
         i += 1
 
 
@@ -372,16 +402,24 @@ def _remaining(budget: Budget, used_nodes: int, started: float) -> Budget | None
 
 
 def rc_exact(
-    g: Graph, budget: Budget | None = None, prune: bool = True
+    g: Graph,
+    budget: Budget | None = None,
+    prune: bool = True,
+    *,
+    distances: list[list[int]] | None = None,
 ) -> ExactResult:
     """Rainbow connection number with an optimal witness coloring.
 
     Exact status means a passing witness at the value plus a fully
     exhausted search one color below (or the value equals the lower
     bound). Budget exhaustion yields a lower bound instead.
+
+    distances is g's all-pairs distance table (see distance_table), for
+    callers that already built it; it is computed here when not given.
     """
     started = time.monotonic()
-    distances = _distance_table(g)
+    if distances is None:
+        distances = distance_table(g)
     if distances and -1 in distances[0]:
         raise ValueError("rc is defined for connected graphs only")
     budget = budget or Budget()
@@ -394,22 +432,25 @@ def rc_exact(
             SearchStats(0, time.monotonic() - started),
         )
     lb = max(max(map(max, distances)), 1)  # rc_lower_bound, from the table
-    total_nodes = 0
+    total_nodes = leaf_checks = learned_pairs = 0
     last_refuted: int | None = None
     q = lb
+
+    def stats() -> SearchStats:
+        return SearchStats(
+            total_nodes, time.monotonic() - started, leaf_checks, learned_pairs
+        )
+
     while True:
         level_budget = _remaining(budget, total_nodes, started)
         if level_budget is None:
             break
         res = rc_decision(g, q, level_budget, prune, distances=distances)
         total_nodes += res.nodes
+        leaf_checks += res.leaf_checks
+        learned_pairs += res.learned_pairs
         if res.status is DecisionStatus.SAT:
-            return ExactResult(
-                ExactStatus.EXACT,
-                q,
-                res.coloring,
-                SearchStats(total_nodes, time.monotonic() - started),
-            )
+            return ExactResult(ExactStatus.EXACT, q, res.coloring, stats())
         if res.status is DecisionStatus.UNSAT:
             last_refuted = q
             q += 1
@@ -419,7 +460,6 @@ def rc_exact(
             continue
         break
 
-    stats = SearchStats(total_nodes, time.monotonic() - started)
     if last_refuted is not None:
-        return ExactResult(ExactStatus.LOWER_BOUND_ONLY, last_refuted + 1, None, stats)
-    return ExactResult(ExactStatus.BUDGET_EXHAUSTED, lb, None, stats)
+        return ExactResult(ExactStatus.LOWER_BOUND_ONLY, last_refuted + 1, None, stats())
+    return ExactResult(ExactStatus.BUDGET_EXHAUSTED, lb, None, stats())

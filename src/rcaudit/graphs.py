@@ -4,7 +4,7 @@ components, vertex deletion, set contraction, and distances.
 
 Every traversal goes through one breadth-first search, bfs_distances:
 components, connectivity, the diameter, the contraction-set check and
-the exact solver's distance table all read its distance lists.
+the all-pairs distance table all read its distance lists.
 
 Vertices are dense 0-based ids. Operations that drop or merge vertices
 return explicit id maps so downstream traces can always name vertices of
@@ -29,6 +29,7 @@ __all__ = [
     "to_edge_list",
     "degree_stats",
     "bfs_distances",
+    "distance_table",
     "components",
     "delete_vertices",
     "contract_set",
@@ -379,6 +380,12 @@ def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
         if a != b:
             edges.add((a, b) if a < b else (b, a))
     return ContractionResult(Graph(len(survivors), edges), new_id[rep], origin)
+
+
+def distance_table(g: Graph) -> list[list[int]]:
+    """All-pairs distances: dist[s][t], -1 when t is unreachable from s.
+    g is connected exactly when the first row (if any) has no -1."""
+    return [bfs_distances(g, s) for s in range(g.n)]
 
 
 def diameter(g: Graph) -> int:

@@ -103,6 +103,26 @@ class TestAuditGraph:
         with pytest.raises(ValueError):
             audit_graph(Graph(2, []))
 
+    def test_distance_table_built_once(self, monkeypatch):
+        # the audit's table answers connectivity and is handed to rc_exact,
+        # which builds none of its own
+        import rcaudit.exact
+
+        built = []
+        table = audit_module.distance_table
+
+        def counted(g):
+            built.append(g.n)
+            return table(g)
+
+        monkeypatch.setattr(audit_module, "distance_table", counted)
+        monkeypatch.setattr(rcaudit.exact, "distance_table", counted)
+        report = audit_graph(gen_named("cycle", 5))
+        assert (built, report.rc_status, report.rc_value) == ([5], "exact", 3)
+        with pytest.raises(ValueError, match="audit requires a connected graph"):
+            audit_graph(Graph(3, [(0, 1)]))
+        assert built == [5, 3]
+
     def test_to_dict_omits_wall_clock(self):
         report = audit_graph(gen_named("path", 4))
         d = report.to_dict()

@@ -230,7 +230,7 @@ class TestAuditCommand:
 
     def test_solver_disagreement_exits_4(self, monkeypatch, capsys):
         # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound
-        def over_the_bound(g, budget, prune):
+        def over_the_bound(g, budget, prune, *, distances):
             return ExactResult(ExactStatus.EXACT, 4, None, SearchStats(0, 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)
@@ -352,10 +352,10 @@ def test_random_sweep_output_is_byte_stable(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "530355c372f85deabdebd05dace7ea0e8115fa8f9769fb534fea03471ff576d4"
+        "3239fa8215f59a1d1d7334d59a78150561a34d2556ea912558dfa1a0ffc7beb1"
     )
     assert hashlib.sha256(reports.read_bytes()).hexdigest() == (
-        "59d51d303bbeab9b6328a25047f2ee7a7ecc5f2a4de03d52d7d6dd206f8f0c97"
+        "64a301201d75236cc47b41fe43e237943fa9daaeb301c7782f9899833c50e353"
     )
 
 
@@ -379,3 +379,26 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["exact", "C~", "--max-nodes", "-5"], "--max-nodes"),
+            (["audit", "C~", "--max-nodes", "-5"], "--max-nodes"),
+            (["exact", "C~", "--max-seconds", "-1"], "--max-seconds"),
+            (["exact", "C~", "--max-seconds", "nan"], "--max-seconds"),
+            (["sweep", "--random", "3", "--max-seconds", "nan"], "--max-seconds"),
+            (["sweep", "--random", "3", "--n-min", "5", "--n-max", "2"], "--n-min"),
+            (["sweep", "--random", "3", "--n-min", "0", "--n-max", "1"], "--n-min"),
+            (["sweep", "--random", "-3"], "--random"),
+        ],
+    )
+    def test_bad_option_values_exit_1(self, capsys, argv, flag):
+        # each would otherwise run no search (exit 3), drop the deadline,
+        # leak an internal message, or sweep nothing and exit 0
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag in lines[0]

@@ -21,7 +21,7 @@ from rcaudit import (
     rc_lower_bound,
     to_graph6,
 )
-from rcaudit.exact import _paths_within
+from rcaudit.exact import _LEAF_PATH_CAP, _paths_within
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances, parse_graph6
 from rcaudit.rainbow import edge_adjacency
@@ -180,6 +180,88 @@ class TestDecision:
                 )
 
 
+def record_leaf_failures(monkeypatch):
+    """Failing pairs of each leaf check, in order."""
+    failures = []
+    check = rcaudit.exact.first_failing_pair
+
+    def recorded(adjacency, bits):
+        failing = check(adjacency, bits)
+        if failing is not None:
+            failures.append((failing.u, failing.v))
+        return failing
+
+    monkeypatch.setattr(rcaudit.exact, "first_failing_pair", recorded)
+    return failures
+
+
+class TestLearnedAgainstPlainSearch:
+    """The learned, backjumping search (prune=True) against the plain
+    canonical search (prune=False): cutting solution-free subtrees must
+    leave the first satisfying leaf, and every UNSAT verdict, unchanged."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(MASTER_SEED + 22)
+        yield from (g for n in range(1, 6) for g in iter_connected_graphs(n))
+        yield from (g for g in iter_connected_graphs(6) if rng.random() < 0.012)
+
+    def test_same_verdict_and_witness_at_rc_and_below(self, monkeypatch):
+        # no pair on 6 vertices has more than _LEAF_PATH_CAP short paths,
+        # so every failing leaf pair is learned and fails only once
+        failures = record_leaf_failures(monkeypatch)
+        checked = 0
+        for g in self.graphs():
+            if g.m == 0:
+                continue
+            dist = [bfs_distances(g, s) for s in range(g.n)]
+            rc = rc_exact(g, prune=False, distances=dist).value
+            for q in (rc, rc - 1) if rc > 1 else (rc,):
+                failures.clear()
+                learned = rc_decision(g, q, distances=dist)
+                assert len(failures) == len(set(failures)) == learned.learned_pairs
+                plain = rc_decision(g, q, prune=False, distances=dist)
+                assert (learned.status, learned.coloring) == (
+                    plain.status, plain.coloring
+                ), (to_graph6(g), q)
+                assert plain.learned_pairs == 0
+            checked += 1
+        assert checked == 771 + 340  # n <= 5 except K_1, plus the n = 6 sample
+
+    # (graph6, nodes) of rc_exact(g, prune=False) without a budget, taken
+    # before learning and backjumping were added: the plain search must
+    # keep its tree
+    PLAIN_NODES = [
+        ("G@oAqG", 1722),
+        ("DHg", 45),
+        ("FJrCG", 1070),
+        ("GLBARS", 2376),
+        ("FOCMo", 1725),
+        ("Ecr_", 177),
+        ("E^E_", 36),
+    ]
+
+    def test_plain_search_node_counts(self):
+        got = [
+            (graph6, rc_exact(parse_graph6(graph6), prune=False).stats.nodes)
+            for graph6, _ in self.PLAIN_NODES
+        ]
+        assert got == self.PLAIN_NODES
+
+    def test_counters_sum_over_levels(self, monkeypatch):
+        # one leaf per call ends SAT, the others fail; every failing pair
+        # is learned (one pair may be learned again at a later level)
+        failures = record_leaf_failures(monkeypatch)
+        g = parse_graph6("FOCMo")
+        learned = rc_exact(g)
+        assert learned.stats.leaf_checks == len(failures) + 1
+        assert learned.stats.learned_pairs == len(failures) > 0
+        failures.clear()
+        plain = rc_exact(g, prune=False)
+        assert plain.stats.leaf_checks == len(failures) + 1 > learned.stats.leaf_checks
+        assert plain.stats.learned_pairs == 0
+
+
 class TestExact:
     @pytest.mark.parametrize(
         "family, size, want",
@@ -298,47 +380,55 @@ class TestExact:
             rc_exact(Graph(3, [(0, 1)]))
 
     def test_pinned_search_outcomes(self):
-        # (status, value, nodes) at a 2000-node budget; the search tree, and
-        # so these counts, must not depend on how leaves are checked or
-        # where the distance table comes from
+        # (status, value, nodes) at a 2000-node budget; the node counts
+        # follow the learned search, and must not depend on how a leaf is
+        # checked or where the distance table comes from
         got = [
             (r.status.value, r.value, r.stats.nodes)
             for r in (rc_exact(g, Budget(max_nodes=2000)) for g in random_corpus(10, 5, 16, 2))
         ]
         assert got == [
-            ("exact", 4, 37),
+            ("exact", 4, 31),
             ("exact", 2, 34),
             ("exact", 2, 74),
-            ("budget-exhausted", 3, 2001),
+            ("exact", 3, 681),
             ("exact", 2, 70),
             ("exact", 1, 10),
             ("exact", 2, 39),
-            ("lower-bound-only", 4, 2001),
-            ("exact", 3, 551),
+            ("exact", 4, 469),
+            ("exact", 3, 30),
             ("exact", 2, 54),
         ]
 
     # (graph6, status, value, nodes, witness colors in edge-list order) at
     # a 20000-node budget, on graphs of diameter 3-5 from
-    # random_corpus(60, 5, 10, 7); taken before leaf verdicts were reused
+    # random_corpus(60, 5, 10, 7). Without learning and backjumping,
+    # HWtaHks, HJmHtYV, IaMYDK^Tw, IYABhPECG and Hv_@GC_ were not solved
+    # within this budget; every other row had the same value and witness.
     PINNED = [
-        ("HWtaHks", "budget-exhausted", 3, 20001, None),
-        ("G@oAqG", "exact", 5, 252, [0, 1, 0, 2, 1, 3, 2, 4]),
-        ("HRO_iCo", "exact", 4, 130, [0, 1, 2, 0, 3, 0, 0, 2, 1, 1, 1]),
-        ("HJmHtYV", "budget-exhausted", 3, 20001, None),
-        ("DHg", "exact", 4, 35, [0, 1, 2, 3]),
-        ("IaMYDK^Tw", "budget-exhausted", 3, 20001, None),
-        ("FJrCG", "exact", 3, 91, [0, 0, 1, 1, 1, 0, 2, 0, 0]),
-        ("GLBARS", "exact", 4, 392, [0, 0, 0, 0, 1, 1, 2, 3, 2, 1, 1]),
+        ("HWtaHks", "exact", 3, 49, [0, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 1, 1, 2]),
+        ("G@oAqG", "exact", 5, 77, [0, 1, 0, 2, 1, 3, 2, 4]),
+        ("HRO_iCo", "exact", 4, 51, [0, 1, 2, 0, 3, 0, 0, 2, 1, 1, 1]),
         (
-            "HnztBkV", "exact", 3, 2484,
+            "HJmHtYV", "exact", 3, 38,
+            [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0],
+        ),
+        ("DHg", "exact", 4, 30, [0, 1, 2, 3]),
+        (
+            "IaMYDK^Tw", "exact", 3, 78,
+            [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 2, 2, 2],
+        ),
+        ("FJrCG", "exact", 3, 69, [0, 0, 1, 1, 1, 0, 2, 0, 0]),
+        ("GLBARS", "exact", 4, 80, [0, 0, 0, 0, 1, 1, 2, 3, 2, 1, 1]),
+        (
+            "HnztBkV", "exact", 3, 72,
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 2, 0, 2, 1, 2],
         ),
-        ("IYABhPECG", "budget-exhausted", 5, 20001, None),
-        ("Hv_@GC_", "lower-bound-only", 5, 20001, None),
-        ("FOCMo", "exact", 5, 1193, [0, 1, 2, 0, 2, 3, 4]),
-        ("Ecr_", "exact", 3, 108, [0, 0, 1, 2, 2, 0, 1]),
-        ("E^E_", "exact", 3, 28, [0, 0, 0, 0, 1, 0, 1, 2]),
+        ("IYABhPECG", "exact", 5, 102, [0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 3, 1, 2, 4, 2]),
+        ("Hv_@GC_", "exact", 5, 5428, [0, 0, 1, 2, 2, 3, 4, 0, 1, 3]),
+        ("FOCMo", "exact", 5, 200, [0, 1, 2, 0, 2, 3, 4]),
+        ("Ecr_", "exact", 3, 61, [0, 0, 1, 2, 2, 0, 1]),
+        ("E^E_", "exact", 3, 18, [0, 0, 0, 0, 1, 0, 1, 2]),
     ]
 
     def test_pinned_outcomes_and_witnesses_on_long_graphs(self):
@@ -352,20 +442,52 @@ class TestExact:
                 status, value, nodes, witness
             ), graph6
 
-    def test_reused_leaf_verdicts_skip_rainbow_checks(self, monkeypatch):
-        # every leaf of this budgeted search fails; with one full check per
-        # leaf the search made 12,082 of them
-        calls = []
-        check = rcaudit.exact.first_failing_pair
+    def test_no_pair_fails_at_two_leaves(self, monkeypatch):
+        # a failing leaf pair is learned, and the prune tables cut it off
+        # before any later leaf of the same level; only pairs with more
+        # than _LEAF_PATH_CAP short paths are not learned
+        failures = record_leaf_failures(monkeypatch)
+        repeats = 0
+        for graph6, *_ in self.PINNED:
+            g = parse_graph6(graph6)
+            dist = [bfs_distances(g, s) for s in range(g.n)]
+            adjacency = edge_adjacency(g)
+            for q in range(diameter(g), rc_exact(g, Budget(max_nodes=20000)).value + 1):
+                failures.clear()
+                res = rc_decision(g, q, Budget(max_nodes=20000), distances=dist)
+                assert res.leaf_checks == len(failures) + (res.status is DecisionStatus.SAT)
+                assert res.learned_pairs == len(set(failures))
+                seen = set()
+                for u, v in failures:
+                    if (u, v) in seen:
+                        paths = _paths_within(adjacency, u, dist[v], q, _LEAF_PATH_CAP)
+                        assert paths is None, (graph6, q, u, v)
+                        repeats += 1
+                    seen.add((u, v))
+        assert repeats == 0  # none of these pairs is above the cap
 
-        def counted(adjacency, bits):
-            calls.append(1)
-            return check(adjacency, bits)
+    def test_pairs_above_the_cap_are_enumerated_once(self, monkeypatch):
+        # with a cap of 2 most failing pairs are not learned: they fail at
+        # several leaves, but their paths are listed only once, and the
+        # search still finds the plain search's first satisfying leaf
+        monkeypatch.setattr(rcaudit.exact, "_LEAF_PATH_CAP", 2)
+        failures = record_leaf_failures(monkeypatch)
+        listed = []
+        paths_within = rcaudit.exact._paths_within
 
-        monkeypatch.setattr(rcaudit.exact, "first_failing_pair", counted)
-        r = rc_exact(parse_graph6("HJmHtYV"), Budget(max_nodes=20000))
-        assert (r.status, r.stats.nodes) == (ExactStatus.BUDGET_EXHAUSTED, 20001)
-        assert 1 <= len(calls) <= 1208
+        def counted(adjacency, s, dist_to_t, limit, cap):
+            if cap == 2:
+                listed.append((s, dist_to_t.index(0)))
+            return paths_within(adjacency, s, dist_to_t, limit, cap)
+
+        monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
+        g = parse_graph6("Ecr_")
+        res = rc_decision(g, 3)
+        assert len(listed) == len(set(listed))
+        assert len(failures) > len(set(failures))  # over-cap pairs failed again
+        assert res.learned_pairs < len(listed)
+        plain = rc_decision(g, 3, prune=False)
+        assert (res.status, res.coloring) == (DecisionStatus.SAT, plain.coloring)
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)
