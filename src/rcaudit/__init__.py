@@ -7,7 +7,7 @@ counterexample family for the degree-sum recursion claim, and bound
 audits over graph corpora.
 """
 
-from .audit import AuditOptions, audit_corpus, audit_graph
+from .audit import audit_corpus, audit_graph
 from .construct import (
     AuditTrace,
     Case,

@@ -23,7 +23,6 @@ from .exact import Budget, ExactStatus, rc_exact
 from .graphs import Graph, degree_stats, distance_table, to_graph6
 
 __all__ = [
-    "AuditOptions",
     "BoundReport",
     "CorpusFinding",
     "AggregateStats",
@@ -33,12 +32,6 @@ __all__ = [
     "check_report",
     "findings_for_report",
 ]
-
-
-@dataclass(frozen=True)
-class AuditOptions:
-    budget: Budget = Budget()
-    prune: bool = True
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def _finding_dict(finding: Finding) -> dict:
     return out
 
 
-def audit_graph(g: Graph, opts: AuditOptions | None = None) -> BoundReport:
+def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
     """Full bound report for one connected graph.
 
     Violations of the proven-bound invariants (a negative min-degree slack
@@ -157,10 +150,9 @@ def audit_graph(g: Graph, opts: AuditOptions | None = None) -> BoundReport:
     distances = distance_table(g)
     if distances and -1 in distances[0]:
         raise ValueError("audit requires a connected graph")
-    opts = opts or AuditOptions()
     stats = degree_stats(g)
     finding, _, trace = run_construction(g)
-    rc = rc_exact(g, opts.budget, opts.prune, distances=distances)
+    rc = rc_exact(g, budget, distances=distances)
 
     bound1 = g.n - stats.min_degree
     exact = rc.status is ExactStatus.EXACT
@@ -259,20 +251,19 @@ def findings_for_report(report: BoundReport) -> list[CorpusFinding]:
 
 
 def audit_corpus(
-    graphs: Iterable[Graph], opts: AuditOptions | None = None
+    graphs: Iterable[Graph], budget: Budget | None = None
 ) -> CorpusResult:
     """Audit every graph, aggregate, and collect findings.
 
     Per-graph exceptions are recorded, not fatal. The aggregate and the
     sorted findings are independent of processing order.
     """
-    opts = opts or AuditOptions()
     reports: list[BoundReport] = []
     findings: list[CorpusFinding] = []
     errors: list[tuple[str, str]] = []
     for idx, g in enumerate(graphs):
         try:
-            report = audit_graph(g, opts)
+            report = audit_graph(g, budget)
         except Exception as exc:
             try:
                 label = to_graph6(g)

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .audit import AuditOptions, audit_corpus, audit_graph, check_report
+from .audit import audit_corpus, audit_graph, check_report
 from .construct import run_construction, trace_to_dict
 from .exact import Budget, ExactStatus, rc_exact
 from .generators import (
@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_one(args.graph)
-    result = rc_exact(g, _budget(args), prune=not args.no_prune)
+    result = rc_exact(g, _budget(args))
     if args.format == "json":
         print(_dumps({
             "status": result.status.value,
@@ -224,8 +224,7 @@ def _report_text(report) -> str:
 
 def _cmd_audit(args) -> int:
     g = _load_one(args.graph)
-    opts = AuditOptions(budget=_budget(args), prune=not args.no_prune)
-    report = audit_graph(g, opts)
+    report = audit_graph(g, _budget(args))
     violations = check_report(report)
     if violations:
         print(f"finding (solver-disagreement): {'; '.join(violations)}", file=sys.stderr)
@@ -272,13 +271,13 @@ def _sweep_source(args) -> list[Graph]:
 
 
 def _cmd_sweep(args) -> int:
-    opts = AuditOptions(budget=_budget(args), prune=not args.no_prune)
+    budget = _budget(args)
     try:
         graphs = _sweep_source(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = audit_corpus(graphs, opts)
+    result = audit_corpus(graphs, budget)
     findings = [
         {"kind": f.kind, "graph6": f.graph6, "detail": f.detail} for f in result.findings
     ]
@@ -332,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="node budget for the exact solver")
     solver.add_argument("--max-seconds", type=float, default=None,
                         help="wall-time budget for the exact solver")
-    solver.add_argument("--no-prune", action="store_true",
-                        help="run the plain canonical search: no prune tables,"
-                             " no distance shortcut, no learning or backjumping")
 
     parser = argparse.ArgumentParser(
         prog="rcaudit",

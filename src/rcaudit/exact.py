@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, diameter, distance_table, is_connected
+from .graphs import Graph, distance_table
 from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
@@ -109,17 +109,26 @@ class ExactResult:
         return self.status is ExactStatus.EXACT
 
 
+def _lower_bound(distances: list[list[int]]) -> int:
+    """max(diameter, 1), read from a connected graph's distance table."""
+    return max(max(map(max, distances)), 1)
+
+
 def rc_lower_bound(g: Graph) -> int:
     """max(diameter, 1): every rainbow path between a diametral pair needs
     at least diameter distinct colors. Non-complete graphs have diameter
     at least 2, so this already exceeds 1 exactly when it should."""
-    if not is_connected(g):
+    if g.n == 0:
+        raise ValueError("lower bound of the empty graph is undefined")
+    distances = distance_table(g)
+    if -1 in distances[0]:
         raise ValueError("lower bound requires a connected graph")
-    return max(diameter(g), 1)
+    return _lower_bound(distances)
 
 
-# a failing leaf pair with more short paths than this is not learned
-_LEAF_PATH_CAP = 512
+# a pair with more paths of at most q edges than this is neither
+# preloaded into the prune tables nor learned from a failing leaf
+_PATH_CAP = 512
 
 
 def _paths_within(
@@ -176,11 +185,10 @@ class _PruneTables:
     coloring can rainbow-connect the pair. The tables start with the
     pairs at distance exactly q (their paths come from _paths_within with
     limit q, which walks exactly the shortest paths); learn() adds a pair
-    that failed at a leaf. Preloading is capped per pair and in total;
-    skipped pairs just weaken the prune, never its soundness.
+    that failed at a leaf. Preloading is capped per pair (_PATH_CAP) and
+    in total; skipped pairs just weaken the prune, never its soundness.
     """
 
-    PER_PAIR_CAP = 512
     TOTAL_CAP = 8192
 
     def __init__(self, m: int):
@@ -198,7 +206,7 @@ class _PruneTables:
             for v in range(u + 1, n):
                 if dist[u][v] != q:
                     continue
-                paths = _paths_within(adjacency, u, dist[v], q, self.PER_PAIR_CAP)
+                paths = _paths_within(adjacency, u, dist[v], q, _PATH_CAP)
                 if paths is None or total + len(paths) > self.TOTAL_CAP:
                     continue
                 self._add_pair(paths, [-1] * len(paths))
@@ -289,7 +297,7 @@ def rc_decision(
         else None
     )
 
-    if prune and max(map(max, distances)) > q:
+    if prune and _lower_bound(distances) > q:
         # some pair is farther apart than q; no q-coloring can give it a
         # rainbow path, so the whole space is solution-free
         return DecisionResult(DecisionStatus.UNSAT, None, 0)
@@ -305,7 +313,7 @@ def rc_decision(
     next_color = [0] * m
     top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
     killed: list[list[int]] = [[] for _ in range(m)]  # paths that died at each depth
-    # failing leaf pairs with more than _LEAF_PATH_CAP short paths: not
+    # failing leaf pairs with more than _PATH_CAP short paths: not
     # learned, and not enumerated again when they fail once more
     over_cap: set[tuple[int, int]] = set()
     nodes = leaf_checks = learned = 0
@@ -331,7 +339,7 @@ def rc_decision(
             pair = (failing.u, failing.v)
             if prune and pair not in over_cap:
                 paths = _paths_within(
-                    adjacency, failing.u, distances[failing.v], q, _LEAF_PATH_CAP
+                    adjacency, failing.u, distances[failing.v], q, _PATH_CAP
                 )
                 if paths is None:
                     over_cap.add(pair)
@@ -431,7 +439,7 @@ def rc_exact(
             EdgeColoring({}),
             SearchStats(0, time.monotonic() - started),
         )
-    lb = max(max(map(max, distances)), 1)  # rc_lower_bound, from the table
+    lb = _lower_bound(distances)
     total_nodes = leaf_checks = learned_pairs = 0
     last_refuted: int | None = None
     q = lb

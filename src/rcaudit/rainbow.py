@@ -2,23 +2,24 @@
 
 A path is rainbow when its edges carry pairwise distinct colors; a
 colored graph is rainbow connected when every vertex pair has a rainbow
-path. There are two entry points:
+path. All three entry points run one search, _search: breadth first over
+(vertex, used-color-set) states, recording each state's parent and
+stopping once every target is reached.
 
 - first_failing_pair answers the yes/no question and returns the
-  lexicographically first pair with no rainbow path, or None. It never
-  builds a witness, and each source's search stops as soon as every
-  higher-numbered vertex has been reached. The exact solver calls it at
-  the leaves of its search whose verdict it cannot reuse from an earlier
-  leaf, and the construction calls it once to verify its finished
+  lexicographically first pair with no rainbow path, or None, without
+  walking back any witness. The exact solver calls it at each leaf it
+  reaches, and the construction calls it once to verify its finished
   coloring. It works on the graph's edge-indexed adjacency
   (edge_adjacency, built once per graph) and one color bit per edge.
-- is_rainbow_connected builds the full certificate, one witness path per
-  pair, for `rcaudit verify`.
+- is_rainbow_connected runs the same scan and walks each pair's witness
+  back from the parent map, giving the certificate for `rcaudit verify`;
+  when the coloring fails it returns first_failing_pair's pair.
+- rainbow_path walks back one pair's witness.
 
-Both search over (vertex, used-color-set) states expanded breadth first,
-so states are visited in nondecreasing color-set size. States do not
-track visited vertices: any repeated vertex on a distinct-color walk
-could be cut out, giving a shorter distinct-color walk, so the first walk
+States are expanded in nondecreasing color-set size. They do not track
+visited vertices: any repeated vertex on a distinct-color walk could be
+cut out, giving a shorter distinct-color walk, so the first walk
 reaching a target is necessarily a simple path. Color sets are Python
 ints used as bit sets over a dense re-indexing of the color ids, which
 handles any number of colors with one representation.
@@ -30,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, GraphFormatError, components
+from .graphs import Graph, GraphFormatError
 
 __all__ = [
     "EdgeColoring",
@@ -50,6 +51,8 @@ __all__ = [
 
 # per vertex, (neighbor, edge index) pairs with neighbors ascending
 Adjacency = tuple[tuple[tuple[int, int], ...], ...]
+# a search state: (vertex, bit set of the colors used to reach it)
+State = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -137,37 +140,76 @@ def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
     return [1 << index[colors[e]] for e in g.edge_list()]
 
 
-def _first_unreached(
+def _search(
     adjacency: Adjacency,
     bits: list[int],
     source: int,
-) -> int | None:
-    """Smallest vertex above source with no rainbow path from it, or None.
+    targets: range,
+) -> tuple[dict[State, State | None], dict[int, State]]:
+    """Breadth-first search over (vertex, color-set) states from source.
 
-    Targets are marked when a state first reaches them, and the search
-    returns as soon as none is left.
+    Returns the parent of every state seen, and for each target reached
+    the first state that reached it. A target is marked when a state
+    first reaches it (the queue is FIFO, so that state is also the first
+    one at the target to be expanded), and the search stops once every
+    target is reached. Neighbors are expanded in ascending order, so the
+    result is deterministic.
     """
-    n = len(adjacency)
-    reached = [True] * (source + 1) + [False] * (n - source - 1)
-    left = n - 1 - source
-    seen = {(source, 0)}
-    queue = [(source, 0)]
-    for v, mask in queue:  # the loop also visits states appended meanwhile
+    wanted = [False] * len(adjacency)
+    for t in targets:
+        wanted[t] = True
+    left = len(targets)
+    start = (source, 0)
+    parent: dict[State, State | None] = {start: None}
+    first: dict[int, State] = {}
+    queue = [start]
+    for state in queue:  # the loop also visits states appended meanwhile
+        v, mask = state
         for w, e in adjacency[v]:
             b = bits[e]
             if mask & b:
                 continue
-            state = (w, mask | b)
-            if state in seen:
+            nxt = (w, mask | b)
+            if nxt in parent:
                 continue
-            seen.add(state)
-            queue.append(state)
-            if not reached[w]:
-                reached[w] = True
+            parent[nxt] = state
+            queue.append(nxt)
+            if wanted[w]:
+                wanted[w] = False
+                first[w] = nxt
                 left -= 1
                 if not left:
-                    return None
-    return reached.index(False)
+                    return parent, first
+    return parent, first
+
+
+def _walk_back(parent: dict[State, State | None], state: State | None) -> tuple[int, ...]:
+    """The vertices of the walk that first reached state, from the source."""
+    path = []
+    while state is not None:
+        path.append(state[0])
+        state = parent[state]
+    return tuple(reversed(path))
+
+
+def _scan(
+    adjacency: Adjacency,
+    bits: list[int],
+    witnesses: dict[tuple[int, int], tuple[int, ...]] | None,
+) -> FailingPair | None:
+    """Search from each source in turn, targeting the higher-numbered
+    vertices, and return the first pair left unreached. When witnesses is
+    a dict, each reached pair's witness is walked back into it."""
+    n = len(adjacency)
+    for s in range(n - 1):
+        targets = range(s + 1, n)
+        parent, first = _search(adjacency, bits, s, targets)
+        if len(first) < len(targets):
+            return FailingPair(s, next(t for t in targets if t not in first))
+        if witnesses is not None:
+            for t in targets:
+                witnesses[(s, t)] = _walk_back(parent, first[t])
+    return None
 
 
 def first_failing_pair(adjacency: Adjacency, bits: list[int]) -> FailingPair | None:
@@ -180,51 +222,7 @@ def first_failing_pair(adjacency: Adjacency, bits: list[int]) -> FailingPair | N
     higher-numbered vertex, and the scan stops at the first source that
     cannot.
     """
-    for s in range(len(adjacency) - 1):
-        t = _first_unreached(adjacency, bits, s)
-        if t is not None:
-            return FailingPair(s, t)
-    return None
-
-
-def _witnesses_from(
-    adjacency: Adjacency,
-    bits: list[int],
-    source: int,
-    targets: set[int],
-) -> dict[int, tuple[int, ...]]:
-    """Earliest rainbow walk from source to each reachable target.
-
-    BFS over (vertex, color-set) states with deterministic expansion
-    (neighbors ascending); stops once every target is found.
-    """
-    want = set(targets)
-    found: dict[int, tuple[int, ...]] = {}
-    start = (source, 0)
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    queue: list[tuple[int, int]] = [start]
-    head = 0
-    while head < len(queue) and want:
-        state = queue[head]
-        head += 1
-        v, mask = state
-        if v in want:
-            want.discard(v)
-            path = []
-            cur: tuple[int, int] | None = state
-            while cur is not None:
-                path.append(cur[0])
-                cur = parent[cur]
-            found[v] = tuple(reversed(path))
-        for w, e in adjacency[v]:
-            b = bits[e]
-            if mask & b:
-                continue
-            nxt = (w, mask | b)
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
-    return found
+    return _scan(adjacency, bits, None)
 
 
 def rainbow_path(
@@ -237,39 +235,20 @@ def rainbow_path(
     if s == t:
         raise ValueError("endpoints must differ")
     bits = edge_color_bits(g, coloring)
-    found = _witnesses_from(edge_adjacency(g), bits, s, {t})
-    return found.get(t)
+    parent, first = _search(edge_adjacency(g), bits, s, range(t, t + 1))
+    return _walk_back(parent, first[t]) if t in first else None
 
 
 def is_rainbow_connected(
     g: Graph, coloring: EdgeColoring
 ) -> RainbowCertificate | FailingPair:
-    """Certificate with a witness per pair, or a failing pair.
-
-    On a connected graph the failing pair is the lexicographically first
-    one, as first_failing_pair returns it. A disconnected graph yields its
-    lexicographically first cross-component pair at once, which need not
-    be the first failing pair: a one-colored P_3 plus an isolated vertex 3
-    gives (0, 3), where first_failing_pair gives (0, 2). Use
-    first_failing_pair when only the verdict is needed."""
+    """Certificate with a witness per pair, or the failing pair that
+    first_failing_pair returns, on any graph. Use first_failing_pair when
+    only the verdict is needed."""
     bits = edge_color_bits(g, coloring)
-    if g.n <= 1:
-        return RainbowCertificate({})
-    part = components(g)
-    if len(part.blocks) > 1:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if part.block_index[u] != part.block_index[v]:
-                    return FailingPair(u, v)
-    adjacency = edge_adjacency(g)
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for s in range(g.n - 1):
-        found = _witnesses_from(adjacency, bits, s, set(range(s + 1, g.n)))
-        for t in range(s + 1, g.n):
-            if t not in found:
-                return FailingPair(s, t)
-            witnesses[(s, t)] = found[t]
-    return RainbowCertificate(witnesses)
+    failing = _scan(edge_adjacency(g), bits, witnesses)
+    return RainbowCertificate(witnesses) if failing is None else failing
 
 
 def verify_certificate(

@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from rcaudit import (
-    AuditOptions,
     Budget,
     audit_corpus,
     audit_graph,
@@ -198,10 +197,9 @@ def test_criterion_4_counterexample_family_reproduction():
 
 
 def _sweep_bytes(small, rand) -> bytes:
-    opts_small = AuditOptions()
-    opts_rand = AuditOptions(budget=Budget(max_nodes=SWEEP_NODE_BUDGET))
-    result_small = audit_corpus(small, opts_small)
-    result_rand = audit_corpus(rand, opts_rand)
+    budget_rand = Budget(max_nodes=SWEEP_NODE_BUDGET)
+    result_small = audit_corpus(small)
+    result_rand = audit_corpus(rand, budget_rand)
     blob = {
         "small": {
             "aggregate": result_small.aggregate.to_dict(),
@@ -263,7 +261,7 @@ def test_criterion_5_degree_sum_probe_completes_deterministically(
             if finding["kind"] == "negative-degree-sum-slack":
                 replay = audit_graph(
                     parse_graph6(finding["graph6"]),
-                    AuditOptions(budget=Budget(max_nodes=SWEEP_NODE_BUDGET)),
+                    Budget(max_nodes=SWEEP_NODE_BUDGET),
                 )
                 assert str(replay.degree_sum_slack) == finding["detail"][
                     "degree_sum_slack"

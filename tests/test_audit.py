@@ -6,7 +6,6 @@ import pytest
 
 import rcaudit.audit as audit_module
 from rcaudit import (
-    AuditOptions,
     Budget,
     Finding,
     Graph,
@@ -63,9 +62,9 @@ class TestAuditGraph:
             raise AssertionError("decompose recomputed")
 
         monkeypatch.setattr(audit_module, "decompose", no_decompose)
-        opts = AuditOptions(budget=Budget(max_nodes=200))
+        budget = Budget(max_nodes=200)
         for g, t in want.items():
-            assert audit_graph(g, opts).top_components == t == 2
+            assert audit_graph(g, budget).top_components == t == 2
 
     def test_top_components_without_a_trace(self, monkeypatch):
         # a structural failure returns no trace, so the audit decomposes
@@ -75,7 +74,7 @@ class TestAuditGraph:
             return Finding("structural", "", None, None, "broken"), None, None
 
         monkeypatch.setattr(audit_module, "run_construction", structural)
-        report = audit_graph(g, AuditOptions(budget=Budget(max_nodes=200)))
+        report = audit_graph(g, Budget(max_nodes=200))
         assert report.top_components == 2
         assert not report.construct_verified
 
@@ -93,7 +92,7 @@ class TestAuditGraph:
 
     def test_budget_exhausted_fields(self):
         g = gen_named("cycle", 6)
-        report = audit_graph(g, AuditOptions(budget=Budget(max_nodes=2)))
+        report = audit_graph(g, Budget(max_nodes=2))
         assert report.rc_status in ("budget-exhausted", "lower-bound-only")
         assert report.min_degree_slack is None
         assert report.degree_sum_slack is None
@@ -132,8 +131,8 @@ class TestAuditGraph:
     def test_construction_failure_reported_not_raised(self):
         # the witness is too big for an unbudgeted exact solve; the
         # construction outcome is independent of the rc budget
-        opts = AuditOptions(budget=Budget(max_nodes=2000))
-        report = audit_graph(reused_color_witness(), opts)
+        budget = Budget(max_nodes=2000)
+        report = audit_graph(reused_color_witness(), budget)
         assert not report.construct_verified
         assert report.construction_failure["kind"] == "verification-failed"
         assert report.construction_failure["failing_pair"] == [2, 3]
@@ -216,7 +215,7 @@ class TestAuditCorpus:
 
     def test_corpus_with_failing_construction(self):
         graphs = [gen_named("path", 4), reused_color_witness()]
-        result = audit_corpus(graphs, AuditOptions(budget=Budget(max_nodes=2000)))
+        result = audit_corpus(graphs, Budget(max_nodes=2000))
         assert result.aggregate.construction_failures == 1
         assert [f.kind for f in result.findings] == ["construction-failure"]
         assert result.findings[0].detail["failing_pair"] == [2, 3]
@@ -230,15 +229,15 @@ class TestAuditCorpus:
 
     def test_findings_sorted_by_graph6(self):
         graphs = [reused_color_witness(), reused_color_witness()]
-        result = audit_corpus(graphs, AuditOptions(budget=Budget(max_nodes=500)))
+        result = audit_corpus(graphs, Budget(max_nodes=500))
         keys = [(f.graph6, f.kind) for f in result.findings]
         assert keys == sorted(keys)
 
     def test_replay_determinism(self):
         graphs = [gen_named("cycle", 5), reused_color_witness()]
-        opts = AuditOptions(budget=Budget(max_nodes=2000))
-        first = audit_corpus(graphs, opts)
-        second = audit_corpus(graphs, opts)
+        budget = Budget(max_nodes=2000)
+        first = audit_corpus(graphs, budget)
+        second = audit_corpus(graphs, budget)
         assert [r.to_dict() for r in first.reports] == [
             r.to_dict() for r in second.reports
         ]
@@ -259,7 +258,7 @@ class TestAuditCorpus:
         from rcaudit.generators import CounterexampleParams
 
         g, _ = gen_counterexample(CounterexampleParams(2, 1))
-        result = audit_corpus([g], AuditOptions(budget=Budget(max_nodes=2000)))
+        result = audit_corpus([g], Budget(max_nodes=2000))
         (report,) = result.reports
         assert report.degree_sum_bound == Fraction(6)
         assert report.top_components == 1

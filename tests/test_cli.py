@@ -230,7 +230,7 @@ class TestAuditCommand:
 
     def test_solver_disagreement_exits_4(self, monkeypatch, capsys):
         # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound
-        def over_the_bound(g, budget, prune, *, distances):
+        def over_the_bound(g, budget, *, distances):
             return ExactResult(ExactStatus.EXACT, 4, None, SearchStats(0, 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)

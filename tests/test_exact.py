@@ -21,7 +21,7 @@ from rcaudit import (
     rc_lower_bound,
     to_graph6,
 )
-from rcaudit.exact import _LEAF_PATH_CAP, _paths_within
+from rcaudit.exact import _PATH_CAP, _paths_within
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances, parse_graph6
 from rcaudit.rainbow import edge_adjacency
@@ -207,7 +207,7 @@ class TestLearnedAgainstPlainSearch:
         yield from (g for g in iter_connected_graphs(6) if rng.random() < 0.012)
 
     def test_same_verdict_and_witness_at_rc_and_below(self, monkeypatch):
-        # no pair on 6 vertices has more than _LEAF_PATH_CAP short paths,
+        # no pair on 6 vertices has more than _PATH_CAP short paths,
         # so every failing leaf pair is learned and fails only once
         failures = record_leaf_failures(monkeypatch)
         checked = 0
@@ -445,7 +445,7 @@ class TestExact:
     def test_no_pair_fails_at_two_leaves(self, monkeypatch):
         # a failing leaf pair is learned, and the prune tables cut it off
         # before any later leaf of the same level; only pairs with more
-        # than _LEAF_PATH_CAP short paths are not learned
+        # than _PATH_CAP short paths are not learned
         failures = record_leaf_failures(monkeypatch)
         repeats = 0
         for graph6, *_ in self.PINNED:
@@ -460,24 +460,24 @@ class TestExact:
                 seen = set()
                 for u, v in failures:
                     if (u, v) in seen:
-                        paths = _paths_within(adjacency, u, dist[v], q, _LEAF_PATH_CAP)
+                        paths = _paths_within(adjacency, u, dist[v], q, _PATH_CAP)
                         assert paths is None, (graph6, q, u, v)
                         repeats += 1
                     seen.add((u, v))
         assert repeats == 0  # none of these pairs is above the cap
 
     def test_pairs_above_the_cap_are_enumerated_once(self, monkeypatch):
-        # with a cap of 2 most failing pairs are not learned: they fail at
-        # several leaves, but their paths are listed only once, and the
-        # search still finds the plain search's first satisfying leaf
-        monkeypatch.setattr(rcaudit.exact, "_LEAF_PATH_CAP", 2)
+        # with a cap of 2 most pairs are neither preloaded nor learned:
+        # failing ones fail at several leaves, but each pair's paths are
+        # listed only once, and the search still finds the plain search's
+        # first satisfying leaf
+        monkeypatch.setattr(rcaudit.exact, "_PATH_CAP", 2)
         failures = record_leaf_failures(monkeypatch)
         listed = []
         paths_within = rcaudit.exact._paths_within
 
         def counted(adjacency, s, dist_to_t, limit, cap):
-            if cap == 2:
-                listed.append((s, dist_to_t.index(0)))
+            listed.append((s, dist_to_t.index(0)))
             return paths_within(adjacency, s, dist_to_t, limit, cap)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)

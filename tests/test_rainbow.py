@@ -218,8 +218,9 @@ class TestFirstFailingPair:
         g = Graph(4, [(0, 1), (1, 2)])
         assert check(g, color_all(g)) == FailingPair(0, 2)
         assert check(g, color_distinct(g)) == FailingPair(0, 3)
-        # the certificate search reports the first cross-component pair
-        assert is_rainbow_connected(g, color_all(g)) == FailingPair(0, 3)
+        # the certificate search runs the same scan and agrees
+        for coloring in (color_all(g), color_distinct(g)):
+            assert is_rainbow_connected(g, coloring) == check(g, coloring)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(MASTER_SEED + 4)
@@ -233,15 +234,18 @@ class TestFirstFailingPair:
 
 
 @st.composite
-def connected_colored_graphs(draw):
-    """A connected graph (random spanning tree plus extra edges, relabeled)
-    with a coloring drawn from a palette of small, sparse or huge ids."""
+def colored_graphs(draw):
+    """A graph with a coloring drawn from a palette of small, sparse or
+    huge ids. Mostly connected (random spanning tree plus extra edges,
+    relabeled); otherwise just the extra edges, often disconnected."""
     n = draw(st.integers(1, 9))
     order = draw(st.permutations(range(n)))
-    edges = {
-        tuple(sorted((order[v], order[draw(st.integers(0, v - 1))])))
-        for v in range(1, n)
-    }
+    edges = set()
+    if draw(st.integers(0, 3)):
+        edges = {
+            tuple(sorted((order[v], order[draw(st.integers(0, v - 1))])))
+            for v in range(1, n)
+        }
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12))) if pairs else set()
     g = Graph(n, edges)
@@ -257,7 +261,7 @@ def connected_colored_graphs(draw):
     return g, coloring
 
 
-@given(connected_colored_graphs())
+@given(colored_graphs())
 @settings(max_examples=300, deadline=None)
 def test_first_failing_pair_matches_certificate_builder(case):
     g, coloring = case
@@ -265,6 +269,8 @@ def test_first_failing_pair_matches_certificate_builder(case):
     got = check(g, coloring)
     if isinstance(outcome, RainbowCertificate):
         assert got is None
+        for (s, t), witness in outcome.witnesses.items():
+            assert rainbow_path(g, coloring, s, t) == witness
     else:
         assert got == outcome
 
