@@ -123,6 +123,7 @@ def _cmd_exact(args) -> int:
             "status": result.status.value,
             "value": result.value,
             "nodes": result.stats.nodes,
+            "witness_checks": result.stats.witness_checks,
         }))
     elif result.status is ExactStatus.EXACT:
         print(result.value)

@@ -29,17 +29,25 @@ Both cuts only remove solution-free subtrees, so the first satisfying
 leaf in canonical order, and with it every value and witness, is the
 one the plain canonical search (prune=False) finds.
 
-Node and wall-time budgets cap each call so corpus sweeps never hang; a
-budgeted give-up is reported as such, never as unsatisfiability.
+Node and wall-time budgets cap each call so corpus sweeps never hang.
+When a budget stops the deepening at level q, a seeded repair search
+(_seeded_witness) still looks for a q-coloring: every level below q is
+refuted or lies below max(diameter, 1), so a coloring that passes the
+leaves' full check proves rc = q. Its random generator is seeded with
+the crc32 of the graph's graph6 string, so reruns repeat it in any
+process. A give-up it does not close is reported as such, never as
+unsatisfiability.
 """
 
 from __future__ import annotations
 
+import random
 import time
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, distance_table
+from .graphs import Graph, distance_table, to_graph6
 from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
@@ -57,7 +65,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps on a single search; None means unlimited."""
+    """Caps on a single search; None means unlimited.
+
+    max_nodes caps the exhaustive search only. max_seconds also caps the
+    seeded witness search that runs once the exhaustive search gives up.
+    """
 
     max_nodes: int | None = None
     max_seconds: float | None = None
@@ -71,6 +83,7 @@ class SearchStats:
     seconds: float
     leaf_checks: int = 0  # full first_failing_pair calls
     learned_pairs: int = 0  # failing leaf pairs added to the prune tables
+    witness_checks: int = 0  # first_failing_pair calls of the seeded witness search
 
 
 class DecisionStatus(Enum):
@@ -409,6 +422,49 @@ def _remaining(budget: Budget, used_nodes: int, started: float) -> Budget | None
     return Budget(max_nodes, max_seconds)
 
 
+# repair steps of the seeded witness search
+_WITNESS_STEPS = 30
+
+
+def _seeded_witness(
+    g: Graph,
+    q: int,
+    distances: list[list[int]],
+    deadline: float | None,
+) -> tuple[EdgeColoring | None, int]:
+    """Look for a rainbow-connecting coloring with colors 0..q-1 by seeded
+    repair; returns it (or None) and the number of full checks made.
+
+    Start from random colors; at each step, take the first failing pair
+    u, v, walk one random shortest u-v path down the distance table, and
+    give its edges distinct random colors. q is at least the diameter,
+    so every shortest path fits. The deadline is checked before every
+    step.
+    """
+    rng = random.Random(zlib.crc32(to_graph6(g).encode()))
+    adjacency = edge_adjacency(g)
+    colors = [rng.randrange(q) for _ in range(g.m)]
+    checks = 0
+    for _ in range(_WITNESS_STEPS):
+        if deadline is not None and time.monotonic() >= deadline:
+            break
+        checks += 1
+        failing = first_failing_pair(adjacency, [1 << c for c in colors])
+        if failing is None:
+            return EdgeColoring(dict(zip(g.edge_list(), colors))), checks
+        dist_to_v = distances[failing.v]
+        path = []
+        w = failing.u
+        while dist_to_v[w]:
+            w, e = rng.choice(
+                [(x, e) for x, e in adjacency[w] if dist_to_v[x] < dist_to_v[w]]
+            )
+            path.append(e)
+        for e, c in zip(path, rng.sample(range(q), len(path))):
+            colors[e] = c
+    return None, checks
+
+
 def rc_exact(
     g: Graph,
     budget: Budget | None = None,
@@ -420,7 +476,10 @@ def rc_exact(
 
     Exact status means a passing witness at the value plus a fully
     exhausted search one color below (or the value equals the lower
-    bound). Budget exhaustion yields a lower bound instead.
+    bound). When the budget stops the deepening, the seeded witness
+    search (pruned search only) tries the level where it stopped; a miss
+    yields a lower bound instead. Under a budget the witness can thus
+    differ from the plain search's first satisfying leaf.
 
     distances is g's all-pairs distance table (see distance_table), for
     callers that already built it; it is computed here when not given.
@@ -440,13 +499,17 @@ def rc_exact(
             SearchStats(0, time.monotonic() - started),
         )
     lb = _lower_bound(distances)
-    total_nodes = leaf_checks = learned_pairs = 0
+    total_nodes = leaf_checks = learned_pairs = witness_checks = 0
     last_refuted: int | None = None
     q = lb
 
     def stats() -> SearchStats:
         return SearchStats(
-            total_nodes, time.monotonic() - started, leaf_checks, learned_pairs
+            total_nodes,
+            time.monotonic() - started,
+            leaf_checks,
+            learned_pairs,
+            witness_checks,
         )
 
     while True:
@@ -468,6 +531,14 @@ def rc_exact(
             continue
         break
 
+    if prune:
+        # the budget stopped the deepening at level q
+        deadline = (
+            started + budget.max_seconds if budget.max_seconds is not None else None
+        )
+        witness, witness_checks = _seeded_witness(g, q, distances, deadline)
+        if witness is not None:
+            return ExactResult(ExactStatus.EXACT, q, witness, stats())
     if last_refuted is not None:
         return ExactResult(ExactStatus.LOWER_BOUND_ONLY, last_refuted + 1, None, stats())
     return ExactResult(ExactStatus.BUDGET_EXHAUSTED, lb, None, stats())

@@ -91,12 +91,20 @@ class TestAuditGraph:
         assert d["degree_sum_slack"] == "1/2"
 
     def test_budget_exhausted_fields(self):
-        g = gen_named("cycle", 6)
+        # K_{1,5}: diameter 2, rc 5, so the witness search cannot close it
+        g = gen_named("star", 6)
         report = audit_graph(g, Budget(max_nodes=2))
         assert report.rc_status in ("budget-exhausted", "lower-bound-only")
         assert report.min_degree_slack is None
         assert report.degree_sum_slack is None
         assert report.construct_verified
+
+    def test_witness_closed_give_up_has_slacks(self):
+        # C6 runs out of nodes at q = 3; the witness search proves rc = 3
+        report = audit_graph(gen_named("cycle", 6), Budget(max_nodes=2))
+        assert (report.rc_status, report.rc_value) == ("exact", 3)
+        assert report.min_degree_slack == 6 - 2 - 3
+        assert report.degree_sum_slack == Fraction(6 - 2 - 3)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rcaudit
 import rcaudit.audit as audit_module
 from rcaudit import gen_named, parse_graph6, to_edge_list, to_graph6
 from rcaudit.cli import main
@@ -64,11 +69,23 @@ class TestExact:
         assert code == 0 and out.strip() == "4"
 
     def test_budget_exhausted_exits_3(self, capsys):
+        # K_{1,5} has diameter 2 and rc 5: the witness search at 2 colors
+        # cannot succeed
         code, out, _ = run(
-            capsys, "exact", "--max-nodes", "2", to_graph6(gen_named("cycle", 6))
+            capsys, "exact", "--max-nodes", "2", to_graph6(gen_named("star", 6))
         )
         assert code == 3
         assert ">=" in out
+
+    def test_witness_search_closes_budgeted_give_up(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--max-nodes", "2", "--format", "json",
+            to_graph6(gen_named("cycle", 6)),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["status"], payload["value"]) == ("exact", 3)
+        assert payload["witness_checks"] > 0
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -77,6 +94,7 @@ class TestExact:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == 3 and payload["status"] == "exact"
+        assert payload["witness_checks"] == 0
 
 
 class TestConstruct:
@@ -352,11 +370,30 @@ def test_random_sweep_output_is_byte_stable(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3239fa8215f59a1d1d7334d59a78150561a34d2556ea912558dfa1a0ffc7beb1"
+        "402d4e10e708719f1e1e1f57c92b7445a975b36652e6a4b38aff3dfed37d0600"
     )
     assert hashlib.sha256(reports.read_bytes()).hexdigest() == (
-        "64a301201d75236cc47b41fe43e237943fa9daaeb301c7782f9899833c50e353"
+        "6ae7e273eb4ef24294c9f0777ad067a34193146edfb3ea833a579b6f143d74bd"
     )
+
+
+def test_random_sweep_output_ignores_hash_seed():
+    # the witness search seeds its generator from the graph, so runs in
+    # processes with different string-hash salts print the same bytes
+    argv = [
+        sys.executable, "-m", "rcaudit", "sweep", "--random", "60",
+        "--n-min", "4", "--n-max", "40", "--seed", "20260808",
+        "--max-nodes", "2000", "--format", "json",
+    ]
+    src = str(Path(rcaudit.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["aggregate"]["total"] == 60
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import networkx as nx
 import pytest
@@ -348,16 +349,30 @@ class TestExact:
     def test_budget_statuses(self):
         g = gen_named("path", 7)  # rc 6, lower bound 6: solved at the bound
         assert rc_exact(g).value == 6
-        # a path of 6 edges colored distinctly is found immediately, so to
-        # exercise budget statuses use a cycle where deepening must refute
-        c6 = gen_named("cycle", 6)
-        tiny = rc_exact(c6, Budget(max_nodes=2))
+        # star K_{1,5}: diameter 2 but rc 5, so no 2-coloring exists and
+        # the witness search cannot close the give-up, whatever its seed
+        star = gen_named("star", 6)
+        tiny = rc_exact(star, Budget(max_nodes=2))
         assert tiny.status is ExactStatus.BUDGET_EXHAUSTED
-        assert tiny.value == rc_lower_bound(c6)
+        assert tiny.value == rc_lower_bound(star)
         assert tiny.witness is None
+        timed_out = rc_exact(star, Budget(max_seconds=0.0))
+        assert timed_out.status is ExactStatus.BUDGET_EXHAUSTED
+        assert timed_out.value == rc_lower_bound(star)
+
+    def test_witness_search_closes_budgeted_give_up(self):
+        # C6 runs out of nodes at q = 3 = diameter; the seeded witness
+        # search finds a 3-coloring there, which proves rc = 3
+        c6 = gen_named("cycle", 6)
+        res = rc_exact(c6, Budget(max_nodes=2))
+        assert (res.status, res.value) == (ExactStatus.EXACT, 3)
+        assert res.witness.num_colors == 3
+        assert isinstance(is_rainbow_connected(c6, res.witness), RainbowCertificate)
+        assert res.stats.witness_checks > 0
+        # no time is left for any witness step
         timed_out = rc_exact(c6, Budget(max_seconds=0.0))
         assert timed_out.status is ExactStatus.BUDGET_EXHAUSTED
-        assert timed_out.value == rc_lower_bound(c6)
+        assert timed_out.value == 3 and timed_out.witness is None
 
     def test_lower_bound_only_after_refuted_level(self):
         # star K_{1,5}: diameter 2, rc 5; a generous-but-finite budget
@@ -495,3 +510,57 @@ class TestExact:
             g = random_connected_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9))
             res = rc_exact(g)
             assert diameter(g) <= res.value <= max(g.m, 0) if g.m else res.value == 0
+
+
+class TestSeededWitness:
+    """The repair search that runs when a budget stops the deepening."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(MASTER_SEED + 23)
+        yield from (g for n in range(1, 6) for g in iter_connected_graphs(n))
+        yield from (g for g in iter_connected_graphs(6) if rng.random() < 0.012)
+
+    def test_budgeted_results_are_sound(self):
+        # an exact result under a budget is the true rc with a certified
+        # witness; any other result is a lower bound
+        closed = 0
+        for g in self.graphs():
+            rc = rc_exact(g).value
+            for cap in (0, 1, 2):
+                res = rc_exact(g, Budget(max_nodes=cap))
+                if res.status is ExactStatus.EXACT:
+                    assert res.value == rc, (to_graph6(g), cap)
+                    assert res.witness.num_colors == rc
+                    assert isinstance(
+                        is_rainbow_connected(g, res.witness), RainbowCertificate
+                    )
+                    closed += res.stats.witness_checks > 0
+                else:
+                    assert res.value <= rc and res.witness is None
+        assert closed > 0
+
+    def test_no_witness_checks_when_it_does_not_run(self):
+        rng = random.Random(MASTER_SEED + 24)
+        for _ in range(20):
+            g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
+            assert rc_exact(g).stats.witness_checks == 0
+            assert rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks == 0
+            plain = rc_exact(g, Budget(max_nodes=1), prune=False)
+            assert plain.stats.witness_checks == 0
+
+    def test_seed_is_the_graph6_crc(self, monkeypatch):
+        # the generator's seed comes from the graph alone, never from the
+        # salted hash(), so every process repeats the same search
+        seeds = []
+        real = rcaudit.exact.random.Random
+
+        def recorded(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(rcaudit.exact.random, "Random", recorded)
+        g = gen_named("cycle", 6)
+        first = rc_exact(g, Budget(max_nodes=2))
+        assert seeds == [zlib.crc32(to_graph6(g).encode())]
+        assert rc_exact(g, Budget(max_nodes=2)).witness == first.witness
