@@ -124,6 +124,7 @@ def _cmd_exact(args) -> int:
             "value": result.value,
             "nodes": result.stats.nodes,
             "witness_checks": result.stats.witness_checks,
+            "jumps": result.stats.jumps,
         }))
     elif result.status is ExactStatus.EXACT:
         print(result.value)

@@ -19,15 +19,22 @@ path of one pair repeats a color is cut off:
   edges are its shortest paths.
 - Learned pairs: when a leaf fails on a pair, its paths are added to
   the tables (a learned nogood), each marked dead at the edge where it
-  first repeats a color. All of them stay dead for as long as the edges
-  up to the deepest of those depths keep their colors, so the search
-  jumps straight back to that depth (backjumping); every leaf it skips
-  fails on the same pair. A learned pair never fails at a later leaf of
-  the same level: the tables cut it off first.
+  first repeats a color, next to its partner, the earlier edge of that
+  color. A learned pair never fails at a later leaf of the same level:
+  the tables cut it off first.
 
-Both cuts only remove solution-free subtrees, so the first satisfying
-leaf in canonical order, and with it every value and witness, is the
-one the plain canonical search (prune=False) finds.
+A pair all of whose paths are dead names the edges to blame: the dead
+edges and their partners. Each depth collects the blamed earlier
+depths of its failed colors (a conflict set), and when every color at
+a depth has failed, the search jumps straight back to the deepest
+depth in the set (conflict-directed backjumping, Prosser 1993); a
+failing leaf jumps to the deepest depth its learned pair blames. Pairs
+with more than _PATH_CAP short paths are not learned and blame every
+depth, which steps back one depth.
+
+Both cuts and the jumps only skip solution-free subtrees, so the first
+satisfying leaf in canonical order, and with it every value and
+witness, is the one the plain canonical search (prune=False) finds.
 
 Node and wall-time budgets cap each call so corpus sweeps never hang.
 When a budget stops the deepening at level q, a seeded repair search
@@ -84,6 +91,7 @@ class SearchStats:
     leaf_checks: int = 0  # full first_failing_pair calls
     learned_pairs: int = 0  # failing leaf pairs added to the prune tables
     witness_checks: int = 0  # first_failing_pair calls of the seeded witness search
+    jumps: int = 0  # conflict-directed jumps that skip at least one depth
 
 
 class DecisionStatus(Enum):
@@ -99,6 +107,7 @@ class DecisionResult:
     nodes: int
     leaf_checks: int = 0
     learned_pairs: int = 0
+    jumps: int = 0
 
 
 class ExactStatus(Enum):
@@ -157,9 +166,11 @@ def _paths_within(
     t is the vertex with dist_to_t[t] == 0, and s != t. The DFS over the
     edge-indexed adjacency enters a vertex only if t is still within
     limit from it, so for limit = dist(s, t) it walks exactly the
-    shortest paths.
+    shortest paths. A neighbor of t reached with one edge to spare has
+    no way on but its edge to t, which is looked up instead of scanned.
     """
     out: list[tuple[int, ...]] = []
+    into_t = dict(adjacency[dist_to_t.index(0)])  # neighbor of t -> edge to t
     on_path = [False] * len(adjacency)
     on_path[s] = True
     path: list[int] = []  # edge indices from s to the top of the stack
@@ -171,8 +182,9 @@ def _paths_within(
             d = dist_to_t[w]
             if d > slack or on_path[w]:
                 continue
-            if d == 0:
-                out.append(tuple(sorted(path + [e])))
+            if d == 0 or slack == 1:
+                # w is t, or a neighbor of t with no edge to spare after it
+                out.append(tuple(sorted(path + ([e] if d == 0 else [e, into_t[w]]))))
                 if len(out) > cap:
                     return None
                 continue
@@ -193,13 +205,15 @@ class _PruneTables:
     q edges between its ends, and how many of them are still alive.
 
     A path dies at the depth of its first edge whose color repeats an
-    earlier edge of the path, and revives when that depth is unassigned.
-    Once every path of a pair is dead, no completion of the partial
-    coloring can rainbow-connect the pair. The tables start with the
-    pairs at distance exactly q (their paths come from _paths_within with
-    limit q, which walks exactly the shortest paths); learn() adds a pair
-    that failed at a leaf. Preloading is capped per pair (_PATH_CAP) and
-    in total; skipped pairs just weaken the prune, never its soundness.
+    earlier edge of the path, its partner, and revives when that depth is
+    unassigned. Once every path of a pair is dead, no completion of the
+    partial coloring can rainbow-connect the pair, and the colors at the
+    dead depths and partners are the whole reason (conflict()). The
+    tables start with the pairs at distance exactly q (their paths come
+    from _paths_within with limit q, which walks exactly the shortest
+    paths); learn() adds a pair that failed at a leaf. Preloading is
+    capped per pair (_PATH_CAP) and in total; skipped pairs just weaken
+    the prune, never its soundness.
     """
 
     TOTAL_CAP = 8192
@@ -210,6 +224,8 @@ class _PruneTables:
         self.edge_paths: list[list[int]] = [[] for _ in range(m)]
         self.alive: list[int] = []
         self.dead_at: list[int] = []
+        self.partner: list[int] = []  # of a dead path: the earlier edge of its color
+        self.pair_paths: list[range] = []  # path ids of each pair
 
     def preload(self, adjacency: Adjacency, q: int, dist: list[list[int]]) -> None:
         """Track every pair at distance exactly q, within the caps."""
@@ -222,23 +238,33 @@ class _PruneTables:
                 paths = _paths_within(adjacency, u, dist[v], q, _PATH_CAP)
                 if paths is None or total + len(paths) > self.TOTAL_CAP:
                     continue
-                self._add_pair(paths, [-1] * len(paths))
+                self._add_pair(paths)
                 total += len(paths)
 
-    def _add_pair(self, paths: list[tuple[int, ...]], dead_at: list[int]) -> int:
-        """Track one pair's paths, each dead at the given depth (-1 when
-        alive); returns the id of its first path."""
+    def _add_pair(self, paths: list[tuple[int, ...]]) -> int:
+        """Track one pair's paths, all alive; returns the pair's id."""
         first = len(self.path_edges)
         pair_id = len(self.alive)
-        self.alive.append(dead_at.count(-1))
+        self.alive.append(len(paths))
+        self.pair_paths.append(range(first, first + len(paths)))
         self.path_edges.extend(paths)
         self.path_pair.extend([pair_id] * len(paths))
-        self.dead_at.extend(dead_at)
+        self.dead_at.extend([-1] * len(paths))
+        self.partner.extend([-1] * len(paths))
         edge_paths = self.edge_paths
         for pid, p in enumerate(paths, first):
             for e in p:
                 edge_paths[e].append(pid)
-        return first
+        return pair_id
+
+    def conflict(self, pair_id: int) -> int:
+        """The depths whose colors kill every path of a dead pair, as a
+        bitset: each path's dead depth and its partner."""
+        dead_at, partner = self.dead_at, self.partner
+        depths = 0
+        for pid in self.pair_paths[pair_id]:
+            depths |= 1 << dead_at[pid] | 1 << partner[pid]
+        return depths
 
     def learn(
         self,
@@ -250,11 +276,12 @@ class _PruneTables:
     ) -> int:
         """Add pair (u, v), which fails under the full assignment, with all
         its paths of at most q edges. Each path is marked dead at its first
-        repeated-color edge and registered in killed[that depth]; returns
-        the deepest of those depths. After the distance shortcut every
-        pair has a path of at most q edges, so paths is not empty."""
-        dead_at = []
-        for p in paths:
+        repeated-color edge, with the earlier edge of that color as its
+        partner, and registered in killed[that depth]; returns the pair's
+        conflict(). After the distance shortcut every pair has a path of
+        at most q edges, so paths is not empty."""
+        pair_id = self._add_pair(paths)
+        for pid, p in zip(self.pair_paths[pair_id], paths):
             seen = 0
             for e in p:
                 b = 1 << assignment[e]
@@ -265,11 +292,11 @@ class _PruneTables:
                 raise RuntimeError(
                     f"pair ({u}, {v}) failed the leaf check but has a rainbow path"
                 )
-            dead_at.append(e)
-        first = self._add_pair(paths, dead_at)
-        for pid, e in enumerate(dead_at, first):
+            self.dead_at[pid] = e
+            self.partner[pid] = next(f for f in p if assignment[f] == assignment[e])
             killed[e].append(pid)
-        return max(dead_at)
+        self.alive[pair_id] = 0
+        return self.conflict(pair_id)
 
 
 def rc_decision(
@@ -282,12 +309,30 @@ def rc_decision(
 ) -> DecisionResult:
     """Find a rainbow-connecting coloring with at most q colors, or prove
     none exists. Unsatisfiability is reported only after the canonical
-    space is exhausted (pruned subtrees are provably solution-free).
+    space is exhausted (skipped subtrees are provably solution-free).
+
+    The pruned search backjumps on conflicts (Prosser's CBJ). Each depth
+    keeps a conflict set: the earlier depths whose colors its failed
+    colors depend on. A color fails when a tracked pair loses its last
+    path; the pair's conflict(), minus the depth itself, joins the set.
+    A leaf fails on a pair; the learned pair's conflict() is the leaf's
+    set (every depth for a pair above _PATH_CAP, which is a plain step
+    back). Once every color at a depth has failed, no coloring that keeps
+    the colors of its set can be completed: the search jumps to the
+    set's deepest depth j, merges the rest of the set into j's, and
+    tries j's next color. An empty set proves the level UNSAT.
+
+    That holds for the canonical color range too. The colors above
+    top[i] appear on no edge before depth i, and neither does top[i]
+    when it is a fresh color. Swapping one of them with top[i] in a
+    whole coloring leaves every earlier depth's color, and so the
+    conflict set, as it was; so a coloring that gives depth i a color
+    above top[i] fails whenever the fresh color top[i] fails.
 
     prune=False runs the plain canonical search: no prune tables, no
-    distance shortcut, no learning and no backjumping. It visits a
-    superset of the pruned search's nodes and reaches the same verdict
-    and the same first satisfying leaf.
+    distance shortcut, no learning, and every failure steps back one
+    depth. It visits a superset of the pruned search's nodes and reaches
+    the same verdict and the same first satisfying leaf.
 
     distances is g's all-pairs distance table, for callers that decide
     several q on one graph; it is computed here when not given.
@@ -319,21 +364,25 @@ def rc_decision(
     if prune:
         tables.preload(adjacency, q, distances)
     edge_paths, path_edges = tables.edge_paths, tables.path_edges
-    path_pair, alive, dead_at = tables.path_pair, tables.alive, tables.dead_at
+    path_pair, alive = tables.path_pair, tables.alive
+    dead_at, partner = tables.dead_at, tables.partner
     max_nodes = budget.max_nodes
 
     assignment = [-1] * m
-    next_color = [0] * m
+    next_color = [0] * (m + 1)
     top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
     killed: list[list[int]] = [[] for _ in range(m)]  # paths that died at each depth
+    # per depth, as a bitset: the earlier depths its failed colors depend on
+    conflicts = [0] * (m + 1)
+    every_depth = (1 << m) - 1
     # failing leaf pairs with more than _PATH_CAP short paths: not
     # learned, and not enumerated again when they fail once more
     over_cap: set[tuple[int, int]] = set()
-    nodes = leaf_checks = learned = 0
+    nodes = leaf_checks = learned = jumps = 0
     i = 0
 
     def done(status: DecisionStatus, coloring: EdgeColoring | None = None) -> DecisionResult:
-        return DecisionResult(status, coloring, nodes, leaf_checks, learned)
+        return DecisionResult(status, coloring, nodes, leaf_checks, learned, jumps)
 
     def unassign(depth: int) -> None:
         for pid in killed[depth]:
@@ -342,13 +391,27 @@ def rc_decision(
         killed[depth].clear()
         assignment[depth] = -1
 
+    def backjump(depth: int, culprits: int) -> int:
+        """Every color at depth failed (at depth m: the full coloring),
+        and so does every coloring that keeps the colors of culprits, a
+        nonempty set of earlier depths. Unassigns down to the deepest
+        culprit j, merges the other culprits into j's set, returns j."""
+        nonlocal jumps
+        j = culprits.bit_length() - 1
+        if j < depth - 1:
+            jumps += 1
+        for d in range(depth - 1, j - 1, -1):
+            unassign(d)
+        conflicts[j] |= culprits ^ (1 << j)
+        return j
+
     while True:
         if i == m:
             leaf_checks += 1
             failing = first_failing_pair(adjacency, [1 << c for c in assignment])
             if failing is None:
                 return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
-            back = m - 1
+            culprits = every_depth
             pair = (failing.u, failing.v)
             if prune and pair not in over_cap:
                 paths = _paths_within(
@@ -357,27 +420,21 @@ def rc_decision(
                 if paths is None:
                     over_cap.add(pair)
                 else:
-                    # every leaf that keeps edges 0..back fails on this pair
-                    back = tables.learn(failing.u, failing.v, paths, assignment, killed)
+                    # every leaf that keeps these depths' colors fails on this pair
+                    culprits = tables.learn(failing.u, failing.v, paths, assignment, killed)
                     learned += 1
-            for depth in range(m - 1, back, -1):
-                next_color[depth] = 0
-                unassign(depth)
-            i = back
-            unassign(i)
+            i = backjump(m, culprits)
             continue
         c = next_color[i]
         if c > top[i]:
-            next_color[i] = 0
-            if i == 0:
+            if not conflicts[i]:
                 return done(DecisionStatus.UNSAT)
-            i -= 1
-            unassign(i)
+            i = backjump(i, conflicts[i])
             continue
+        if max_nodes is not None and nodes >= max_nodes:
+            return done(DecisionStatus.BUDGET_EXHAUSTED)
         next_color[i] = c + 1
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            return done(DecisionStatus.BUDGET_EXHAUSTED)
         if (
             deadline is not None
             and nodes & 1023 == 1  # clock checked on the first node, then sparsely
@@ -386,25 +443,31 @@ def rc_decision(
             return done(DecisionStatus.BUDGET_EXHAUSTED)
 
         assignment[i] = c
-        dead_pair = False
+        dead_pair = -1
         for pid in edge_paths[i]:
             if dead_at[pid] >= 0:
                 continue
             for e in path_edges[pid]:
                 if e != i and assignment[e] == c:
                     dead_at[pid] = i
+                    partner[pid] = e
                     killed[i].append(pid)
                     pair_id = path_pair[pid]
                     alive[pair_id] -= 1
                     if alive[pair_id] == 0:
-                        dead_pair = True
+                        dead_pair = pair_id
                     break
-        if dead_pair:
+            if dead_pair >= 0:
+                break
+        if dead_pair >= 0:
+            conflicts[i] |= tables.conflict(dead_pair) ^ (1 << i)
             unassign(i)
             continue
         # canonical order: a new color is one above the largest so far
         top[i + 1] = c + 1 if c == top[i] and c < q - 1 else top[i]
         i += 1
+        next_color[i] = 0
+        conflicts[i] = 0
 
 
 def _remaining(budget: Budget, used_nodes: int, started: float) -> Budget | None:
@@ -499,7 +562,7 @@ def rc_exact(
             SearchStats(0, time.monotonic() - started),
         )
     lb = _lower_bound(distances)
-    total_nodes = leaf_checks = learned_pairs = witness_checks = 0
+    total_nodes = leaf_checks = learned_pairs = witness_checks = jumps = 0
     last_refuted: int | None = None
     q = lb
 
@@ -510,6 +573,7 @@ def rc_exact(
             leaf_checks,
             learned_pairs,
             witness_checks,
+            jumps,
         )
 
     while True:
@@ -520,6 +584,7 @@ def rc_exact(
         total_nodes += res.nodes
         leaf_checks += res.leaf_checks
         learned_pairs += res.learned_pairs
+        jumps += res.jumps
         if res.status is DecisionStatus.SAT:
             return ExactResult(ExactStatus.EXACT, q, res.coloring, stats())
         if res.status is DecisionStatus.UNSAT:

@@ -250,6 +250,9 @@ def test_criterion_5_degree_sum_probe_completes_deterministically(
             <= report["construct_colors"]
             <= report["min_degree_bound"]
         )
+    # a give-up stops at the node budget, never one node past it
+    for line in payload["random"]["reports"]:
+        assert json.loads(line)["rc_nodes"] <= SWEEP_NODE_BUDGET
     # any negative slack must have surfaced as a finding with a reproducer
     for section in ("small", "random"):
         for finding in payload[section]["findings"]:

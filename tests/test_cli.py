@@ -96,6 +96,15 @@ class TestExact:
         assert payload["value"] == 3 and payload["status"] == "exact"
         assert payload["witness_checks"] == 0
 
+    def test_json_reports_jumps(self, capsys):
+        code, out, _ = run(
+            capsys, "exact", "--max-nodes", "2000", "--format", "json", "JP??hHk?qt?"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "exact", "value": 4, "nodes": 1632, "witness_checks": 0, "jumps": 76,
+        }
+
 
 class TestConstruct:
     def test_text_output(self, capsys):
@@ -370,10 +379,10 @@ def test_random_sweep_output_is_byte_stable(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "402d4e10e708719f1e1e1f57c92b7445a975b36652e6a4b38aff3dfed37d0600"
+        "cbc2c547afe68e4a894393f4eb5c5bb85c81d6f2336adb7eb452e0781e82d382"
     )
     assert hashlib.sha256(reports.read_bytes()).hexdigest() == (
-        "6ae7e273eb4ef24294c9f0777ad067a34193146edfb3ea833a579b6f143d74bd"
+        "95b6f3a7c2ddf4ed60afbcfef8bc00933d5c2cd09659c112e4c8bd0d3cd2565a"
     )
 
 

@@ -140,6 +140,16 @@ class TestDecision:
         res = rc_decision(gen_named("cycle", 6), 2)
         assert res.status is DecisionStatus.UNSAT and res.nodes == 0
 
+    def test_empty_conflict_set_ends_the_level(self):
+        # a triangle 0-1-2 with pendant edges at 1, 1 and 2: every color
+        # of edge (1, 2) fails for reasons that involve no earlier edge,
+        # so that depth's empty conflict set proves q = 3 UNSAT without
+        # going back to edges (0, 1) and (0, 2)
+        g = parse_graph6("ExP?")
+        res = rc_decision(g, 3)
+        assert (res.status, res.nodes) == (DecisionStatus.UNSAT, 30)
+        assert rc_decision(g, 3, prune=False).nodes == 185
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             rc_decision(gen_named("path", 3), 0)
@@ -208,8 +218,11 @@ class TestLearnedAgainstPlainSearch:
         yield from (g for g in iter_connected_graphs(6) if rng.random() < 0.012)
 
     def test_same_verdict_and_witness_at_rc_and_below(self, monkeypatch):
-        # no pair on 6 vertices has more than _PATH_CAP short paths,
-        # so every failing leaf pair is learned and fails only once
+        # every q from the diameter (or rc - 1, if lower) to rc; no pair on
+        # 6 vertices has more than _PATH_CAP short paths, so every failing
+        # leaf pair is learned and fails only once. Conflict-directed
+        # jumps skip only solution-free subtrees, so the learned search
+        # visits no more nodes, and the plain search never jumps.
         failures = record_leaf_failures(monkeypatch)
         checked = 0
         for g in self.graphs():
@@ -217,7 +230,7 @@ class TestLearnedAgainstPlainSearch:
                 continue
             dist = [bfs_distances(g, s) for s in range(g.n)]
             rc = rc_exact(g, prune=False, distances=dist).value
-            for q in (rc, rc - 1) if rc > 1 else (rc,):
+            for q in range(max(min(rc - 1, diameter(g)), 1), rc + 1):
                 failures.clear()
                 learned = rc_decision(g, q, distances=dist)
                 assert len(failures) == len(set(failures)) == learned.learned_pairs
@@ -225,7 +238,8 @@ class TestLearnedAgainstPlainSearch:
                 assert (learned.status, learned.coloring) == (
                     plain.status, plain.coloring
                 ), (to_graph6(g), q)
-                assert plain.learned_pairs == 0
+                assert learned.nodes <= plain.nodes, (to_graph6(g), q)
+                assert plain.learned_pairs == plain.jumps == 0
             checked += 1
         assert checked == 771 + 340  # n <= 5 except K_1, plus the n = 6 sample
 
@@ -261,6 +275,7 @@ class TestLearnedAgainstPlainSearch:
         plain = rc_exact(g, prune=False)
         assert plain.stats.leaf_checks == len(failures) + 1 > learned.stats.leaf_checks
         assert plain.stats.learned_pairs == 0
+        assert learned.stats.jumps > 0 and plain.stats.jumps == 0
 
 
 class TestExact:
@@ -354,6 +369,9 @@ class TestExact:
         star = gen_named("star", 6)
         tiny = rc_exact(star, Budget(max_nodes=2))
         assert tiny.status is ExactStatus.BUDGET_EXHAUSTED
+        # the node that would break the cap is neither visited nor counted
+        assert tiny.stats.nodes == 2
+        assert rc_exact(star, Budget(max_nodes=1)).stats.nodes == 1
         assert tiny.value == rc_lower_bound(star)
         assert tiny.witness is None
         timed_out = rc_exact(star, Budget(max_seconds=0.0))
@@ -394,23 +412,36 @@ class TestExact:
         with pytest.raises(ValueError, match="connected"):
             rc_exact(Graph(3, [(0, 1)]))
 
+    def test_conflict_directed_jumps_close_former_give_ups(self):
+        # both gave up at 2,000 nodes while an exhausted depth stepped back
+        # one depth at a time; JP??hHk?qt? is solved by refuting its
+        # diameter 3 first. The search closes both, without the seeded
+        # witness search.
+        for graph6, value in (("JP??hHk?qt?", 4), ("JGtk@nAqOG?", 3)):
+            g = parse_graph6(graph6)
+            res = rc_exact(g, Budget(max_nodes=2000))
+            assert (res.status, res.value) == (ExactStatus.EXACT, value), graph6
+            assert res.stats.witness_checks == 0 and res.stats.jumps > 0
+            assert res.witness.num_colors == value
+            assert isinstance(is_rainbow_connected(g, res.witness), RainbowCertificate)
+
     def test_pinned_search_outcomes(self):
         # (status, value, nodes) at a 2000-node budget; the node counts
-        # follow the learned search, and must not depend on how a leaf is
-        # checked or where the distance table comes from
+        # follow the conflict-directed search, and must not depend on how
+        # a leaf is checked or where the distance table comes from
         got = [
             (r.status.value, r.value, r.stats.nodes)
             for r in (rc_exact(g, Budget(max_nodes=2000)) for g in random_corpus(10, 5, 16, 2))
         ]
         assert got == [
             ("exact", 4, 31),
-            ("exact", 2, 34),
+            ("exact", 2, 31),
             ("exact", 2, 74),
-            ("exact", 3, 681),
+            ("exact", 3, 589),
             ("exact", 2, 70),
             ("exact", 1, 10),
             ("exact", 2, 39),
-            ("exact", 4, 469),
+            ("exact", 4, 298),
             ("exact", 3, 30),
             ("exact", 2, 54),
         ]
@@ -420,10 +451,13 @@ class TestExact:
     # random_corpus(60, 5, 10, 7). Without learning and backjumping,
     # HWtaHks, HJmHtYV, IaMYDK^Tw, IYABhPECG and Hv_@GC_ were not solved
     # within this budget; every other row had the same value and witness.
+    # Conflict-directed jumps at exhausted depths kept every witness and
+    # lowered the node counts of HRO_iCo, FJrCG, GLBARS, Hv_@GC_, FOCMo
+    # and Ecr_.
     PINNED = [
         ("HWtaHks", "exact", 3, 49, [0, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 1, 1, 2]),
         ("G@oAqG", "exact", 5, 77, [0, 1, 0, 2, 1, 3, 2, 4]),
-        ("HRO_iCo", "exact", 4, 51, [0, 1, 2, 0, 3, 0, 0, 2, 1, 1, 1]),
+        ("HRO_iCo", "exact", 4, 40, [0, 1, 2, 0, 3, 0, 0, 2, 1, 1, 1]),
         (
             "HJmHtYV", "exact", 3, 38,
             [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0],
@@ -433,16 +467,16 @@ class TestExact:
             "IaMYDK^Tw", "exact", 3, 78,
             [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 2, 2, 2],
         ),
-        ("FJrCG", "exact", 3, 69, [0, 0, 1, 1, 1, 0, 2, 0, 0]),
-        ("GLBARS", "exact", 4, 80, [0, 0, 0, 0, 1, 1, 2, 3, 2, 1, 1]),
+        ("FJrCG", "exact", 3, 53, [0, 0, 1, 1, 1, 0, 2, 0, 0]),
+        ("GLBARS", "exact", 4, 71, [0, 0, 0, 0, 1, 1, 2, 3, 2, 1, 1]),
         (
             "HnztBkV", "exact", 3, 72,
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 2, 0, 2, 1, 2],
         ),
         ("IYABhPECG", "exact", 5, 102, [0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 3, 1, 2, 4, 2]),
-        ("Hv_@GC_", "exact", 5, 5428, [0, 0, 1, 2, 2, 3, 4, 0, 1, 3]),
-        ("FOCMo", "exact", 5, 200, [0, 1, 2, 0, 2, 3, 4]),
-        ("Ecr_", "exact", 3, 61, [0, 0, 1, 2, 2, 0, 1]),
+        ("Hv_@GC_", "exact", 5, 1439, [0, 0, 1, 2, 2, 3, 4, 0, 1, 3]),
+        ("FOCMo", "exact", 5, 146, [0, 1, 2, 0, 2, 3, 4]),
+        ("Ecr_", "exact", 3, 56, [0, 0, 1, 2, 2, 0, 1]),
         ("E^E_", "exact", 3, 18, [0, 0, 0, 0, 1, 0, 1, 2]),
     ]
 
