@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .audit import audit_corpus, audit_graph, check_report
+from .audit import audit_corpus, audit_graph, findings_for_report
 from .construct import run_construction, trace_to_dict
 from .exact import Budget, ExactStatus, rc_exact
 from .generators import (
@@ -227,15 +227,15 @@ def _report_text(report) -> str:
 def _cmd_audit(args) -> int:
     g = _load_one(args.graph)
     report = audit_graph(g, _budget(args))
-    violations = check_report(report)
-    if violations:
-        print(f"finding (solver-disagreement): {'; '.join(violations)}", file=sys.stderr)
-        return EXIT_FINDING
     if args.format == "json":
         print(_dumps(report.to_dict()))
     else:
         print(_report_text(report))
-    if not report.construct_verified:
+    # the same findings a sweep reports for this graph
+    findings = findings_for_report(report)
+    for finding in findings:
+        print(f"finding ({finding.kind}): {_dumps(finding.detail)}", file=sys.stderr)
+    if findings:
         return EXIT_FINDING
     if report.rc_status != ExactStatus.EXACT.value:
         return EXIT_BUDGET

@@ -18,29 +18,30 @@ path of one pair repeats a color is cut off:
 - Preloaded pairs: every pair at distance q, whose paths of at most q
   edges are its shortest paths.
 - Learned pairs: when a leaf fails on a pair, its paths are added to
-  the tables (a learned nogood), each marked dead at the edge where it
-  first repeats a color, next to its partner, the earlier edge of that
-  color. A learned pair never fails at a later leaf of the same level:
-  the tables cut it off first.
+  the tables (a learned nogood), each dead at the edge where it first
+  repeats a color. A learned pair never fails at a later leaf of the
+  same level: the tables cut it off first.
 
-A pair all of whose paths are dead names the edges to blame: the dead
-edges and their partners. Each depth collects the blamed earlier
-depths of its failed colors (a conflict set), and when every color at
-a depth has failed, the search jumps straight back to the deepest
-depth in the set (conflict-directed backjumping, Prosser 1993); a
-failing leaf jumps to the deepest depth its learned pair blames. Pairs
-with more than _PATH_CAP short paths are not learned and blame every
-depth, which steps back one depth.
+Each dead path keeps one blame word, a bitset of two edges: the edge
+it died at and its partner, the earlier edge of the same color. The
+blame of a pair all of whose paths are dead is the OR of their words.
+Each depth collects the blamed earlier depths of its failed colors (a
+conflict set), and when every color at a depth has failed, the search
+jumps straight back to the deepest depth in the set (conflict-directed
+backjumping, Prosser 1993); a failing leaf jumps to the deepest depth
+its learned pair blames. Pairs with more than _PATH_CAP short paths
+are not learned and blame every depth, which steps back one depth.
 
 Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
 witness, is the one the plain canonical search (prune=False) finds.
 
-Node and wall-time budgets cap each call so corpus sweeps never hang.
-When a budget stops the deepening at level q, a seeded repair search
-(_seeded_witness) still looks for a q-coloring: every level below q is
-refuted or lies below max(diameter, 1), so a coloring that passes the
-leaves' full check proves rc = q. Its random generator is seeded with
+Node and wall-time budgets cap each call so corpus sweeps never hang;
+rc_exact fixes one deadline for all of its levels and the witness
+search. When a budget stops the deepening at level q, a seeded repair
+search (_seeded_witness) still looks for a q-coloring: every level below
+q is refuted or lies below max(diameter, 1), so a coloring that passes
+the leaves' full check proves rc = q. Its random generator is seeded with
 the crc32 of the graph's graph6 string, so reruns repeat it in any
 process. A give-up it does not close is reported as such, never as
 unsatisfiability.
@@ -76,6 +77,9 @@ class Budget:
 
     max_nodes caps the exhaustive search only. max_seconds also caps the
     seeded witness search that runs once the exhaustive search gives up.
+    Both are checked before a node is counted, the clock before the
+    first node and then every 1024 nodes, so a give-up counts only the
+    nodes it expanded.
     """
 
     max_nodes: int | None = None
@@ -205,10 +209,12 @@ class _PruneTables:
     q edges between its ends, and how many of them are still alive.
 
     A path dies at the depth of its first edge whose color repeats an
-    earlier edge of the path, its partner, and revives when that depth is
-    unassigned. Once every path of a pair is dead, no completion of the
-    partial coloring can rainbow-connect the pair, and the colors at the
-    dead depths and partners are the whole reason (conflict()). The
+    earlier edge of the path, its partner. Its blame word is 0 while it
+    is alive and 1 << depth | 1 << partner once dead; the partner is the
+    lower bit, so the highest bit names the depth whose unassignment
+    revives the path. Once every path of a pair is dead, no completion
+    of the partial coloring can rainbow-connect the pair, and the colors
+    at the blamed depths are the whole reason (conflict()). The
     tables start with the pairs at distance exactly q (their paths come
     from _paths_within with limit q, which walks exactly the shortest
     paths); learn() adds a pair that failed at a leaf. Preloading is
@@ -223,8 +229,7 @@ class _PruneTables:
         self.path_pair: list[int] = []
         self.edge_paths: list[list[int]] = [[] for _ in range(m)]
         self.alive: list[int] = []
-        self.dead_at: list[int] = []
-        self.partner: list[int] = []  # of a dead path: the earlier edge of its color
+        self.blame: list[int] = []
         self.pair_paths: list[range] = []  # path ids of each pair
 
     def preload(self, adjacency: Adjacency, q: int, dist: list[list[int]]) -> None:
@@ -249,8 +254,7 @@ class _PruneTables:
         self.pair_paths.append(range(first, first + len(paths)))
         self.path_edges.extend(paths)
         self.path_pair.extend([pair_id] * len(paths))
-        self.dead_at.extend([-1] * len(paths))
-        self.partner.extend([-1] * len(paths))
+        self.blame.extend([0] * len(paths))
         edge_paths = self.edge_paths
         for pid, p in enumerate(paths, first):
             for e in p:
@@ -259,27 +263,22 @@ class _PruneTables:
 
     def conflict(self, pair_id: int) -> int:
         """The depths whose colors kill every path of a dead pair, as a
-        bitset: each path's dead depth and its partner."""
-        dead_at, partner = self.dead_at, self.partner
+        bitset: the OR of its paths' blame words."""
+        blame = self.blame
         depths = 0
         for pid in self.pair_paths[pair_id]:
-            depths |= 1 << dead_at[pid] | 1 << partner[pid]
+            depths |= blame[pid]
         return depths
 
     def learn(
-        self,
-        u: int,
-        v: int,
-        paths: list[tuple[int, ...]],
-        assignment: list[int],
-        killed: list[list[int]],
+        self, u: int, v: int, paths: list[tuple[int, ...]], assignment: list[int]
     ) -> int:
         """Add pair (u, v), which fails under the full assignment, with all
-        its paths of at most q edges. Each path is marked dead at its first
-        repeated-color edge, with the earlier edge of that color as its
-        partner, and registered in killed[that depth]; returns the pair's
-        conflict(). After the distance shortcut every pair has a path of
-        at most q edges, so paths is not empty."""
+        its paths of at most q edges. Each path is blamed on its first
+        repeated-color edge and on the earlier edge of that color, its
+        partner; returns the pair's conflict(). After the distance
+        shortcut every pair has a path of at most q edges, so paths is
+        not empty."""
         pair_id = self._add_pair(paths)
         for pid, p in zip(self.pair_paths[pair_id], paths):
             seen = 0
@@ -292,9 +291,8 @@ class _PruneTables:
                 raise RuntimeError(
                     f"pair ({u}, {v}) failed the leaf check but has a rainbow path"
                 )
-            self.dead_at[pid] = e
-            self.partner[pid] = next(f for f in p if assignment[f] == assignment[e])
-            killed[e].append(pid)
+            partner = next(f for f in p if assignment[f] == assignment[e])
+            self.blame[pid] = 1 << e | 1 << partner
         self.alive[pair_id] = 0
         return self.conflict(pair_id)
 
@@ -334,6 +332,10 @@ def rc_decision(
     depth. It visits a superset of the pruned search's nodes and reaches
     the same verdict and the same first satisfying leaf.
 
+    budget caps the nodes and seconds of this call, both checked before
+    a node is counted (see Budget): BUDGET_EXHAUSTED reports only the
+    nodes expanded, 0 when the budget was spent on arrival.
+
     distances is g's all-pairs distance table, for callers that decide
     several q on one graph; it is computed here when not given.
     """
@@ -364,14 +366,12 @@ def rc_decision(
     if prune:
         tables.preload(adjacency, q, distances)
     edge_paths, path_edges = tables.edge_paths, tables.path_edges
-    path_pair, alive = tables.path_pair, tables.alive
-    dead_at, partner = tables.dead_at, tables.partner
+    path_pair, alive, blame = tables.path_pair, tables.alive, tables.blame
     max_nodes = budget.max_nodes
 
     assignment = [-1] * m
     next_color = [0] * (m + 1)
     top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
-    killed: list[list[int]] = [[] for _ in range(m)]  # paths that died at each depth
     # per depth, as a bitset: the earlier depths its failed colors depend on
     conflicts = [0] * (m + 1)
     every_depth = (1 << m) - 1
@@ -385,10 +385,11 @@ def rc_decision(
         return DecisionResult(status, coloring, nodes, leaf_checks, learned, jumps)
 
     def unassign(depth: int) -> None:
-        for pid in killed[depth]:
-            dead_at[pid] = -1
-            alive[path_pair[pid]] += 1
-        killed[depth].clear()
+        # a path that died at depth contains its edge and blames it highest
+        for pid in edge_paths[depth]:
+            if blame[pid] >> depth == 1:
+                blame[pid] = 0
+                alive[path_pair[pid]] += 1
         assignment[depth] = -1
 
     def backjump(depth: int, culprits: int) -> int:
@@ -421,7 +422,7 @@ def rc_decision(
                     over_cap.add(pair)
                 else:
                     # every leaf that keeps these depths' colors fails on this pair
-                    culprits = tables.learn(failing.u, failing.v, paths, assignment, killed)
+                    culprits = tables.learn(failing.u, failing.v, paths, assignment)
                     learned += 1
             i = backjump(m, culprits)
             continue
@@ -431,27 +432,23 @@ def rc_decision(
                 return done(DecisionStatus.UNSAT)
             i = backjump(i, conflicts[i])
             continue
-        if max_nodes is not None and nodes >= max_nodes:
-            return done(DecisionStatus.BUDGET_EXHAUSTED)
-        next_color[i] = c + 1
-        nodes += 1
-        if (
+        if (max_nodes is not None and nodes >= max_nodes) or (
             deadline is not None
-            and nodes & 1023 == 1  # clock checked on the first node, then sparsely
+            and nodes & 1023 == 0  # clock read before the first node, then sparsely
             and time.monotonic() > deadline
         ):
             return done(DecisionStatus.BUDGET_EXHAUSTED)
+        next_color[i] = c + 1
+        nodes += 1
 
         assignment[i] = c
         dead_pair = -1
         for pid in edge_paths[i]:
-            if dead_at[pid] >= 0:
+            if blame[pid]:
                 continue
             for e in path_edges[pid]:
                 if e != i and assignment[e] == c:
-                    dead_at[pid] = i
-                    partner[pid] = e
-                    killed[i].append(pid)
+                    blame[pid] = 1 << i | 1 << e
                     pair_id = path_pair[pid]
                     alive[pair_id] -= 1
                     if alive[pair_id] == 0:
@@ -468,21 +465,6 @@ def rc_decision(
         i += 1
         next_color[i] = 0
         conflicts[i] = 0
-
-
-def _remaining(budget: Budget, used_nodes: int, started: float) -> Budget | None:
-    """Budget left for the next deepening level; None when spent."""
-    max_nodes = None
-    if budget.max_nodes is not None:
-        max_nodes = budget.max_nodes - used_nodes
-        if max_nodes <= 0:
-            return None
-    max_seconds = None
-    if budget.max_seconds is not None:
-        max_seconds = budget.max_seconds - (time.monotonic() - started)
-        if max_seconds <= 0:
-            return None
-    return Budget(max_nodes, max_seconds)
 
 
 # repair steps of the seeded witness search
@@ -548,11 +530,12 @@ def rc_exact(
     callers that already built it; it is computed here when not given.
     """
     started = time.monotonic()
+    budget = budget or Budget()
+    deadline = None if budget.max_seconds is None else started + budget.max_seconds
     if distances is None:
         distances = distance_table(g)
     if distances and -1 in distances[0]:
         raise ValueError("rc is defined for connected graphs only")
-    budget = budget or Budget()
     if g.m == 0:
         # single vertex: the empty coloring is vacuously rainbow connected
         return ExactResult(
@@ -577,9 +560,11 @@ def rc_exact(
         )
 
     while True:
-        level_budget = _remaining(budget, total_nodes, started)
-        if level_budget is None:
-            break
+        # what is left of the budget; a spent one gives up before any node
+        level_budget = Budget(
+            None if budget.max_nodes is None else budget.max_nodes - total_nodes,
+            None if deadline is None else deadline - time.monotonic(),
+        )
         res = rc_decision(g, q, level_budget, prune, distances=distances)
         total_nodes += res.nodes
         leaf_checks += res.leaf_checks
@@ -598,9 +583,6 @@ def rc_exact(
 
     if prune:
         # the budget stopped the deepening at level q
-        deadline = (
-            started + budget.max_seconds if budget.max_seconds is not None else None
-        )
         witness, witness_checks = _seeded_witness(g, q, distances, deadline)
         if witness is not None:
             return ExactResult(ExactStatus.EXACT, q, witness, stats())

@@ -160,22 +160,15 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError("graph6: empty input")
 
     if s[0] == "~":
-        if len(s) >= 2 and s[1] == "~":
-            size_chars, start = s[2:8], 2
-            if len(size_chars) < 6:
-                raise GraphFormatError("graph6: truncated size field")
-            n = 0
-            for k, ch in enumerate(size_chars):
-                n = (n << 6) | _g6_data_value(ch, start + k)
-            data_start = 8
-        else:
-            size_chars, start = s[1:4], 1
-            if len(size_chars) < 3:
-                raise GraphFormatError("graph6: truncated size field")
-            n = 0
-            for k, ch in enumerate(size_chars):
-                n = (n << 6) | _g6_data_value(ch, start + k)
-            data_start = 4
+        # large n: 18 bits in 3 bytes after "~", or 36 bits in 6 after "~~"
+        start, width = (2, 6) if s[1:2] == "~" else (1, 3)
+        data_start = start + width
+        size_chars = s[start:data_start]
+        if len(size_chars) < width:
+            raise GraphFormatError("graph6: truncated size field")
+        n = 0
+        for k, ch in enumerate(size_chars):
+            n = (n << 6) | _g6_data_value(ch, start + k)
     else:
         n = _g6_data_value(s[0], 0)
         data_start = 1

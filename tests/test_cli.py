@@ -256,18 +256,44 @@ class TestAuditCommand:
         assert code == 4
 
     def test_solver_disagreement_exits_4(self, monkeypatch, capsys):
-        # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound
+        # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound;
+        # the report is printed, then one line per finding a sweep reports
         def over_the_bound(g, budget, *, distances):
             return ExactResult(ExactStatus.EXACT, 4, None, SearchStats(0, 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)
         code, out, err = run(capsys, "audit", to_graph6(gen_named("cycle", 5)))
         assert code == 4
-        assert out == ""
+        assert "rc: exact 4" in out
         assert err == (
-            "finding (solver-disagreement): exact rc 4 exceeds the proven bound 3;"
-            " verified coloring with 3 colors undercuts the claimed optimum 4\n"
+            'finding (solver-disagreement): {"detail":"exact rc 4 exceeds the'
+            ' proven bound 3"}\n'
+            'finding (solver-disagreement): {"detail":"verified coloring with 3'
+            ' colors undercuts the claimed optimum 4"}\n'
+            'finding (negative-degree-sum-slack): {"degree_sum_bound":"3",'
+            '"degree_sum_slack":"-1","rc_value":4}\n'
         )
+
+    def test_negative_degree_sum_slack_exits_4(self, monkeypatch, capsys, tmp_path):
+        # D^o: n = 5, min degree 2, sigma_2 = 5, so rc 3 is within the proven
+        # bound 3 and matches the 3-color construction, but exceeds the
+        # degree-sum bound 5/2; audit reports it as sweep does
+        def above_degree_sum(g, budget, *, distances):
+            return ExactResult(ExactStatus.EXACT, 3, None, SearchStats(0, 0.0))
+
+        monkeypatch.setattr(audit_module, "rc_exact", above_degree_sum)
+        code, out, err = run(capsys, "audit", "D^o")
+        assert code == 4
+        assert "degree_sum_bound=5/2 slack=-1/2" in out
+        assert err == (
+            'finding (negative-degree-sum-slack): {"degree_sum_bound":"5/2",'
+            '"degree_sum_slack":"-1/2","rc_value":3}\n'
+        )
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("D^o\n")
+        code, out, _ = run(capsys, "sweep", str(corpus))
+        assert code == 4
+        assert "negative-degree-sum-slack: D^o" in out
 
 
 class TestSweep:

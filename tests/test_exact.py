@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import zlib
 
@@ -131,9 +132,13 @@ class TestDecision:
         assert res.status is DecisionStatus.BUDGET_EXHAUSTED
 
     def test_time_budget_exhaustion(self):
-        res = rc_decision(gen_named("cycle", 6), 3, budget=Budget(max_seconds=0.0))
+        # the clock is read before the first node is counted, so a time
+        # give-up, like a node give-up, counts no node it never expanded
+        c6 = gen_named("cycle", 6)
+        res = rc_decision(c6, 3, budget=Budget(max_seconds=0.0))
         assert res.status is DecisionStatus.BUDGET_EXHAUSTED
-        assert res.nodes == 1
+        assert res.nodes == 0
+        assert rc_exact(c6, Budget(max_seconds=0.0)).stats.nodes == 0
 
     def test_distance_prune_short_circuits(self):
         # diameter 3 > 2 colors: provably unsatisfiable without search
@@ -514,6 +519,27 @@ class TestExact:
                         repeats += 1
                     seen.add((u, v))
         assert repeats == 0  # none of these pairs is above the cap
+
+    # sha256 over one line per connected labeled graph with n <= 5 of
+    # (graph6, status, value, nodes, jumps, leaf_checks, witness colors in
+    # edge-list order) from unbudgeted rc_exact; a refactor of the search
+    # must keep every row
+    SMALL_GRAPHS_DIGEST = (
+        "cb5f86c4b10a52a05177b87c8890711be18714cf7addef010eea2e25362f3c02"
+    )
+
+    def test_unbudgeted_outcomes_on_small_graphs(self):
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for g in iter_connected_graphs(n):
+                r = rc_exact(g)
+                witness = [r.witness.colors[e] for e in g.edge_list()]
+                row = (
+                    to_graph6(g), r.status.value, r.value, r.stats.nodes,
+                    r.stats.jumps, r.stats.leaf_checks, witness,
+                )
+                digest.update(f"{row}\n".encode())
+        assert digest.hexdigest() == self.SMALL_GRAPHS_DIGEST
 
     def test_pairs_above_the_cap_are_enumerated_once(self, monkeypatch):
         # with a cap of 2 most pairs are neither preloaded nor learned:

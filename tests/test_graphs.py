@@ -113,6 +113,11 @@ class TestGraph6:
             ("D?{?", "trailing garbage"),
             ("D?!", "invalid byte"),
             ("B~", "padding"),
+            # the size field is 3 bytes after "~" and 6 bytes after "~~"
+            ("~", "truncated size field"),
+            ("~??", "truncated size field"),
+            ("~~", "truncated size field"),
+            ("~~?????", "truncated size field"),
         ],
     )
     def test_parse_errors(self, text, fragment):
