@@ -2,11 +2,12 @@
 
 For q = lower bound, lower bound + 1, ... search canonical colorings with
 at most q colors for one that rainbow-connects the graph. Canonical means
-restricted growth over the lexicographic edge order: edge i may use a
-color at most one above the largest color on earlier edges, which removes
-color relabelings without losing any coloring up to renaming. The
-exhausted search at q - 1 doubles as the optimality certificate for a hit
-at q.
+restricted growth over a fail-first edge order (Haralick and Elliott
+1980; see _search_order): edge i may use a color at most one above the
+largest color on earlier edges, which removes color relabelings without
+losing any coloring up to renaming. The order depends on no color, so
+this and every cut below stay sound. The exhausted search at q - 1
+doubles as the optimality certificate for a hit at q.
 
 Pruning rests on one path primitive, _paths_within: a DFS over the
 edge-indexed adjacency that lists every simple s-t path with at most a
@@ -34,7 +35,7 @@ are not learned and blame every depth, which steps back one depth.
 
 Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
-witness, is the one the plain canonical search (prune=False) finds.
+witness, is the one a plain restricted-growth search in the same order finds.
 
 Node and wall-time budgets cap each call so corpus sweeps never hang;
 rc_exact fixes one deadline for all of its levels and the witness
@@ -297,19 +298,40 @@ class _PruneTables:
         return self.conflict(pair_id)
 
 
+def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency]:
+    """g's vertices ranked by (degree, sum of neighbor degrees, label), its
+    edges in lexicographic order of their ranked ends, and its adjacency
+    relabeled by rank, neighbors ascending: vertex r is order[r], and
+    edge i is edges[i]."""
+    degree = [g.degree(v) for v in range(g.n)]
+    order = sorted(
+        range(g.n), key=lambda v: (degree[v], sum(degree[w] for w in g.neighbors(v)), v)
+    )
+    rank = sorted(range(g.n), key=order.__getitem__)
+    ranked = sorted(
+        (rank[u], rank[v], u, v) if rank[u] < rank[v] else (rank[v], rank[u], u, v)
+        for u, v in g.edges
+    )
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (a, b, _, _) in enumerate(ranked):
+        rows[a].append((b, i))
+        rows[b].append((a, i))
+    return order, [(u, v) for _, _, u, v in ranked], tuple(map(tuple, rows))
+
+
 def rc_decision(
     g: Graph,
     q: int,
     budget: Budget | None = None,
-    prune: bool = True,
     *,
     distances: list[list[int]] | None = None,
 ) -> DecisionResult:
     """Find a rainbow-connecting coloring with at most q colors, or prove
     none exists. Unsatisfiability is reported only after the canonical
     space is exhausted (skipped subtrees are provably solution-free).
+    It runs on g relabeled by _search_order and reports g's own edges.
 
-    The pruned search backjumps on conflicts (Prosser's CBJ). Each depth
+    The search backjumps on conflicts (Prosser's CBJ). Each depth
     keeps a conflict set: the earlier depths whose colors its failed
     colors depend on. A color fails when a tracked pair loses its last
     path; the pair's conflict(), minus the depth itself, joins the set.
@@ -327,14 +349,10 @@ def rc_decision(
     conflict set, as it was; so a coloring that gives depth i a color
     above top[i] fails whenever the fresh color top[i] fails.
 
-    prune=False runs the plain canonical search: no prune tables, no
-    distance shortcut, no learning, and every failure steps back one
-    depth. It visits a superset of the pruned search's nodes and reaches
-    the same verdict and the same first satisfying leaf.
-
     budget caps the nodes and seconds of this call, both checked before
     a node is counted (see Budget): BUDGET_EXHAUSTED reports only the
-    nodes expanded, 0 when the budget was spent on arrival.
+    nodes expanded. A budget spent on arrival gives up with 0 nodes
+    before the search order and the prune tables are built.
 
     distances is g's all-pairs distance table, for callers that decide
     several q on one graph; it is computed here when not given.
@@ -345,29 +363,26 @@ def rc_decision(
         distances = distance_table(g)
     if distances and -1 in distances[0]:
         raise ValueError("decision search requires a connected graph")
-    edges = g.edge_list()
-    m = len(edges)
+    m = g.m
     if m == 0:
         return DecisionResult(DecisionStatus.SAT, EdgeColoring({}), 0)
 
     budget = budget or Budget()
-    deadline = (
-        time.monotonic() + budget.max_seconds
-        if budget.max_seconds is not None
-        else None
-    )
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
 
-    if prune and _lower_bound(distances) > q:
+    if _lower_bound(distances) > q:
         # some pair is farther apart than q; no q-coloring can give it a
         # rainbow path, so the whole space is solution-free
         return DecisionResult(DecisionStatus.UNSAT, None, 0)
-    adjacency = edge_adjacency(g)
+    max_nodes = budget.max_nodes
+    if max_nodes == 0 or (deadline is not None and time.monotonic() >= deadline):
+        return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, 0)
+    order, edges, adjacency = _search_order(g)
+    distances = [[row[w] for w in order] for row in (distances[v] for v in order)]
     tables = _PruneTables(m)
-    if prune:
-        tables.preload(adjacency, q, distances)
+    tables.preload(adjacency, q, distances)
     edge_paths, path_edges = tables.edge_paths, tables.path_edges
     path_pair, alive, blame = tables.path_pair, tables.alive, tables.blame
-    max_nodes = budget.max_nodes
 
     assignment = [-1] * m
     next_color = [0] * (m + 1)
@@ -414,7 +429,7 @@ def rc_decision(
                 return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
             culprits = every_depth
             pair = (failing.u, failing.v)
-            if prune and pair not in over_cap:
+            if pair not in over_cap:
                 paths = _paths_within(
                     adjacency, failing.u, distances[failing.v], q, _PATH_CAP
                 )
@@ -513,7 +528,6 @@ def _seeded_witness(
 def rc_exact(
     g: Graph,
     budget: Budget | None = None,
-    prune: bool = True,
     *,
     distances: list[list[int]] | None = None,
 ) -> ExactResult:
@@ -521,10 +535,10 @@ def rc_exact(
 
     Exact status means a passing witness at the value plus a fully
     exhausted search one color below (or the value equals the lower
-    bound). When the budget stops the deepening, the seeded witness
-    search (pruned search only) tries the level where it stopped; a miss
-    yields a lower bound instead. Under a budget the witness can thus
-    differ from the plain search's first satisfying leaf.
+    bound). Without a budget the witness is the decision search's first
+    satisfying leaf at the value. When the budget stops the deepening, the
+    seeded witness search tries the level where it stopped; a miss yields
+    a lower bound instead.
 
     distances is g's all-pairs distance table (see distance_table), for
     callers that already built it; it is computed here when not given.
@@ -565,7 +579,7 @@ def rc_exact(
             None if budget.max_nodes is None else budget.max_nodes - total_nodes,
             None if deadline is None else deadline - time.monotonic(),
         )
-        res = rc_decision(g, q, level_budget, prune, distances=distances)
+        res = rc_decision(g, q, level_budget, distances=distances)
         total_nodes += res.nodes
         leaf_checks += res.leaf_checks
         learned_pairs += res.learned_pairs
@@ -581,11 +595,10 @@ def rc_exact(
             continue
         break
 
-    if prune:
-        # the budget stopped the deepening at level q
-        witness, witness_checks = _seeded_witness(g, q, distances, deadline)
-        if witness is not None:
-            return ExactResult(ExactStatus.EXACT, q, witness, stats())
+    # the budget stopped the deepening at level q
+    witness, witness_checks = _seeded_witness(g, q, distances, deadline)
+    if witness is not None:
+        return ExactResult(ExactStatus.EXACT, q, witness, stats())
     if last_refuted is not None:
         return ExactResult(ExactStatus.LOWER_BOUND_ONLY, last_refuted + 1, None, stats())
     return ExactResult(ExactStatus.BUDGET_EXHAUSTED, lb, None, stats())

@@ -2,15 +2,22 @@
 
 Everything here is deliberately naive: exhaustive simple-path
 enumeration, exhaustive coloring enumeration with no symmetry breaking,
-and union-find components. None of it shares code with the search paths
-it validates.
+a restricted-growth search with no pruning, and union-find components.
+None of it shares code with the search paths it validates: it imports
+nothing from rcaudit.exact or rcaudit.rainbow, and reads a coloring only
+through its color_of method.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Protocol
 
-from rcaudit import EdgeColoring, Graph
+from rcaudit import Graph
+
+
+class Coloring(Protocol):
+    def color_of(self, u: int, v: int) -> int: ...
 
 
 def all_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
@@ -33,17 +40,17 @@ def all_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def path_is_rainbow(coloring: EdgeColoring, path: tuple[int, ...]) -> bool:
+def path_is_rainbow(coloring: Coloring, path: tuple[int, ...]) -> bool:
     colors = [coloring.color_of(a, b) for a, b in zip(path, path[1:])]
     return len(set(colors)) == len(colors)
 
 
-def has_rainbow_path_brute(g: Graph, coloring: EdgeColoring, s: int, t: int) -> bool:
+def has_rainbow_path_brute(g: Graph, coloring: Coloring, s: int, t: int) -> bool:
     return any(path_is_rainbow(coloring, p) for p in all_simple_paths(g, s, t))
 
 
 def first_failing_pair_brute(
-    g: Graph, coloring: EdgeColoring
+    g: Graph, coloring: Coloring
 ) -> tuple[int, int] | None:
     """Lexicographically first pair with no rainbow path, None if rainbow
     connected."""
@@ -54,8 +61,11 @@ def first_failing_pair_brute(
     return None
 
 
-def _pair_paths_as_edges(g: Graph) -> list[list[tuple[int, ...]]]:
-    edge_index = {e: i for i, e in enumerate(g.edge_list())}
+def _pair_paths_as_edges(
+    g: Graph, edges: list[tuple[int, int]]
+) -> list[list[tuple[int, ...]]]:
+    """Per vertex pair, every simple path as positions in edges."""
+    edge_index = {e: i for i, e in enumerate(edges)}
     table = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -77,7 +87,7 @@ def naive_rc(g: Graph) -> int:
     m = g.m
     if m == 0:
         return 0
-    pair_paths = _pair_paths_as_edges(g)
+    pair_paths = _pair_paths_as_edges(g, g.edge_list())
     q = 1
     while True:
         for assignment in product(range(q), repeat=m):
@@ -92,6 +102,41 @@ def naive_rc(g: Graph) -> int:
                 return q
         q += 1
         assert q <= m, "no coloring found up to the trivial bound"
+
+
+def plain_canonical_search(
+    g: Graph, q: int, edge_order: list[tuple[int, int]]
+) -> tuple[dict[tuple[int, int], int] | None, int]:
+    """Restricted-growth search for a rainbow-connecting q-coloring, with
+    no pruning: edge i of edge_order tries the colors 0..min(1 + the
+    largest earlier color, q - 1) in ascending order, each try one node,
+    and every full coloring is checked against every pair's simple paths.
+    Returns the first coloring that passes, or None, and the nodes tried.
+    """
+    pair_paths = _pair_paths_as_edges(g, edge_order)
+    m = len(edge_order)
+    colors = [0] * m
+    nodes = 0
+
+    def rainbow_connected() -> bool:
+        return all(
+            any(len({colors[e] for e in p}) == len(p) for p in paths)
+            for paths in pair_paths
+        )
+
+    def extend(i: int, largest: int) -> bool:
+        nonlocal nodes
+        if i == m:
+            return rainbow_connected()
+        for c in range(min(largest + 1, q - 1) + 1):
+            nodes += 1
+            colors[i] = c
+            if extend(i + 1, max(largest, c)):
+                return True
+        return False
+
+    found = extend(0, -1)
+    return (dict(zip(edge_order, colors)) if found else None), nodes
 
 
 def union_find_components(n: int, edges) -> list[tuple[int, ...]]:

@@ -102,7 +102,7 @@ class TestExact:
         )
         assert code == 0
         assert json.loads(out) == {
-            "status": "exact", "value": 4, "nodes": 1632, "witness_checks": 0, "jumps": 76,
+            "status": "exact", "value": 4, "nodes": 1158, "witness_checks": 0, "jumps": 90,
         }
 
 
@@ -405,10 +405,10 @@ def test_random_sweep_output_is_byte_stable(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cbc2c547afe68e4a894393f4eb5c5bb85c81d6f2336adb7eb452e0781e82d382"
+        "f2375e8969e267ae0663cd24029d587cb1942c07460dd07cc97e91d73c1b43e8"
     )
     assert hashlib.sha256(reports.read_bytes()).hexdigest() == (
-        "95b6f3a7c2ddf4ed60afbcfef8bc00933d5c2cd09659c112e4c8bd0d3cd2565a"
+        "c32f03a91ce32e4713da3d721218f5bb48636222a89a77cf5a7725fff3a71f77"
     )
 
 

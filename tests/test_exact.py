@@ -23,13 +23,13 @@ from rcaudit import (
     rc_lower_bound,
     to_graph6,
 )
-from rcaudit.exact import _PATH_CAP, _paths_within
+from rcaudit.exact import _PATH_CAP, _paths_within, _search_order
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances, parse_graph6
 from rcaudit.rainbow import edge_adjacency
 
 from .conftest import MASTER_SEED, random_connected_graph
-from .oracles import all_simple_paths, naive_rc
+from .oracles import all_simple_paths, naive_rc, plain_canonical_search
 
 
 class TestLowerBound:
@@ -122,9 +122,10 @@ class TestDecision:
         )
 
     def test_unsat_without_prune_exhausts(self):
-        res = rc_decision(gen_named("path", 4), 2, prune=False)
-        assert res.status is DecisionStatus.UNSAT
-        assert res.nodes > 0
+        # the plain reference search has no distance shortcut
+        g = gen_named("path", 4)
+        coloring, nodes = plain_canonical_search(g, 2, g.edge_list())
+        assert coloring is None and nodes > 0
 
     def test_budget_exhaustion(self):
         g = gen_named("cycle", 6)
@@ -140,20 +141,52 @@ class TestDecision:
         assert res.nodes == 0
         assert rc_exact(c6, Budget(max_seconds=0.0)).stats.nodes == 0
 
+    def test_budget_spent_on_arrival_builds_nothing(self, monkeypatch):
+        # a spent budget gives up with 0 nodes before the search order and
+        # the prune tables are built
+        preloads = []
+        monkeypatch.setattr(
+            rcaudit.exact._PruneTables, "preload", lambda *args: preloads.append(args)
+        )
+        rng = random.Random(MASTER_SEED + 25)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
+            res = rc_exact(g, Budget(max_seconds=0.0))
+            assert (res.status, res.stats.nodes) == (ExactStatus.BUDGET_EXHAUSTED, 0)
+            assert rc_decision(g, g.m, Budget(max_nodes=0)).nodes == 0
+        assert preloads == []
+
+    def test_search_order_is_a_relabeling(self):
+        # the adjacency the search runs on is that of g relabeled by rank,
+        # and its edge indices follow the returned edge order
+        rng = random.Random(MASTER_SEED + 26)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
+            order, edges, adjacency = _search_order(g)
+            rank = {v: r for r, v in enumerate(order)}
+            key = [(g.degree(v), sum(g.degree(w) for w in g.neighbors(v)), v) for v in order]
+            assert key == sorted(key)
+            relabeled = Graph(g.n, [(rank[u], rank[v]) for u, v in g.edges])
+            assert adjacency == edge_adjacency(relabeled)
+            assert [tuple(sorted((rank[u], rank[v]))) for u, v in edges] == (
+                relabeled.edge_list()
+            )
+            assert sorted(edges) == g.edge_list()
+
     def test_distance_prune_short_circuits(self):
         # diameter 3 > 2 colors: provably unsatisfiable without search
         res = rc_decision(gen_named("cycle", 6), 2)
         assert res.status is DecisionStatus.UNSAT and res.nodes == 0
 
     def test_empty_conflict_set_ends_the_level(self):
-        # a triangle 0-1-2 with pendant edges at 1, 1 and 2: every color
-        # of edge (1, 2) fails for reasons that involve no earlier edge,
-        # so that depth's empty conflict set proves q = 3 UNSAT without
-        # going back to edges (0, 1) and (0, 2)
+        # a triangle 0-1-2 with pendant edges at 1, 1 and 2, which the
+        # search order colors first: two learned leaf pairs and three
+        # conflict-directed jumps empty the conflict sets, which proves
+        # q = 3 UNSAT in a ninth of the plain search's nodes
         g = parse_graph6("ExP?")
         res = rc_decision(g, 3)
-        assert (res.status, res.nodes) == (DecisionStatus.UNSAT, 30)
-        assert rc_decision(g, 3, prune=False).nodes == 185
+        assert (res.status, res.nodes) == (DecisionStatus.UNSAT, 21)
+        assert plain_canonical_search(g, 3, g.edge_list()) == (None, 185)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -163,9 +196,7 @@ class TestDecision:
 
     def test_sat_exactly_from_naive_rc_on_long_graphs(self):
         # diameter >= 3 makes leaves fail on pairs with several paths, so
-        # the reused leaf verdicts decide most of the UNSAT levels; without
-        # pruning the search also reaches leaves below the diameter, where
-        # a pair has no path within q edges at all
+        # the learned leaf pairs decide most of the UNSAT levels
         rng = random.Random(MASTER_SEED + 21)
         graphs = [
             g
@@ -176,11 +207,10 @@ class TestDecision:
         assert len(graphs) > 100
         for g in graphs:
             rc = naive_rc(g)
-            for prune in (True, False):
-                sat = rc_decision(g, rc, prune=prune)
-                assert sat.status is DecisionStatus.SAT
-                assert isinstance(is_rainbow_connected(g, sat.coloring), RainbowCertificate)
-                assert rc_decision(g, rc - 1, prune=prune).status is DecisionStatus.UNSAT
+            sat = rc_decision(g, rc)
+            assert sat.status is DecisionStatus.SAT
+            assert isinstance(is_rainbow_connected(g, sat.coloring), RainbowCertificate)
+            assert rc_decision(g, rc - 1).status is DecisionStatus.UNSAT
 
     def test_given_distances_match_standalone(self):
         rng = random.Random(MASTER_SEED + 5)
@@ -212,9 +242,10 @@ def record_leaf_failures(monkeypatch):
 
 
 class TestLearnedAgainstPlainSearch:
-    """The learned, backjumping search (prune=True) against the plain
-    canonical search (prune=False): cutting solution-free subtrees must
-    leave the first satisfying leaf, and every UNSAT verdict, unchanged."""
+    """The learned, backjumping search against the plain reference search
+    of tests/oracles.py in the same edge order: cutting solution-free
+    subtrees must leave the first satisfying leaf, and every UNSAT
+    verdict, unchanged."""
 
     @staticmethod
     def graphs():
@@ -227,30 +258,32 @@ class TestLearnedAgainstPlainSearch:
         # 6 vertices has more than _PATH_CAP short paths, so every failing
         # leaf pair is learned and fails only once. Conflict-directed
         # jumps skip only solution-free subtrees, so the learned search
-        # visits no more nodes, and the plain search never jumps.
+        # visits no more nodes.
         failures = record_leaf_failures(monkeypatch)
         checked = 0
         for g in self.graphs():
             if g.m == 0:
                 continue
             dist = [bfs_distances(g, s) for s in range(g.n)]
-            rc = rc_exact(g, prune=False, distances=dist).value
+            rc = rc_exact(g, distances=dist).value
+            edges = _search_order(g)[1]
             for q in range(max(min(rc - 1, diameter(g)), 1), rc + 1):
                 failures.clear()
                 learned = rc_decision(g, q, distances=dist)
                 assert len(failures) == len(set(failures)) == learned.learned_pairs
-                plain = rc_decision(g, q, prune=False, distances=dist)
-                assert (learned.status, learned.coloring) == (
-                    plain.status, plain.coloring
+                coloring, nodes = plain_canonical_search(g, q, edges)
+                got = None if learned.coloring is None else learned.coloring.colors
+                assert (learned.status is DecisionStatus.SAT, got) == (
+                    coloring is not None, coloring
                 ), (to_graph6(g), q)
-                assert learned.nodes <= plain.nodes, (to_graph6(g), q)
-                assert plain.learned_pairs == plain.jumps == 0
+                assert learned.nodes <= nodes, (to_graph6(g), q)
             checked += 1
         assert checked == 771 + 340  # n <= 5 except K_1, plus the n = 6 sample
 
-    # (graph6, nodes) of rc_exact(g, prune=False) without a budget, taken
-    # before learning and backjumping were added: the plain search must
-    # keep its tree
+    # (graph6, nodes) of the plain canonical search in g.edge_list()
+    # order, summed over the levels from max(diameter, 1) to rc, as the
+    # library's plain search counted them before learning and
+    # backjumping were added: the reference must walk the same tree
     PLAIN_NODES = [
         ("G@oAqG", 1722),
         ("DHg", 45),
@@ -262,25 +295,25 @@ class TestLearnedAgainstPlainSearch:
     ]
 
     def test_plain_search_node_counts(self):
-        got = [
-            (graph6, rc_exact(parse_graph6(graph6), prune=False).stats.nodes)
-            for graph6, _ in self.PLAIN_NODES
-        ]
+        got = []
+        for graph6, _ in self.PLAIN_NODES:
+            g = parse_graph6(graph6)
+            q, total, coloring = max(diameter(g), 1), 0, None
+            while coloring is None:
+                coloring, nodes = plain_canonical_search(g, q, g.edge_list())
+                total += nodes
+                q += 1
+            got.append((graph6, total))
         assert got == self.PLAIN_NODES
 
     def test_counters_sum_over_levels(self, monkeypatch):
         # one leaf per call ends SAT, the others fail; every failing pair
         # is learned (one pair may be learned again at a later level)
         failures = record_leaf_failures(monkeypatch)
-        g = parse_graph6("FOCMo")
-        learned = rc_exact(g)
+        learned = rc_exact(parse_graph6("FOCMo"))
         assert learned.stats.leaf_checks == len(failures) + 1
         assert learned.stats.learned_pairs == len(failures) > 0
-        failures.clear()
-        plain = rc_exact(g, prune=False)
-        assert plain.stats.leaf_checks == len(failures) + 1 > learned.stats.leaf_checks
-        assert plain.stats.learned_pairs == 0
-        assert learned.stats.jumps > 0 and plain.stats.jumps == 0
+        assert learned.stats.jumps > 0
 
 
 class TestExact:
@@ -353,13 +386,44 @@ class TestExact:
             done += 1
 
     def test_prune_does_not_change_result(self):
+        # the witness is the plain search's first satisfying leaf at rc,
+        # in the same edge order, and the plain search refutes rc - 1
         rng = random.Random(MASTER_SEED + 13)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9))
-            with_prune = rc_exact(g, prune=True)
-            without = rc_exact(g, prune=False)
-            assert with_prune.value == without.value
-            assert with_prune.witness == without.witness
+            res = rc_exact(g)
+            edges = _search_order(g)[1]
+            assert plain_canonical_search(g, res.value, edges)[0] == res.witness.colors
+            if res.value > 1:
+                assert plain_canonical_search(g, res.value - 1, edges)[0] is None
+
+    def test_value_does_not_depend_on_labels(self):
+        # the search order comes from degrees and labels, so a relabeling
+        # changes the edge order and the witness, never rc
+        rng = random.Random(MASTER_SEED + 16)
+        for _ in range(25):
+            n = rng.randint(2, 7)
+            g = random_connected_graph(rng, n, rng.uniform(0.25, 0.8))
+            values = set()
+            for _ in range(4):
+                res = rc_exact(g)
+                assert res.status is ExactStatus.EXACT
+                assert isinstance(is_rainbow_connected(g, res.witness), RainbowCertificate)
+                values.add(res.value)
+                perm = rng.sample(range(n), n)
+                g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert len(values) == 1, to_graph6(g)
+
+    def test_search_order_outcomes_on_the_random_corpus(self):
+        # at 2,000 nodes the search refutes level 5 of the first graph,
+        # where lexicographic edge order gave up at 5; the second, solved
+        # in 274 nodes in that order, now needs 5,896
+        lower = rc_exact(parse_graph6("OO?AS_T?G_?CC??Gq@pCB"), Budget(max_nodes=2000))
+        assert (lower.status, lower.value) == (ExactStatus.LOWER_BOUND_ONLY, 6)
+        g = parse_graph6("OH_DdG_?D?`KO??Q@oGa?")
+        assert rc_exact(g, Budget(max_nodes=2000)).status is ExactStatus.BUDGET_EXHAUSTED
+        res = rc_exact(g, Budget(max_nodes=20000))
+        assert (res.status, res.value, res.stats.nodes) == (ExactStatus.EXACT, 5, 5896)
 
     def test_deterministic_witness(self):
         rng = random.Random(MASTER_SEED + 14)
@@ -439,16 +503,16 @@ class TestExact:
             for r in (rc_exact(g, Budget(max_nodes=2000)) for g in random_corpus(10, 5, 16, 2))
         ]
         assert got == [
-            ("exact", 4, 31),
-            ("exact", 2, 31),
-            ("exact", 2, 74),
-            ("exact", 3, 589),
-            ("exact", 2, 70),
+            ("exact", 4, 30),
+            ("exact", 2, 34),
+            ("exact", 2, 71),
+            ("exact", 3, 231),
+            ("exact", 2, 79),
             ("exact", 1, 10),
-            ("exact", 2, 39),
-            ("exact", 4, 298),
-            ("exact", 3, 30),
-            ("exact", 2, 54),
+            ("exact", 2, 46),
+            ("exact", 4, 160),
+            ("exact", 3, 20),
+            ("exact", 2, 61),
         ]
 
     # (graph6, status, value, nodes, witness colors in edge-list order) at
@@ -458,31 +522,34 @@ class TestExact:
     # within this budget; every other row had the same value and witness.
     # Conflict-directed jumps at exhausted depths kept every witness and
     # lowered the node counts of HRO_iCo, FJrCG, GLBARS, Hv_@GC_, FOCMo
-    # and Ecr_.
+    # and Ecr_. The fail-first edge order kept every status and value and
+    # changed every witness but DHg's; it lowered seven node counts and
+    # raised those of HWtaHks, HRO_iCo, HJmHtYV, IaMYDK^Tw, IYABhPECG and
+    # E^E_.
     PINNED = [
-        ("HWtaHks", "exact", 3, 49, [0, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 1, 1, 2]),
-        ("G@oAqG", "exact", 5, 77, [0, 1, 0, 2, 1, 3, 2, 4]),
-        ("HRO_iCo", "exact", 4, 40, [0, 1, 2, 0, 3, 0, 0, 2, 1, 1, 1]),
+        ("HWtaHks", "exact", 3, 72, [0, 0, 1, 0, 2, 0, 2, 2, 0, 0, 1, 0, 1, 0, 1, 0]),
+        ("G@oAqG", "exact", 5, 52, [2, 0, 2, 4, 0, 3, 1, 1]),
+        ("HRO_iCo", "exact", 4, 535, [1, 3, 0, 0, 2, 0, 0, 1, 1, 2, 2]),
         (
-            "HJmHtYV", "exact", 3, 38,
-            [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0],
+            "HJmHtYV", "exact", 3, 41,
+            [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1, 1, 1, 0, 0, 0, 0],
         ),
         ("DHg", "exact", 4, 30, [0, 1, 2, 3]),
         (
-            "IaMYDK^Tw", "exact", 3, 78,
-            [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 2, 2, 2],
+            "IaMYDK^Tw", "exact", 3, 84,
+            [0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 0, 1, 0, 2, 1],
         ),
-        ("FJrCG", "exact", 3, 53, [0, 0, 1, 1, 1, 0, 2, 0, 0]),
-        ("GLBARS", "exact", 4, 71, [0, 0, 0, 0, 1, 1, 2, 3, 2, 1, 1]),
+        ("FJrCG", "exact", 3, 41, [1, 1, 0, 0, 0, 1, 2, 0, 1]),
+        ("GLBARS", "exact", 4, 52, [0, 0, 1, 1, 0, 3, 0, 2, 0, 2, 2]),
         (
-            "HnztBkV", "exact", 3, 72,
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 2, 0, 2, 1, 2],
+            "HnztBkV", "exact", 3, 61,
+            [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0],
         ),
-        ("IYABhPECG", "exact", 5, 102, [0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 3, 1, 2, 4, 2]),
-        ("Hv_@GC_", "exact", 5, 1439, [0, 0, 1, 2, 2, 3, 4, 0, 1, 3]),
-        ("FOCMo", "exact", 5, 146, [0, 1, 2, 0, 2, 3, 4]),
-        ("Ecr_", "exact", 3, 56, [0, 0, 1, 2, 2, 0, 1]),
-        ("E^E_", "exact", 3, 18, [0, 0, 0, 0, 1, 0, 1, 2]),
+        ("IYABhPECG", "exact", 5, 188, [2, 0, 2, 0, 4, 0, 3, 1, 2, 0, 0, 3, 0, 4, 2]),
+        ("Hv_@GC_", "exact", 5, 218, [1, 3, 2, 2, 0, 4, 4, 3, 0, 1]),
+        ("FOCMo", "exact", 5, 122, [0, 3, 2, 0, 1, 1, 4]),
+        ("Ecr_", "exact", 3, 20, [2, 1, 1, 2, 0, 1, 0]),
+        ("E^E_", "exact", 3, 21, [1, 0, 0, 1, 0, 2, 1, 0]),
     ]
 
     def test_pinned_outcomes_and_witnesses_on_long_graphs(self):
@@ -505,7 +572,9 @@ class TestExact:
         for graph6, *_ in self.PINNED:
             g = parse_graph6(graph6)
             dist = [bfs_distances(g, s) for s in range(g.n)]
-            adjacency = edge_adjacency(g)
+            # failing pairs are named in the search's relabeling
+            order, _, adjacency = _search_order(g)
+            ranked = [[dist[v][w] for w in order] for v in order]
             for q in range(diameter(g), rc_exact(g, Budget(max_nodes=20000)).value + 1):
                 failures.clear()
                 res = rc_decision(g, q, Budget(max_nodes=20000), distances=dist)
@@ -514,7 +583,7 @@ class TestExact:
                 seen = set()
                 for u, v in failures:
                     if (u, v) in seen:
-                        paths = _paths_within(adjacency, u, dist[v], q, _PATH_CAP)
+                        paths = _paths_within(adjacency, u, ranked[v], q, _PATH_CAP)
                         assert paths is None, (graph6, q, u, v)
                         repeats += 1
                     seen.add((u, v))
@@ -525,7 +594,7 @@ class TestExact:
     # edge-list order) from unbudgeted rc_exact; a refactor of the search
     # must keep every row
     SMALL_GRAPHS_DIGEST = (
-        "cb5f86c4b10a52a05177b87c8890711be18714cf7addef010eea2e25362f3c02"
+        "639e94dc7c5b1a22141372c98b641b8e39727df8a7166f44e1b02fb975331d10"
     )
 
     def test_unbudgeted_outcomes_on_small_graphs(self):
@@ -545,7 +614,7 @@ class TestExact:
         # with a cap of 2 most pairs are neither preloaded nor learned:
         # failing ones fail at several leaves, but each pair's paths are
         # listed only once, and the search still finds the plain search's
-        # first satisfying leaf
+        # first satisfying leaf in the same edge order
         monkeypatch.setattr(rcaudit.exact, "_PATH_CAP", 2)
         failures = record_leaf_failures(monkeypatch)
         listed = []
@@ -556,13 +625,13 @@ class TestExact:
             return paths_within(adjacency, s, dist_to_t, limit, cap)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
-        g = parse_graph6("Ecr_")
+        g = parse_graph6("FJrCG")
         res = rc_decision(g, 3)
         assert len(listed) == len(set(listed))
         assert len(failures) > len(set(failures))  # over-cap pairs failed again
         assert res.learned_pairs < len(listed)
-        plain = rc_decision(g, 3, prune=False)
-        assert (res.status, res.coloring) == (DecisionStatus.SAT, plain.coloring)
+        plain, _ = plain_canonical_search(g, 3, _search_order(g)[1])
+        assert (res.status, res.coloring.colors) == (DecisionStatus.SAT, plain)
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)
@@ -606,8 +675,6 @@ class TestSeededWitness:
             g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
             assert rc_exact(g).stats.witness_checks == 0
             assert rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks == 0
-            plain = rc_exact(g, Budget(max_nodes=1), prune=False)
-            assert plain.stats.witness_checks == 0
 
     def test_seed_is_the_graph6_crc(self, monkeypatch):
         # the generator's seed comes from the graph alone, never from the

@@ -20,3 +20,24 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracles_import_nothing_from_the_search():
+    # the reference implementations must not share code with the exact
+    # search or the rainbow checks they validate
+    oracles = Path(__file__).with_name("oracles.py")
+    banned = {"rcaudit.exact", "rcaudit.rainbow"}
+    found = []
+    for node in ast.walk(ast.parse(oracles.read_text(), filename=str(oracles))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in banned]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in banned:
+                found.append(node.module)
+            elif node.module == "rcaudit":
+                # a name re-exported by the package, or a submodule
+                for a in node.names:
+                    obj = getattr(rcaudit, a.name)
+                    if getattr(obj, "__module__", getattr(obj, "__name__", "")) in banned:
+                        found.append(a.name)
+    assert found == []
