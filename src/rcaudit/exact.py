@@ -498,9 +498,11 @@ def _seeded_witness(
     Start from random colors; at each step, take the first failing pair
     u, v, walk one random shortest u-v path down the distance table, and
     give its edges distinct random colors. q is at least the diameter,
-    so every shortest path fits. The deadline is checked before every
-    step.
+    so every shortest path fits. The deadline is checked before anything
+    is built and before every step.
     """
+    if deadline is not None and time.monotonic() >= deadline:
+        return None, 0
     rng = random.Random(zlib.crc32(to_graph6(g).encode()))
     adjacency = edge_adjacency(g)
     colors = [rng.randrange(q) for _ in range(g.m)]

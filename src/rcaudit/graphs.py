@@ -6,6 +6,13 @@ Every traversal goes through one breadth-first search, bfs_distances:
 components, connectivity, the diameter, the contraction-set check and
 the all-pairs distance table all read its distance lists.
 
+A Graph keeps its adjacency as integer bit rows, one int per vertex,
+plus the ascending neighbor tuples read from them. Ints and tuples of
+ints are not tracked by CPython's cyclic garbage collector once it has
+seen them, so a held corpus leaves it two objects per graph (the Graph
+and its edge set) to walk at every collection, where per-vertex sets
+would add one per vertex.
+
 Vertices are dense 0-based ids. Operations that drop or merge vertices
 return explicit id maps so downstream traces can always name vertices of
 the original input. Everything is deterministic: components are ordered
@@ -48,16 +55,21 @@ class GraphFormatError(ValueError):
 class Graph:
     """Finite simple undirected graph on vertex ids 0..n-1.
 
+    Adjacency is one int per vertex: bit v of _rows[u] marks the edge
+    uv, and _nbrs[u] lists those bits in ascending order. Neither holds
+    a container the garbage collector must walk (see the module
+    docstring); edges is the frozenset of (u, v) pairs with u < v.
+
     Instances are immutable after construction and safe to share across
     concurrent tasks; every operation in this module is a pure function.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_nbrs")
+    __slots__ = ("n", "edges", "_rows", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        rows = [0] * n
         normalized: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
@@ -65,26 +77,27 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((u, v) if u < v else (v, u))
-            adj[u].add(v)
-            adj[v].add(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
         self.edges = frozenset(normalized)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._nbrs = tuple(tuple(sorted(s)) for s in adj)
+        self._rows = tuple(rows)
+        self._nbrs = tuple(map(_bit_positions, rows))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._nbrs[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
         return self._nbrs[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u] if 0 <= u < self.n else False
+        """False when either end is not a vertex."""
+        return 0 <= u < self.n and 0 <= v < self.n and self._rows[u] >> v & 1 == 1
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -102,6 +115,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _bit_positions(row: int) -> tuple[int, ...]:
+    """Positions of the set bits of row, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -218,13 +241,15 @@ def to_graph6(g: Graph) -> str:
 
     nbits = n * (n - 1) // 2
     values = [0] * ((nbits + 5) // 6)
+    rows = g._rows
     k = 0
     for j in range(1, n):
+        row = rows[j]
         for i in range(j):
-            if g.has_edge(i, j):
-                values[k // 6] |= 1 << (5 - k % 6)
+            if row >> i & 1:
+                values[k // 6] |= 32 >> k % 6
             k += 1
-    return head + "".join(chr(63 + v) for v in values)
+    return head + "".join([chr(63 + v) for v in values])
 
 
 def parse_edge_list(text: str) -> Graph:

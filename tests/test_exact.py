@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 import zlib
 
 import networkx as nx
@@ -675,6 +676,21 @@ class TestSeededWitness:
             g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
             assert rc_exact(g).stats.witness_checks == 0
             assert rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks == 0
+
+    def test_passed_deadline_builds_nothing(self, monkeypatch):
+        # a deadline already passed returns before the seed, the adjacency
+        # and the random colors are built
+        def unreachable(g):
+            raise AssertionError("to_graph6 called after the deadline")
+
+        monkeypatch.setattr(rcaudit.exact, "to_graph6", unreachable)
+        c6 = gen_named("cycle", 6)
+        distances = [bfs_distances(c6, s) for s in range(c6.n)]
+        passed = time.monotonic() - 1.0
+        assert rcaudit.exact._seeded_witness(c6, 3, distances, passed) == (None, 0)
+        timed_out = rc_exact(c6, Budget(max_seconds=0.0))
+        assert timed_out.status is ExactStatus.BUDGET_EXHAUSTED
+        assert timed_out.stats.witness_checks == 0
 
     def test_seed_is_the_graph6_crc(self, monkeypatch):
         # the generator's seed comes from the graph alone, never from the

@@ -197,9 +197,9 @@ class TestRandomConnected:
 
 class TestEnumeration:
     def test_counts_match_known_sequence(self):
-        # connected labeled graphs: 1, 1, 4, 38, 728
-        got = [sum(1 for _ in iter_connected_graphs(n)) for n in range(1, 6)]
-        assert got == [1, 1, 4, 38, 728]
+        # connected labeled graphs (OEIS A001187): 1, 1, 4, 38, 728, 26704
+        got = [sum(1 for _ in iter_connected_graphs(n)) for n in range(1, 7)]
+        assert got == [1, 1, 4, 38, 728, 26704]
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in iter_connected_graphs(4))

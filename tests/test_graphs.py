@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
+import platform
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
@@ -26,7 +28,7 @@ from rcaudit import (
     to_edge_list,
     to_graph6,
 )
-from rcaudit.generators import CounterexampleParams
+from rcaudit.generators import CounterexampleParams, iter_connected_graphs
 from rcaudit.graphs import bfs_distances
 
 from .conftest import random_graph
@@ -55,6 +57,30 @@ class TestGraph:
         assert g.m == 2
         assert g.neighbors(1) == (0, 2)
         assert g.has_edge(1, 0) and g.has_edge(0, 1)
+
+    def test_has_edge_is_false_outside_the_vertex_range(self):
+        n = 4
+        g = gen_named("complete", n)
+        assert not g.has_edge(0, -1) and not g.has_edge(-1, 0)
+        assert not g.has_edge(0, n) and not g.has_edge(n, 0)
+        assert g.has_edge(0, n - 1) and g.has_edge(n - 1, 0)
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython",
+        reason="counts objects tracked by CPython's cyclic collector",
+    )
+    def test_held_graphs_add_at_most_two_tracked_objects(self):
+        # adjacency rows and neighbor tuples hold only ints, so the
+        # collector stops tracking them; a held graph leaves it the Graph
+        # and its edge frozenset
+        gc.collect()
+        gc.collect()
+        before = len(gc.get_objects())
+        held = list(islice(iter_connected_graphs(6), 1000))
+        gc.collect()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added <= 2 * len(held) + 10, added / len(held)
 
     @given(graphs())
     def test_degree_sum_is_twice_edge_count(self, g):
