@@ -197,6 +197,8 @@ def _cmd_gen(args) -> int:
         print(to_graph6(g))
         return EXIT_OK
     if args.generator == "random":
+        if args.count < 0:
+            raise ValueError(f"--count needs a nonnegative count, got {args.count}")
         for i in range(args.count):
             seed = None if args.seed is None else args.seed + i
             g = gen_random_connected(args.n, args.p, seed)

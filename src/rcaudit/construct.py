@@ -157,10 +157,11 @@ class Finding:
 def _greedy_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     """The minimum degree and the greedy maximal clique of minimum-degree
     vertices over ascending ids."""
-    delta = min(g.degree(v) for v in range(g.n))
+    degrees = list(map(g.degree, range(g.n)))
+    delta = min(degrees)
     clique: list[int] = []
-    for v in range(g.n):
-        if g.degree(v) == delta and all(g.has_edge(v, u) for u in clique):
+    for v, d in enumerate(degrees):
+        if d == delta and all(g.has_edge(v, u) for u in clique):
             clique.append(v)
     return delta, tuple(clique)
 
@@ -195,6 +196,10 @@ def decompose(g: Graph) -> DecompositionRecord:
     attachment size (descending), ties by minimum vertex id. Every
     component's minimum degree is checked against the floor d - k + 1
     that clique maximality guarantees.
+
+    The one reader of G's bit rows outside graphs.py: a component's
+    inner degrees and its clique attachment are popcounts and tests of
+    rows masked by the component, with no set built per component.
     """
     delta, clique = _greedy_clique(g)
     k = len(clique)
@@ -202,13 +207,14 @@ def decompose(g: Graph) -> DecompositionRecord:
         raise ConstructionError(
             "deleting the clique removed every vertex of a non-complete graph"
         )
+    rows = g._rows
     comps = []
-    for block in components(g, skip=set(clique)).blocks:
-        inside = set(block)
+    for block in components(g, skip=clique).blocks:
+        inside = sum([1 << w for w in block])
         # block is a component of G - K, so a vertex's neighbors inside it
         # are its neighbors in the induced subgraph G[block]
-        dmin = min(sum(1 for x in g.neighbors(w) if x in inside) for w in block)
-        attachment = tuple(u for u in clique if not inside.isdisjoint(g.neighbors(u)))
+        dmin = min([(rows[w] & inside).bit_count() for w in block])
+        attachment = tuple([u for u in clique if rows[u] & inside])
         comps.append(ComponentRecord(block, len(block), dmin, attachment))
     comps.sort(key=lambda c: (-len(c.attachment), c.vertices[0]))
 
@@ -243,15 +249,20 @@ class _Level:
     """One level of the construction: a frame on the explicit stack.
 
     Setting a level up reads its graph once, for the clique decomposition,
-    the child graphs and the level's own edges. The frame keeps no graph
+    the child graphs and the level's own edges. The children come from
+    delete_vertices and contract_set, which build them from this graph's
+    bit rows without the validating constructor. The frame keeps no graph
     afterwards, so a deep recursion does not hold one graph per level.
     Colorings are plain dicts keyed by (u, v) with u < v.
     """
 
     def __init__(self, g: Graph, labels: tuple[str, ...]) -> None:
-        delta = min(g.degree(v) for v in range(g.n))
-        rec = None if is_complete(g) else decompose(g)
-        case = Case.BASE if rec is None else rec.case
+        if is_complete(g):
+            rec, case, delta = None, Case.BASE, g.n - 1
+        else:
+            # the clique holds minimum-degree vertices only
+            rec = decompose(g)
+            case, delta = rec.case, g.degree(rec.clique[0])
         # colors_used counts the children's palettes until finish()
         self.trace = AuditTrace(case, g.n, delta, g.n - delta, 0, labels, decomposition=rec)
         self.colors: dict[tuple[int, int], int] = {}
@@ -281,11 +292,12 @@ class _Level:
         labels = self.trace.vertex_labels
         everything = set(range(g.n))
         for idx, comp in enumerate(rec.components):
-            sub, kept = delete_vertices(g, everything - set(comp.vertices))
-            self.todo.append((sub, tuple(labels[v] for v in kept), kept, comp))
+            inside = set(comp.vertices)
+            sub, kept = delete_vertices(g, everything - inside)
+            self.todo.append((sub, tuple([labels[v] for v in kept]), kept, comp))
             for u in comp.attachment:
-                for w in comp.vertices:
-                    if g.has_edge(u, w):
+                for w in g.neighbors(u):
+                    if w in inside:
                         self.own[(u, w) if u < w else (w, u)] = idx
         if rec.case is Case.NEW_CLIQUE_COLOR:
             clique_color = rec.t
@@ -352,13 +364,14 @@ class _Level:
         """Take in the coloring of the child handed out last, its palette
         offset past the colors of the children before it."""
         offset = self.trace.colors_used
-        if self.kept is None:
+        kept, out = self.kept, self.colors
+        if kept is None:
             for e, sub_e in self.lift:
-                self.colors[e] = colors[sub_e] + offset
+                out[e] = colors[sub_e] + offset
         else:
             # kept is increasing, so translated edges stay ordered
             for (a, b), c in colors.items():
-                self.colors[self.kept[a], self.kept[b]] = c + offset
+                out[kept[a], kept[b]] = c + offset
         self.trace.colors_used += trace.colors_used
         self.trace.children += (trace,)
 

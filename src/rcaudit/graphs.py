@@ -2,16 +2,23 @@
 builds on: graph6/edge-list codecs, degree statistics, connected
 components, vertex deletion, set contraction, and distances.
 
-Every traversal goes through one breadth-first search, bfs_distances:
-components, connectivity, the diameter, the contraction-set check and
-the all-pairs distance table all read its distance lists.
-
 A Graph keeps its adjacency as integer bit rows, one int per vertex,
 plus the ascending neighbor tuples read from them. Ints and tuples of
 ints are not tracked by CPython's cyclic garbage collector once it has
 seen them, so a held corpus leaves it two objects per graph (the Graph
 and its edge set) to walk at every collection, where per-vertex sets
 would add one per vertex.
+
+Every traversal goes through one flood over the bit rows, _flood: a
+breadth-first search whose frontier is a vertex mask and whose next
+frontier is the OR of the frontier's rows, less the vertices already
+reached or excluded. bfs_distances reads distances off its layers and
+the diameter counts them; components, connectivity and the
+contraction-set check read its reach masks; skip sets become masks of
+allowed vertices.
+Induced subgraphs and contractions are built from the parent's rows
+and neighbor tuples by one unchecked builder, _graph_from_rows;
+Graph() itself validates, for input from outside.
 
 Vertices are dense 0-based ids. Operations that drop or merge vertices
 return explicit id maps so downstream traces can always name vertices of
@@ -22,7 +29,7 @@ by minimum vertex id, edge lists lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Container, Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -125,6 +132,63 @@ def _bit_positions(row: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         row ^= low
     return tuple(out)
+
+
+def _graph_from_rows(rows: list[int], nbrs: tuple[tuple[int, ...], ...]) -> Graph:
+    """A Graph straight from its bit rows and neighbor tuples, without
+    Graph()'s checks.
+
+    The rows must be symmetric, loop-free and inside range(len(rows)),
+    as rows derived from a Graph's own rows are, and nbrs[u] must list
+    the bits of rows[u] in ascending order; the result equals
+    Graph(len(rows), its edges) field by field.
+    """
+    g = Graph.__new__(Graph)
+    g.n = len(rows)
+    g.edges = frozenset([(u, v) for u, vs in enumerate(nbrs) for v in vs if u < v])
+    g._rows = tuple(rows)
+    g._nbrs = nbrs
+    return g
+
+
+def _induced_rows(rows: Sequence[int], kept: tuple[int, ...]) -> list[int]:
+    """The rows of kept (ascending ids) with every bit outside kept
+    dropped and the rest compacted, so kept[i] becomes vertex i."""
+    sub = [rows[v] for v in kept]
+    out = [0] * len(sub)
+    i = 0
+    while i < len(kept):
+        # kept[i:j] is a run of consecutive ids; its bits move down to i..j-1
+        j = i + 1
+        while j < len(kept) and kept[j] == kept[j - 1] + 1:
+            j += 1
+        start, mask, at = kept[i], (1 << j - i) - 1, i
+        out = [o | (row >> start & mask) << at for o, row in zip(out, sub)]
+        i = j
+    return out
+
+
+def _allowed(n: int, skip: Container[int]) -> int:
+    """Mask of the vertices of range(n) not in skip."""
+    if not skip:
+        return (1 << n) - 1
+    return sum([1 << v for v in range(n) if v not in skip])
+
+
+def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> Iterator[int]:
+    """Breadth-first layers from the vertex mask frontier, entering only
+    vertices of the mask allowed. Yields each layer as a mask, frontier
+    first; the layers are disjoint, so their sum is the reach mask."""
+    left = allowed & ~frontier
+    while frontier:
+        yield frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & left
+        left ^= frontier
 
 
 @dataclass(frozen=True)
@@ -325,27 +389,24 @@ def bfs_distances(
     not reach. Vertices in skip are never entered, so the result is the
     distance in g minus skip (source itself must not be in skip)."""
     dist = [-1] * g.n
-    dist[source] = 0
-    queue = [source]
-    for v in queue:  # the loop also visits vertices appended meanwhile
-        d = dist[v] + 1
-        for w in g.neighbors(v):
-            if dist[w] < 0 and w not in skip:
-                dist[w] = d
-                queue.append(w)
+    for d, layer in enumerate(_flood(g._rows, 1 << source, _allowed(g.n, skip))):
+        while layer:
+            low = layer & -layer
+            dist[low.bit_length() - 1] = d
+            layer ^= low
     return dist
 
 
 def components(g: Graph, skip: Container[int] = ()) -> ComponentPartition:
     """Components of g minus skip; skipped vertices get block index -1."""
+    rows = g._rows
+    left = _allowed(g.n, skip)
     block_index = [-1] * g.n
     blocks: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if block_index[start] >= 0 or start in skip:
-            continue
-        dist = bfs_distances(g, start, skip)
-        # vertices below start are skipped or in earlier blocks
-        block = tuple(v for v in range(start, g.n) if dist[v] >= 0)
+    while left:
+        reach = sum(_flood(rows, left & -left, left))
+        left ^= reach
+        block = _bit_positions(reach)
         for v in block:
             block_index[v] = len(blocks)
         blocks.append(block)
@@ -361,14 +422,14 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
     bad = [v for v in rset if not 0 <= v < g.n]
     if bad:
         raise ValueError(f"vertex {min(bad)} not in graph")
-    kept = tuple(v for v in range(g.n) if v not in rset)
-    new_id = {old: i for i, old in enumerate(kept)}
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges
-        if u not in rset and v not in rset
-    ]
-    return Graph(len(kept), edges), kept
+    kept = tuple([v for v in range(g.n) if v not in rset])
+    new_id = [-1] * g.n
+    for i, v in enumerate(kept):
+        new_id[v] = i
+    # kept is ascending, so each renamed neighbor tuple stays ascending
+    nbrs = g._nbrs
+    sub_nbrs = tuple([tuple([new_id[w] for w in nbrs[v] if new_id[w] >= 0]) for v in kept])
+    return _graph_from_rows(_induced_rows(g._rows, kept), sub_nbrs), kept
 
 
 def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
@@ -381,23 +442,32 @@ def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
     bad = [v for v in mset if not 0 <= v < g.n]
     if bad:
         raise ValueError(f"vertex {min(bad)} not in graph")
+    rows = g._rows
+    merged = sum([1 << v for v in mset])
     # the set must induce a connected subgraph
-    reach = bfs_distances(g, min(mset), skip=set(range(g.n)) - mset)
-    if any(reach[v] < 0 for v in mset):
+    if sum(_flood(rows, merged & -merged, merged)) != merged:
         raise ValueError("contraction set does not induce a connected subgraph")
 
     rep = min(mset)
-    survivors = sorted((set(range(g.n)) - mset) | {rep})
-    new_id = {old: i for i, old in enumerate(survivors)}
-    origin = tuple(
-        new_id[rep] if v in mset else new_id[v] for v in range(g.n)
-    )
-    edges = set()
-    for u, v in g.edges:
-        a, b = origin[u], origin[v]
-        if a != b:
-            edges.add((a, b) if a < b else (b, a))
-    return ContractionResult(Graph(len(survivors), edges), new_id[rep], origin)
+    outside = 0
+    for v in mset:
+        outside |= rows[v]
+    # every vertex of the set but rep disappears; rep takes the set's
+    # outside neighbors, and they take rep in place of the set
+    rep_bit = 1 << rep
+    new_rows = [
+        row & ~merged | rep_bit if row & merged else row for row in rows
+    ]
+    new_rows[rep] = outside & ~merged
+    kept = _bit_positions(((1 << g.n) - 1) ^ merged ^ rep_bit)
+    origin = [0] * g.n
+    for i, v in enumerate(kept):
+        origin[v] = i
+    for v in mset:
+        origin[v] = origin[rep]
+    sub_rows = _induced_rows(new_rows, kept)
+    graph = _graph_from_rows(sub_rows, tuple(map(_bit_positions, sub_rows)))
+    return ContractionResult(graph, origin[rep], tuple(origin))
 
 
 def distance_table(g: Graph) -> list[list[int]]:
@@ -411,11 +481,14 @@ def diameter(g: Graph) -> int:
         raise ValueError("diameter of the empty graph is undefined")
     if not is_connected(g):
         raise ValueError("diameter of a disconnected graph is undefined")
-    return max(max(bfs_distances(g, s)) for s in range(g.n))
+    rows, every = g._rows, (1 << g.n) - 1
+    # the eccentricity of s is its number of layers less one
+    return max(sum(1 for _ in _flood(rows, 1 << s, every)) for s in range(g.n)) - 1
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or -1 not in bfs_distances(g, 0)
+    every = (1 << g.n) - 1
+    return g.n <= 1 or sum(_flood(g._rows, 1, every)) == every
 
 
 def is_complete(g: Graph) -> bool:

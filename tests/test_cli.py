@@ -463,11 +463,13 @@ class TestUsage:
             (["sweep", "--random", "3", "--n-min", "5", "--n-max", "2"], "--n-min"),
             (["sweep", "--random", "3", "--n-min", "0", "--n-max", "1"], "--n-min"),
             (["sweep", "--random", "-3"], "--random"),
+            (["gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "-1"],
+             "--count"),
         ],
     )
     def test_bad_option_values_exit_1(self, capsys, argv, flag):
         # each would otherwise run no search (exit 3), drop the deadline,
-        # leak an internal message, or sweep nothing and exit 0
+        # leak an internal message, or sweep or print nothing and exit 0
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")

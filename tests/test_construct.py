@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -27,10 +29,14 @@ from rcaudit import (
 )
 import rcaudit.construct as construct_module
 from rcaudit.construct import iter_trace, measure_violations
-from rcaudit.generators import iter_connected_graphs
+from rcaudit.generators import iter_connected_graphs, random_corpus
 
 from .conftest import MASTER_SEED, random_connected_graph, random_graph
 from .oracles import has_rainbow_path_brute
+
+
+# sha256 of the colorings and traces in test_colorings_and_traces_are_pinned
+CONSTRUCTION_DIGEST = "4559bbfeaeba5ba7df2ef92697651a789c243cc4afad7a4bf281136ca290c4b3"
 
 
 def contraction_witness() -> Graph:
@@ -241,6 +247,35 @@ class TestConstructColoring:
         _, trace = construct_coloring(gen_named("path", 60))
         assert trace.verification == "pass"
         assert calls == [60]
+
+    def test_levels_build_no_validated_graphs(self, monkeypatch):
+        # children are built from their parent's bit rows; the validating
+        # constructor is for input from outside
+        calls = []
+        real = Graph.__init__
+
+        def counted(self, n, edges=()):
+            calls.append(n)
+            real(self, n, edges)
+
+        corpus = random_corpus(60, 4, 40, 7)
+        monkeypatch.setattr(Graph, "__init__", counted)
+        children = sum(len(list(iter_trace(construct_coloring(g)[1]))) for g in corpus)
+        assert children > 0 and calls == []
+
+    def test_colorings_and_traces_are_pinned(self):
+        # one digest over every connected graph with n <= 5 and a seeded
+        # random corpus; a change to any color, case, component or label
+        # of the construction shows up here
+        digest = hashlib.sha256()
+        graphs = [g for n in range(1, 6) for g in iter_connected_graphs(n)]
+        graphs += random_corpus(60, 4, 40, MASTER_SEED)
+        assert len(graphs) == 832
+        for g in graphs:
+            coloring, trace = construct_coloring(g)
+            record = [sorted(coloring.colors.items()), trace_to_dict(trace)]
+            digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == CONSTRUCTION_DIGEST
 
     def test_verification_rejects_partial_coloring(self, monkeypatch):
         # a construction bug that leaves an edge uncolored must raise, not

@@ -81,6 +81,14 @@ class TestGraph:
         gc.collect()
         added = len(gc.get_objects()) - before
         assert added <= 2 * len(held) + 10, added / len(held)
+        # children built from the parent's rows hold only ints as well
+        before = len(gc.get_objects())
+        children = [delete_vertices(g, (0,))[0] for g in held]
+        children += [contract_set(g, (0, g.neighbors(0)[0])).graph for g in held]
+        gc.collect()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added <= 2 * len(children) + 10, added / len(children)
 
     @given(graphs())
     def test_degree_sum_is_twice_edge_count(self, g):
@@ -313,6 +321,53 @@ def seeded_graphs(seed: int, count: int = 60):
         yield random_graph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.6)), rng
 
 
+def connected_subset(g: Graph, rng: random.Random) -> set[int]:
+    """A random vertex set of g that induces a connected subgraph."""
+    chosen = {rng.randrange(g.n)}
+    size = rng.randint(1, g.n)
+    while len(chosen) < size:
+        grow = sorted({w for v in chosen for w in g.neighbors(v)} - chosen)
+        if not grow:
+            break
+        chosen.add(rng.choice(grow))
+    return chosen
+
+
+def assert_same_fields(built: Graph, checked: Graph) -> None:
+    assert built.n == checked.n
+    assert built.edges == checked.edges
+    assert built._rows == checked._rows
+    assert built._nbrs == checked._nbrs
+    assert built == checked and hash(built) == hash(checked)
+
+
+class TestRowBuiltGraphs:
+    """Induced subgraphs and contractions skip Graph()'s checks; each must
+    equal the graph the validating constructor builds from its edges."""
+
+    def test_delete_vertices_matches_constructor(self):
+        for g, rng in seeded_graphs(34):
+            remove = {v for v in range(g.n) if rng.random() < 0.4}
+            sub, kept = delete_vertices(g, remove)
+            new_id = {old: i for i, old in enumerate(kept)}
+            edges = [
+                (new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id
+            ]
+            assert_same_fields(sub, Graph(len(kept), edges))
+
+    def test_contract_set_matches_constructor(self):
+        for g, rng in seeded_graphs(35):
+            chosen = connected_subset(g, rng)
+            res = contract_set(g, chosen)
+            rep = min(chosen)
+            survivors = [v for v in range(g.n) if v not in chosen or v == rep]
+            new_id = {old: i for i, old in enumerate(survivors)}
+            origin = tuple(new_id[rep if v in chosen else v] for v in range(g.n))
+            edges = [(origin[u], origin[v]) for u, v in g.edges if origin[u] != origin[v]]
+            assert res.origin_map == origin and res.merged_vertex == new_id[rep]
+            assert_same_fields(res.graph, Graph(len(survivors), edges))
+
+
 class TestBfsDistances:
     def test_matches_networkx(self):
         disconnected = 0
@@ -339,6 +394,59 @@ class TestBfsDistances:
                 for v, d in nx.single_source_shortest_path_length(rest, s).items():
                     want[v] = d
                 assert bfs_distances(g, s, skip) == want
+
+    @staticmethod
+    def networkx_rest(g: Graph, skip) -> nx.Graph:
+        rest = nx.Graph()
+        rest.add_nodes_from(v for v in range(g.n) if v not in skip)
+        rest.add_edges_from(e for e in g.edges if not any(v in skip for v in e))
+        return rest
+
+    def assert_agrees_with_networkx(self, g: Graph, skip) -> None:
+        rest = self.networkx_rest(g, skip)
+        for s in rest.nodes:
+            want = [-1] * g.n
+            for v, d in nx.single_source_shortest_path_length(rest, s).items():
+                want[v] = d
+            assert bfs_distances(g, s, skip) == want
+        blocks = sorted(tuple(sorted(c)) for c in nx.connected_components(rest))
+        part = components(g, skip)
+        assert list(part.blocks) == blocks
+        assert part.block_index == tuple(
+            next((i for i, b in enumerate(blocks) if v in b), -1) for v in range(g.n)
+        )
+
+    def test_skip_of_every_container_type(self):
+        for g, rng in seeded_graphs(36, count=30):
+            chosen = [v for v in range(g.n) if rng.random() < 0.3]
+            lo = rng.randint(0, g.n)
+            for skip in (set(chosen), frozenset(chosen), tuple(chosen),
+                         range(lo, rng.randint(lo, g.n))):
+                self.assert_agrees_with_networkx(g, skip)
+
+    def test_empty_and_single_vertex_graphs(self):
+        empty = Graph(0)
+        assert components(empty) == ComponentPartition((), ())
+        assert list(nx.connected_components(nx.Graph())) == []
+        single = Graph(1)
+        self.assert_agrees_with_networkx(single, ())
+        assert is_connected(single) == nx.is_connected(self.networkx_rest(single, ()))
+        assert components(single, {0}) == ComponentPartition((), (-1,))
+
+    def test_skip_of_every_other_vertex(self):
+        for g, _ in seeded_graphs(37, count=20):
+            for s in range(g.n):
+                skip = set(range(g.n)) - {s}
+                self.assert_agrees_with_networkx(g, skip)
+                assert bfs_distances(g, s, skip) == [0 if v == s else -1 for v in range(g.n)]
+
+    def test_is_connected_matches_networkx(self):
+        seen = set()
+        for g, _ in seeded_graphs(38):
+            want = nx.is_connected(self.networkx_rest(g, ()))
+            assert is_connected(g) == want
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_components_match_union_find(self):
         for g, rng in seeded_graphs(33):

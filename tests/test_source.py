@@ -41,3 +41,28 @@ def test_oracles_import_nothing_from_the_search():
                     if getattr(obj, "__module__", getattr(obj, "__name__", "")) in banned:
                         found.append(a.name)
     assert found == []
+
+
+def test_bit_rows_are_read_only_in_graphs_and_decompose():
+    # the adjacency representation stays private to graphs.py; the one
+    # reader outside it is decompose, which takes component degrees and
+    # clique attachments as popcounts of masked rows
+    found = []
+    decompose_reads = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed: set[int] = set()
+        if path.name == "construct.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "decompose":
+                    allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_rows":
+                if id(node) in allowed:
+                    decompose_reads += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert decompose_reads > 0
