@@ -281,7 +281,7 @@ class _Level:
         self.own: dict[tuple[int, int], int] = {}
         self.fresh = 0
         if rec is None:
-            self.own = dict.fromkeys(g.edges, 0)
+            self.own = dict.fromkeys(g.edge_list(), 0)
             self.fresh = 1 if self.own else 0
         elif rec.case is Case.CONTRACTION:
             self._contraction(g, rec)

@@ -310,7 +310,7 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     rank = sorted(range(g.n), key=order.__getitem__)
     ranked = sorted(
         (rank[u], rank[v], u, v) if rank[u] < rank[v] else (rank[v], rank[u], u, v)
-        for u, v in g.edges
+        for u, v in g.edge_list()
     )
     rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for i, (a, b, _, _) in enumerate(ranked):
@@ -351,8 +351,9 @@ def rc_decision(
 
     budget caps the nodes and seconds of this call, both checked before
     a node is counted (see Budget): BUDGET_EXHAUSTED reports only the
-    nodes expanded. A budget spent on arrival gives up with 0 nodes
-    before the search order and the prune tables are built.
+    nodes expanded. A budget spent on arrival (max_nodes <= 0, or no
+    time left) gives up with 0 nodes before the search order and the
+    prune tables are built.
 
     distances is g's all-pairs distance table, for callers that decide
     several q on one graph; it is computed here when not given.
@@ -375,7 +376,8 @@ def rc_decision(
         # rainbow path, so the whole space is solution-free
         return DecisionResult(DecisionStatus.UNSAT, None, 0)
     max_nodes = budget.max_nodes
-    if max_nodes == 0 or (deadline is not None and time.monotonic() >= deadline):
+    spent = max_nodes is not None and max_nodes <= 0
+    if spent or (deadline is not None and time.monotonic() >= deadline):
         return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, 0)
     order, edges, adjacency = _search_order(g)
     distances = [[row[w] for w in order] for row in (distances[v] for v in order)]

@@ -2,12 +2,13 @@
 builds on: graph6/edge-list codecs, degree statistics, connected
 components, vertex deletion, set contraction, and distances.
 
-A Graph keeps its adjacency as integer bit rows, one int per vertex,
-plus the ascending neighbor tuples read from them. Ints and tuples of
+A Graph keeps its adjacency only as integer bit rows, one int per
+vertex, plus the ascending neighbor tuples and the edge count read from
+them; its edges are derived from the rows on demand. Ints and tuples of
 ints are not tracked by CPython's cyclic garbage collector once it has
-seen them, so a held corpus leaves it two objects per graph (the Graph
-and its edge set) to walk at every collection, where per-vertex sets
-would add one per vertex.
+seen them, so a held corpus leaves it one object per graph (the Graph)
+to walk at every collection, where per-vertex sets would add one per
+vertex.
 
 Every traversal goes through one flood over the bit rows, _flood: a
 breadth-first search whose frontier is a vertex mask and whose next
@@ -17,8 +18,9 @@ the diameter counts them; components, connectivity and the
 contraction-set check read its reach masks; skip sets become masks of
 allowed vertices.
 Induced subgraphs and contractions are built from the parent's rows
-and neighbor tuples by one unchecked builder, _graph_from_rows;
-Graph() itself validates, for input from outside.
+by one unchecked builder, _graph_from_rows; Graph() itself validates,
+for input from outside. Both fill a Graph's fields from its rows
+through _fill.
 
 Vertices are dense 0-based ids. Operations that drop or merge vertices
 return explicit id maps so downstream traces can always name vertices of
@@ -65,35 +67,32 @@ class Graph:
     Adjacency is one int per vertex: bit v of _rows[u] marks the edge
     uv, and _nbrs[u] lists those bits in ascending order. Neither holds
     a container the garbage collector must walk (see the module
-    docstring); edges is the frozenset of (u, v) pairs with u < v.
+    docstring). The rows are the only stored adjacency: m, edge_list()
+    and edges are read off them.
 
     Instances are immutable after construction and safe to share across
     concurrent tasks; every operation in this module is a pure function.
     """
 
-    __slots__ = ("n", "edges", "_rows", "_nbrs")
+    __slots__ = ("n", "m", "_rows", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
-        normalized: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.add((u, v) if u < v else (v, u))
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self.n = n
-        self.edges = frozenset(normalized)
-        self._rows = tuple(rows)
-        self._nbrs = tuple(map(_bit_positions, rows))
+        _fill(self, rows)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """All edges as (u, v) with u < v."""
+        return frozenset(self.edge_list())
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])
@@ -108,17 +107,13 @@ class Graph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return sorted(self.edges)
+        return [(u, v) for u, vs in enumerate(self._nbrs) for v in vs if u < v]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -134,21 +129,24 @@ def _bit_positions(row: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _graph_from_rows(rows: list[int], nbrs: tuple[tuple[int, ...], ...]) -> Graph:
-    """A Graph straight from its bit rows and neighbor tuples, without
-    Graph()'s checks.
-
-    The rows must be symmetric, loop-free and inside range(len(rows)),
-    as rows derived from a Graph's own rows are, and nbrs[u] must list
-    the bits of rows[u] in ascending order; the result equals
-    Graph(len(rows), its edges) field by field.
-    """
-    g = Graph.__new__(Graph)
+def _fill(g: Graph, rows: list[int]) -> Graph:
+    """Set every field of g from its bit rows."""
+    nbrs = tuple(map(_bit_positions, rows))
     g.n = len(rows)
-    g.edges = frozenset([(u, v) for u, vs in enumerate(nbrs) for v in vs if u < v])
+    g.m = sum(map(len, nbrs)) // 2
     g._rows = tuple(rows)
     g._nbrs = nbrs
     return g
+
+
+def _graph_from_rows(rows: list[int]) -> Graph:
+    """A Graph straight from its bit rows, without Graph()'s checks.
+
+    The rows must be symmetric, loop-free and inside range(len(rows)),
+    as rows derived from a Graph's own rows are; the result equals
+    Graph(len(rows), its edges) field by field.
+    """
+    return _fill(Graph.__new__(Graph), rows)
 
 
 def _induced_rows(rows: Sequence[int], kept: tuple[int, ...]) -> list[int]:
@@ -423,13 +421,7 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
     if bad:
         raise ValueError(f"vertex {min(bad)} not in graph")
     kept = tuple([v for v in range(g.n) if v not in rset])
-    new_id = [-1] * g.n
-    for i, v in enumerate(kept):
-        new_id[v] = i
-    # kept is ascending, so each renamed neighbor tuple stays ascending
-    nbrs = g._nbrs
-    sub_nbrs = tuple([tuple([new_id[w] for w in nbrs[v] if new_id[w] >= 0]) for v in kept])
-    return _graph_from_rows(_induced_rows(g._rows, kept), sub_nbrs), kept
+    return _graph_from_rows(_induced_rows(g._rows, kept)), kept
 
 
 def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
@@ -465,8 +457,7 @@ def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
         origin[v] = i
     for v in mset:
         origin[v] = origin[rep]
-    sub_rows = _induced_rows(new_rows, kept)
-    graph = _graph_from_rows(sub_rows, tuple(map(_bit_positions, sub_rows)))
+    graph = _graph_from_rows(_induced_rows(new_rows, kept))
     return ContractionResult(graph, origin[rep], tuple(origin))
 
 

@@ -128,16 +128,18 @@ def edge_adjacency(g: Graph) -> Adjacency:
 def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
     """One color bit per edge of g.edge_list(), the color ids re-indexed
     densely. Raises ValueError unless the coloring colors exactly the
-    edges of g."""
+    edges of g, naming the lexicographically first edge it misses or,
+    failing that, the first non-edge it colors."""
     colors = coloring.colors
-    for e in g.edges:
+    edges = g.edge_list()
+    for e in edges:
         if e not in colors:
             raise ValueError(f"coloring is not total: edge {e} has no color")
-    for e in colors:
-        if e not in g.edges:
-            raise ValueError(f"coloring assigns a color to non-edge {e}")
+    if len(colors) > len(edges):
+        extra = min(e for e in colors if not g.has_edge(*e))
+        raise ValueError(f"coloring assigns a color to non-edge {extra}")
     index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-    return [1 << index[colors[e]] for e in g.edge_list()]
+    return [1 << index[colors[e]] for e in edges]
 
 
 def _search(

@@ -155,6 +155,8 @@ class TestDecision:
             res = rc_exact(g, Budget(max_seconds=0.0))
             assert (res.status, res.stats.nodes) == (ExactStatus.BUDGET_EXHAUSTED, 0)
             assert rc_decision(g, g.m, Budget(max_nodes=0)).nodes == 0
+            res = rc_decision(g, g.m, Budget(max_nodes=-1))
+            assert (res.status, res.nodes) == (DecisionStatus.BUDGET_EXHAUSTED, 0)
         assert preloads == []
 
     def test_search_order_is_a_relabeling(self):

@@ -197,6 +197,17 @@ class TestFirstFailingPair:
         with pytest.raises(ValueError, match="not total"):
             edge_color_bits(g, EdgeColoring({(0, 1): 0}))
 
+    def test_errors_name_the_lexicographically_first_edge(self):
+        g = gen_named("cycle", 6)
+        missing = {(2, 3): 0, (3, 4): 0, (4, 5): 0, (0, 1): 0}
+        with pytest.raises(ValueError) as err:
+            edge_color_bits(g, EdgeColoring(missing))
+        assert str(err.value) == "coloring is not total: edge (0, 5) has no color"
+        extra = dict.fromkeys(g.edge_list(), 0) | {(1, 3): 0, (0, 2): 0}
+        with pytest.raises(ValueError) as err:
+            edge_color_bits(g, EdgeColoring(extra))
+        assert str(err.value) == "coloring assigns a color to non-edge (0, 2)"
+
     def test_bad_path_coloring_fails_at_endpoints(self):
         g = gen_named("path", 4)
         coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0})

@@ -66,3 +66,16 @@ def test_bit_rows_are_read_only_in_graphs_and_decompose():
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert decompose_reads > 0
+
+
+def test_library_reads_no_edge_sets():
+    # the bit rows are the one stored adjacency; Graph.edges derives a
+    # frozenset from them for outside callers, and the library reads
+    # edge_list() or has_edge instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "edges"
+    ]
+    assert found == []
