@@ -17,18 +17,24 @@ prune tables hold such path sets, and a partial coloring in which every
 path of one pair repeats a color is cut off:
 
 - Preloaded pairs: every pair at distance q, whose paths of at most q
-  edges are its shortest paths.
+  edges are its shortest paths. Preloading is capped per pair
+  (_PATH_CAP) and per level (_PRELOAD_CAP); a skipped pair only weakens
+  the prune, never its soundness.
 - Learned pairs: when a leaf fails on a pair, its paths are added to
   the tables (a learned nogood), each dead at the edge where it first
   repeats a color. A learned pair never fails at a later leaf of the
   same level: the tables cut it off first.
 
-Each dead path keeps one blame word, a bitset of two edges: the edge
-it died at and its partner, the earlier edge of the same color. The
-blame of a pair all of whose paths are dead is the OR of their words.
-Each depth collects the blamed earlier depths of its failed colors (a
-conflict set), and when every color at a depth has failed, the search
-jumps straight back to the deepest depth in the set (conflict-directed
+Each tracked path keeps one blame word: 0 while it is alive, and once
+it is dead a bitset of two edges, the edge it died at and its partner,
+the earlier edge of the same color. The partner is the lower bit, so
+the highest bit names the depth whose unassignment revives the path.
+Once every path of a pair is dead, no completion of the partial
+coloring rainbow-connects the pair, and the colors at the depths of the
+OR of their words, the pair's blame, are the whole reason. Each depth
+collects the blamed earlier depths of its failed colors (a conflict
+set), and when every color at a depth has failed, the search jumps
+straight back to the deepest depth in the set (conflict-directed
 backjumping, Prosser 1993); a failing leaf jumps to the deepest depth
 its learned pair blames. Pairs with more than _PATH_CAP short paths
 are not learned and blame every depth, which steps back one depth.
@@ -37,12 +43,14 @@ Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
 witness, is the one a plain restricted-growth search in the same order finds.
 
-Node and wall-time budgets cap each call so corpus sweeps never hang;
-rc_exact fixes one deadline for all of its levels and the witness
-search. When a budget stops the deepening at level q, a seeded repair
-search (_seeded_witness) still looks for a q-coloring: every level below
-q is refuted or lies below max(diameter, 1), so a coloring that passes
-the leaves' full check proves rc = q. Its random generator is seeded with
+Node and wall-time budgets cap each call so corpus sweeps never hang.
+rc_exact checks the graph and builds its search state (the order, and
+the adjacency and distance table relabeled by it) once, and runs every
+level under one deadline, which also caps the witness search. When a
+budget stops the deepening at level q, a seeded repair search
+(_seeded_witness) still looks for a q-coloring: every level below q is
+refuted or lies below max(diameter, 1), so a coloring that passes the
+leaves' full check proves rc = q. Its random generator is seeded with
 the crc32 of the graph's graph6 string, so reruns repeat it in any
 process. A give-up it does not close is reported as such, never as
 unsatisfiability.
@@ -131,10 +139,6 @@ class ExactResult:
     witness: EdgeColoring | None
     stats: SearchStats
 
-    @property
-    def exact(self) -> bool:
-        return self.status is ExactStatus.EXACT
-
 
 def _lower_bound(distances: list[list[int]]) -> int:
     """max(diameter, 1), read from a connected graph's distance table."""
@@ -156,6 +160,8 @@ def rc_lower_bound(g: Graph) -> int:
 # a pair with more paths of at most q edges than this is neither
 # preloaded into the prune tables nor learned from a failing leaf
 _PATH_CAP = 512
+# paths preloaded at one level, over all pairs at distance q
+_PRELOAD_CAP = 8192
 
 
 def _paths_within(
@@ -205,99 +211,6 @@ def _paths_within(
     return out
 
 
-class _PruneTables:
-    """Fail-fast bookkeeping: for each tracked pair, every path of at most
-    q edges between its ends, and how many of them are still alive.
-
-    A path dies at the depth of its first edge whose color repeats an
-    earlier edge of the path, its partner. Its blame word is 0 while it
-    is alive and 1 << depth | 1 << partner once dead; the partner is the
-    lower bit, so the highest bit names the depth whose unassignment
-    revives the path. Once every path of a pair is dead, no completion
-    of the partial coloring can rainbow-connect the pair, and the colors
-    at the blamed depths are the whole reason (conflict()). The
-    tables start with the pairs at distance exactly q (their paths come
-    from _paths_within with limit q, which walks exactly the shortest
-    paths); learn() adds a pair that failed at a leaf. Preloading is
-    capped per pair (_PATH_CAP) and in total; skipped pairs just weaken
-    the prune, never its soundness.
-    """
-
-    TOTAL_CAP = 8192
-
-    def __init__(self, m: int):
-        self.path_edges: list[tuple[int, ...]] = []
-        self.path_pair: list[int] = []
-        self.edge_paths: list[list[int]] = [[] for _ in range(m)]
-        self.alive: list[int] = []
-        self.blame: list[int] = []
-        self.pair_paths: list[range] = []  # path ids of each pair
-
-    def preload(self, adjacency: Adjacency, q: int, dist: list[list[int]]) -> None:
-        """Track every pair at distance exactly q, within the caps."""
-        n = len(adjacency)
-        total = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if dist[u][v] != q:
-                    continue
-                paths = _paths_within(adjacency, u, dist[v], q, _PATH_CAP)
-                if paths is None or total + len(paths) > self.TOTAL_CAP:
-                    continue
-                self._add_pair(paths)
-                total += len(paths)
-
-    def _add_pair(self, paths: list[tuple[int, ...]]) -> int:
-        """Track one pair's paths, all alive; returns the pair's id."""
-        first = len(self.path_edges)
-        pair_id = len(self.alive)
-        self.alive.append(len(paths))
-        self.pair_paths.append(range(first, first + len(paths)))
-        self.path_edges.extend(paths)
-        self.path_pair.extend([pair_id] * len(paths))
-        self.blame.extend([0] * len(paths))
-        edge_paths = self.edge_paths
-        for pid, p in enumerate(paths, first):
-            for e in p:
-                edge_paths[e].append(pid)
-        return pair_id
-
-    def conflict(self, pair_id: int) -> int:
-        """The depths whose colors kill every path of a dead pair, as a
-        bitset: the OR of its paths' blame words."""
-        blame = self.blame
-        depths = 0
-        for pid in self.pair_paths[pair_id]:
-            depths |= blame[pid]
-        return depths
-
-    def learn(
-        self, u: int, v: int, paths: list[tuple[int, ...]], assignment: list[int]
-    ) -> int:
-        """Add pair (u, v), which fails under the full assignment, with all
-        its paths of at most q edges. Each path is blamed on its first
-        repeated-color edge and on the earlier edge of that color, its
-        partner; returns the pair's conflict(). After the distance
-        shortcut every pair has a path of at most q edges, so paths is
-        not empty."""
-        pair_id = self._add_pair(paths)
-        for pid, p in zip(self.pair_paths[pair_id], paths):
-            seen = 0
-            for e in p:
-                b = 1 << assignment[e]
-                if seen & b:
-                    break
-                seen |= b
-            else:
-                raise RuntimeError(
-                    f"pair ({u}, {v}) failed the leaf check but has a rainbow path"
-                )
-            partner = next(f for f in p if assignment[f] == assignment[e])
-            self.blame[pid] = 1 << e | 1 << partner
-        self.alive[pair_id] = 0
-        return self.conflict(pair_id)
-
-
 def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency]:
     """g's vertices ranked by (degree, sum of neighbor degrees, label), its
     edges in lexicographic order of their ranked ends, and its adjacency
@@ -319,13 +232,37 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     return order, [(u, v) for _, _, u, v in ranked], tuple(map(tuple, rows))
 
 
-def rc_decision(
-    g: Graph,
-    q: int,
-    budget: Budget | None = None,
-    *,
-    distances: list[list[int]] | None = None,
-) -> DecisionResult:
+# what every level of one graph's search reads: g's edges in search
+# order, and its adjacency and distance table relabeled by rank
+_SearchState = tuple[list[tuple[int, int]], Adjacency, list[list[int]]]
+
+
+def _search_state(g: Graph, distances: list[list[int]]) -> _SearchState:
+    order, edges, adjacency = _search_order(g)
+    ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
+    return edges, adjacency, ranked
+
+
+def _checked_distances(g: Graph, distances: list[list[int]] | None) -> list[list[int]]:
+    """g's distance table (distances, when given) once g is known to be
+    nonempty and connected."""
+    if g.n == 0:
+        raise ValueError("rc of the empty graph is undefined")
+    if distances is None:
+        distances = distance_table(g)
+    if -1 in distances[0]:
+        raise ValueError("rc is defined for connected graphs only")
+    return distances
+
+
+def _spent(max_nodes: int | None, deadline: float | None) -> bool:
+    """Whether a budget has no node or no time left."""
+    return (max_nodes is not None and max_nodes <= 0) or (
+        deadline is not None and time.monotonic() >= deadline
+    )
+
+
+def rc_decision(g: Graph, q: int, budget: Budget | None = None) -> DecisionResult:
     """Find a rainbow-connecting coloring with at most q colors, or prove
     none exists. Unsatisfiability is reported only after the canonical
     space is exhausted (skipped subtrees are provably solution-free).
@@ -334,8 +271,8 @@ def rc_decision(
     The search backjumps on conflicts (Prosser's CBJ). Each depth
     keeps a conflict set: the earlier depths whose colors its failed
     colors depend on. A color fails when a tracked pair loses its last
-    path; the pair's conflict(), minus the depth itself, joins the set.
-    A leaf fails on a pair; the learned pair's conflict() is the leaf's
+    path; the pair's blame, minus the depth itself, joins the set.
+    A leaf fails on a pair; the learned pair's blame is the leaf's
     set (every depth for a pair above _PATH_CAP, which is a plain step
     back). Once every color at a depth has failed, no coloring that keeps
     the colors of its set can be completed: the search jumps to the
@@ -354,37 +291,82 @@ def rc_decision(
     nodes expanded. A budget spent on arrival (max_nodes <= 0, or no
     time left) gives up with 0 nodes before the search order and the
     prune tables are built.
-
-    distances is g's all-pairs distance table, for callers that decide
-    several q on one graph; it is computed here when not given.
     """
     if q < 1:
         raise ValueError("color count must be at least 1")
-    if distances is None:
-        distances = distance_table(g)
-    if distances and -1 in distances[0]:
-        raise ValueError("decision search requires a connected graph")
-    m = g.m
-    if m == 0:
+    distances = _checked_distances(g, None)
+    if g.m == 0:
         return DecisionResult(DecisionStatus.SAT, EdgeColoring({}), 0)
-
-    budget = budget or Budget()
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-
     if _lower_bound(distances) > q:
         # some pair is farther apart than q; no q-coloring can give it a
         # rainbow path, so the whole space is solution-free
         return DecisionResult(DecisionStatus.UNSAT, None, 0)
-    max_nodes = budget.max_nodes
-    spent = max_nodes is not None and max_nodes <= 0
-    if spent or (deadline is not None and time.monotonic() >= deadline):
+    budget = budget or Budget()
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    if _spent(budget.max_nodes, deadline):
         return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, 0)
-    order, edges, adjacency = _search_order(g)
-    distances = [[row[w] for w in order] for row in (distances[v] for v in order)]
-    tables = _PruneTables(m)
-    tables.preload(adjacency, q, distances)
-    edge_paths, path_edges = tables.edge_paths, tables.path_edges
-    path_pair, alive, blame = tables.path_pair, tables.alive, tables.blame
+    return _search_level(_search_state(g, distances), q, budget.max_nodes, deadline)
+
+
+def _search_level(
+    state: _SearchState, q: int, max_nodes: int | None, deadline: float | None
+) -> DecisionResult:
+    """The search of rc_decision at level q on a connected graph with at
+    least one edge and diameter at most q, under what is left of a
+    budget that is not spent on arrival."""
+    edges, adjacency, distances = state
+    m = len(edges)
+
+    # the prune tables: per tracked path its edges, its pair and its
+    # blame word; per edge the paths through it; per pair its path ids
+    # and the number of them still alive
+    path_edges: list[tuple[int, ...]] = []
+    path_pair: list[int] = []
+    blame: list[int] = []
+    edge_paths: list[list[int]] = [[] for _ in range(m)]
+    pair_paths: list[range] = []
+    alive: list[int] = []
+
+    def add_pair(paths: list[tuple[int, ...]]) -> int:
+        """Track one pair's paths, all alive; returns the pair's id."""
+        first = len(path_edges)
+        pair_id = len(alive)
+        alive.append(len(paths))
+        pair_paths.append(range(first, first + len(paths)))
+        path_edges.extend(paths)
+        path_pair.extend([pair_id] * len(paths))
+        blame.extend([0] * len(paths))
+        for pid, p in enumerate(paths, first):
+            for e in p:
+                edge_paths[e].append(pid)
+        return pair_id
+
+    def kill(pid: int, depth: int, partner: int) -> int:
+        """Path pid dies at depth, whose color repeats that of partner, an
+        earlier edge of the path; returns its pair's id when no path of
+        the pair is left alive, else -1."""
+        blame[pid] = 1 << depth | 1 << partner
+        pair_id = path_pair[pid]
+        alive[pair_id] -= 1
+        return -1 if alive[pair_id] else pair_id
+
+    def pair_blame(pair_id: int) -> int:
+        depths = 0
+        for pid in pair_paths[pair_id]:
+            depths |= blame[pid]
+        return depths
+
+    # preload every pair at distance exactly q, within the caps
+    total = 0
+    for u in range(len(adjacency)):
+        for v in range(u + 1, len(adjacency)):
+            if distances[u][v] != q:
+                continue
+            paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP)
+            if paths is None or total + len(paths) > _PRELOAD_CAP:
+                continue
+            add_pair(paths)
+            total += len(paths)
 
     assignment = [-1] * m
     next_color = [0] * (m + 1)
@@ -423,6 +405,25 @@ def rc_decision(
         conflicts[j] |= culprits ^ (1 << j)
         return j
 
+    def learn(pair: tuple[int, int], paths: list[tuple[int, ...]]) -> int:
+        """Track a pair that fails under the full assignment, each of its
+        paths dead at its first edge whose color repeats an earlier edge
+        of the path; returns the pair's blame. After the distance
+        shortcut every pair has a path of at most q edges, so paths is
+        not empty."""
+        pair_id = add_pair(paths)
+        for pid, p in zip(pair_paths[pair_id], paths):
+            seen = 0
+            for e in p:
+                b = 1 << assignment[e]
+                if seen & b:
+                    break
+                seen |= b
+            else:
+                raise RuntimeError(f"pair {pair} failed the leaf check but has a rainbow path")
+            kill(pid, e, next(f for f in p if assignment[f] == assignment[e]))
+        return pair_blame(pair_id)
+
     while True:
         if i == m:
             leaf_checks += 1
@@ -439,7 +440,7 @@ def rc_decision(
                     over_cap.add(pair)
                 else:
                     # every leaf that keeps these depths' colors fails on this pair
-                    culprits = tables.learn(failing.u, failing.v, paths, assignment)
+                    culprits = learn(pair, paths)
                     learned += 1
             i = backjump(m, culprits)
             continue
@@ -465,16 +466,12 @@ def rc_decision(
                 continue
             for e in path_edges[pid]:
                 if e != i and assignment[e] == c:
-                    blame[pid] = 1 << i | 1 << e
-                    pair_id = path_pair[pid]
-                    alive[pair_id] -= 1
-                    if alive[pair_id] == 0:
-                        dead_pair = pair_id
+                    dead_pair = kill(pid, i, e)
                     break
             if dead_pair >= 0:
                 break
         if dead_pair >= 0:
-            conflicts[i] |= tables.conflict(dead_pair) ^ (1 << i)
+            conflicts[i] |= pair_blame(dead_pair) ^ (1 << i)
             unassign(i)
             continue
         # canonical order: a new color is one above the largest so far
@@ -550,10 +547,7 @@ def rc_exact(
     started = time.monotonic()
     budget = budget or Budget()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
-    if distances is None:
-        distances = distance_table(g)
-    if distances and -1 in distances[0]:
-        raise ValueError("rc is defined for connected graphs only")
+    distances = _checked_distances(g, distances)
     if g.m == 0:
         # single vertex: the empty coloring is vacuously rainbow connected
         return ExactResult(
@@ -566,6 +560,7 @@ def rc_exact(
     total_nodes = leaf_checks = learned_pairs = witness_checks = jumps = 0
     last_refuted: int | None = None
     q = lb
+    state: _SearchState | None = None  # built by the first level searched
 
     def stats() -> SearchStats:
         return SearchStats(
@@ -578,12 +573,11 @@ def rc_exact(
         )
 
     while True:
-        # what is left of the budget; a spent one gives up before any node
-        level_budget = Budget(
-            None if budget.max_nodes is None else budget.max_nodes - total_nodes,
-            None if deadline is None else deadline - time.monotonic(),
-        )
-        res = rc_decision(g, q, level_budget, distances=distances)
+        left = None if budget.max_nodes is None else budget.max_nodes - total_nodes
+        if _spent(left, deadline):
+            break
+        state = state or _search_state(g, distances)
+        res = _search_level(state, q, left, deadline)
         total_nodes += res.nodes
         leaf_checks += res.leaf_checks
         learned_pairs += res.learned_pairs

@@ -380,14 +380,11 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(delta, sigma)
 
 
-def bfs_distances(
-    g: Graph, source: int, skip: Container[int] = ()
-) -> list[int]:
+def bfs_distances(g: Graph, source: int) -> list[int]:
     """Breadth-first distances from source, -1 for every vertex it does
-    not reach. Vertices in skip are never entered, so the result is the
-    distance in g minus skip (source itself must not be in skip)."""
+    not reach."""
     dist = [-1] * g.n
-    for d, layer in enumerate(_flood(g._rows, 1 << source, _allowed(g.n, skip))):
+    for d, layer in enumerate(_flood(g._rows, 1 << source, (1 << g.n) - 1)):
         while layer:
             low = layer & -layer
             dist[low.bit_length() - 1] = d

@@ -17,6 +17,7 @@ import pytest
 
 from rcaudit import (
     Budget,
+    ExactStatus,
     audit_corpus,
     audit_graph,
     degree_stats,
@@ -87,7 +88,7 @@ def clique_results():
 def test_criterion_1_clique_base_case(clique_results):
     started = time.monotonic()
     for g, rc, (finding, coloring, trace) in clique_results:
-        assert rc.exact and rc.value == 1, f"rc(K_{g.n}) = {rc.value}"
+        assert rc.status is ExactStatus.EXACT and rc.value == 1, f"rc(K_{g.n}) = {rc.value}"
         assert finding is None
         assert trace.budget == g.n - degree_stats(g).min_degree == 1
         assert trace.colors_used == 1
@@ -142,7 +143,7 @@ def test_criterion_3_exact_solver_oracle_agreement(small_corpus):
     violations = []
     for g in small_corpus:
         res = rc_exact(g)
-        assert res.exact
+        assert res.status is ExactStatus.EXACT
         reference = naive_rc(g)
         if res.value != reference:
             disagreements.append((to_graph6(g), res.value, reference))
@@ -290,7 +291,7 @@ def test_criterion_6_family_spot_values_oracle_first():
         oracle = naive_rc(g)
         assert oracle == want, f"oracle disagrees with the frozen value: {oracle}"
         res = rc_exact(g)
-        assert res.exact and res.value == oracle
+        assert res.status is ExactStatus.EXACT and res.value == oracle
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     report_pass(

@@ -5,7 +5,6 @@ import random
 import time
 import zlib
 
-import networkx as nx
 import pytest
 
 import rcaudit.exact
@@ -24,6 +23,7 @@ from rcaudit import (
     rc_lower_bound,
     to_graph6,
 )
+from rcaudit.cli import main
 from rcaudit.exact import _PATH_CAP, _paths_within, _search_order
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances, parse_graph6
@@ -145,10 +145,8 @@ class TestDecision:
     def test_budget_spent_on_arrival_builds_nothing(self, monkeypatch):
         # a spent budget gives up with 0 nodes before the search order and
         # the prune tables are built
-        preloads = []
-        monkeypatch.setattr(
-            rcaudit.exact._PruneTables, "preload", lambda *args: preloads.append(args)
-        )
+        orders = []
+        monkeypatch.setattr(rcaudit.exact, "_search_order", orders.append)
         rng = random.Random(MASTER_SEED + 25)
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
@@ -157,7 +155,7 @@ class TestDecision:
             assert rc_decision(g, g.m, Budget(max_nodes=0)).nodes == 0
             res = rc_decision(g, g.m, Budget(max_nodes=-1))
             assert (res.status, res.nodes) == (DecisionStatus.BUDGET_EXHAUSTED, 0)
-        assert preloads == []
+        assert orders == []
 
     def test_search_order_is_a_relabeling(self):
         # the adjacency the search runs on is that of g relabeled by rank,
@@ -215,19 +213,6 @@ class TestDecision:
             assert isinstance(is_rainbow_connected(g, sat.coloring), RainbowCertificate)
             assert rc_decision(g, rc - 1).status is DecisionStatus.UNSAT
 
-    def test_given_distances_match_standalone(self):
-        rng = random.Random(MASTER_SEED + 5)
-        for _ in range(30):
-            g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
-            lengths = dict(nx.all_pairs_shortest_path_length(nx.Graph(list(g.edges))))
-            dist = [[lengths[s][t] for t in range(g.n)] for s in range(g.n)]
-            for q in range(1, 4):
-                alone = rc_decision(g, q)
-                shared = rc_decision(g, q, distances=dist)
-                assert (alone.status, alone.coloring, alone.nodes) == (
-                    shared.status, shared.coloring, shared.nodes
-                )
-
 
 def record_leaf_failures(monkeypatch):
     """Failing pairs of each leaf check, in order."""
@@ -267,12 +252,11 @@ class TestLearnedAgainstPlainSearch:
         for g in self.graphs():
             if g.m == 0:
                 continue
-            dist = [bfs_distances(g, s) for s in range(g.n)]
-            rc = rc_exact(g, distances=dist).value
+            rc = rc_exact(g).value
             edges = _search_order(g)[1]
             for q in range(max(min(rc - 1, diameter(g)), 1), rc + 1):
                 failures.clear()
-                learned = rc_decision(g, q, distances=dist)
+                learned = rc_decision(g, q)
                 assert len(failures) == len(set(failures)) == learned.learned_pairs
                 coloring, nodes = plain_canonical_search(g, q, edges)
                 got = None if learned.coloring is None else learned.coloring.colors
@@ -484,6 +468,33 @@ class TestExact:
         with pytest.raises(ValueError, match="connected"):
             rc_exact(Graph(3, [(0, 1)]))
 
+    def test_empty_graph_rejected(self, capsys):
+        # rc of the graph with no vertex is undefined, as its lower bound is
+        with pytest.raises(ValueError, match="empty"):
+            rc_exact(Graph(0))
+        with pytest.raises(ValueError, match="empty"):
+            rc_decision(Graph(0), 1)
+        assert main(["exact", "?"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_search_order_built_once_per_solve(self, monkeypatch):
+        # every level of one solve searches the same relabeled graph; each
+        # graph here refutes at least one level before it is solved
+        orders = []
+        search_order = rcaudit.exact._search_order
+
+        def counted(g):
+            orders.append(g)
+            return search_order(g)
+
+        monkeypatch.setattr(rcaudit.exact, "_search_order", counted)
+        for g in (gen_named("star", 6), parse_graph6("JP??hHk?qt?"), parse_graph6("FOCMo")):
+            orders.clear()
+            res = rc_exact(g, Budget(max_nodes=2000))
+            assert res.status is ExactStatus.EXACT and res.value > rc_lower_bound(g)
+            assert orders == [g]
+
     def test_conflict_directed_jumps_close_former_give_ups(self):
         # both gave up at 2,000 nodes while an exhausted depth stepped back
         # one depth at a time; JP??hHk?qt? is solved by refuting its
@@ -580,7 +591,7 @@ class TestExact:
             ranked = [[dist[v][w] for w in order] for v in order]
             for q in range(diameter(g), rc_exact(g, Budget(max_nodes=20000)).value + 1):
                 failures.clear()
-                res = rc_decision(g, q, Budget(max_nodes=20000), distances=dist)
+                res = rc_decision(g, q, Budget(max_nodes=20000))
                 assert res.leaf_checks == len(failures) + (res.status is DecisionStatus.SAT)
                 assert res.learned_pairs == len(set(failures))
                 seen = set()

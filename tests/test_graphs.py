@@ -402,18 +402,6 @@ class TestBfsDistances:
                 assert bfs_distances(g, s) == want
         assert disconnected > 10
 
-    def test_skip_matches_networkx_on_the_rest(self):
-        for g, rng in seeded_graphs(32):
-            skip = {v for v in range(g.n) if rng.random() < 0.3}
-            rest = nx.Graph()
-            rest.add_nodes_from(v for v in range(g.n) if v not in skip)
-            rest.add_edges_from(e for e in g.edges if not skip.intersection(e))
-            for s in rest.nodes:
-                want = [-1] * g.n
-                for v, d in nx.single_source_shortest_path_length(rest, s).items():
-                    want[v] = d
-                assert bfs_distances(g, s, skip) == want
-
     @staticmethod
     def networkx_rest(g: Graph, skip) -> nx.Graph:
         rest = nx.Graph()
@@ -423,11 +411,6 @@ class TestBfsDistances:
 
     def assert_agrees_with_networkx(self, g: Graph, skip) -> None:
         rest = self.networkx_rest(g, skip)
-        for s in rest.nodes:
-            want = [-1] * g.n
-            for v, d in nx.single_source_shortest_path_length(rest, s).items():
-                want[v] = d
-            assert bfs_distances(g, s, skip) == want
         blocks = sorted(tuple(sorted(c)) for c in nx.connected_components(rest))
         part = components(g, skip)
         assert list(part.blocks) == blocks
@@ -449,6 +432,7 @@ class TestBfsDistances:
         assert list(nx.connected_components(nx.Graph())) == []
         single = Graph(1)
         self.assert_agrees_with_networkx(single, ())
+        assert bfs_distances(single, 0) == [0]
         assert is_connected(single) == nx.is_connected(self.networkx_rest(single, ()))
         assert components(single, {0}) == ComponentPartition((), (-1,))
 
@@ -457,7 +441,6 @@ class TestBfsDistances:
             for s in range(g.n):
                 skip = set(range(g.n)) - {s}
                 self.assert_agrees_with_networkx(g, skip)
-                assert bfs_distances(g, s, skip) == [0 if v == s else -1 for v in range(g.n)]
 
     def test_is_connected_matches_networkx(self):
         seen = set()
