@@ -287,8 +287,10 @@ def _cmd_sweep(args) -> int:
     ]
 
     if args.out:
-        lines = [_dumps(r.to_dict()) for r in result.reports]
-        Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+        # one line per report, written as it is dumped
+        with open(args.out, "w") as out:
+            for r in result.reports:
+                out.write(_dumps(r.to_dict()) + "\n")
     if args.findings_dir:
         fdir = Path(args.findings_dir)
         fdir.mkdir(parents=True, exist_ok=True)

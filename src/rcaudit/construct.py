@@ -30,9 +30,24 @@ verification show up as findings.
 The recursion runs as one loop over an explicit stack of levels, so its
 depth is not bounded by Python's recursion limit (on a path it is one
 level per vertex). The checks run in the order a recursive descent would
-run them, so the first check to fail is the same. Colorings stay plain
-edge -> color dicts until the root, where one EdgeColoring is built and
-verified.
+run them, so the first check to fail is the same.
+
+Every level works in one id space, the root graph's vertex ids: a level
+is a vertex mask over bit rows in those ids, and no level builds a
+Graph. A component is its mask over the same rows; a contraction
+rewrites the rows in the same ids, the representative min(K) standing
+for K. Degrees, the clique, the components and their attachments are
+popcounts and masked floods over the rows, in one decomposition that
+decompose(g) and min_degree_clique(g) run on the level of all of G.
+The trace still records each level in local ids (positions in the
+level's ascending vertices) with the original-input labels.
+
+Each level writes its own edges once, keyed by root ids, at an absolute
+palette base: its parent's base plus the colors of the siblings colored
+before it. So the levels of a component tree share one edge -> color
+dict, which becomes the root's EdgeColoring and is verified. A
+contraction child writes into a dict of its own, and its parent lifts
+every edge from it.
 """
 
 from __future__ import annotations
@@ -40,12 +55,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Sequence
 
 from .graphs import (
     Graph,
-    contract_set,
-    delete_vertices,
-    components,
+    _bit_positions,
+    _flood,
     is_complete,
     is_connected,
     to_graph6,
@@ -154,16 +169,96 @@ class Finding:
     detail: str
 
 
-def _greedy_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """The minimum degree and the greedy maximal clique of minimum-degree
-    vertices over ascending ids."""
-    degrees = list(map(g.degree, range(g.n)))
+def _whole(g: Graph) -> tuple[tuple[int, ...], int]:
+    """G's bit rows and the mask of all its vertices: the root level, and
+    the one read of the rows outside graphs.py."""
+    return g._rows, (1 << g.n) - 1
+
+
+def _greedy_clique(
+    rows: Sequence[int], verts: tuple[int, ...], mask: int
+) -> tuple[int, tuple[int, ...], int]:
+    """The minimum degree of the level on mask (verts its vertices,
+    ascending) and its greedy maximal clique of minimum-degree vertices
+    over ascending ids, as positions in verts and as a vertex mask."""
+    degrees = [(rows[v] & mask).bit_count() for v in verts]
     delta = min(degrees)
     clique: list[int] = []
-    for v, d in enumerate(degrees):
-        if d == delta and all(g.has_edge(v, u) for u in clique):
-            clique.append(v)
-    return delta, tuple(clique)
+    cmask = 0
+    for i, d in enumerate(degrees):
+        # adjacent to every member so far: its row covers the clique mask
+        if d == delta and rows[verts[i]] & cmask == cmask:
+            clique.append(i)
+            cmask |= 1 << verts[i]
+    return delta, tuple(clique), cmask
+
+
+def _decompose(
+    rows: Sequence[int],
+    verts: tuple[int, ...],
+    mask: int,
+    delta: int,
+    clique: tuple[int, ...],
+    cmask: int,
+) -> tuple[DecompositionRecord, list[int]]:
+    """The decomposition of the level on mask by the clique that
+    _greedy_clique chose, in the level's local ids (positions in verts),
+    with each component's vertex mask in record order.
+
+    The components of the level minus the clique come from masked floods
+    over the rows; a component's inner degrees and its clique attachment
+    are popcounts and tests of rows masked by the component, with no set
+    built per component.
+    """
+    k = len(clique)
+    if len(verts) == k:
+        raise ConstructionError(
+            "deleting the clique removed every vertex of a non-complete graph"
+        )
+    local = {v: i for i, v in enumerate(verts)}
+    members = [(i, rows[verts[i]]) for i in clique]
+    comps = []
+    left = mask ^ cmask
+    while left:
+        # blocks come out by minimum vertex id, lowest remaining vertex first
+        block = sum(_flood(rows, left & -left, left))
+        left ^= block
+        inside = _bit_positions(block)
+        # block is a component of the level minus K, so a vertex's neighbors
+        # inside it are its neighbors in the induced subgraph on block
+        dmin = min([(rows[w] & block).bit_count() for w in inside])
+        attachment = tuple([i for i, row in members if row & block])
+        vertices = tuple([local[w] for w in inside])
+        comps.append((ComponentRecord(vertices, len(vertices), dmin, attachment), block))
+    comps.sort(key=lambda c: (-len(c[0].attachment), c[0].vertices[0]))
+
+    floor = delta - k + 1
+    for c, _ in comps:
+        if c.min_degree < floor:
+            raise ConstructionError(
+                f"component {c.vertices} has minimum degree {c.min_degree}"
+                f" below the guaranteed floor {floor}",
+                {"clique": clique},
+            )
+
+    lead = comps[0][0]
+    k1 = len(lead.attachment)
+    t = len(comps)
+    if k1 == k:
+        case = Case.FULL_ATTACHMENT
+    elif k1 > 1 and any(c.min_degree >= delta - k + 2 for c, _ in comps):
+        case = Case.NEW_CLIQUE_COLOR
+    elif k1 > 1:
+        case = Case.REUSED_CLIQUE_COLOR
+    else:
+        if k < 2:
+            raise ConstructionError(
+                "contraction case reached with a single-vertex clique",
+                {"clique": clique},
+            )
+        case = Case.CONTRACTION
+    rec = DecompositionRecord(clique, k, tuple([c for c, _ in comps]), k1, t, case)
+    return rec, [block for _, block in comps]
 
 
 def min_degree_clique(g: Graph) -> tuple[int, ...]:
@@ -179,7 +274,8 @@ def min_degree_clique(g: Graph) -> tuple[int, ...]:
         raise ValueError("clique selection requires a connected graph")
     if is_complete(g):
         raise ValueError("complete graph: base case, no decomposition clique")
-    delta, clique = _greedy_clique(g)
+    rows, mask = _whole(g)
+    delta, clique, _ = _greedy_clique(rows, tuple(range(g.n)), mask)
     if not 1 <= len(clique) <= delta:
         raise ConstructionError(
             f"clique size {len(clique)} outside [1, {delta}]", {"clique": clique}
@@ -189,116 +285,100 @@ def min_degree_clique(g: Graph) -> tuple[int, ...]:
 
 def decompose(g: Graph) -> DecompositionRecord:
     """Delete G's greedy minimum-degree clique (see min_degree_clique),
-    split the rest into components and classify the level.
+    split the rest into components and classify the level: the
+    construction's own decomposition, run on the level of all of G.
 
     G must not be complete. Its connectivity is not checked: the
     construction checks it once, at its entry. Components are ordered by
     attachment size (descending), ties by minimum vertex id. Every
     component's minimum degree is checked against the floor d - k + 1
     that clique maximality guarantees.
-
-    The one reader of G's bit rows outside graphs.py: a component's
-    inner degrees and its clique attachment are popcounts and tests of
-    rows masked by the component, with no set built per component.
     """
-    delta, clique = _greedy_clique(g)
-    k = len(clique)
-    if g.n == k:
-        raise ConstructionError(
-            "deleting the clique removed every vertex of a non-complete graph"
-        )
-    rows = g._rows
-    comps = []
-    for block in components(g, skip=clique).blocks:
-        inside = sum([1 << w for w in block])
-        # block is a component of G - K, so a vertex's neighbors inside it
-        # are its neighbors in the induced subgraph G[block]
-        dmin = min([(rows[w] & inside).bit_count() for w in block])
-        attachment = tuple([u for u in clique if rows[u] & inside])
-        comps.append(ComponentRecord(block, len(block), dmin, attachment))
-    comps.sort(key=lambda c: (-len(c.attachment), c.vertices[0]))
+    rows, mask = _whole(g)
+    verts = tuple(range(g.n))
+    return _decompose(rows, verts, mask, *_greedy_clique(rows, verts, mask))[0]
 
-    floor = delta - k + 1
-    for c in comps:
-        if c.min_degree < floor:
-            raise ConstructionError(
-                f"component {c.vertices} has minimum degree {c.min_degree}"
-                f" below the guaranteed floor {floor}",
-                {"clique": clique},
-            )
 
-    k1 = len(comps[0].attachment)
-    t = len(comps)
-    if set(comps[0].attachment) == set(clique):
-        case = Case.FULL_ATTACHMENT
-    elif k1 > 1 and any(c.min_degree >= delta - k + 2 for c in comps):
-        case = Case.NEW_CLIQUE_COLOR
-    elif k1 > 1:
-        case = Case.REUSED_CLIQUE_COLOR
-    else:
-        if k < 2:
-            raise ConstructionError(
-                "contraction case reached with a single-vertex clique",
-                {"clique": clique},
-            )
-        case = Case.CONTRACTION
-    return DecompositionRecord(clique, k, tuple(comps), k1, t, case)
+# A child level to set up: bit rows, vertex mask, labels by id, the dict
+# its coloring goes into and its palette base (see _Level).
+_Child = tuple[Sequence[int], int, Sequence[str], dict, int]
 
 
 class _Level:
     """One level of the construction: a frame on the explicit stack.
 
-    Setting a level up reads its graph once, for the clique decomposition,
-    the child graphs and the level's own edges. The children come from
-    delete_vertices and contract_set, which build them from this graph's
-    bit rows without the validating constructor. The frame keeps no graph
-    afterwards, so a deep recursion does not hold one graph per level.
-    Colorings are plain dicts keyed by (u, v) with u < v.
+    Every level lives in the root graph's vertex ids. A level is a vertex
+    mask over bit rows in those ids, with labels indexed by them; its
+    local ids, which the trace records, are the positions of its
+    vertices in ascending order. A component child shares its parent's
+    rows and labels and takes its component's mask. A contraction child
+    gets rows rewritten in the same ids: rep = min(K) keeps its id and
+    takes K's outside neighbours, the other members of K leave the mask,
+    and rep's label names the merged set. No level builds a Graph.
+
+    Each level writes its own edges once, keyed by (u, v) with u < v in
+    those ids, into a dict it shares with its parent, at an absolute
+    palette base: its parent's base plus the colors of the siblings
+    handed out before it. Its own fresh colors follow its children's
+    palettes. A contraction child writes into a dict of its own; the
+    parent lifts from it (an edge from K to w takes the color of the
+    contracted edge rep-w). So taking in a child only counts its colors.
     """
 
-    def __init__(self, g: Graph, labels: tuple[str, ...]) -> None:
-        if is_complete(g):
-            rec, case, delta = None, Case.BASE, g.n - 1
+    def __init__(
+        self, rows: Sequence[int], mask: int, labels: Sequence[str], colors: dict, base: int
+    ) -> None:
+        verts = _bit_positions(mask)
+        n = len(verts)
+        delta, clique, cmask = _greedy_clique(rows, verts, mask)
+        if delta == n - 1:
+            # complete: the base case
+            rec, case = None, Case.BASE
         else:
-            # the clique holds minimum-degree vertices only
-            rec = decompose(g)
-            case, delta = rec.case, g.degree(rec.clique[0])
+            rec, blocks = _decompose(rows, verts, mask, delta, clique, cmask)
+            case = rec.case
         # colors_used counts the children's palettes until finish()
-        self.trace = AuditTrace(case, g.n, delta, g.n - delta, 0, labels, decomposition=rec)
-        self.colors: dict[tuple[int, int], int] = {}
-        # children not handed out yet: graph, labels, the child's ids in
-        # this graph (None for the contracted graph, see lift) and the
-        # component whose measure is checked when the child is handed out
-        self.todo: list[
-            tuple[Graph, tuple[str, ...], tuple[int, ...] | None, ComponentRecord | None]
-        ] = []
-        self.kept: tuple[int, ...] | None = None  # of the child handed out last
-        # contraction only: each edge outside the clique, with the edge of
-        # the contracted graph whose color it takes
-        self.lift: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        vertex_labels = tuple([labels[v] for v in verts])
+        self.trace = AuditTrace(case, n, delta, n - delta, 0, vertex_labels, decomposition=rec)
+        self.colors = colors
+        self.base = base
+        # children not handed out yet, last first: the child's arguments
+        # but its palette base, and the component whose measure is checked
+        # when the child is handed out (None for the contraction)
+        self.todo: list[tuple[tuple, ComponentRecord | None]] = []
         # this level's own edges, each with the index of its fresh color
         # past the children's palettes, and the number of fresh colors
-        self.own: dict[tuple[int, int], int] = {}
+        self.own: list[tuple[tuple[int, int], int]] = []
         self.fresh = 0
+        # contraction only: the child's dict, and each edge outside the
+        # clique with the edge of the contracted level whose color it takes
+        self.sub_colors: dict[tuple[int, int], int] = {}
+        self.lift: list[tuple[tuple[int, int], tuple[int, int]]] = []
         if rec is None:
-            self.own = dict.fromkeys(g.edge_list(), 0)
+            self.own = [((u, v), 0) for i, u in enumerate(verts) for v in verts[i + 1:]]
             self.fresh = 1 if self.own else 0
         elif rec.case is Case.CONTRACTION:
-            self._contraction(g, rec)
+            self._contraction(rows, verts, mask, labels, rec, cmask)
         else:
-            self._components(g, rec)
+            self._components(rows, labels, rec, [verts[i] for i in clique], blocks)
 
-    def _components(self, g: Graph, rec: DecompositionRecord) -> None:
-        labels = self.trace.vertex_labels
-        everything = set(range(g.n))
-        for idx, comp in enumerate(rec.components):
-            inside = set(comp.vertices)
-            sub, kept = delete_vertices(g, everything - inside)
-            self.todo.append((sub, tuple([labels[v] for v in kept]), kept, comp))
-            for u in comp.attachment:
-                for w in g.neighbors(u):
-                    if w in inside:
-                        self.own[(u, w) if u < w else (w, u)] = idx
+    def _components(
+        self,
+        rows: Sequence[int],
+        labels: Sequence[str],
+        rec: DecompositionRecord,
+        kverts: list[int],
+        blocks: list[int],
+    ) -> None:
+        own = self.own
+        for idx, block in enumerate(blocks):
+            for u in kverts:
+                for w in _bit_positions(rows[u] & block):
+                    own.append(((u, w) if u < w else (w, u), idx))
+        self.todo = [
+            ((rows, block, labels, self.colors), comp)
+            for block, comp in zip(reversed(blocks), reversed(rec.components))
+        ]
         if rec.case is Case.NEW_CLIQUE_COLOR:
             clique_color = rec.t
             self.fresh = rec.t + 1
@@ -307,13 +387,33 @@ class _Level:
             # cross color on the clique edges
             clique_color = 0
             self.fresh = rec.t
-        for u, v in combinations(rec.clique, 2):
-            self.own[(u, v) if u < v else (v, u)] = clique_color
+        # kverts ascend, so every pair is already ordered
+        own.extend([(e, clique_color) for e in combinations(kverts, 2)])
 
-    def _contraction(self, g: Graph, rec: DecompositionRecord) -> None:
+    def _contraction(
+        self,
+        rows: Sequence[int],
+        verts: tuple[int, ...],
+        mask: int,
+        labels: Sequence[str],
+        rec: DecompositionRecord,
+        cmask: int,
+    ) -> None:
         trace = self.trace
-        res = contract_set(g, rec.clique)
-        delta_star = min(res.graph.degree(v) for v in range(res.graph.n))
+        kverts = [verts[i] for i in rec.clique]
+        rep = kverts[0]
+        rep_bit = 1 << rep
+        outside = 0
+        for u in kverts:
+            outside |= rows[u]
+        outside &= mask ^ cmask
+        # rep takes K's outside neighbours, and they take rep in place of K
+        sub_rows = list(rows)
+        for w in _bit_positions(outside):
+            sub_rows[w] = rows[w] & ~cmask | rep_bit
+        sub_rows[rep] = outside
+        sub_mask = mask ^ cmask | rep_bit
+        delta_star = min([(sub_rows[v] & sub_mask).bit_count() for v in _bit_positions(sub_mask)])
         if delta_star < trace.min_degree:
             # with single-vertex attachments the outside keeps its degrees and
             # the merged vertex collects one disjoint neighborhood per clique
@@ -322,34 +422,34 @@ class _Level:
                 f"contraction lowered the minimum degree: {delta_star} < {trace.min_degree}",
                 {"decomposition": rec},
             )
-        measure = res.graph.n - delta_star
+        measure = sub_mask.bit_count() - delta_star
         if measure >= trace.budget:
             raise ConstructionError(
                 f"measure did not decrease under contraction: {measure} >= {trace.budget}",
                 {"decomposition": rec},
             )
-        labels = trace.vertex_labels
-        merged_label = "merged(" + ",".join(labels[v] for v in rec.clique) + ")"
-        child_labels: list[str] = [""] * res.graph.n
-        for old in range(g.n):
-            nid = res.origin_map[old]
-            child_labels[nid] = merged_label if nid == res.merged_vertex else labels[old]
+        merged_label = "merged(" + ",".join([labels[v] for v in kverts]) + ")"
+        sub_labels = list(labels)
+        sub_labels[rep] = merged_label
         trace.contraction = ContractionInfo(delta_star, measure, merged_label)
-        self.todo.append((res.graph, tuple(child_labels), None, None))
-        for u, v in g.edge_list():
-            a, b = res.origin_map[u], res.origin_map[v]
-            if a == b:
-                self.own[(u, v)] = 0  # inside the clique: one fresh color
-            else:
-                self.lift.append(((u, v), (a, b) if a < b else (b, a)))
+        self.todo = [((sub_rows, sub_mask, sub_labels, self.sub_colors), None)]
+        for u in verts:
+            a = rep if cmask >> u & 1 else u
+            # -(2 << u) masks the ids above u, so each edge comes once
+            for v in _bit_positions(rows[u] & mask & -(2 << u)):
+                b = rep if cmask >> v & 1 else v
+                if a == b:
+                    self.own.append(((u, v), 0))  # inside the clique: one fresh color
+                else:
+                    self.lift.append(((u, v), (a, b) if a < b else (b, a)))
         self.fresh = 1
 
-    def next_child(self) -> tuple[Graph, tuple[str, ...]] | None:
-        """The next child to color, after its measure check; None once
+    def next_child(self) -> _Child | None:
+        """The next child to set up, after its measure check; None once
         every child has been handed out."""
         if not self.todo:
             return None
-        sub, labels, self.kept, comp = self.todo.pop(0)
+        args, comp = self.todo.pop()
         if comp is not None:
             measure = comp.size - comp.min_degree
             if measure >= self.trace.budget:
@@ -358,29 +458,25 @@ class _Level:
                     f" n-d = {measure}, parent has {self.trace.budget}",
                     {"decomposition": self.trace.decomposition},
                 )
-        return sub, labels
+        return (*args, self.base + self.trace.colors_used)
 
-    def add_child(self, colors: dict[tuple[int, int], int], trace: AuditTrace) -> None:
-        """Take in the coloring of the child handed out last, its palette
-        offset past the colors of the children before it."""
-        offset = self.trace.colors_used
-        kept, out = self.kept, self.colors
-        if kept is None:
-            for e, sub_e in self.lift:
-                out[e] = colors[sub_e] + offset
-        else:
-            # kept is increasing, so translated edges stay ordered
-            for (a, b), c in colors.items():
-                out[kept[a], kept[b]] = c + offset
+    def add_child(self, trace: AuditTrace) -> None:
+        """Count the palette of the child handed out last, which has
+        already written its coloring."""
         self.trace.colors_used += trace.colors_used
         self.trace.children += (trace,)
 
-    def finish(self) -> tuple[dict[tuple[int, int], int], AuditTrace]:
-        """This level's coloring and trace, its fresh colors past every
-        child's palette."""
+    def finish(self) -> AuditTrace:
+        """Write this level's fresh colors past every child's palette, and
+        lift a contraction child's coloring; returns the trace."""
         trace = self.trace
-        for e, idx in self.own.items():
-            self.colors[e] = trace.colors_used + idx
+        colors = self.colors
+        top = self.base + trace.colors_used
+        for e, idx in self.own:
+            colors[e] = top + idx
+        sub_colors = self.sub_colors
+        for e, sub_e in self.lift:
+            colors[e] = sub_colors[sub_e]
         trace.colors_used += self.fresh
         if trace.colors_used > trace.budget:
             raise ConstructionError(
@@ -388,7 +484,7 @@ class _Level:
                 f" on vertices {trace.vertex_labels}",
                 {"trace": trace},
             )
-        return self.colors, trace
+        return trace
 
 
 def _construct(
@@ -397,11 +493,13 @@ def _construct(
     """The recursion as one loop over an explicit stack of levels.
 
     The top level either hands out its next child, which is pushed, or,
-    with every child done, is popped and passes its coloring to the level
+    with every child done, is popped and passes its trace to the level
     below. The checks therefore run in the order of a recursive descent,
     at any depth. Returns the root's coloring and trace.
     """
-    stack = [_Level(g, labels)]
+    rows, mask = _whole(g)
+    colors: dict[tuple[int, int], int] = {}
+    stack = [_Level(rows, mask, labels, colors, 0)]
     while True:
         top = stack[-1]
         child = top.next_child()
@@ -409,10 +507,10 @@ def _construct(
             stack.append(_Level(*child))
             continue
         stack.pop()
-        colors, trace = top.finish()
+        trace = top.finish()
         if not stack:
             return colors, trace
-        stack[-1].add_child(colors, trace)
+        stack[-1].add_child(trace)
 
 
 def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:

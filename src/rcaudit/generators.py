@@ -26,6 +26,8 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     Graph,
+    _flood,
+    _graph_from_rows,
     components,
     degree_stats,
     delete_vertices,
@@ -270,15 +272,23 @@ def gen_random_connected(n: int, p: float, seed: int | None = None) -> Graph:
 
 def iter_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected labeled graph on exactly n vertices, in ascending
-    edge-mask order over the lexicographic pair list."""
+    edge-mask order over the lexicographic pair list. Only the connected
+    masks are built, straight from their bit rows."""
     if n < 1:
         raise ValueError("need at least 1 vertex")
     pairs = list(combinations(range(n), 2))
+    every = (1 << n) - 1
     for mask in range(1 << len(pairs)):
-        edges = [pairs[j] for j in range(len(pairs)) if mask >> j & 1]
-        g = Graph(n, edges)
-        if is_connected(g):
-            yield g
+        # the mask's bit rows, tested with the flood before any Graph is built
+        rows = [0] * n
+        while mask:
+            low = mask & -mask
+            u, v = pairs[low.bit_length() - 1]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            mask ^= low
+        if sum(_flood(rows, 1, every)) == every:
+            yield _graph_from_rows(rows)
 
 
 def random_corpus(

@@ -17,10 +17,13 @@ reached or excluded. bfs_distances reads distances off its layers and
 the diameter counts them; components, connectivity and the
 contraction-set check read its reach masks; skip sets become masks of
 allowed vertices.
-Induced subgraphs and contractions are built from the parent's rows
-by one unchecked builder, _graph_from_rows; Graph() itself validates,
-for input from outside. Both fill a Graph's fields from its rows
-through _fill.
+Induced subgraphs and contractions (delete_vertices, contract_set) are
+built from the parent's rows by one unchecked builder, _graph_from_rows,
+which the exhaustive enumeration also uses for the connected masks it
+keeps; Graph() itself validates, for input from outside. Both fill a
+Graph's fields from its rows through _fill. The construction calls
+neither delete_vertices nor contract_set: it reads a graph's rows once
+and runs every level on vertex masks over them (see construct.py).
 
 Vertices are dense 0-based ids. Operations that drop or merge vertices
 return explicit id maps so downstream traces can always name vertices of

@@ -355,6 +355,17 @@ class TestSweep:
     def test_blank_lines_corpus_exits_0(self, tmp_path, capsys):
         self.check_empty_corpus(tmp_path, capsys, "\n  \n")
 
+    def test_empty_corpus_writes_empty_reports(self, tmp_path, capsys):
+        # the reports file is written line by line; with no report it is
+        # still created, and empty
+        corpus = tmp_path / "empty.g6"
+        corpus.write_text("")
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("stale\n")
+        code, _, _ = run(capsys, "sweep", str(corpus), "--out", str(reports))
+        assert code == 0
+        assert reports.read_bytes() == b""
+
     @staticmethod
     def check_empty_corpus(tmp_path, capsys, text):
         corpus = tmp_path / "empty.g6"

@@ -28,6 +28,7 @@ from rcaudit import (
     trace_to_dict,
 )
 import rcaudit.construct as construct_module
+import rcaudit.graphs as graphs_module
 from rcaudit.construct import iter_trace, measure_violations
 from rcaudit.generators import iter_connected_graphs, random_corpus
 
@@ -65,6 +66,25 @@ def reused_color_witness() -> Graph:
     edges += [(0, 9), (2, 9), (9, 10), (9, 11), (2, 12)]
     edges += list(combinations([10, 11, 12, 13, 14], 2))
     return Graph(15, edges)
+
+
+# sha256 of the sorted coloring and the trace of each hand-built witness,
+# with its verification outcome; CONSTRUCTION_DIGEST's corpus reaches none
+# of the new-color, reused-color or contraction branches
+WITNESS_PINS = {
+    "contraction_witness": (
+        "d8f166b06173de3598e2fb2ebc283ee4cf850d7e853cef89cad181b487a27681",
+        "pass",
+    ),
+    "new_color_witness": (
+        "de2d87a34b62904d2d42242a09a5b4b0fc504f7a3bdaa2328f3395f49f168fc0",
+        "pass",
+    ),
+    "reused_color_witness": (
+        "66ad42f0959619187edf04fe5457b9abb0de617ab67863f819d28897800c146f",
+        FailingPair(2, 3),
+    ),
+}
 
 
 @contextmanager
@@ -249,19 +269,30 @@ class TestConstructColoring:
         assert calls == [60]
 
     def test_levels_build_no_validated_graphs(self, monkeypatch):
-        # children are built from their parent's bit rows; the validating
-        # constructor is for input from outside
+        # every level below the root is a vertex mask over the root's bit
+        # rows (or over rows rewritten by a contraction): no Graph at all is
+        # created, neither by the validating constructor nor by the
+        # unchecked row builder, which both fill their fields through _fill
         calls = []
         real = Graph.__init__
+        real_fill = graphs_module._fill
 
         def counted(self, n, edges=()):
             calls.append(n)
             real(self, n, edges)
 
-        corpus = random_corpus(60, 4, 40, 7)
+        def counted_fill(g, rows):
+            calls.append(len(rows))
+            return real_fill(g, rows)
+
+        corpus = random_corpus(60, 4, 40, 7) + [contraction_witness(), new_color_witness()]
         monkeypatch.setattr(Graph, "__init__", counted)
-        children = sum(len(list(iter_trace(construct_coloring(g)[1]))) for g in corpus)
-        assert children > 0 and calls == []
+        monkeypatch.setattr(graphs_module, "_fill", counted_fill)
+        traces = [construct_coloring(g)[1] for g in corpus]
+        children = [child for trace in traces for _, child in iter_trace(trace)]
+        assert calls == []
+        assert len(children) > 0
+        assert {Case.CONTRACTION, Case.NEW_CLIQUE_COLOR} <= {t.case for t in traces}
 
     def test_colorings_and_traces_are_pinned(self):
         # one digest over every connected graph with n <= 5 and a seeded
@@ -276,6 +307,13 @@ class TestConstructColoring:
             record = [sorted(coloring.colors.items()), trace_to_dict(trace)]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == CONSTRUCTION_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+    def test_witness_colorings_and_traces_are_pinned(self, name):
+        coloring, trace = construct_coloring(globals()[name]())
+        record = [sorted(coloring.colors.items()), trace_to_dict(trace)]
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        assert (digest, trace.verification) == WITNESS_PINS[name]
 
     def test_verification_rejects_partial_coloring(self, monkeypatch):
         # a construction bug that leaves an edge uncolored must raise, not

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,23 @@ class TestEnumeration:
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in iter_connected_graphs(4))
+
+    def test_matches_plain_enumeration(self):
+        # every edge mask built with Graph() and kept when connected: the
+        # same graphs in the same order, field by field
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            plain = [
+                g
+                for mask in range(1 << len(pairs))
+                for g in [Graph(n, [e for j, e in enumerate(pairs) if mask >> j & 1])]
+                if is_connected(g)
+            ]
+            got = list(iter_connected_graphs(n))
+            assert got == plain
+            assert [(g.n, g.m, g.edge_list()) for g in got] == [
+                (g.n, g.m, g.edge_list()) for g in plain
+            ]
 
 
 def load_family_script():

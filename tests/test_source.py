@@ -45,10 +45,11 @@ def test_oracles_import_nothing_from_the_search():
 
 def test_bit_rows_are_read_only_in_graphs_and_decompose():
     # the adjacency representation stays private to graphs.py; the one
-    # reader outside it is decompose, which takes component degrees and
-    # clique attachments as popcounts of masked rows
+    # reader outside it is the construction's root read (construct._whole),
+    # which hands the root graph's rows to the levels and to decompose and
+    # min_degree_clique, all of which run on vertex masks over those rows
     found = []
-    decompose_reads = 0
+    root_reads = 0
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "graphs.py":
             continue
@@ -56,16 +57,16 @@ def test_bit_rows_are_read_only_in_graphs_and_decompose():
         allowed: set[int] = set()
         if path.name == "construct.py":
             for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "decompose":
+                if isinstance(node, ast.FunctionDef) and node.name == "_whole":
                     allowed = {id(sub) for sub in ast.walk(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "_rows":
                 if id(node) in allowed:
-                    decompose_reads += 1
+                    root_reads += 1
                 else:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
-    assert decompose_reads > 0
+    assert root_reads == 1
 
 
 def test_library_reads_no_edge_sets():
