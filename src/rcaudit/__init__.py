@@ -38,7 +38,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     components,
-    contract_set,
     degree_stats,
     delete_vertices,
     diameter,

@@ -25,6 +25,12 @@ path of one pair repeats a color is cut off:
   repeats a color. A learned pair never fails at a later leaf of the
   same level: the tables cut it off first.
 
+A path is listed at each of its edges except its first in search
+order: it can die only at a depth where an earlier edge of it already
+holds the depth's color. Its edge tuple is sorted and the later edges
+are unassigned, so the scan for that earlier edge stops at the depth's
+own edge.
+
 Each tracked path keeps one blame word: 0 while it is alive, and once
 it is dead a bitset of two edges, the edge it died at and its partner,
 the earlier edge of the same color. The partner is the lower bit, so
@@ -39,18 +45,25 @@ backjumping, Prosser 1993); a failing leaf jumps to the deepest depth
 its learned pair blames. Pairs with more than _PATH_CAP short paths
 are not learned and blame every depth, which steps back one depth.
 
+A leaf checks only the pairs that can fail there. Adjacent pairs have
+their edge, and every tracked pair still has a live path, which is
+rainbow once every edge is assigned; the leaf check skips both (see
+first_failing_pair's known), which leaves its answer, the
+lexicographically first failing pair, as the full check gives it.
+
 Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
 witness, is the one a plain restricted-growth search in the same order finds.
 
 Node and wall-time budgets cap each call so corpus sweeps never hang.
-rc_exact checks the graph and builds its search state (the order, and
-the adjacency and distance table relabeled by it) once, and runs every
-level under one deadline, which also caps the witness search. When a
+rc_exact checks the graph and builds its search state (the order, the
+adjacency and distance table relabeled by it, and per vertex its
+edge-by-neighbor map and neighbor mask) once, and runs every level
+under one deadline, which also caps the witness search. When a
 budget stops the deepening at level q, a seeded repair search
 (_seeded_witness) still looks for a q-coloring: every level below q is
-refuted or lies below max(diameter, 1), so a coloring that passes the
-leaves' full check proves rc = q. Its random generator is seeded with
+refuted or lies below max(diameter, 1), so a coloring that passes a
+check of every pair proves rc = q. Its random generator is seeded with
 the crc32 of the graph's graph6 string, so reruns repeat it in any
 process. A give-up it does not close is reported as such, never as
 unsatisfiability.
@@ -101,7 +114,7 @@ class SearchStats:
 
     nodes: int
     seconds: float
-    leaf_checks: int = 0  # full first_failing_pair calls
+    leaf_checks: int = 0  # first_failing_pair calls at the search's leaves
     learned_pairs: int = 0  # failing leaf pairs added to the prune tables
     witness_checks: int = 0  # first_failing_pair calls of the seeded witness search
     jumps: int = 0  # conflict-directed jumps that skip at least one depth
@@ -170,18 +183,20 @@ def _paths_within(
     dist_to_t: list[int],
     limit: int,
     cap: int,
+    into_t: dict[int, int],
 ) -> list[tuple[int, ...]] | None:
     """Every simple path from s to t with at most limit edges, each as a
     sorted tuple of edge indices; None when more than cap exist.
 
-    t is the vertex with dist_to_t[t] == 0, and s != t. The DFS over the
-    edge-indexed adjacency enters a vertex only if t is still within
-    limit from it, so for limit = dist(s, t) it walks exactly the
-    shortest paths. A neighbor of t reached with one edge to spare has
-    no way on but its edge to t, which is looked up instead of scanned.
+    t is the vertex with dist_to_t[t] == 0, s != t, and into_t maps each
+    neighbor of t to its edge to t. The DFS over the edge-indexed
+    adjacency enters a vertex only if t is still within limit from it,
+    so for limit = dist(s, t) it walks exactly the shortest paths. A
+    neighbor of t reached with one edge to spare has no way on but its
+    edge to t, which is looked up instead of scanned. Paths of one or
+    two edges are built in order; only longer ones are sorted.
     """
     out: list[tuple[int, ...]] = []
-    into_t = dict(adjacency[dist_to_t.index(0)])  # neighbor of t -> edge to t
     on_path = [False] * len(adjacency)
     on_path[s] = True
     path: list[int] = []  # edge indices from s to the top of the stack
@@ -195,7 +210,14 @@ def _paths_within(
                 continue
             if d == 0 or slack == 1:
                 # w is t, or a neighbor of t with no edge to spare after it
-                out.append(tuple(sorted(path + ([e] if d == 0 else [e, into_t[w]]))))
+                if len(path) + (d > 0) > 1:  # three edges or more
+                    found = tuple(sorted(path + ([e, into_t[w]] if d else [e])))
+                elif d or path:  # s-w-t, or s-x-t with w = t
+                    f = into_t[w] if d else path[0]
+                    found = (e, f) if e < f else (f, e)
+                else:  # the edge s-t
+                    found = (e,)
+                out.append(found)
                 if len(out) > cap:
                     return None
                 continue
@@ -233,14 +255,20 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
 
 
 # what every level of one graph's search reads: g's edges in search
-# order, and its adjacency and distance table relabeled by rank
-_SearchState = tuple[list[tuple[int, int]], Adjacency, list[list[int]]]
+# order, its adjacency and distance table relabeled by rank, and per
+# ranked vertex t the map from each neighbor of t to its edge to t, and
+# the mask of t's neighbors
+_SearchState = tuple[
+    list[tuple[int, int]], Adjacency, list[list[int]], list[dict[int, int]], list[int]
+]
 
 
 def _search_state(g: Graph, distances: list[list[int]]) -> _SearchState:
     order, edges, adjacency = _search_order(g)
     ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
-    return edges, adjacency, ranked
+    into = [dict(row) for row in adjacency]
+    neighbors = [sum([1 << w for w, _ in row]) for row in adjacency]
+    return edges, adjacency, ranked, into, neighbors
 
 
 def _checked_distances(g: Graph, distances: list[list[int]] | None) -> list[list[int]]:
@@ -314,21 +342,27 @@ def _search_level(
     """The search of rc_decision at level q on a connected graph with at
     least one edge and diameter at most q, under what is left of a
     budget that is not spent on arrival."""
-    edges, adjacency, distances = state
+    edges, adjacency, distances, into, neighbors = state
     m = len(edges)
 
     # the prune tables: per tracked path its edges, its pair and its
-    # blame word; per edge the paths through it; per pair its path ids
-    # and the number of them still alive
+    # blame word; per edge the paths that can die there (every path
+    # through it but those it starts, in search order); per pair its
+    # path ids and the number of them still alive
     path_edges: list[tuple[int, ...]] = []
     path_pair: list[int] = []
     blame: list[int] = []
     edge_paths: list[list[int]] = [[] for _ in range(m)]
     pair_paths: list[range] = []
     alive: list[int] = []
+    # per vertex u, the mask of the higher vertices v whose pair the leaf
+    # check may skip: a neighbor, or a tracked pair, which has a live
+    # path, and so a rainbow one, at every leaf
+    known = neighbors.copy()
 
-    def add_pair(paths: list[tuple[int, ...]]) -> int:
-        """Track one pair's paths, all alive; returns the pair's id."""
+    def add_pair(u: int, v: int, paths: list[tuple[int, ...]]) -> int:
+        """Track the paths of the pair u < v, all alive; returns the
+        pair's id."""
         first = len(path_edges)
         pair_id = len(alive)
         alive.append(len(paths))
@@ -337,18 +371,10 @@ def _search_level(
         path_pair.extend([pair_id] * len(paths))
         blame.extend([0] * len(paths))
         for pid, p in enumerate(paths, first):
-            for e in p:
+            for e in p[1:]:
                 edge_paths[e].append(pid)
+        known[u] |= 1 << v
         return pair_id
-
-    def kill(pid: int, depth: int, partner: int) -> int:
-        """Path pid dies at depth, whose color repeats that of partner, an
-        earlier edge of the path; returns its pair's id when no path of
-        the pair is left alive, else -1."""
-        blame[pid] = 1 << depth | 1 << partner
-        pair_id = path_pair[pid]
-        alive[pair_id] -= 1
-        return -1 if alive[pair_id] else pair_id
 
     def pair_blame(pair_id: int) -> int:
         depths = 0
@@ -362,10 +388,10 @@ def _search_level(
         for v in range(u + 1, len(adjacency)):
             if distances[u][v] != q:
                 continue
-            paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP)
+            paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])
             if paths is None or total + len(paths) > _PRELOAD_CAP:
                 continue
-            add_pair(paths)
+            add_pair(u, v, paths)
             total += len(paths)
 
     assignment = [-1] * m
@@ -405,13 +431,13 @@ def _search_level(
         conflicts[j] |= culprits ^ (1 << j)
         return j
 
-    def learn(pair: tuple[int, int], paths: list[tuple[int, ...]]) -> int:
-        """Track a pair that fails under the full assignment, each of its
-        paths dead at its first edge whose color repeats an earlier edge
-        of the path; returns the pair's blame. After the distance
-        shortcut every pair has a path of at most q edges, so paths is
-        not empty."""
-        pair_id = add_pair(paths)
+    def learn(u: int, v: int, paths: list[tuple[int, ...]]) -> int:
+        """Track the pair u < v, which fails under the full assignment,
+        each of its paths dead at its first edge whose color repeats an
+        earlier edge of the path; returns the pair's blame. After the
+        distance shortcut every pair has a path of at most q edges, so
+        paths is not empty."""
+        pair_id = add_pair(u, v, paths)
         for pid, p in zip(pair_paths[pair_id], paths):
             seen = 0
             for e in p:
@@ -420,27 +446,27 @@ def _search_level(
                     break
                 seen |= b
             else:
-                raise RuntimeError(f"pair {pair} failed the leaf check but has a rainbow path")
-            kill(pid, e, next(f for f in p if assignment[f] == assignment[e]))
+                raise RuntimeError(f"pair {(u, v)} failed the leaf check but has a rainbow path")
+            partner = next(f for f in p if assignment[f] == assignment[e])
+            blame[pid] = 1 << e | 1 << partner
+        alive[pair_id] = 0
         return pair_blame(pair_id)
 
     while True:
         if i == m:
             leaf_checks += 1
-            failing = first_failing_pair(adjacency, [1 << c for c in assignment])
+            failing = first_failing_pair(adjacency, [1 << c for c in assignment], known)
             if failing is None:
                 return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
             culprits = every_depth
-            pair = (failing.u, failing.v)
+            u, v = pair = failing.u, failing.v
             if pair not in over_cap:
-                paths = _paths_within(
-                    adjacency, failing.u, distances[failing.v], q, _PATH_CAP
-                )
+                paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])
                 if paths is None:
                     over_cap.add(pair)
                 else:
                     # every leaf that keeps these depths' colors fails on this pair
-                    culprits = learn(pair, paths)
+                    culprits = learn(u, v, paths)
                     learned += 1
             i = backjump(m, culprits)
             continue
@@ -464,12 +490,18 @@ def _search_level(
         for pid in edge_paths[i]:
             if blame[pid]:
                 continue
+            # the path's edges are sorted and the later ones unassigned, so
+            # the first edge of color c is i itself unless the path dies here
             for e in path_edges[pid]:
-                if e != i and assignment[e] == c:
-                    dead_pair = kill(pid, i, e)
+                if assignment[e] == c:
                     break
-            if dead_pair >= 0:
-                break
+            if e != i:
+                blame[pid] = 1 << i | 1 << e
+                pair_id = path_pair[pid]
+                alive[pair_id] -= 1
+                if not alive[pair_id]:
+                    dead_pair = pair_id
+                    break
         if dead_pair >= 0:
             conflicts[i] |= pair_blame(dead_pair) ^ (1 << i)
             unassign(i)

@@ -1,6 +1,6 @@
 """Immutable simple graphs plus the structural operations the toolkit
 builds on: graph6/edge-list codecs, degree statistics, connected
-components, vertex deletion, set contraction, and distances.
+components, vertex deletion, and distances.
 
 A Graph keeps its adjacency only as integer bit rows, one int per
 vertex, plus the ascending neighbor tuples and the edge count read from
@@ -14,20 +14,19 @@ Every traversal goes through one flood over the bit rows, _flood: a
 breadth-first search whose frontier is a vertex mask and whose next
 frontier is the OR of the frontier's rows, less the vertices already
 reached or excluded. bfs_distances reads distances off its layers and
-the diameter counts them; components, connectivity and the
-contraction-set check read its reach masks; skip sets become masks of
-allowed vertices.
-Induced subgraphs and contractions (delete_vertices, contract_set) are
-built from the parent's rows by one unchecked builder, _graph_from_rows,
-which the exhaustive enumeration also uses for the connected masks it
-keeps; Graph() itself validates, for input from outside. Both fill a
-Graph's fields from its rows through _fill. The construction calls
-neither delete_vertices nor contract_set: it reads a graph's rows once
-and runs every level on vertex masks over them (see construct.py).
+the diameter counts them; components and connectivity read its reach
+masks; skip sets become masks of allowed vertices.
+Induced subgraphs (delete_vertices) are built from the parent's rows by
+one unchecked builder, _graph_from_rows, which the exhaustive
+enumeration also uses for the connected masks it keeps; Graph() itself
+validates, for input from outside. Both fill a Graph's fields from its
+rows through _fill. The construction does not build subgraphs: it reads
+a graph's rows once and runs every level, contractions included, on
+vertex masks over them (see construct.py).
 
-Vertices are dense 0-based ids. Operations that drop or merge vertices
-return explicit id maps so downstream traces can always name vertices of
-the original input. Everything is deterministic: components are ordered
+Vertices are dense 0-based ids. delete_vertices returns an explicit id
+map so downstream traces can always name vertices of the original
+input. Everything is deterministic: components are ordered
 by minimum vertex id, edge lists lexicographically.
 """
 
@@ -41,7 +40,6 @@ __all__ = [
     "GraphFormatError",
     "DegreeStats",
     "ComponentPartition",
-    "ContractionResult",
     "parse_graph6",
     "to_graph6",
     "parse_edge_list",
@@ -51,7 +49,6 @@ __all__ = [
     "distance_table",
     "components",
     "delete_vertices",
-    "contract_set",
     "diameter",
     "is_connected",
     "is_complete",
@@ -212,19 +209,6 @@ class ComponentPartition:
     block_index: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ContractionResult:
-    """Outcome of merging a vertex set into one vertex.
-
-    origin_map sends every original vertex to its id in the contracted
-    graph; all merged vertices map to merged_vertex.
-    """
-
-    graph: Graph
-    merged_vertex: int
-    origin_map: tuple[int, ...]
-
-
 def _g6_data_value(ch: str, offset: int) -> int:
     code = ord(ch)
     if not 63 <= code <= 126:
@@ -371,15 +355,25 @@ def to_edge_list(g: Graph) -> str:
 def degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
         raise ValueError("degree statistics of the empty graph are undefined")
-    delta = min(g.degree(v) for v in range(g.n))
+    degree = list(map(len, g._nbrs))
+    delta = min(degree)
     if is_complete(g):
         return DegreeStats(delta, None)
-    sigma = min(
-        g.degree(u) + g.degree(v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    )
+    # per vertex u, the degrees of the vertices outside its closed
+    # neighborhood row; no pair with u beats degree[u] + delta
+    every = (1 << g.n) - 1
+    sigma = 2 * g.n
+    for u, row in enumerate(g._rows):
+        du = degree[u]
+        if du + delta >= sigma:
+            continue
+        outside = every ^ (row | 1 << u)
+        while outside:
+            low = outside & -outside
+            pair = du + degree[low.bit_length() - 1]
+            if pair < sigma:
+                sigma = pair
+            outside ^= low
     return DegreeStats(delta, sigma)
 
 
@@ -422,43 +416,6 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
         raise ValueError(f"vertex {min(bad)} not in graph")
     kept = tuple([v for v in range(g.n) if v not in rset])
     return _graph_from_rows(_induced_rows(g._rows, kept)), kept
-
-
-def contract_set(g: Graph, merge: Iterable[int]) -> ContractionResult:
-    """Contract a connected vertex set into one vertex, dropping loops and
-    merging parallel edges. The merged vertex's neighbors are exactly the
-    outside neighbors of the set."""
-    mset = set(merge)
-    if not mset:
-        raise ValueError("cannot contract the empty set")
-    bad = [v for v in mset if not 0 <= v < g.n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} not in graph")
-    rows = g._rows
-    merged = sum([1 << v for v in mset])
-    # the set must induce a connected subgraph
-    if sum(_flood(rows, merged & -merged, merged)) != merged:
-        raise ValueError("contraction set does not induce a connected subgraph")
-
-    rep = min(mset)
-    outside = 0
-    for v in mset:
-        outside |= rows[v]
-    # every vertex of the set but rep disappears; rep takes the set's
-    # outside neighbors, and they take rep in place of the set
-    rep_bit = 1 << rep
-    new_rows = [
-        row & ~merged | rep_bit if row & merged else row for row in rows
-    ]
-    new_rows[rep] = outside & ~merged
-    kept = _bit_positions(((1 << g.n) - 1) ^ merged ^ rep_bit)
-    origin = [0] * g.n
-    for i, v in enumerate(kept):
-        origin[v] = i
-    for v in mset:
-        origin[v] = origin[rep]
-    graph = _graph_from_rows(_induced_rows(new_rows, kept))
-    return ContractionResult(graph, origin[rep], tuple(origin))
 
 
 def distance_table(g: Graph) -> list[list[int]]:

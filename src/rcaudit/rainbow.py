@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import Graph, GraphFormatError
 
@@ -146,7 +146,7 @@ def _search(
     adjacency: Adjacency,
     bits: list[int],
     source: int,
-    targets: range,
+    targets: Sequence[int],
 ) -> tuple[dict[State, State | None], dict[int, State]]:
     """Breadth-first search over (vertex, color-set) states from source.
 
@@ -198,13 +198,21 @@ def _scan(
     adjacency: Adjacency,
     bits: list[int],
     witnesses: dict[tuple[int, int], tuple[int, ...]] | None,
+    known: list[int] | None = None,
 ) -> FailingPair | None:
     """Search from each source in turn, targeting the higher-numbered
     vertices, and return the first pair left unreached. When witnesses is
-    a dict, each reached pair's witness is walked back into it."""
+    a dict, each reached pair's witness is walked back into it. When
+    known is given, the vertices of the mask known[s] are no targets of
+    source s, and a source left with no target is not searched."""
     n = len(adjacency)
     for s in range(n - 1):
-        targets = range(s + 1, n)
+        targets: Sequence[int] = range(s + 1, n)
+        if known is not None:
+            skip = known[s]
+            targets = [t for t in targets if not skip >> t & 1]
+            if not targets:
+                continue
         parent, first = _search(adjacency, bits, s, targets)
         if len(first) < len(targets):
             return FailingPair(s, next(t for t in targets if t not in first))
@@ -214,7 +222,9 @@ def _scan(
     return None
 
 
-def first_failing_pair(adjacency: Adjacency, bits: list[int]) -> FailingPair | None:
+def first_failing_pair(
+    adjacency: Adjacency, bits: list[int], known: list[int] | None = None
+) -> FailingPair | None:
     """Lexicographically first vertex pair with no rainbow path, or None
     when the coloring is rainbow connected.
 
@@ -223,8 +233,17 @@ def first_failing_pair(adjacency: Adjacency, bits: list[int]) -> FailingPair | N
     is built: each source's search stops once it has reached every
     higher-numbered vertex, and the scan stops at the first source that
     cannot.
+
+    known, when given, holds per vertex u a mask of higher vertices v
+    whose pair (u, v) the caller knows to have a rainbow path (the bits
+    of u and of lower vertices are ignored); those pairs are not
+    searched for. Fewer targets only let a source's search stop sooner,
+    once the rest are reached, so it leaves unreached exactly the
+    targets the full search leaves unreached. The answer is therefore
+    the full scan's, provided every pair in known does have a rainbow
+    path: such a pair is never unreached.
     """
-    return _scan(adjacency, bits, None)
+    return _scan(adjacency, bits, None, known)
 
 
 def rainbow_path(

@@ -11,6 +11,7 @@ import rcaudit.exact
 from rcaudit import (
     Budget,
     DecisionStatus,
+    EdgeColoring,
     ExactStatus,
     Graph,
     RainbowCertificate,
@@ -30,7 +31,12 @@ from rcaudit.graphs import bfs_distances, parse_graph6
 from rcaudit.rainbow import edge_adjacency
 
 from .conftest import MASTER_SEED, random_connected_graph
-from .oracles import all_simple_paths, naive_rc, plain_canonical_search
+from .oracles import (
+    all_simple_paths,
+    has_rainbow_path_brute,
+    naive_rc,
+    plain_canonical_search,
+)
 
 
 class TestLowerBound:
@@ -72,23 +78,24 @@ class TestPathsWithin:
             adjacency = edge_adjacency(g)
             for t in range(g.n):
                 dist_to_t = bfs_distances(g, t)
+                into_t = dict(adjacency[t])
                 for s in range(g.n):
                     if s == t:
                         continue
                     for limit in range(1, g.n):
-                        got = _paths_within(adjacency, s, dist_to_t, limit, 10**6)
+                        got = _paths_within(adjacency, s, dist_to_t, limit, 10**6, into_t)
                         assert sorted(got) == self.oracle(g, s, t, limit)
 
     def test_cap_returns_none_above_it(self):
         g = gen_named("complete", 5)
         adjacency = edge_adjacency(g)
-        dist_to_t = bfs_distances(g, 4)
+        dist_to_t, into_t = bfs_distances(g, 4), dict(adjacency[4])
         # 1 + 3 + 3*2 + 3*2*1 simple 0-4 paths in K5
-        assert len(_paths_within(adjacency, 0, dist_to_t, 4, 16)) == 16
-        assert _paths_within(adjacency, 0, dist_to_t, 4, 15) is None
+        assert len(_paths_within(adjacency, 0, dist_to_t, 4, 16, into_t)) == 16
+        assert _paths_within(adjacency, 0, dist_to_t, 4, 15, into_t) is None
         # within 2 edges: the direct edge and 3 two-edge paths
-        assert len(_paths_within(adjacency, 0, dist_to_t, 2, 4)) == 4
-        assert _paths_within(adjacency, 0, dist_to_t, 2, 3) is None
+        assert len(_paths_within(adjacency, 0, dist_to_t, 2, 4, into_t)) == 4
+        assert _paths_within(adjacency, 0, dist_to_t, 2, 3, into_t) is None
 
 
 class TestDecision:
@@ -219,8 +226,8 @@ def record_leaf_failures(monkeypatch):
     failures = []
     check = rcaudit.exact.first_failing_pair
 
-    def recorded(adjacency, bits):
-        failing = check(adjacency, bits)
+    def recorded(adjacency, bits, known=None):
+        failing = check(adjacency, bits, known)
         if failing is not None:
             failures.append((failing.u, failing.v))
         return failing
@@ -266,6 +273,37 @@ class TestLearnedAgainstPlainSearch:
                 assert learned.nodes <= nodes, (to_graph6(g), q)
             checked += 1
         assert checked == 771 + 340  # n <= 5 except K_1, plus the n = 6 sample
+
+    def test_known_pairs_are_rainbow_at_every_leaf(self, monkeypatch):
+        # the leaf check skips the pairs the level search passes as known
+        # (neighbors, and preloaded or learned pairs); each must have a
+        # rainbow path under the leaf's coloring, or the skip could hide
+        # the first failing pair
+        check = rcaudit.exact.first_failing_pair
+        leaves = tracked = 0
+
+        def checked(adjacency, bits, known=None):
+            nonlocal leaves, tracked
+            if known is not None:
+                colors = {
+                    (v, w): bits[e].bit_length() - 1
+                    for v, row in enumerate(adjacency)
+                    for w, e in row
+                    if v < w
+                }
+                h, coloring = Graph(len(adjacency), colors), EdgeColoring(colors)
+                for u in range(h.n):
+                    for v in range(u + 1, h.n):
+                        if known[u] >> v & 1:
+                            assert has_rainbow_path_brute(h, coloring, u, v)
+                            tracked += not h.has_edge(u, v)
+                leaves += 1
+            return check(adjacency, bits, known)
+
+        monkeypatch.setattr(rcaudit.exact, "first_failing_pair", checked)
+        for g in self.graphs():
+            rc_exact(g)
+        assert leaves > 1000 and tracked > 1000, (leaves, tracked)
 
     # (graph6, nodes) of the plain canonical search in g.edge_list()
     # order, summed over the levels from max(diameter, 1) to rc, as the
@@ -597,7 +635,9 @@ class TestExact:
                 seen = set()
                 for u, v in failures:
                     if (u, v) in seen:
-                        paths = _paths_within(adjacency, u, ranked[v], q, _PATH_CAP)
+                        paths = _paths_within(
+                            adjacency, u, ranked[v], q, _PATH_CAP, dict(adjacency[v])
+                        )
                         assert paths is None, (graph6, q, u, v)
                         repeats += 1
                     seen.add((u, v))
@@ -634,9 +674,9 @@ class TestExact:
         listed = []
         paths_within = rcaudit.exact._paths_within
 
-        def counted(adjacency, s, dist_to_t, limit, cap):
+        def counted(adjacency, s, dist_to_t, limit, cap, into_t):
             listed.append((s, dist_to_t.index(0)))
-            return paths_within(adjacency, s, dist_to_t, limit, cap)
+            return paths_within(adjacency, s, dist_to_t, limit, cap, into_t)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
         g = parse_graph6("FJrCG")

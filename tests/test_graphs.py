@@ -15,7 +15,6 @@ from rcaudit import (
     Graph,
     GraphFormatError,
     components,
-    contract_set,
     degree_stats,
     delete_vertices,
     diameter,
@@ -84,7 +83,6 @@ class TestGraph:
         # children built from the parent's rows hold only ints as well
         before = len(gc.get_objects())
         children = [delete_vertices(g, (0,))[0] for g in held]
-        children += [contract_set(g, (0, g.neighbors(0)[0])).graph for g in held]
         gc.collect()
         gc.collect()
         added = len(gc.get_objects()) - before
@@ -260,77 +258,11 @@ class TestDeleteVertices:
             delete_vertices(gen_named("path", 3), {5})
 
 
-class TestContractSet:
-    def test_contract_path_edge(self):
-        res = contract_set(gen_named("path", 3), {0, 1})
-        assert res.graph == gen_named("path", 2)
-        assert res.merged_vertex == 0
-        assert res.origin_map == (0, 0, 1)
-
-    def test_contract_whole_clique(self):
-        res = contract_set(gen_named("complete", 4), {0, 1, 2, 3})
-        assert res.graph.n == 1 and res.graph.m == 0
-
-    def test_contract_cycle_edge(self):
-        res = contract_set(gen_named("cycle", 5), {0, 1})
-        assert res.graph.n == 4 and res.graph.m == 4
-        assert not is_complete(res.graph)
-        assert diameter(res.graph) == 2  # C4
-
-    def test_rejects_disconnected_set(self):
-        with pytest.raises(ValueError, match="connected"):
-            contract_set(gen_named("path", 3), {0, 2})
-
-    def test_rejects_empty_set(self):
-        with pytest.raises(ValueError):
-            contract_set(gen_named("path", 3), set())
-
-    @given(graphs(max_n=10), st.data())
-    @settings(max_examples=60)
-    def test_merged_neighborhood_is_outside_union(self, g, data):
-        if g.n == 0:
-            return
-        part = components(g)
-        block = data.draw(st.sampled_from(part.blocks))
-        size = data.draw(st.integers(1, len(block)))
-        # grow a connected subset deterministically from the drawn seed vertex
-        start = data.draw(st.sampled_from(block))
-        chosen = {start}
-        frontier = [start]
-        while frontier and len(chosen) < size:
-            v = frontier.pop(0)
-            for w in g.neighbors(v):
-                if w not in chosen and len(chosen) < size:
-                    chosen.add(w)
-                    frontier.append(w)
-        res = contract_set(g, chosen)
-        expected = {
-            res.origin_map[w]
-            for v in chosen
-            for w in g.neighbors(v)
-            if w not in chosen
-        }
-        assert set(res.graph.neighbors(res.merged_vertex)) == expected
-        assert res.graph.n == g.n - len(chosen) + 1
-
-
 def seeded_graphs(seed: int, count: int = 60):
     """Random graphs on up to 14 vertices, many of them disconnected."""
     rng = random.Random(seed)
     for _ in range(count):
         yield random_graph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.6)), rng
-
-
-def connected_subset(g: Graph, rng: random.Random) -> set[int]:
-    """A random vertex set of g that induces a connected subgraph."""
-    chosen = {rng.randrange(g.n)}
-    size = rng.randint(1, g.n)
-    while len(chosen) < size:
-        grow = sorted({w for v in chosen for w in g.neighbors(v)} - chosen)
-        if not grow:
-            break
-        chosen.add(rng.choice(grow))
-    return chosen
 
 
 def assert_same_fields(built: Graph, checked: Graph) -> None:
@@ -342,8 +274,8 @@ def assert_same_fields(built: Graph, checked: Graph) -> None:
 
 
 class TestRowBuiltGraphs:
-    """Induced subgraphs and contractions skip Graph()'s checks; each must
-    equal the graph the validating constructor builds from its edges."""
+    """Induced subgraphs skip Graph()'s checks; each must equal the graph
+    the validating constructor builds from its edges."""
 
     def test_delete_vertices_matches_constructor(self):
         for g, rng in seeded_graphs(34):
@@ -355,18 +287,6 @@ class TestRowBuiltGraphs:
             ]
             assert_same_fields(sub, Graph(len(kept), edges))
 
-    def test_contract_set_matches_constructor(self):
-        for g, rng in seeded_graphs(35):
-            chosen = connected_subset(g, rng)
-            res = contract_set(g, chosen)
-            rep = min(chosen)
-            survivors = [v for v in range(g.n) if v not in chosen or v == rep]
-            new_id = {old: i for i, old in enumerate(survivors)}
-            origin = tuple(new_id[rep if v in chosen else v] for v in range(g.n))
-            edges = [(origin[u], origin[v]) for u, v in g.edges if origin[u] != origin[v]]
-            assert res.origin_map == origin and res.merged_vertex == new_id[rep]
-            assert_same_fields(res.graph, Graph(len(survivors), edges))
-
     @given(graphs(), st.data())
     def test_edges_are_read_off_the_rows(self, g, data):
         # the rows are the one stored adjacency: edge_list, m and edges are
@@ -375,8 +295,6 @@ class TestRowBuiltGraphs:
         if g.n:
             remove = data.draw(st.sets(st.integers(0, g.n - 1)))
             built.append(delete_vertices(g, remove)[0])
-            merge = data.draw(st.sampled_from(components(g).blocks))
-            built.append(contract_set(g, merge).graph)
         for h in built:
             edges = h.edges
             assert isinstance(edges, frozenset)

@@ -286,6 +286,29 @@ def test_first_failing_pair_matches_certificate_builder(case):
         assert got == outcome
 
 
+@given(colored_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_known_rainbow_pairs_leave_the_first_failing_pair(case, data):
+    # pairs known to have a rainbow path are skipped, and bits of a
+    # vertex's own id and of lower ids are ignored; the answer stays the
+    # full scan's
+    g, coloring = case
+    every = (1 << g.n) - 1
+    # a full mask leaves a source only its failing pairs as targets
+    masks = st.one_of(st.just(every), st.integers(0, every))
+    drawn = data.draw(st.lists(masks, min_size=g.n, max_size=g.n))
+    known = [
+        sum(
+            1 << v
+            for v in range(g.n)
+            if mask >> v & 1 and (v <= u or has_rainbow_path_brute(g, coloring, u, v))
+        )
+        for u, mask in enumerate(drawn)
+    ]
+    adjacency, bits = edge_adjacency(g), edge_color_bits(g, coloring)
+    assert first_failing_pair(adjacency, bits, known) == first_failing_pair(adjacency, bits)
+
+
 class TestVerifyCertificate:
     def setup_method(self):
         self.g = gen_named("cycle", 5)

@@ -80,3 +80,27 @@ def test_library_reads_no_edge_sets():
         if isinstance(node, ast.Attribute) and node.attr == "edges"
     ]
     assert found == []
+
+
+def test_public_names_are_used():
+    # the package exports only what the CLI, the scripts and the tests
+    # read; a name nothing reads any more belongs out of the public API
+    root = Path(__file__).resolve().parents[1]
+    init = PACKAGE / "__init__.py"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exported
+    readers = [PACKAGE / "cli.py", *sorted((root / "scripts").glob("*.py"))]
+    readers += sorted((root / "tests").glob("*.py"))
+    read: set[str] = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(exported) - read) == []
