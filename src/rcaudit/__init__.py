@@ -14,7 +14,6 @@ from .construct import (
     Finding,
     construct_coloring,
     decompose,
-    min_degree_clique,
     run_construction,
     trace_to_dict,
 )
@@ -34,10 +33,8 @@ from .generators import (
     gen_random_connected,
 )
 from .graphs import (
-    ComponentPartition,
     Graph,
     GraphFormatError,
-    components,
     degree_stats,
     delete_vertices,
     diameter,

@@ -38,7 +38,8 @@ Graph. A component is its mask over the same rows; a contraction
 rewrites the rows in the same ids, the representative min(K) standing
 for K. Degrees, the clique, the components and their attachments are
 popcounts and masked floods over the rows, in one decomposition that
-decompose(g) and min_degree_clique(g) run on the level of all of G.
+decompose(g) runs on the level of all of G; it is the library's only
+clique-and-components split.
 The trace still records each level in local ids (positions in the
 level's ascending vertices) with the original-input labels.
 
@@ -61,7 +62,6 @@ from .graphs import (
     Graph,
     _bit_positions,
     _flood,
-    is_complete,
     is_connected,
     to_graph6,
 )
@@ -81,7 +81,6 @@ __all__ = [
     "AuditTrace",
     "ConstructionError",
     "Finding",
-    "min_degree_clique",
     "decompose",
     "construct_coloring",
     "run_construction",
@@ -261,38 +260,20 @@ def _decompose(
     return rec, [block for _, block in comps]
 
 
-def min_degree_clique(g: Graph) -> tuple[int, ...]:
-    """Greedy maximal clique of minimum-degree vertices, ascending ids:
-    the clique that decompose(g) deletes.
-
-    Maximality holds against all minimum-degree vertices: anything
-    skipped was non-adjacent to some earlier member. For a connected,
-    non-complete graph the size is between 1 and the minimum degree;
-    other graphs are rejected.
-    """
-    if not is_connected(g):
-        raise ValueError("clique selection requires a connected graph")
-    if is_complete(g):
-        raise ValueError("complete graph: base case, no decomposition clique")
-    rows, mask = _whole(g)
-    delta, clique, _ = _greedy_clique(rows, tuple(range(g.n)), mask)
-    if not 1 <= len(clique) <= delta:
-        raise ConstructionError(
-            f"clique size {len(clique)} outside [1, {delta}]", {"clique": clique}
-        )
-    return clique
-
-
 def decompose(g: Graph) -> DecompositionRecord:
-    """Delete G's greedy minimum-degree clique (see min_degree_clique),
-    split the rest into components and classify the level: the
-    construction's own decomposition, run on the level of all of G.
+    """Delete G's greedy minimum-degree clique, split the rest into
+    components and classify the level: the construction's own
+    decomposition, run on the level of all of G.
 
-    G must not be complete. Its connectivity is not checked: the
-    construction checks it once, at its entry. Components are ordered by
-    attachment size (descending), ties by minimum vertex id. Every
-    component's minimum degree is checked against the floor d - k + 1
-    that clique maximality guarantees.
+    The clique is maximal among the minimum-degree vertices, chosen
+    greedily over ascending ids: any minimum-degree vertex left out is
+    non-adjacent to some earlier member. G must not be complete: the
+    clique would remove every vertex, a ConstructionError; so on a
+    connected G, 1 <= k <= d. Connectivity is not checked: the
+    construction checks it once, at its entry. Components are ordered by attachment size (descending),
+    ties by minimum vertex id. Every component's minimum degree is
+    checked against the floor d - k + 1 that clique maximality
+    guarantees.
     """
     rows, mask = _whole(g)
     verts = tuple(range(g.n))

@@ -162,12 +162,7 @@ def rc_lower_bound(g: Graph) -> int:
     """max(diameter, 1): every rainbow path between a diametral pair needs
     at least diameter distinct colors. Non-complete graphs have diameter
     at least 2, so this already exceeds 1 exactly when it should."""
-    if g.n == 0:
-        raise ValueError("lower bound of the empty graph is undefined")
-    distances = distance_table(g)
-    if -1 in distances[0]:
-        raise ValueError("lower bound requires a connected graph")
-    return _lower_bound(distances)
+    return _lower_bound(_checked_distances(g, None))
 
 
 # a pair with more paths of at most q edges than this is neither

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from .construct import ConstructionError, decompose
 from .graphs import (
     Graph,
     _flood,
     _graph_from_rows,
-    components,
     degree_stats,
     delete_vertices,
     is_connected,
@@ -170,25 +170,34 @@ def counterexample_inequalities(
     g: Graph, params: CounterexampleParams, facts: FamilyFacts
 ) -> InequalityReport:
     """Remove the shared clique, recompute each component's minimum
-    nonadjacent degree sum, and compare against both claims."""
-    clique_vertices = [v for v, r in enumerate(facts.roles) if r == "clique"]
-    if len(clique_vertices) != facts.clique_size:
-        raise ValueError("facts do not match the graph: clique size differs")
-    part = components(g, skip=set(clique_vertices))
-    if len(part.blocks) != params.copies:
+    nonadjacent degree sum, and compare against both claims. The clique
+    and the components are the construction's own (decompose), and any
+    mismatch with params or facts is a ValueError."""
+    clique = tuple([v for v, r in enumerate(facts.roles) if r == "clique"])
+    try:
+        rec = decompose(g)
+    except ConstructionError as exc:
+        raise ValueError(f"facts do not match the graph: {exc}") from None
+    if rec.clique != clique or rec.k != facts.clique_size:
+        raise ValueError(
+            f"facts do not match the graph: the construction deletes clique"
+            f" {rec.clique}, the facts name {clique} of size {facts.clique_size}"
+        )
+    if rec.t != params.copies:
         raise ValueError(
             f"structure mismatch: expected {params.copies} components after"
-            f" clique removal, found {len(part.blocks)}"
+            f" clique removal, found {rec.t}"
         )
     sums = []
-    for blk in part.blocks:
-        expect_size = params.min_degree + 4 + 2
-        if len(blk) != expect_size:
+    expect_size = params.min_degree + 4 + 2
+    for comp in rec.components:
+        if comp.size != expect_size:
             raise ValueError(
-                f"structure mismatch: component of size {len(blk)},"
+                f"structure mismatch: component of size {comp.size},"
                 f" expected {expect_size}"
             )
-        sub, _ = delete_vertices(g, set(range(g.n)) - set(blk))
+        # the root level's local ids are g's own ids
+        sub, _ = delete_vertices(g, set(range(g.n)) - set(comp.vertices))
         stats = degree_stats(sub)
         if stats.min_degree_sum is None:
             raise ValueError("structure mismatch: component is complete")

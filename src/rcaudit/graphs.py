@@ -1,6 +1,6 @@
 """Immutable simple graphs plus the structural operations the toolkit
-builds on: graph6/edge-list codecs, degree statistics, connected
-components, vertex deletion, and distances.
+builds on: graph6/edge-list codecs, degree statistics, vertex
+deletion, and distances.
 
 A Graph keeps its adjacency only as integer bit rows, one int per
 vertex, plus the ascending neighbor tuples and the edge count read from
@@ -14,8 +14,8 @@ Every traversal goes through one flood over the bit rows, _flood: a
 breadth-first search whose frontier is a vertex mask and whose next
 frontier is the OR of the frontier's rows, less the vertices already
 reached or excluded. bfs_distances reads distances off its layers and
-the diameter counts them; components and connectivity read its reach
-masks; skip sets become masks of allowed vertices.
+the diameter counts them; connectivity, and the construction's split
+of a level into components (construct.py), read its reach masks.
 Induced subgraphs (delete_vertices) are built from the parent's rows by
 one unchecked builder, _graph_from_rows, which the exhaustive
 enumeration also uses for the connected masks it keeps; Graph() itself
@@ -26,20 +26,19 @@ vertex masks over them (see construct.py).
 
 Vertices are dense 0-based ids. delete_vertices returns an explicit id
 map so downstream traces can always name vertices of the original
-input. Everything is deterministic: components are ordered
-by minimum vertex id, edge lists lexicographically.
+input. Everything is deterministic: edge lists are sorted
+lexicographically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
     "GraphFormatError",
     "DegreeStats",
-    "ComponentPartition",
     "parse_graph6",
     "to_graph6",
     "parse_edge_list",
@@ -47,7 +46,6 @@ __all__ = [
     "degree_stats",
     "bfs_distances",
     "distance_table",
-    "components",
     "delete_vertices",
     "diameter",
     "is_connected",
@@ -166,13 +164,6 @@ def _induced_rows(rows: Sequence[int], kept: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _allowed(n: int, skip: Container[int]) -> int:
-    """Mask of the vertices of range(n) not in skip."""
-    if not skip:
-        return (1 << n) - 1
-    return sum([1 << v for v in range(n) if v not in skip])
-
-
 def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> Iterator[int]:
     """Breadth-first layers from the vertex mask frontier, entering only
     vertices of the mask allowed. Yields each layer as a mask, frontier
@@ -198,15 +189,6 @@ class DegreeStats:
 
     min_degree: int
     min_degree_sum: int | None
-
-
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Connected components as sorted vertex blocks, ordered by minimum
-    vertex id, plus the vertex -> block position map."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    block_index: tuple[int, ...]
 
 
 def _g6_data_value(ch: str, offset: int) -> int:
@@ -387,22 +369,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
             dist[low.bit_length() - 1] = d
             layer ^= low
     return dist
-
-
-def components(g: Graph, skip: Container[int] = ()) -> ComponentPartition:
-    """Components of g minus skip; skipped vertices get block index -1."""
-    rows = g._rows
-    left = _allowed(g.n, skip)
-    block_index = [-1] * g.n
-    blocks: list[tuple[int, ...]] = []
-    while left:
-        reach = sum(_flood(rows, left & -left, left))
-        left ^= reach
-        block = _bit_positions(reach)
-        for v in block:
-            block_index[v] = len(blocks)
-        blocks.append(block)
-    return ComponentPartition(tuple(blocks), tuple(block_index))
 
 
 def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -14,13 +14,11 @@ from rcaudit import (
     Case,
     FailingPair,
     Graph,
-    components,
     construct_coloring,
     decompose,
     degree_stats,
     delete_vertices,
     gen_named,
-    min_degree_clique,
     parse_graph6,
     rc_exact,
     run_construction,
@@ -29,11 +27,11 @@ from rcaudit import (
 )
 import rcaudit.construct as construct_module
 import rcaudit.graphs as graphs_module
-from rcaudit.construct import iter_trace, measure_violations
+from rcaudit.construct import ConstructionError, iter_trace, measure_violations
 from rcaudit.generators import iter_connected_graphs, random_corpus
 
 from .conftest import MASTER_SEED, random_connected_graph, random_graph
-from .oracles import has_rainbow_path_brute
+from .oracles import has_rainbow_path_brute, union_find_components
 
 
 # sha256 of the colorings and traces in test_colorings_and_traces_are_pinned
@@ -98,18 +96,21 @@ def recursion_limit(limit: int):
 
 
 class TestMinDegreeClique:
+    """The greedy minimum-degree clique that decompose deletes."""
+
     def test_path_picks_lowest_leaf(self):
-        assert min_degree_clique(gen_named("path", 3)) == (0,)
+        assert decompose(gen_named("path", 3)).clique == (0,)
 
     def test_cycle_picks_greedy_edge(self):
-        assert min_degree_clique(gen_named("cycle", 4)) == (0, 1)
+        assert decompose(gen_named("cycle", 4)).clique == (0, 1)
 
     def test_star_picks_one_leaf(self):
-        assert min_degree_clique(gen_named("star", 4)) == (1,)
+        assert decompose(gen_named("star", 4)).clique == (1,)
 
     def test_complete_rejected(self):
-        with pytest.raises(ValueError, match="base case"):
-            min_degree_clique(gen_named("complete", 4))
+        # the greedy clique of a complete graph is all of it: a base case
+        with pytest.raises(ConstructionError, match="removed every vertex"):
+            decompose(gen_named("complete", 4))
 
     def test_properties_on_random_graphs(self):
         rng = random.Random(MASTER_SEED + 20)
@@ -117,7 +118,7 @@ class TestMinDegreeClique:
             g = random_connected_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.8))
             if g.m == g.n * (g.n - 1) // 2:
                 continue
-            clique = min_degree_clique(g)
+            clique = decompose(g).clique
             delta = degree_stats(g).min_degree
             assert 1 <= len(clique) <= delta
             assert all(g.degree(v) == delta for v in clique)
@@ -145,7 +146,6 @@ class TestDecompose:
 
     def test_contraction_witness_classified(self):
         g = contraction_witness()
-        assert min_degree_clique(g) == (0, 1)
         rec = decompose(g)
         assert rec.clique == (0, 1)
         assert rec.case is Case.CONTRACTION
@@ -180,10 +180,11 @@ class TestDecompose:
     @staticmethod
     def reference(g: Graph, clique: tuple[int, ...]):
         """Blocks, minimum degrees and attachments computed by deleting
-        the clique and building each component's induced subgraph."""
+        the clique, splitting the rest by union-find and building each
+        component's induced subgraph."""
         rest, kept = delete_vertices(g, clique)
         out = []
-        for block in components(rest).blocks:
+        for block in union_find_components(rest.n, rest.edges):
             orig = tuple(kept[v] for v in block)
             sub, _ = delete_vertices(g, set(range(g.n)) - set(orig))
             dmin = min(sub.degree(v) for v in range(sub.n))
@@ -204,8 +205,8 @@ class TestDecompose:
                 graphs.append(g)
         disconnected = 0
         for g in graphs:
-            disconnected += len(components(g).blocks) > 1
-            # min_degree_clique's greedy choice, without its connectivity check
+            disconnected += len(union_find_components(g.n, g.edges)) > 1
+            # the greedy clique choice, by its definition
             delta = min(g.degree(v) for v in range(g.n))
             clique: list[int] = []
             for v in range(g.n):

@@ -14,13 +14,14 @@ from rcaudit import (
     counterexample_inequalities,
     degree_stats,
     delete_vertices,
-    components,
     gen_counterexample,
     gen_named,
     gen_random_connected,
     is_connected,
 )
 from rcaudit.generators import iter_connected_graphs, random_corpus
+
+from .oracles import union_find_components
 
 
 class TestParams:
@@ -102,7 +103,7 @@ class TestCounterexample:
         g, facts = gen_counterexample(CounterexampleParams(d, t))
         clique = [v for v, r in enumerate(facts.roles) if r == "clique"]
         rest, kept = delete_vertices(g, clique)
-        blocks = components(rest).blocks
+        blocks = union_find_components(rest.n, rest.edges)
         assert len(blocks) == t
         assert all(len(b) == d + 6 for b in blocks)
 
@@ -137,6 +138,15 @@ class TestInequalities:
         other = gen_named("cycle", 9)
         with pytest.raises(ValueError):
             counterexample_inequalities(other, params, facts)
+        # as many clique roles as the facts say, on other vertices: the
+        # construction's clique is still the shared one
+        moved = tuple(sorted(facts.roles, key=lambda r: r != "clique"))
+        shifted = dataclasses.replace(facts, roles=moved)
+        with pytest.raises(ValueError, match="construction deletes clique"):
+            counterexample_inequalities(g, params, shifted)
+        # a complete graph has no decomposition at all
+        with pytest.raises(ValueError, match="removed every vertex"):
+            counterexample_inequalities(gen_named("complete", g.n), params, facts)
 
 
 class TestNamed:

@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcaudit import (
-    ComponentPartition,
     Graph,
     GraphFormatError,
-    components,
     degree_stats,
     delete_vertices,
     diameter,
@@ -31,8 +29,6 @@ from rcaudit.generators import CounterexampleParams, iter_connected_graphs
 from rcaudit.graphs import bfs_distances
 
 from .conftest import random_graph
-from .oracles import union_find_components
-
 
 @st.composite
 def graphs(draw, max_n: int = 12):
@@ -205,37 +201,6 @@ class TestDegreeStats:
         assert degree_stats(g).min_degree_sum == 6
 
 
-class TestComponents:
-    def test_connected_cycle(self):
-        part = components(gen_named("cycle", 4))
-        assert part.blocks == ((0, 1, 2, 3),)
-
-    def test_two_disjoint_edges(self):
-        part = components(Graph(4, [(0, 1), (2, 3)]))
-        assert part.blocks == ((0, 1), (2, 3))
-        assert part.block_index == (0, 0, 1, 1)
-
-    def test_path_minus_middle(self):
-        g, _ = delete_vertices(gen_named("path", 5), {2})
-        part = components(g)
-        assert tuple(len(b) for b in part.blocks) == (2, 2)
-
-    @given(graphs(max_n=10))
-    @settings(max_examples=80)
-    def test_matches_union_find(self, g):
-        part = components(g)
-        assert list(part.blocks) == union_find_components(g.n, g.edges)
-
-    @given(graphs(max_n=10), st.data())
-    @settings(max_examples=60)
-    def test_delete_then_components_matches_union_find(self, g, data):
-        drop = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)).filter(lambda v: v < g.n)))
-        sub, kept = delete_vertices(g, drop)
-        part = components(sub)
-        assert list(part.blocks) == union_find_components(sub.n, sub.edges)
-        assert all(kept[v] not in drop for v in range(sub.n))
-
-
 class TestDeleteVertices:
     def test_delete_path_endpoint(self):
         sub, kept = delete_vertices(gen_named("path", 3), {0})
@@ -250,8 +215,7 @@ class TestDeleteVertices:
         g, facts = gen_counterexample(CounterexampleParams(min_degree=2, copies=1))
         clique = [v for v, r in enumerate(facts.roles) if r == "clique"]
         sub, _ = delete_vertices(g, clique)
-        part = components(sub)
-        assert len(part.blocks) == 1 and sub.n == 8
+        assert is_connected(sub) and sub.n == 8
 
     def test_rejects_unknown_vertex(self):
         with pytest.raises(ValueError):
@@ -321,62 +285,25 @@ class TestBfsDistances:
         assert disconnected > 10
 
     @staticmethod
-    def networkx_rest(g: Graph, skip) -> nx.Graph:
-        rest = nx.Graph()
-        rest.add_nodes_from(v for v in range(g.n) if v not in skip)
-        rest.add_edges_from(e for e in g.edges if not any(v in skip for v in e))
-        return rest
-
-    def assert_agrees_with_networkx(self, g: Graph, skip) -> None:
-        rest = self.networkx_rest(g, skip)
-        blocks = sorted(tuple(sorted(c)) for c in nx.connected_components(rest))
-        part = components(g, skip)
-        assert list(part.blocks) == blocks
-        assert part.block_index == tuple(
-            next((i for i, b in enumerate(blocks) if v in b), -1) for v in range(g.n)
-        )
-
-    def test_skip_of_every_container_type(self):
-        for g, rng in seeded_graphs(36, count=30):
-            chosen = [v for v in range(g.n) if rng.random() < 0.3]
-            lo = rng.randint(0, g.n)
-            for skip in (set(chosen), frozenset(chosen), tuple(chosen),
-                         range(lo, rng.randint(lo, g.n))):
-                self.assert_agrees_with_networkx(g, skip)
+    def networkx_graph(g: Graph) -> nx.Graph:
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(g.n))
+        theirs.add_edges_from(g.edges)
+        return theirs
 
     def test_empty_and_single_vertex_graphs(self):
-        empty = Graph(0)
-        assert components(empty) == ComponentPartition((), ())
-        assert list(nx.connected_components(nx.Graph())) == []
+        assert is_connected(Graph(0))
         single = Graph(1)
-        self.assert_agrees_with_networkx(single, ())
         assert bfs_distances(single, 0) == [0]
-        assert is_connected(single) == nx.is_connected(self.networkx_rest(single, ()))
-        assert components(single, {0}) == ComponentPartition((), (-1,))
-
-    def test_skip_of_every_other_vertex(self):
-        for g, _ in seeded_graphs(37, count=20):
-            for s in range(g.n):
-                skip = set(range(g.n)) - {s}
-                self.assert_agrees_with_networkx(g, skip)
+        assert is_connected(single) == nx.is_connected(self.networkx_graph(single))
 
     def test_is_connected_matches_networkx(self):
         seen = set()
         for g, _ in seeded_graphs(38):
-            want = nx.is_connected(self.networkx_rest(g, ()))
+            want = nx.is_connected(self.networkx_graph(g))
             assert is_connected(g) == want
             seen.add(want)
         assert seen == {True, False}
-
-    def test_components_match_union_find(self):
-        for g, rng in seeded_graphs(33):
-            assert list(components(g).blocks) == union_find_components(g.n, g.edges)
-            skip = {v for v in range(g.n) if rng.random() < 0.3}
-            kept = [e for e in g.edges if not skip.intersection(e)]
-            want = [b for b in union_find_components(g.n, kept) if b[0] not in skip]
-            part = components(g, skip)
-            assert list(part.blocks) == want
-            assert all(part.block_index[v] == -1 for v in skip)
 
 
 class TestDiameter:

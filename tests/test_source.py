@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import rcaudit
@@ -46,8 +47,8 @@ def test_oracles_import_nothing_from_the_search():
 def test_bit_rows_are_read_only_in_graphs_and_decompose():
     # the adjacency representation stays private to graphs.py; the one
     # reader outside it is the construction's root read (construct._whole),
-    # which hands the root graph's rows to the levels and to decompose and
-    # min_degree_clique, all of which run on vertex masks over those rows
+    # which hands the root graph's rows to the levels and to decompose,
+    # both of which run on vertex masks over those rows
     found = []
     root_reads = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -104,3 +105,18 @@ def test_public_names_are_used():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(set(exported) - read) == []
+
+
+def test_every_listed_name_is_defined():
+    # a name left in a module's __all__ after its definition is deleted
+    # would break "from rcaudit.<module> import *" only at run time
+    stale = []
+    # __main__ runs the CLI on import, and __init__ lists no __all__
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"rcaudit.{path.stem}")
+        stale += [
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert stale == []
