@@ -36,7 +36,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     degree_stats,
-    delete_vertices,
     diameter,
     is_complete,
     is_connected,

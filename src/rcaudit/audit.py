@@ -14,7 +14,7 @@ and record per-graph errors without aborting the corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable
 
@@ -68,25 +68,9 @@ class BoundReport:
         """JSON-ready rendering. Rationals become exact 'p/q' strings and
         wall-clock time is omitted so identical runs serialize
         identically."""
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "min_degree": self.min_degree,
-            "min_degree_sum": self.min_degree_sum,
-            "rc_status": self.rc_status,
-            "rc_value": self.rc_value,
-            "rc_nodes": self.rc_nodes,
-            "construct_colors": self.construct_colors,
-            "construct_verified": self.construct_verified,
-            "construction_failure": self.construction_failure,
-            "min_degree_bound": self.min_degree_bound,
-            "min_degree_slack": self.min_degree_slack,
-            "degree_sum_bound": _frac(self.degree_sum_bound),
-            "degree_sum_slack": _frac(self.degree_sum_slack),
-            "top_components": self.top_components,
-            "weakened_degree_sum_bound": _frac(self.weakened_degree_sum_bound),
-        }
+        out = _fields_dict(self)
+        del out["rc_seconds"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -104,19 +88,7 @@ class AggregateStats:
     degree_sum_slack_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "complete_graphs": self.complete_graphs,
-            "exact": self.exact,
-            "not_exact": self.not_exact,
-            "construction_failures": self.construction_failures,
-            "errors": self.errors,
-            "min_min_degree_slack": self.min_min_degree_slack,
-            "mean_min_degree_slack": _frac(self.mean_min_degree_slack),
-            "min_degree_sum_slack": _frac(self.min_degree_sum_slack),
-            "mean_degree_sum_slack": _frac(self.mean_degree_sum_slack),
-            "degree_sum_slack_count": self.degree_sum_slack_count,
-        }
+        return _fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -129,6 +101,15 @@ class CorpusResult:
 
 def _frac(x: Fraction | None) -> str | None:
     return None if x is None else str(x)
+
+
+def _fields_dict(record) -> dict:
+    """A dataclass's fields by name, each Fraction as its 'p/q' string."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = str(value) if isinstance(value, Fraction) else value
+    return out
 
 
 def _finding_dict(finding: Finding) -> dict:

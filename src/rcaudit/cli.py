@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .audit import audit_corpus, audit_graph, findings_for_report
@@ -178,13 +179,7 @@ def _cmd_gen(args) -> int:
     if args.generator == "cex":
         params = CounterexampleParams(args.delta, args.t, args.seed)
         g, facts = gen_counterexample(params)
-        facts_dict = {
-            "n": facts.n,
-            "clique_size": facts.clique_size,
-            "min_degree_sum": facts.min_degree_sum,
-            "component_pair_degree_sum": facts.component_pair_degree_sum,
-            "roles": list(facts.roles),
-        }
+        facts_dict = asdict(facts)
         if args.facts:
             Path(args.facts).write_text(_dumps(facts_dict) + "\n")
         if args.format == "json":
@@ -282,9 +277,7 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = audit_corpus(graphs, budget)
-    findings = [
-        {"kind": f.kind, "graph6": f.graph6, "detail": f.detail} for f in result.findings
-    ]
+    findings = [asdict(f) for f in result.findings]
 
     if args.out:
         # one line per report, written as it is dumped

@@ -1,6 +1,6 @@
 """Immutable simple graphs plus the structural operations the toolkit
-builds on: graph6/edge-list codecs, degree statistics, vertex
-deletion, and distances.
+builds on: graph6/edge-list codecs, degree statistics of the graph or of
+an induced vertex set, and distances.
 
 A Graph keeps its adjacency only as integer bit rows, one int per
 vertex, plus the ascending neighbor tuples and the edge count read from
@@ -16,24 +16,22 @@ frontier is the OR of the frontier's rows, less the vertices already
 reached or excluded. bfs_distances reads distances off its layers and
 the diameter counts them; connectivity, and the construction's split
 of a level into components (construct.py), read its reach masks.
-Induced subgraphs (delete_vertices) are built from the parent's rows by
-one unchecked builder, _graph_from_rows, which the exhaustive
-enumeration also uses for the connected masks it keeps; Graph() itself
-validates, for input from outside. Both fill a Graph's fields from its
-rows through _fill. The construction does not build subgraphs: it reads
-a graph's rows once and runs every level, contractions included, on
-vertex masks over them (see construct.py).
+Nothing builds an induced subgraph: the construction runs every level,
+contractions included, on vertex masks over one graph's rows (see
+construct.py), and degree_stats reads an induced vertex set's degrees
+off the rows masked by that set. The exhaustive enumeration builds the
+connected masks it keeps with one unchecked builder, _graph_from_rows;
+Graph() itself validates, for input from outside. Both fill a Graph's
+fields from its rows through _fill.
 
-Vertices are dense 0-based ids. delete_vertices returns an explicit id
-map so downstream traces can always name vertices of the original
-input. Everything is deterministic: edge lists are sorted
-lexicographically.
+Vertices are dense 0-based ids. Everything is deterministic: edge lists
+are sorted lexicographically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = [
     "Graph",
@@ -46,7 +44,6 @@ __all__ = [
     "degree_stats",
     "bfs_distances",
     "distance_table",
-    "delete_vertices",
     "diameter",
     "is_connected",
     "is_complete",
@@ -145,23 +142,6 @@ def _graph_from_rows(rows: list[int]) -> Graph:
     Graph(len(rows), its edges) field by field.
     """
     return _fill(Graph.__new__(Graph), rows)
-
-
-def _induced_rows(rows: Sequence[int], kept: tuple[int, ...]) -> list[int]:
-    """The rows of kept (ascending ids) with every bit outside kept
-    dropped and the rest compacted, so kept[i] becomes vertex i."""
-    sub = [rows[v] for v in kept]
-    out = [0] * len(sub)
-    i = 0
-    while i < len(kept):
-        # kept[i:j] is a run of consecutive ids; its bits move down to i..j-1
-        j = i + 1
-        while j < len(kept) and kept[j] == kept[j - 1] + 1:
-            j += 1
-        start, mask, at = kept[i], (1 << j - i) - 1, i
-        out = [o | (row >> start & mask) << at for o, row in zip(out, sub)]
-        i = j
-    return out
 
 
 def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> Iterator[int]:
@@ -334,18 +314,37 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def degree_stats(g: Graph) -> DegreeStats:
-    if g.n == 0:
+def degree_stats(g: Graph, vertices: Iterable[int] | None = None) -> DegreeStats:
+    """Minimum degree and minimum nonadjacent degree sum of g or, given
+    vertices, of the subgraph they induce, read off g's rows masked by
+    the set: degrees count only neighbors in the set, and only pairs
+    inside it are compared. An empty set or an id outside g is a
+    ValueError."""
+    rows = g._rows
+    # sigma's start; as the degree of a vertex outside the set it is above
+    # every real degree, so min passes it over and the loop skips the vertex
+    unused = 2 * g.n
+    if vertices is None:
+        every = (1 << g.n) - 1
+        degree = list(map(len, g._nbrs))
+    else:
+        every = 0
+        for v in vertices:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} not in graph")
+            every |= 1 << v
+        rows = [row & every for row in rows]
+        degree = [r.bit_count() if every >> u & 1 else unused for u, r in enumerate(rows)]
+    if not every:
         raise ValueError("degree statistics of the empty graph are undefined")
-    degree = list(map(len, g._nbrs))
     delta = min(degree)
-    if is_complete(g):
+    if delta == every.bit_count() - 1:
+        # complete: no nonadjacent pair
         return DegreeStats(delta, None)
     # per vertex u, the degrees of the vertices outside its closed
     # neighborhood row; no pair with u beats degree[u] + delta
-    every = (1 << g.n) - 1
-    sigma = 2 * g.n
-    for u, row in enumerate(g._rows):
+    sigma = unused
+    for u, row in enumerate(rows):
         du = degree[u]
         if du + delta >= sigma:
             continue
@@ -369,19 +368,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
             dist[low.bit_length() - 1] = d
             layer ^= low
     return dist
-
-
-def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the remaining vertices with compacted ids.
-
-    Returns (subgraph, kept) where kept[new_id] = original id.
-    """
-    rset = set(remove)
-    bad = [v for v in rset if not 0 <= v < g.n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} not in graph")
-    kept = tuple([v for v in range(g.n) if v not in rset])
-    return _graph_from_rows(_induced_rows(g._rows, kept)), kept
 
 
 def distance_table(g: Graph) -> list[list[int]]:

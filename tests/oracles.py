@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: exhaustive simple-path
 enumeration, exhaustive coloring enumeration with no symmetry breaking,
-a restricted-growth search with no pruning, and union-find components.
-None of it shares code with the search paths it validates: it imports
-nothing from rcaudit.exact or rcaudit.rainbow, and reads a coloring only
-through its color_of method.
+a restricted-growth search with no pruning, union-find components,
+induced subgraphs rebuilt from the edge list, and degree sums over every
+nonadjacent pair. None of it shares code with the search paths it
+validates: it imports nothing from rcaudit.exact or rcaudit.rainbow,
+and reads a coloring only through its color_of method.
 """
 
 from __future__ import annotations
@@ -156,3 +157,31 @@ def union_find_components(n: int, edges) -> list[tuple[int, ...]]:
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return sorted((tuple(sorted(g)) for g in groups.values()), key=min)
+
+
+def induced_subgraph(g: Graph, kept) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced by the vertices kept, built by Graph() from
+    the edges of g with both ends kept, and the id map: new id i is the
+    i-th smallest kept id."""
+    ids = tuple(sorted(set(kept)))
+    new_id = {v: i for i, v in enumerate(ids)}
+    edges = [(new_id[u], new_id[v]) for u, v in g.edge_list() if u in new_id and v in new_id]
+    return Graph(len(ids), edges), ids
+
+
+def degree_stats_brute(g: Graph) -> tuple[int, int | None]:
+    """Minimum degree, and the minimum of deg(u) + deg(v) over every
+    nonadjacent pair (None when there is none), counted off the edge
+    list."""
+    edges = set(g.edge_list())
+    degree = [0] * g.n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    sums = [
+        degree[u] + degree[v]
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if (u, v) not in edges
+    ]
+    return min(degree), min(sums, default=None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from rcaudit import (
     decompose,
     gen_named,
 )
-from rcaudit.audit import BoundReport, check_report, findings_for_report
+from rcaudit.audit import AggregateStats, BoundReport, check_report, findings_for_report
 from rcaudit.generators import iter_connected_graphs
 
 from .test_construct import contraction_witness, reused_color_witness
@@ -135,6 +136,18 @@ class TestAuditGraph:
         d = report.to_dict()
         assert "rc_seconds" not in d
         assert d["rc_nodes"] == report.rc_nodes
+        names = [f.name for f in dataclasses.fields(BoundReport)]
+        assert list(d) == [name for name in names if name != "rc_seconds"]
+        # every aggregate field is rendered, rationals as 'p/q' strings
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        agg = audit_corpus([paw, gen_named("path", 4)]).aggregate
+        rendered = agg.to_dict()
+        assert list(rendered) == [f.name for f in dataclasses.fields(AggregateStats)]
+        for name, value in rendered.items():
+            want = getattr(agg, name)
+            assert value == (str(want) if isinstance(want, Fraction) else want)
+        assert rendered["mean_min_degree_slack"] == "1/2"
+        assert rendered["mean_degree_sum_slack"] == "1/4"
 
     def test_construction_failure_reported_not_raised(self):
         # the witness is too big for an unbudgeted exact solve; the

@@ -17,7 +17,6 @@ from rcaudit import (
     construct_coloring,
     decompose,
     degree_stats,
-    delete_vertices,
     gen_named,
     parse_graph6,
     rc_exact,
@@ -31,7 +30,7 @@ from rcaudit.construct import ConstructionError, iter_trace, measure_violations
 from rcaudit.generators import iter_connected_graphs, random_corpus
 
 from .conftest import MASTER_SEED, random_connected_graph, random_graph
-from .oracles import has_rainbow_path_brute, union_find_components
+from .oracles import has_rainbow_path_brute, induced_subgraph, union_find_components
 
 
 # sha256 of the colorings and traces in test_colorings_and_traces_are_pinned
@@ -182,11 +181,11 @@ class TestDecompose:
         """Blocks, minimum degrees and attachments computed by deleting
         the clique, splitting the rest by union-find and building each
         component's induced subgraph."""
-        rest, kept = delete_vertices(g, clique)
+        rest, kept = induced_subgraph(g, set(range(g.n)) - set(clique))
         out = []
         for block in union_find_components(rest.n, rest.edges):
             orig = tuple(kept[v] for v in block)
-            sub, _ = delete_vertices(g, set(range(g.n)) - set(orig))
+            sub, _ = induced_subgraph(g, orig)
             dmin = min(sub.degree(v) for v in range(sub.n))
             attachment = tuple(u for u in clique if any(g.has_edge(u, w) for w in orig))
             out.append((orig, dmin, attachment))

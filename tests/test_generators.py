@@ -13,7 +13,6 @@ from rcaudit import (
     Graph,
     counterexample_inequalities,
     degree_stats,
-    delete_vertices,
     gen_counterexample,
     gen_named,
     gen_random_connected,
@@ -21,7 +20,7 @@ from rcaudit import (
 )
 from rcaudit.generators import iter_connected_graphs, random_corpus
 
-from .oracles import union_find_components
+from .oracles import induced_subgraph, union_find_components
 
 
 class TestParams:
@@ -102,7 +101,7 @@ class TestCounterexample:
         d, t = 4, 2
         g, facts = gen_counterexample(CounterexampleParams(d, t))
         clique = [v for v, r in enumerate(facts.roles) if r == "clique"]
-        rest, kept = delete_vertices(g, clique)
+        rest, _ = induced_subgraph(g, set(range(g.n)) - set(clique))
         blocks = union_find_components(rest.n, rest.edges)
         assert len(blocks) == t
         assert all(len(b) == d + 6 for b in blocks)

@@ -14,7 +14,6 @@ from rcaudit import (
     Graph,
     GraphFormatError,
     degree_stats,
-    delete_vertices,
     diameter,
     gen_counterexample,
     gen_named,
@@ -29,6 +28,7 @@ from rcaudit.generators import CounterexampleParams, iter_connected_graphs
 from rcaudit.graphs import bfs_distances
 
 from .conftest import random_graph
+from .oracles import degree_stats_brute, induced_subgraph
 
 @st.composite
 def graphs(draw, max_n: int = 12):
@@ -76,13 +76,6 @@ class TestGraph:
         gc.collect()
         added = len(gc.get_objects()) - before
         assert added <= len(held) + 10, added / len(held)
-        # children built from the parent's rows hold only ints as well
-        before = len(gc.get_objects())
-        children = [delete_vertices(g, (0,))[0] for g in held]
-        gc.collect()
-        gc.collect()
-        added = len(gc.get_objects()) - before
-        assert added <= len(children) + 10, added / len(children)
 
     @given(graphs())
     def test_degree_sum_is_twice_edge_count(self, g):
@@ -201,27 +194,6 @@ class TestDegreeStats:
         assert degree_stats(g).min_degree_sum == 6
 
 
-class TestDeleteVertices:
-    def test_delete_path_endpoint(self):
-        sub, kept = delete_vertices(gen_named("path", 3), {0})
-        assert sub == gen_named("path", 2)
-        assert kept == (1, 2)
-
-    def test_delete_all(self):
-        sub, kept = delete_vertices(gen_named("path", 3), {0, 1, 2})
-        assert sub.n == 0 and kept == ()
-
-    def test_delete_family_clique(self):
-        g, facts = gen_counterexample(CounterexampleParams(min_degree=2, copies=1))
-        clique = [v for v, r in enumerate(facts.roles) if r == "clique"]
-        sub, _ = delete_vertices(g, clique)
-        assert is_connected(sub) and sub.n == 8
-
-    def test_rejects_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            delete_vertices(gen_named("path", 3), {5})
-
-
 def seeded_graphs(seed: int, count: int = 60):
     """Random graphs on up to 14 vertices, many of them disconnected."""
     rng = random.Random(seed)
@@ -238,35 +210,61 @@ def assert_same_fields(built: Graph, checked: Graph) -> None:
 
 
 class TestRowBuiltGraphs:
-    """Induced subgraphs skip Graph()'s checks; each must equal the graph
-    the validating constructor builds from its edges."""
+    """Graphs built straight from bit rows skip Graph()'s checks; each must
+    equal the graph the validating constructor builds from its edges."""
 
-    def test_delete_vertices_matches_constructor(self):
-        for g, rng in seeded_graphs(34):
-            remove = {v for v in range(g.n) if rng.random() < 0.4}
-            sub, kept = delete_vertices(g, remove)
-            new_id = {old: i for i, old in enumerate(kept)}
-            edges = [
-                (new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id
-            ]
-            assert_same_fields(sub, Graph(len(kept), edges))
+    def test_connected_graphs_match_constructor(self):
+        for n in range(1, 6):
+            for g in iter_connected_graphs(n):
+                assert_same_fields(g, Graph(n, g.edge_list()))
 
-    @given(graphs(), st.data())
-    def test_edges_are_read_off_the_rows(self, g, data):
+    @given(graphs())
+    def test_edges_are_read_off_the_rows(self, g):
         # the rows are the one stored adjacency: edge_list, m and edges are
-        # derived from them, for Graph() and for row-built children alike
-        built = [g]
-        if g.n:
-            remove = data.draw(st.sets(st.integers(0, g.n - 1)))
-            built.append(delete_vertices(g, remove)[0])
-        for h in built:
-            edges = h.edges
-            assert isinstance(edges, frozenset)
-            assert edges == {e for e in combinations(range(h.n), 2) if h.has_edge(*e)}
-            assert h.edge_list() == sorted(edges)
-            assert h.m == len(edges)
-            again = Graph(h.n, sorted(edges, reverse=True))
-            assert h == again and hash(h) == hash(again)
+        # derived from them
+        edges = g.edges
+        assert isinstance(edges, frozenset)
+        assert edges == {e for e in combinations(range(g.n), 2) if g.has_edge(*e)}
+        assert g.edge_list() == sorted(edges)
+        assert g.m == len(edges)
+        again = Graph(g.n, sorted(edges, reverse=True))
+        assert g == again and hash(g) == hash(again)
+
+
+class TestInducedDegreeStats:
+    """degree_stats of a vertex set equals the brute-force statistics of
+    the subgraph the set induces, rebuilt from the edge list."""
+
+    def test_matches_the_induced_subgraph(self):
+        disconnected = complete = 0
+        for g, rng in seeded_graphs(41):
+            whole = degree_stats(g)
+            assert (whole.min_degree, whole.min_degree_sum) == degree_stats_brute(g)
+            for _ in range(4):
+                kept = [v for v in range(g.n) if rng.random() < 0.6] or [g.n - 1]
+                rng.shuffle(kept)
+                sub, _ = induced_subgraph(g, kept)
+                disconnected += not is_connected(sub)
+                stats = degree_stats(g, kept)
+                complete += stats.min_degree_sum is None
+                assert (stats.min_degree, stats.min_degree_sum) == degree_stats_brute(sub)
+        assert disconnected > 20 and complete > 5
+
+    def test_whole_vertex_set_is_the_graph(self):
+        for g, _ in seeded_graphs(42, count=20):
+            assert degree_stats(g, range(g.n)) == degree_stats(g)
+            assert degree_stats(g, [0] * 3 + list(range(g.n))) == degree_stats(g)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            degree_stats(gen_named("path", 3), ())
+        with pytest.raises(ValueError, match="empty graph"):
+            degree_stats(Graph(0))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_unknown_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} not in graph"):
+            degree_stats(gen_named("path", 3), [0, bad])
 
 
 class TestBfsDistances:
