@@ -51,6 +51,10 @@ EXIT_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_FINDING = 4
 
+# `sweep --all-connected` builds its whole corpus before the first audit;
+# at 8 vertices that is 251,548,592 connected labeled graphs (OEIS A001187)
+ALL_CONNECTED_MAX = 7
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -254,6 +258,12 @@ def _sweep_source(args) -> list[Graph]:
     if args.all_connected is not None:
         if args.all_connected < 1:
             raise GraphFormatError("--all-connected needs a positive vertex count")
+        if args.all_connected > ALL_CONNECTED_MAX:
+            raise GraphFormatError(
+                f"--all-connected takes at most {ALL_CONNECTED_MAX} vertices, got"
+                f" {args.all_connected}: the corpus is built in memory, and n = 8"
+                " alone has 251,548,592 connected labeled graphs"
+            )
         graphs = []
         for n in range(1, args.all_connected + 1):
             graphs.extend(iter_connected_graphs(n))

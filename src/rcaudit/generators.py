@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .construct import ConstructionError, decompose
 from .graphs import (
     Graph,
+    _bit_positions,
     _flood,
-    _graph_from_rows,
+    _graph_from_fields,
     degree_stats,
     is_connected,
 )
@@ -279,23 +281,57 @@ def gen_random_connected(n: int, p: float, seed: int | None = None) -> Graph:
 
 def iter_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected labeled graph on exactly n vertices, in ascending
-    edge-mask order over the lexicographic pair list. Only the connected
-    masks are built, straight from their bit rows."""
+    edge-mask order over the lexicographic pair list.
+
+    The pairs (u, u+1..n-1) of vertex u form one contiguous chunk of the
+    mask, vertex 0's chunk lowest, so ascending mask order is
+    lexicographic order over the chunks of vertices n-2, n-3, ..., 0.
+    The chunks of vertices n-2..1, varied in that nesting, fix the edges
+    among vertices 1..n-1; that graph's components are flooded once.
+    Innermost, vertex 0's neighbor sets N run in ascending order, and a
+    graph is kept when N meets every component. Each kept graph is read
+    off the fixed part plus N: vertex v's row gains bit 0 and its
+    neighbor tuple a leading 0 when v is in N, and m grows by |N|.
+    """
     if n < 1:
         raise ValueError("need at least 1 vertex")
-    pairs = list(combinations(range(n), 2))
-    every = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        # the mask's bit rows, tested with the flood before any Graph is built
+    rest = range(1, n)
+    # vertex 0's neighbor sets, ascending: mask, neighbor tuple, per-vertex
+    # membership of 1..n-1, size
+    zero = []
+    for chunk in range(1 << (n - 1)):
+        mask = chunk << 1
+        zero.append(
+            (mask, _bit_positions(mask), tuple([mask >> v & 1 for v in rest]),
+             chunk.bit_count())
+        )
+    higher = range(n - 2, 0, -1)
+    for chunks in product(*[range(1 << (n - 1 - u)) for u in higher]):
         rows = [0] * n
-        while mask:
-            low = mask & -mask
-            u, v = pairs[low.bit_length() - 1]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            mask ^= low
-        if sum(_flood(rows, 1, every)) == every:
-            yield _graph_from_rows(rows)
+        for u, chunk in zip(higher, chunks):
+            rows[u] |= chunk << (u + 1)
+            for v in _bit_positions(chunk << (u + 1)):
+                rows[v] |= 1 << u
+        comps = []
+        left = ((1 << n) - 1) ^ 1
+        while left:
+            comp = sum(_flood(rows, left & -left, left))
+            comps.append(comp)
+            left ^= comp
+        m = sum(map(int.bit_count, rows)) // 2
+        # each vertex's row and neighbor tuple without and with vertex 0
+        row_of = [(r, r | 1) for r in rows[1:]]
+        nbrs_of = [(t, (0, *t)) for t in map(_bit_positions, rows[1:])]
+        for mask, nbrs, picks, size in zero:
+            for comp in comps:
+                if not mask & comp:
+                    break
+            else:
+                yield _graph_from_fields(
+                    (mask, *map(getitem, row_of, picks)),
+                    (nbrs, *map(getitem, nbrs_of, picks)),
+                    m + size,
+                )
 
 
 def random_corpus(

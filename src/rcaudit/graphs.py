@@ -19,10 +19,21 @@ of a level into components (construct.py), read its reach masks.
 Nothing builds an induced subgraph: the construction runs every level,
 contractions included, on vertex masks over one graph's rows (see
 construct.py), and degree_stats reads an induced vertex set's degrees
-off the rows masked by that set. The exhaustive enumeration builds the
-connected masks it keeps with one unchecked builder, _graph_from_rows;
-Graph() itself validates, for input from outside. Both fill a Graph's
-fields from its rows through _fill.
+off the rows masked by that set. Graph() validates, for input from
+outside; the graph6 decoder builds through the unchecked
+_graph_from_rows. Both fill a Graph's fields from its rows through
+_fill. The exhaustive enumeration (generators.iter_connected_graphs)
+derives each graph's neighbor tuples and edge count along with its rows
+and sets all of them at once through _graph_from_fields.
+
+Both graph6 codecs work on one layout of the adjacency bits, the upper
+triangle packed column by column: column j, the low j bits of row j
+(the edges ij with i < j), sits at bit offset j(j-1)/2, so bit k of the
+packing is graph6's k-th adjacency bit, and each data byte carries the
+next 6 of them, lowest first. to_graph6 packs the rows into an int
+and cuts bytes off its low end; parse_graph6 joins the data bytes into
+the packing's binary numeral and reads each row's low part off its
+column's slice.
 
 Vertices are dense 0-based ids. Everything is deterministic: edge lists
 are sorted lexicographically.
@@ -144,6 +155,20 @@ def _graph_from_rows(rows: list[int]) -> Graph:
     return _fill(Graph.__new__(Graph), rows)
 
 
+def _graph_from_fields(
+    rows: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...], m: int
+) -> Graph:
+    """A Graph from every one of its fields, for a builder that derives
+    the neighbor tuples and the edge count along with the rows. They
+    must be what _fill would read off the rows."""
+    g = Graph.__new__(Graph)
+    g.n = len(rows)
+    g.m = m
+    g._rows = rows
+    g._nbrs = nbrs
+    return g
+
+
 def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> Iterator[int]:
     """Breadth-first layers from the vertex mask frontier, entering only
     vertices of the mask allowed. Yields each layer as a mask, frontier
@@ -171,6 +196,12 @@ class DegreeStats:
     min_degree_sum: int | None
 
 
+# a data byte's value as 6 bits, first bit first
+_G6_BITS = [format(v, "06b") for v in range(64)]
+# the data byte of a 6-bit chunk whose lowest bit comes first
+_G6_CHARS = [chr(63 + int(b[::-1], 2)) for b in _G6_BITS]
+
+
 def _g6_data_value(ch: str, offset: int) -> int:
     code = ord(ch)
     if not 63 <= code <= 126:
@@ -186,6 +217,12 @@ def parse_graph6(text: str) -> Graph:
     Accepts the optional '>>graph6<<' header. Rejects truncated bit
     vectors, trailing bytes, and nonzero padding, naming the byte offset
     within the payload.
+
+    The data bytes, each checked at its own offset, are joined into the
+    binary numeral of the column-major packing (see the module
+    docstring). Column j's slice of it is row j's low part, and each of
+    its bits i sets bit j of row i. Padding past the triangle sits in
+    the last byte.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -220,26 +257,37 @@ def parse_graph6(text: str) -> Graph:
             f"graph6: trailing garbage at offset {data_start + nbytes}"
         )
 
+    # the data bits reversed: bit k of the packed triangle is bits[-1 - k],
+    # so column j's slice reads as its binary numeral
     values = [_g6_data_value(ch, data_start + k) for k, ch in enumerate(data)]
-    edges = []
-    k = 0
+    bits = "".join([_G6_BITS[v] for v in values])[::-1]
+    # the padding past the triangle fits in the last byte
+    if "1" in bits[:len(bits) - nbits]:
+        raise GraphFormatError(
+            f"graph6: nonzero padding at offset {data_start + nbytes - 1}"
+        )
+    rows = [0] * n
+    end = len(bits)
     for j in range(1, n):
-        for i in range(j):
-            if values[k // 6] >> (5 - k % 6) & 1:
-                edges.append((i, j))
-            k += 1
-    # padding bits past the triangle must be zero
-    while k < 6 * nbytes:
-        if values[k // 6] >> (5 - k % 6) & 1:
-            raise GraphFormatError(
-                f"graph6: nonzero padding at offset {data_start + k // 6}"
-            )
-        k += 1
-    return Graph(n, edges)
+        col = int(bits[end - j:end], 2)
+        end -= j
+        rows[j] = col
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return _graph_from_rows(rows)
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 line (no header)."""
+    """Encode a graph as one graph6 line (no header).
+
+    The rows are packed column by column (see the module docstring), and
+    the data bytes read the packing 6 bits at a time from its low end,
+    each chunk's lowest bit first. The packing is cut into 3-byte words
+    of 4 chunks each as it grows, rather than built whole and shifted
+    once per chunk, so the work stays linear in the bit count.
+    """
     n = g.n
     if n <= 62:
         head = chr(63 + n)
@@ -250,17 +298,26 @@ def to_graph6(g: Graph) -> str:
     else:
         raise ValueError("graph too large for graph6")
 
-    nbits = n * (n - 1) // 2
-    values = [0] * ((nbits + 5) // 6)
+    # the packing's low end, column by column; whole 24-bit words (4 data
+    # bytes each) are cut off it once it reaches 3072 bits, and all of it
+    # at the last column, so no int grows past 3072 bits plus one column
     rows = g._rows
-    k = 0
+    out = []
+    low = width = 0
     for j in range(1, n):
-        row = rows[j]
-        for i in range(j):
-            if row >> i & 1:
-                values[k // 6] |= 32 >> k % 6
-            k += 1
-    return head + "".join([chr(63 + v) for v in values])
+        low |= (rows[j] & ((1 << j) - 1)) << width
+        width += j
+        if width >= 3072 or j == n - 1:
+            words = width // 24 if j < n - 1 else -(-width // 24)
+            data = low.to_bytes(-(-width // 24) * 3, "little")
+            for i in range(0, 3 * words, 3):
+                w = int.from_bytes(data[i:i + 3], "little")
+                out += (_G6_CHARS[w & 63], _G6_CHARS[w >> 6 & 63],
+                        _G6_CHARS[w >> 12 & 63], _G6_CHARS[w >> 18])
+            low >>= 24 * words
+            width -= 24 * words
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    return head + "".join(out[:nbytes])
 
 
 def parse_edge_list(text: str) -> Graph:

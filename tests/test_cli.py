@@ -327,6 +327,25 @@ class TestSweep:
         summary = json.loads(out)
         assert summary["aggregate"]["total"] == 1 + 1 + 4 + 38
 
+    def test_all_connected_single_vertex(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--all-connected", "1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["aggregate"]["total"] == 1
+
+    def test_all_connected_above_the_limit_exits_1(self, monkeypatch, capsys):
+        # the corpus is built whole before the first audit, so n = 8 is
+        # refused before any graph is enumerated
+        def unreachable(n):
+            raise AssertionError(f"enumerated n = {n}")
+
+        monkeypatch.setattr(rcaudit.cli, "iter_connected_graphs", unreachable)
+        code, out, err = run(capsys, "sweep", "--all-connected", "8")
+        assert code == 1
+        assert out == ""
+        assert "at most 7" in err and "251,548,592" in err
+
     def test_findings_dir_and_exit_code(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.g6"
         corpus.write_text(to_graph6(reused_color_witness()) + "\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import platform
 import random
 from itertools import combinations, islice
@@ -24,11 +25,14 @@ from rcaudit import (
     to_edge_list,
     to_graph6,
 )
-from rcaudit.generators import CounterexampleParams, iter_connected_graphs
+from rcaudit.generators import CounterexampleParams, iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances
 
-from .conftest import random_graph
+from .conftest import MASTER_SEED, random_graph
 from .oracles import degree_stats_brute, induced_subgraph
+
+RANDOM_CORPUS_GRAPH6 = "2d032af6362830304ab101f4263614a9530ad5ab94adb49e8b22a522a0316444"
+
 
 @st.composite
 def graphs(draw, max_n: int = 12):
@@ -109,16 +113,31 @@ class TestGraph6:
         assert parse_graph6(to_graph6(g)) == g
 
     def test_agrees_with_networkx(self):
+        # both directions, on every connected labeled graph with n <= 5, on
+        # random graphs, at the sizes around the header forms (one byte up
+        # to 62, "~" and 3 bytes from 63), and at n = 100, whose 4,950 bits
+        # pass the 3,072 at which to_graph6 first cuts its packing
         rng = random.Random(13)
-        for _ in range(50):
-            g = random_graph(rng, rng.randint(1, 25), rng.random())
+        corpus = [g for n in range(1, 6) for g in iter_connected_graphs(n)]
+        corpus += [random_graph(rng, rng.randint(1, 25), rng.random()) for _ in range(50)]
+        corpus += [
+            random_graph(rng, n, p) for n in (61, 62, 63, 70, 100) for p in (0.0, 0.3, 1.0)
+        ]
+        for g in corpus:
             theirs = nx.from_graph6_bytes(to_graph6(g).encode())
+            assert theirs.number_of_nodes() == g.n
             assert sorted(tuple(sorted(e)) for e in theirs.edges()) == g.edge_list()
             hey = nx.Graph()
             hey.add_nodes_from(range(g.n))
             hey.add_edges_from(g.edges)
             enc = nx.to_graph6_bytes(hey, nodes=range(g.n), header=False)
             assert parse_graph6(enc.decode().strip()) == g
+
+    def test_random_corpus_encoding_is_pinned(self):
+        # sha256 of the newline-joined lines of the acceptance random
+        # corpus; a change to any encoded byte shows here
+        lines = "\n".join(to_graph6(g) for g in random_corpus(500, 4, 40, MASTER_SEED))
+        assert hashlib.sha256(lines.encode()).hexdigest() == RANDOM_CORPUS_GRAPH6
 
     def test_large_size_form(self):
         g = Graph(70, [(0, 69), (1, 2)])
@@ -148,6 +167,14 @@ class TestGraph6:
     def test_error_names_offset(self):
         with pytest.raises(GraphFormatError, match="offset 2"):
             parse_graph6("D?!")
+
+    @pytest.mark.parametrize("n, offset", [(3, 1), (5, 2), (70, 406)])
+    def test_padding_error_names_the_last_byte(self, n, offset):
+        # the padding bits are the last byte's lowest; setting its lowest
+        # bit breaks them at every size form
+        s = to_graph6(Graph(n))
+        with pytest.raises(GraphFormatError, match=f"nonzero padding at offset {offset}$"):
+            parse_graph6(s[:-1] + chr(63 + (ord(s[-1]) - 63 | 1)))
 
 
 class TestEdgeList:
@@ -214,7 +241,7 @@ class TestRowBuiltGraphs:
     equal the graph the validating constructor builds from its edges."""
 
     def test_connected_graphs_match_constructor(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for g in iter_connected_graphs(n):
                 assert_same_fields(g, Graph(n, g.edge_list()))
 
