@@ -9,41 +9,50 @@ losing any coloring up to renaming. The order depends on no color, so
 this and every cut below stay sound. The exhausted search at q - 1
 doubles as the optimality certificate for a hit at q.
 
-Pruning rests on one path primitive, _paths_within: a DFS over the
-edge-indexed adjacency that lists every simple s-t path with at most a
-given number of edges. A rainbow path with q colors has at most q edges,
-so a pair fails exactly when all of those paths repeat a color. The
-prune tables hold such path sets, and a partial coloring in which every
-path of one pair repeats a color is cut off:
+Pruning rests on prune tables of tracked pairs. A rainbow path with q
+colors has at most q edges, so a pair fails exactly when all of those
+paths repeat a color, and a partial coloring in which every path of one
+tracked pair repeats a color is cut off. The tracked pairs are:
 
 - Preloaded pairs: every pair at distance q, whose paths of at most q
-  edges are its shortest paths. Preloading is capped per pair
-  (_PATH_CAP) and per level (_PRELOAD_CAP); a skipped pair only weakens
-  the prune, never its soundness.
-- Learned pairs: when a leaf fails on a pair, its paths are added to
-  the tables (a learned nogood), each dead at the edge where it first
-  repeats a color. A learned pair never fails at a later leaf of the
+  edges are its shortest paths. A pair of k paths is skipped when
+  k > _PATH_CAP or the level's total would pass _PRELOAD_CAP; a skipped
+  pair only weakens the prune, never its soundness.
+- Learned pairs: when a leaf fails on a pair, it is added (a learned
+  nogood) with every path dead, so it never fails at a later leaf of the
   same level: the tables cut it off first.
 
-A path is listed at each of its edges except its first in search
-order: it can die only at a depth where an earlier edge of it already
-holds the depth's color. Its edge tuple is sorted and the later edges
-are unassigned, so the scan for that earlier edge stops at the depth's
-own edge.
+Pair ids follow preload order, then learn order, and each pair counts
+its live paths. _prune_tables picks one of two kinds of tables:
 
-Each tracked path keeps one blame word: 0 while it is alive, and once
-it is dead a bitset of two edges, the edge it died at and its partner,
-the earlier edge of the same color. The partner is the lower bit, so
-the highest bit names the depth whose unassignment revives the path.
-Once every path of a pair is dead, no completion of the partial
-coloring rainbow-connects the pair, and the colors at the depths of the
-OR of their words, the pair's blame, are the whole reason. Each depth
-collects the blamed earlier depths of its failed colors (a conflict
-set), and when every color at a depth has failed, the search jumps
-straight back to the deepest depth in the set (conflict-directed
-backjumping, Prosser 1993); a failing leaf jumps to the deepest depth
-its learned pair blames. Pairs with more than _PATH_CAP short paths
-are not learned and blame every depth, which steps back one depth.
+- Path tables, at q != 2: one path primitive, _paths_within, a DFS over
+  the edge-indexed adjacency, lists each pair's paths as sorted edge
+  tuples. A path is listed at each of its edges but its first in search
+  order: it can die only where an earlier edge of it holds the depth's
+  color, so the scan for that edge stops at the depth's own. A dead
+  path's blame word holds the edge it died at and its partner, the
+  earlier edge of the same color; the higher bit names the depth whose
+  unassignment revives it.
+- Mask tables, at q = 2: the paths of a pair u, v at distance 2 are
+  u-w-v for its common neighbors w, so none is listed. Per color, each
+  vertex keeps the mask of its neighbors over edges of that color;
+  giving edge (a, b) color c kills a path of the tracked pair (x, b) for
+  each x in a's mask for c, and of (a, y) for each y in b's. A preloaded
+  pair starts with popcount(N(u) & N(v)) live paths, and a learned one
+  (at distance 2, since adjacent pairs never fail) with none.
+
+Once every path of a pair is dead, no completion of the partial coloring
+rainbow-connects the pair, and the colors at its blame, the edges of
+all of its dead paths, are the whole reason. When several pairs die at
+one edge the lowest id is charged, which the path scan does too, since
+a pair's paths are contiguous; so both kinds give one search tree at
+q = 2. Each depth collects the blamed earlier depths of its failed
+colors (a conflict set), and when every color at a depth has failed,
+the search jumps straight back to the deepest depth in the set
+(conflict-directed backjumping, Prosser 1993); a failing leaf jumps to
+the deepest depth its learned pair blames. Pairs with more than
+_PATH_CAP short paths are not learned and blame every depth, which
+steps back one depth.
 
 A leaf checks only the pairs that can fail there. Adjacent pairs have
 their edge, and every tracked pair still has a live path, which is
@@ -74,10 +83,11 @@ from __future__ import annotations
 import random
 import time
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, distance_table, to_graph6
+from .graphs import Graph, _bit_positions, distance_table, to_graph6
 from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
@@ -291,16 +301,12 @@ def rc_decision(g: Graph, q: int, budget: Budget | None = None) -> DecisionResul
     space is exhausted (skipped subtrees are provably solution-free).
     It runs on g relabeled by _search_order and reports g's own edges.
 
-    The search backjumps on conflicts (Prosser's CBJ). Each depth
-    keeps a conflict set: the earlier depths whose colors its failed
-    colors depend on. A color fails when a tracked pair loses its last
-    path; the pair's blame, minus the depth itself, joins the set.
-    A leaf fails on a pair; the learned pair's blame is the leaf's
-    set (every depth for a pair above _PATH_CAP, which is a plain step
-    back). Once every color at a depth has failed, no coloring that keeps
-    the colors of its set can be completed: the search jumps to the
-    set's deepest depth j, merges the rest of the set into j's, and
-    tries j's next color. An empty set proves the level UNSAT.
+    The search backjumps on conflicts (Prosser's CBJ; see the module
+    docstring for the conflict sets). Once every color at a depth has
+    failed, no coloring that keeps the colors of its set can be
+    completed: the search jumps to the set's deepest depth j, merges the
+    rest of the set into j's, and tries j's next color. An empty set
+    proves the level UNSAT.
 
     That holds for the canonical color range too. The colors above
     top[i] appear on no edge before depth i, and neither does top[i]
@@ -331,33 +337,36 @@ def rc_decision(g: Graph, q: int, budget: Budget | None = None) -> DecisionResul
     return _search_level(_search_state(g, distances), q, budget.max_nodes, deadline)
 
 
-def _search_level(
-    state: _SearchState, q: int, max_nodes: int | None, deadline: float | None
-) -> DecisionResult:
-    """The search of rc_decision at level q on a connected graph with at
-    least one edge and diameter at most q, under what is left of a
-    budget that is not spent on arrival."""
-    edges, adjacency, distances, into, neighbors = state
-    m = len(edges)
+# a level's prune tables on its assignment list: assign(i, c) colors
+# depth i and returns 0, or undoes itself and returns the blame of the
+# lowest pair id it left without a live path; unassign(j, i) clears
+# depths i - 1 down to j; learn(u, v) adds a failing leaf pair u < v and
+# returns its blame (None above _PATH_CAP); known[u] masks the higher v
+# the leaf check may skip: neighbors, and tracked pairs, which keep a live path
+_Tables = tuple[Callable, Callable, Callable, list[int]]
 
-    # the prune tables: per tracked path its edges, its pair and its
-    # blame word; per edge the paths that can die there (every path
-    # through it but those it starts, in search order); per pair its
-    # path ids and the number of them still alive
+
+def _prune_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
+    return (_mask_tables if q == 2 else _path_tables)(state, q, assignment)
+
+
+def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
+    edges, adjacency, distances, into, neighbors = state
+
+    # per tracked path its edges, its pair and its blame word (0 while
+    # alive); per edge the paths that can die there; per pair its path
+    # ids and the number of them still alive
     path_edges: list[tuple[int, ...]] = []
     path_pair: list[int] = []
     blame: list[int] = []
-    edge_paths: list[list[int]] = [[] for _ in range(m)]
+    edge_paths: list[list[int]] = [[] for _ in edges]
     pair_paths: list[range] = []
     alive: list[int] = []
-    # per vertex u, the mask of the higher vertices v whose pair the leaf
-    # check may skip: a neighbor, or a tracked pair, which has a live
-    # path, and so a rainbow one, at every leaf
     known = neighbors.copy()
+    # failing leaf pairs above _PATH_CAP, not enumerated again
+    over_cap: set[tuple[int, int]] = set()
 
     def add_pair(u: int, v: int, paths: list[tuple[int, ...]]) -> int:
-        """Track the paths of the pair u < v, all alive; returns the
-        pair's id."""
         first = len(path_edges)
         pair_id = len(alive)
         alive.append(len(paths))
@@ -377,7 +386,6 @@ def _search_level(
             depths |= blame[pid]
         return depths
 
-    # preload every pair at distance exactly q, within the caps
     total = 0
     for u in range(len(adjacency)):
         for v in range(u + 1, len(adjacency)):
@@ -389,49 +397,51 @@ def _search_level(
             add_pair(u, v, paths)
             total += len(paths)
 
-    assignment = [-1] * m
-    next_color = [0] * (m + 1)
-    top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
-    # per depth, as a bitset: the earlier depths its failed colors depend on
-    conflicts = [0] * (m + 1)
-    every_depth = (1 << m) - 1
-    # failing leaf pairs with more than _PATH_CAP short paths: not
-    # learned, and not enumerated again when they fail once more
-    over_cap: set[tuple[int, int]] = set()
-    nodes = leaf_checks = learned = jumps = 0
-    i = 0
+    def assign(i: int, c: int) -> int:
+        assignment[i] = c
+        for pid in edge_paths[i]:
+            if blame[pid]:
+                continue
+            # the path's edges are sorted and the later ones unassigned, so
+            # the first edge of color c is i itself unless the path dies here
+            for e in path_edges[pid]:
+                if assignment[e] == c:
+                    break
+            if e != i:
+                blame[pid] = 1 << i | 1 << e
+                pair_id = path_pair[pid]
+                alive[pair_id] -= 1
+                if not alive[pair_id]:
+                    # pair_blame(pair_id) and unassign(i, i + 1), inline
+                    depths = 0
+                    for pid in pair_paths[pair_id]:
+                        depths |= blame[pid]
+                    for pid in edge_paths[i]:
+                        if blame[pid] >> i == 1:
+                            blame[pid] = 0
+                            alive[path_pair[pid]] += 1
+                    assignment[i] = -1
+                    return depths
+        return 0
 
-    def done(status: DecisionStatus, coloring: EdgeColoring | None = None) -> DecisionResult:
-        return DecisionResult(status, coloring, nodes, leaf_checks, learned, jumps)
-
-    def unassign(depth: int) -> None:
-        # a path that died at depth contains its edge and blames it highest
-        for pid in edge_paths[depth]:
-            if blame[pid] >> depth == 1:
-                blame[pid] = 0
-                alive[path_pair[pid]] += 1
-        assignment[depth] = -1
-
-    def backjump(depth: int, culprits: int) -> int:
-        """Every color at depth failed (at depth m: the full coloring),
-        and so does every coloring that keeps the colors of culprits, a
-        nonempty set of earlier depths. Unassigns down to the deepest
-        culprit j, merges the other culprits into j's set, returns j."""
-        nonlocal jumps
-        j = culprits.bit_length() - 1
-        if j < depth - 1:
-            jumps += 1
+    def unassign(j: int, depth: int) -> None:
         for d in range(depth - 1, j - 1, -1):
-            unassign(d)
-        conflicts[j] |= culprits ^ (1 << j)
-        return j
+            # a path that died at d contains its edge and blames it highest
+            for pid in edge_paths[d]:
+                if blame[pid] >> d == 1:
+                    blame[pid] = 0
+                    alive[path_pair[pid]] += 1
+            assignment[d] = -1
 
-    def learn(u: int, v: int, paths: list[tuple[int, ...]]) -> int:
-        """Track the pair u < v, which fails under the full assignment,
-        each of its paths dead at its first edge whose color repeats an
-        earlier edge of the path; returns the pair's blame. After the
-        distance shortcut every pair has a path of at most q edges, so
-        paths is not empty."""
+    def learn(u: int, v: int) -> int | None:
+        # after the distance shortcut every pair has a path of at most q
+        # edges; each dies at its first edge that repeats a color
+        if (u, v) in over_cap:
+            return None
+        paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])
+        if paths is None:
+            over_cap.add((u, v))
+            return None
         pair_id = add_pair(u, v, paths)
         for pid, p in zip(pair_paths[pair_id], paths):
             seen = 0
@@ -447,22 +457,161 @@ def _search_level(
         alive[pair_id] = 0
         return pair_blame(pair_id)
 
+    return assign, unassign, learn, known
+
+
+def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
+    edges, adjacency, _, into, neighbors = state
+    # the ranked ends of each edge, and per vertex its edges as depths
+    ends = [(0, 0)] * len(edges)
+    incident = [0] * len(adjacency)
+    for a, row in enumerate(adjacency):
+        for b, e in row:
+            ends[e] = (a, b)
+            incident[a] |= 1 << e
+    # cm[c][v]: v's neighbors over the assigned edges of color c; per
+    # vertex its tracked partners and, by partner bit, the pair ids; per
+    # pair its ends and live paths
+    cm = [[0] * len(adjacency) for _ in range(q)]
+    tracked = [0] * len(adjacency)
+    pair_id: list[dict[int, int]] = [{} for _ in adjacency]
+    pairs: list[tuple[int, int]] = []
+    alive: list[int] = []
+    known = neighbors.copy()
+
+    def add_pair(u: int, v: int, count: int) -> int:
+        p = len(alive)
+        pair_id[u][1 << v] = pair_id[v][1 << u] = p
+        pairs.append((u, v))
+        alive.append(count)
+        tracked[u] |= 1 << v
+        tracked[v] |= 1 << u
+        known[u] |= 1 << v
+        return p
+
+    def pair_blame(p: int) -> int:
+        # the edges of u and of v that meet a common neighbor
+        u, v = pairs[p]
+        meet = 0
+        for w in _bit_positions(neighbors[u] & neighbors[v]):
+            meet |= incident[w]
+        return (incident[u] | incident[v]) & meet
+
+    # the diameter is at most 2: distance 2 means nonadjacent
+    total = 0
+    higher = (1 << len(adjacency)) - 1
+    for u, row in enumerate(neighbors):
+        higher ^= 1 << u
+        for v in _bit_positions(higher & ~row):
+            count = (row & neighbors[v]).bit_count()
+            if count <= _PATH_CAP and total + count <= _PRELOAD_CAP:
+                add_pair(u, v, count)
+                total += count
+
+    def assign(i: int, c: int) -> int:
+        assignment[i] = c
+        a, b = ends[i]
+        row = cm[c]
+        # the paths x-a-b and a-b-y whose other edge has color c
+        xs = row[a] & tracked[b]
+        ys = row[b] & tracked[a]
+        row[a] |= 1 << b
+        row[b] |= 1 << a
+        dead = -1
+        for mask, ids in ((xs, pair_id[b]), (ys, pair_id[a])):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                p = ids[low]
+                alive[p] -= 1
+                if not alive[p] and (dead < 0 or p < dead):
+                    dead = p
+        if dead < 0:
+            return 0
+        unassign(i, i + 1)
+        return pair_blame(dead)
+
+    def unassign(j: int, depth: int) -> None:
+        for i in range(depth - 1, j - 1, -1):
+            # i leaves cm first, so the same paths as at assign(i) revive
+            a, b = ends[i]
+            row = cm[assignment[i]]
+            assignment[i] = -1
+            row[a] ^= 1 << b
+            row[b] ^= 1 << a
+            for mask, ids in ((row[a] & tracked[b], pair_id[b]), (row[b] & tracked[a], pair_id[a])):
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    alive[ids[low]] += 1
+
+    def learn(u: int, v: int) -> int | None:
+        if (neighbors[u] & neighbors[v]).bit_count() > _PATH_CAP:
+            return None
+        return pair_blame(add_pair(u, v, 0))
+
+    return assign, unassign, learn, known
+
+
+def _search_level(
+    state: _SearchState, q: int, max_nodes: int | None, deadline: float | None
+) -> DecisionResult:
+    """The search of rc_decision at level q on a connected graph with at
+    least one edge and diameter at most q, under what is left of a
+    budget that is not spent on arrival.
+
+    One driver runs every level on the tables of _prune_tables: mask
+    tables at q = 2, path tables elsewhere (see the module docstring).
+    At q = 2 both give one search tree: a pair of k paths is preloaded
+    unless k > _PATH_CAP or the total would pass _PRELOAD_CAP (skipped,
+    not stopped), ids follow preload then learn order, the lowest dead
+    id is charged, a learned pair starts with no live path, and a dead
+    pair blames every edge of its paths.
+    """
+    edges, adjacency = state[:2]
+    m = len(edges)
+    assignment = [-1] * m
+    assign, unassign, learn, known = _prune_tables(state, q, assignment)
+    next_color = [0] * (m + 1)
+    top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
+    # per depth, as a bitset: the earlier depths its failed colors depend on
+    conflicts = [0] * (m + 1)
+    every_depth = (1 << m) - 1
+    nodes = leaf_checks = learned = jumps = 0
+    # the budget is checked at the node cap (cap) and, with a deadline,
+    # before the first node and then every 1024 nodes (the clock is read)
+    cap = (1 << 63) if max_nodes is None else max_nodes
+    check_at = 0 if deadline is not None else cap
+    i = 0
+
+    def done(status: DecisionStatus, coloring: EdgeColoring | None = None) -> DecisionResult:
+        return DecisionResult(status, coloring, nodes, leaf_checks, learned, jumps)
+
+    def backjump(depth: int, culprits: int) -> int:
+        """Every color at depth failed (at depth m: the full coloring),
+        and so does every coloring that keeps the colors of culprits, a
+        nonempty set of earlier depths. Unassigns down to the deepest
+        culprit j, merges the other culprits into j's set, returns j."""
+        nonlocal jumps
+        j = culprits.bit_length() - 1
+        if j < depth - 1:
+            jumps += 1
+        unassign(j, depth)
+        conflicts[j] |= culprits ^ (1 << j)
+        return j
+
     while True:
         if i == m:
             leaf_checks += 1
             failing = first_failing_pair(adjacency, [1 << c for c in assignment], known)
             if failing is None:
                 return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
-            culprits = every_depth
-            u, v = pair = failing.u, failing.v
-            if pair not in over_cap:
-                paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])
-                if paths is None:
-                    over_cap.add(pair)
-                else:
-                    # every leaf that keeps these depths' colors fails on this pair
-                    culprits = learn(u, v, paths)
-                    learned += 1
+            # every leaf that keeps the blamed depths' colors fails on this pair
+            culprits = learn(failing.u, failing.v)
+            if culprits is None:
+                culprits = every_depth
+            else:
+                learned += 1
             i = backjump(m, culprits)
             continue
         c = next_color[i]
@@ -471,35 +620,16 @@ def _search_level(
                 return done(DecisionStatus.UNSAT)
             i = backjump(i, conflicts[i])
             continue
-        if (max_nodes is not None and nodes >= max_nodes) or (
-            deadline is not None
-            and nodes & 1023 == 0  # clock read before the first node, then sparsely
-            and time.monotonic() > deadline
-        ):
-            return done(DecisionStatus.BUDGET_EXHAUSTED)
+        if nodes >= check_at:
+            if nodes >= cap or (deadline is not None and time.monotonic() > deadline):
+                return done(DecisionStatus.BUDGET_EXHAUSTED)
+            check_at = min(cap, nodes + 1024) if deadline is not None else cap
         next_color[i] = c + 1
         nodes += 1
 
-        assignment[i] = c
-        dead_pair = -1
-        for pid in edge_paths[i]:
-            if blame[pid]:
-                continue
-            # the path's edges are sorted and the later ones unassigned, so
-            # the first edge of color c is i itself unless the path dies here
-            for e in path_edges[pid]:
-                if assignment[e] == c:
-                    break
-            if e != i:
-                blame[pid] = 1 << i | 1 << e
-                pair_id = path_pair[pid]
-                alive[pair_id] -= 1
-                if not alive[pair_id]:
-                    dead_pair = pair_id
-                    break
-        if dead_pair >= 0:
-            conflicts[i] |= pair_blame(dead_pair) ^ (1 << i)
-            unassign(i)
+        blamed = assign(i, c)
+        if blamed:
+            conflicts[i] |= blamed ^ (1 << i)
             continue
         # canonical order: a new color is one above the largest so far
         top[i + 1] = c + 1 if c == top[i] and c < q - 1 else top[i]

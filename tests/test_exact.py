@@ -664,6 +664,28 @@ class TestExact:
                 digest.update(f"{row}\n".encode())
         assert digest.hexdigest() == self.SMALL_GRAPHS_DIGEST
 
+    # sha256 over one line per graph of random_corpus(500, 4, 40,
+    # MASTER_SEED) at a 2000-node budget of (graph6, status, value, nodes,
+    # leaf checks, learned pairs, witness checks, jumps, witness colors in
+    # edge-list order, or None); a change to the search that keeps its
+    # tree must keep every row
+    RANDOM_CORPUS_DIGEST = (
+        "582b95234c9ca8f6284a8dcd4fae293ccc4d68d265fb59e63da6935692b8a831"
+    )
+
+    def test_budgeted_outcomes_on_the_random_corpus(self):
+        digest = hashlib.sha256()
+        for g in random_corpus(500, 4, 40, MASTER_SEED):
+            r = rc_exact(g, Budget(max_nodes=2000))
+            s = r.stats
+            witness = None if r.witness is None else [r.witness.colors[e] for e in g.edge_list()]
+            row = (
+                to_graph6(g), r.status.value, r.value, s.nodes, s.leaf_checks,
+                s.learned_pairs, s.witness_checks, s.jumps, witness,
+            )
+            digest.update(f"{row}\n".encode())
+        assert digest.hexdigest() == self.RANDOM_CORPUS_DIGEST
+
     def test_pairs_above_the_cap_are_enumerated_once(self, monkeypatch):
         # with a cap of 2 most pairs are neither preloaded nor learned:
         # failing ones fail at several leaves, but each pair's paths are
@@ -693,6 +715,76 @@ class TestExact:
             g = random_connected_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9))
             res = rc_exact(g)
             assert diameter(g) <= res.value <= max(g.m, 0) if g.m else res.value == 0
+
+
+class TestMaskTables:
+    """At q = 2 the level search runs on per-color neighbor masks; the
+    path tables, forced through the table selector, must give the same
+    search tree, so the same DecisionResult field by field."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(MASTER_SEED + 27)
+        yield from (g for n in range(2, 6) for g in iter_connected_graphs(n))
+        yield from (g for g in iter_connected_graphs(6) if rng.random() < 0.05)
+        yield from random_corpus(500, 4, 40, MASTER_SEED)
+
+    @staticmethod
+    def fields(res):
+        coloring = None if res.coloring is None else res.coloring.colors
+        return res.status, coloring, res.nodes, res.leaf_checks, res.learned_pairs, res.jumps
+
+    # (_PRELOAD_CAP, node budget): the real caps, then caps that leave
+    # most pairs to be learned, then a budget that cuts many levels
+    @pytest.mark.parametrize(
+        "preload_cap, max_nodes", [(None, 2000), (3, 300), (1, 300), (None, 17)]
+    )
+    def test_same_result_as_path_tables(self, monkeypatch, preload_cap, max_nodes):
+        if preload_cap is not None:
+            monkeypatch.setattr(rcaudit.exact, "_PRELOAD_CAP", preload_cap)
+        listed = []
+        paths_within = rcaudit.exact._paths_within
+
+        def counted(adjacency, s, dist_to_t, limit, cap, into_t):
+            listed.append(limit)
+            return paths_within(adjacency, s, dist_to_t, limit, cap, into_t)
+
+        monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
+        budget = Budget(max_nodes=max_nodes)
+        seen = {"levels": 0, "learned": 0, "jumps": 0, "budget": 0}
+        for g in self.graphs():
+            if g.m == 0 or diameter(g) > 2:
+                continue
+            masks = rc_decision(g, 2, budget)
+            assert listed == [], to_graph6(g)
+            with monkeypatch.context() as patched:
+                patched.setattr(rcaudit.exact, "_prune_tables", rcaudit.exact._path_tables)
+                paths = rc_decision(g, 2, budget)
+            # a complete graph has no pair at distance 2 to list paths for
+            assert bool(listed) == (diameter(g) == 2), to_graph6(g)
+            listed.clear()
+            assert self.fields(masks) == self.fields(paths), to_graph6(g)
+            seen["levels"] += 1
+            seen["learned"] += masks.learned_pairs > 0
+            seen["jumps"] += masks.jumps > 0
+            seen["budget"] += masks.status is DecisionStatus.BUDGET_EXHAUSTED
+        assert seen["levels"] > 1000 and seen["jumps"] > 50, seen
+        if preload_cap is not None:
+            assert seen["learned"] > 500, seen
+        if max_nodes < 2000:
+            assert seen["budget"] > 200, seen
+
+    def test_pair_ids_past_the_edge_count(self, monkeypatch):
+        # 10 edges and 11 pairs at distance 2, all preloaded: the verdict
+        # needs pair ids 10 and up to die, and a dead pair taken for alive
+        # is skipped by the leaf check (with "no dead pair" written as
+        # id m, this level turns SAT on a coloring that is not rainbow
+        # connected)
+        g = parse_graph6("FtrE?")
+        masks = rc_decision(g, 2)
+        monkeypatch.setattr(rcaudit.exact, "_prune_tables", rcaudit.exact._path_tables)
+        assert self.fields(masks) == self.fields(rc_decision(g, 2))
+        assert self.fields(masks) == (DecisionStatus.UNSAT, None, 69, 0, 0, 3)
 
 
 class TestSeededWitness:
