@@ -21,7 +21,6 @@ from .exact import (
     Budget,
     DecisionStatus,
     ExactStatus,
-    rc_decision,
     rc_exact,
     rc_lower_bound,
 )

@@ -129,7 +129,7 @@ def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
     report for check_report to find; they never raise here.
     """
     distances = distance_table(g)
-    if distances and -1 in distances[0]:
+    if distances is None:
         raise ValueError("audit requires a connected graph")
     stats = degree_stats(g)
     finding, _, trace = run_construction(g)

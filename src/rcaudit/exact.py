@@ -64,11 +64,14 @@ Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
 witness, is the one a plain restricted-growth search in the same order finds.
 
-Node and wall-time budgets cap each call so corpus sweeps never hang.
-rc_exact checks the graph and builds its search state (the order, the
-adjacency and distance table relabeled by it, and per vertex its
-edge-by-neighbor map and neighbor mask) once, and runs every level
-under one deadline, which also caps the witness search. When a
+rc_exact is the one entry. It checks the graph and builds its search
+state (the order, the adjacency and distance table relabeled by it, and
+per vertex its edge-by-neighbor map and neighbor mask) once, runs every
+level through _search_level, and records each level's verdict and work
+in stats.levels: a witness at q plus the UNSAT record of every level
+below it is the evidence for rc = q. Node and wall-time budgets cap the
+call so corpus sweeps never hang; one deadline covers every level and
+the witness search. When a
 budget stops the deepening at level q, a seeded repair search
 (_seeded_witness) still looks for a q-coloring: every level below q is
 refuted or lies below max(diameter, 1), so a coloring that passes a
@@ -98,7 +101,6 @@ __all__ = [
     "ExactStatus",
     "ExactResult",
     "rc_lower_bound",
-    "rc_decision",
     "rc_exact",
 ]
 
@@ -118,18 +120,6 @@ class Budget:
     max_seconds: float | None = None
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    """Work of one rc_exact call, summed over its deepening levels."""
-
-    nodes: int
-    seconds: float
-    leaf_checks: int = 0  # first_failing_pair calls at the search's leaves
-    learned_pairs: int = 0  # failing leaf pairs added to the prune tables
-    witness_checks: int = 0  # first_failing_pair calls of the seeded witness search
-    jumps: int = 0  # conflict-directed jumps that skip at least one depth
-
-
 class DecisionStatus(Enum):
     SAT = "sat"
     UNSAT = "unsat"
@@ -138,12 +128,33 @@ class DecisionStatus(Enum):
 
 @dataclass(frozen=True)
 class DecisionResult:
+    """One deepening level: the search for a coloring with at most q
+    colors, its verdict (with the coloring when SAT), and its work."""
+
+    q: int
     status: DecisionStatus
     coloring: EdgeColoring | None
     nodes: int
-    leaf_checks: int = 0
-    learned_pairs: int = 0
-    jumps: int = 0
+    leaf_checks: int = 0  # first_failing_pair calls at the search's leaves
+    learned_pairs: int = 0  # failing leaf pairs added to the prune tables
+    jumps: int = 0  # conflict-directed jumps that skip at least one depth
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """Work of one rc_exact call: one record per deepening level searched,
+    in order of q from max(diameter, 1), and the seeded witness search's
+    first_failing_pair calls. Every level but the last is UNSAT. The
+    other counters are sums over the levels."""
+
+    levels: tuple[DecisionResult, ...]
+    seconds: float
+    witness_checks: int = 0
+
+    nodes = property(lambda self: sum(r.nodes for r in self.levels))
+    leaf_checks = property(lambda self: sum(r.leaf_checks for r in self.levels))
+    learned_pairs = property(lambda self: sum(r.learned_pairs for r in self.levels))
+    jumps = property(lambda self: sum(r.jumps for r in self.levels))
 
 
 class ExactStatus(Enum):
@@ -283,58 +294,9 @@ def _checked_distances(g: Graph, distances: list[list[int]] | None) -> list[list
         raise ValueError("rc of the empty graph is undefined")
     if distances is None:
         distances = distance_table(g)
-    if -1 in distances[0]:
+    if distances is None or -1 in distances[0]:
         raise ValueError("rc is defined for connected graphs only")
     return distances
-
-
-def _spent(max_nodes: int | None, deadline: float | None) -> bool:
-    """Whether a budget has no node or no time left."""
-    return (max_nodes is not None and max_nodes <= 0) or (
-        deadline is not None and time.monotonic() >= deadline
-    )
-
-
-def rc_decision(g: Graph, q: int, budget: Budget | None = None) -> DecisionResult:
-    """Find a rainbow-connecting coloring with at most q colors, or prove
-    none exists. Unsatisfiability is reported only after the canonical
-    space is exhausted (skipped subtrees are provably solution-free).
-    It runs on g relabeled by _search_order and reports g's own edges.
-
-    The search backjumps on conflicts (Prosser's CBJ; see the module
-    docstring for the conflict sets). Once every color at a depth has
-    failed, no coloring that keeps the colors of its set can be
-    completed: the search jumps to the set's deepest depth j, merges the
-    rest of the set into j's, and tries j's next color. An empty set
-    proves the level UNSAT.
-
-    That holds for the canonical color range too. The colors above
-    top[i] appear on no edge before depth i, and neither does top[i]
-    when it is a fresh color. Swapping one of them with top[i] in a
-    whole coloring leaves every earlier depth's color, and so the
-    conflict set, as it was; so a coloring that gives depth i a color
-    above top[i] fails whenever the fresh color top[i] fails.
-
-    budget caps the nodes and seconds of this call, both checked before
-    a node is counted (see Budget): BUDGET_EXHAUSTED reports only the
-    nodes expanded. A budget spent on arrival (max_nodes <= 0, or no
-    time left) gives up with 0 nodes before the search order and the
-    prune tables are built.
-    """
-    if q < 1:
-        raise ValueError("color count must be at least 1")
-    distances = _checked_distances(g, None)
-    if g.m == 0:
-        return DecisionResult(DecisionStatus.SAT, EdgeColoring({}), 0)
-    if _lower_bound(distances) > q:
-        # some pair is farther apart than q; no q-coloring can give it a
-        # rainbow path, so the whole space is solution-free
-        return DecisionResult(DecisionStatus.UNSAT, None, 0)
-    budget = budget or Budget()
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    if _spent(budget.max_nodes, deadline):
-        return DecisionResult(DecisionStatus.BUDGET_EXHAUSTED, None, 0)
-    return _search_level(_search_state(g, distances), q, budget.max_nodes, deadline)
 
 
 # a level's prune tables on its assignment list: assign(i, c) colors
@@ -556,17 +518,29 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
 def _search_level(
     state: _SearchState, q: int, max_nodes: int | None, deadline: float | None
 ) -> DecisionResult:
-    """The search of rc_decision at level q on a connected graph with at
-    least one edge and diameter at most q, under what is left of a
-    budget that is not spent on arrival.
+    """Find a rainbow-connecting coloring of the ranked graph of state
+    with at most q colors, or prove none exists, under what is left of
+    rc_exact's budget: at most max_nodes nodes (None: no cap), until
+    deadline. The graph is connected with at least one edge and diameter
+    at most q, and the budget is not spent on arrival. UNSAT is reported
+    only once the canonical space is exhausted; BUDGET_EXHAUSTED counts
+    only the nodes expanded.
+
+    The search backjumps on conflicts (Prosser's CBJ; see the module
+    docstring for the conflict sets). Once every color at a depth has
+    failed, no coloring that keeps the colors of its set can be
+    completed: the search jumps to the set's deepest depth j, merges the
+    rest of the set into j's, and tries j's next color. An empty set
+    proves the level UNSAT. That holds for the canonical color range
+    too. The colors above top[i] appear on no edge before depth i, and
+    neither does top[i] when it is a fresh color. Swapping one of them
+    with top[i] in a whole coloring leaves every earlier depth's color,
+    and so the conflict set, as it was; so a coloring that gives depth i
+    a color above top[i] fails whenever the fresh color top[i] fails.
 
     One driver runs every level on the tables of _prune_tables: mask
-    tables at q = 2, path tables elsewhere (see the module docstring).
-    At q = 2 both give one search tree: a pair of k paths is preloaded
-    unless k > _PATH_CAP or the total would pass _PRELOAD_CAP (skipped,
-    not stopped), ids follow preload then learn order, the lowest dead
-    id is charged, a learned pair starts with no live path, and a dead
-    pair blames every edge of its paths.
+    tables at q = 2, path tables elsewhere; the module docstring says
+    why both give one search tree at q = 2.
     """
     edges, adjacency = state[:2]
     m = len(edges)
@@ -585,7 +559,7 @@ def _search_level(
     i = 0
 
     def done(status: DecisionStatus, coloring: EdgeColoring | None = None) -> DecisionResult:
-        return DecisionResult(status, coloring, nodes, leaf_checks, learned, jumps)
+        return DecisionResult(q, status, coloring, nodes, leaf_checks, learned, jumps)
 
     def backjump(depth: int, culprits: int) -> int:
         """Every color at depth failed (at depth m: the full coloring),
@@ -705,55 +679,38 @@ def rc_exact(
     budget = budget or Budget()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
     distances = _checked_distances(g, distances)
+    levels: list[DecisionResult] = []
+
+    def result(
+        status: ExactStatus, value: int, witness: EdgeColoring | None, checks: int = 0
+    ) -> ExactResult:
+        stats = SearchStats(tuple(levels), time.monotonic() - started, checks)
+        return ExactResult(status, value, witness, stats)
+
     if g.m == 0:
         # single vertex: the empty coloring is vacuously rainbow connected
-        return ExactResult(
-            ExactStatus.EXACT,
-            0,
-            EdgeColoring({}),
-            SearchStats(0, time.monotonic() - started),
-        )
-    lb = _lower_bound(distances)
-    total_nodes = leaf_checks = learned_pairs = witness_checks = jumps = 0
-    last_refuted: int | None = None
-    q = lb
+        return result(ExactStatus.EXACT, 0, EdgeColoring({}))
+    lb = q = _lower_bound(distances)
     state: _SearchState | None = None  # built by the first level searched
-
-    def stats() -> SearchStats:
-        return SearchStats(
-            total_nodes,
-            time.monotonic() - started,
-            leaf_checks,
-            learned_pairs,
-            witness_checks,
-            jumps,
-        )
-
-    while True:
-        left = None if budget.max_nodes is None else budget.max_nodes - total_nodes
-        if _spent(left, deadline):
-            break
+    left = budget.max_nodes  # the nodes the next level may expand
+    while (left is None or left > 0) and (deadline is None or time.monotonic() < deadline):
         state = state or _search_state(g, distances)
-        res = _search_level(state, q, left, deadline)
-        total_nodes += res.nodes
-        leaf_checks += res.leaf_checks
-        learned_pairs += res.learned_pairs
-        jumps += res.jumps
-        if res.status is DecisionStatus.SAT:
-            return ExactResult(ExactStatus.EXACT, q, res.coloring, stats())
-        if res.status is DecisionStatus.UNSAT:
-            last_refuted = q
-            q += 1
-            # a connected graph always admits the all-distinct coloring
-            if q > g.m:
-                raise RuntimeError("deepening ran past the trivial upper bound")
-            continue
-        break
+        level = _search_level(state, q, left, deadline)
+        levels.append(level)
+        if level.status is DecisionStatus.SAT:
+            return result(ExactStatus.EXACT, q, level.coloring)
+        if level.status is DecisionStatus.BUDGET_EXHAUSTED:
+            break
+        left = None if left is None else left - level.nodes
+        q += 1
+        # a connected graph always admits the all-distinct coloring
+        if q > g.m:
+            raise RuntimeError("deepening ran past the trivial upper bound")
 
-    # the budget stopped the deepening at level q
-    witness, witness_checks = _seeded_witness(g, q, distances, deadline)
+    # the budget stopped the deepening at level q; every level below it
+    # is refuted or lies below lb
+    witness, checks = _seeded_witness(g, q, distances, deadline)
     if witness is not None:
-        return ExactResult(ExactStatus.EXACT, q, witness, stats())
-    if last_refuted is not None:
-        return ExactResult(ExactStatus.LOWER_BOUND_ONLY, last_refuted + 1, None, stats())
-    return ExactResult(ExactStatus.BUDGET_EXHAUSTED, lb, None, stats())
+        return result(ExactStatus.EXACT, q, witness, checks)
+    status = ExactStatus.LOWER_BOUND_ONLY if q > lb else ExactStatus.BUDGET_EXHAUSTED
+    return result(status, q, None, checks)

@@ -427,10 +427,14 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def distance_table(g: Graph) -> list[list[int]]:
-    """All-pairs distances: dist[s][t], -1 when t is unreachable from s.
-    g is connected exactly when the first row (if any) has no -1."""
-    return [bfs_distances(g, s) for s in range(g.n)]
+def distance_table(g: Graph) -> list[list[int]] | None:
+    """All-pairs distances dist[s][t] of a connected g; None when the
+    first row has a -1, before any other row is built."""
+    rows = [bfs_distances(g, 0)] if g.n else []
+    if rows and -1 in rows[0]:
+        return None
+    rows += (bfs_distances(g, s) for s in range(1, g.n))
+    return rows
 
 
 def diameter(g: Graph) -> int:

@@ -259,7 +259,7 @@ class TestAuditCommand:
         # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound;
         # the report is printed, then one line per finding a sweep reports
         def over_the_bound(g, budget, *, distances):
-            return ExactResult(ExactStatus.EXACT, 4, None, SearchStats(0, 0.0))
+            return ExactResult(ExactStatus.EXACT, 4, None, SearchStats((), 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)
         code, out, err = run(capsys, "audit", to_graph6(gen_named("cycle", 5)))
@@ -279,7 +279,7 @@ class TestAuditCommand:
         # bound 3 and matches the 3-color construction, but exceeds the
         # degree-sum bound 5/2; audit reports it as sweep does
         def above_degree_sum(g, budget, *, distances):
-            return ExactResult(ExactStatus.EXACT, 3, None, SearchStats(0, 0.0))
+            return ExactResult(ExactStatus.EXACT, 3, None, SearchStats((), 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", above_degree_sum)
         code, out, err = run(capsys, "audit", "D^o")

@@ -19,15 +19,20 @@ from rcaudit import (
     gen_named,
     is_complete,
     is_rainbow_connected,
-    rc_decision,
     rc_exact,
     rc_lower_bound,
     to_graph6,
 )
 from rcaudit.cli import main
-from rcaudit.exact import _PATH_CAP, _paths_within, _search_order
+from rcaudit.exact import (
+    _PATH_CAP,
+    _paths_within,
+    _search_level,
+    _search_order,
+    _search_state,
+)
 from rcaudit.generators import iter_connected_graphs, random_corpus
-from rcaudit.graphs import bfs_distances, parse_graph6
+from rcaudit.graphs import bfs_distances, distance_table, parse_graph6
 from rcaudit.rainbow import edge_adjacency
 
 from .conftest import MASTER_SEED, random_connected_graph
@@ -99,17 +104,20 @@ class TestPathsWithin:
 
 
 class TestDecision:
+    """The deepening levels of rc_exact, read from stats.levels."""
+
     def test_clique_with_one_color(self):
-        res = rc_decision(gen_named("complete", 4), 1)
-        assert res.status is DecisionStatus.SAT
-        assert res.coloring.num_colors == 1
+        (level,) = rc_exact(gen_named("complete", 4)).stats.levels
+        assert (level.q, level.status) == (1, DecisionStatus.SAT)
+        assert level.coloring.num_colors == 1
 
     def test_path4_needs_three(self):
-        # the unique 3-edge path forces 3 distinct colors; cross-checked by
-        # enumerating all 2-colorings brute force
+        # the unique 3-edge path forces 3 distinct colors, so the search
+        # starts at q = 3; cross-checked by enumerating all 2-colorings
+        # brute force
         g = gen_named("path", 4)
-        res = rc_decision(g, 2)
-        assert res.status is DecisionStatus.UNSAT
+        (level,) = rc_exact(g).stats.levels
+        assert (level.q, level.status) == (3, DecisionStatus.SAT)
         from itertools import product
 
         from .oracles import first_failing_pair_brute
@@ -122,10 +130,10 @@ class TestDecision:
         )
 
     def test_cycle4_with_two(self):
-        res = rc_decision(gen_named("cycle", 4), 2)
-        assert res.status is DecisionStatus.SAT
+        (level,) = rc_exact(gen_named("cycle", 4)).stats.levels
+        assert (level.q, level.status) == (2, DecisionStatus.SAT)
         assert isinstance(
-            is_rainbow_connected(gen_named("cycle", 4), res.coloring),
+            is_rainbow_connected(gen_named("cycle", 4), level.coloring),
             RainbowCertificate,
         )
 
@@ -136,32 +144,33 @@ class TestDecision:
         assert coloring is None and nodes > 0
 
     def test_budget_exhaustion(self):
-        g = gen_named("cycle", 6)
-        res = rc_decision(g, 3, budget=Budget(max_nodes=3))
-        assert res.status is DecisionStatus.BUDGET_EXHAUSTED
+        # C6 runs out of nodes at its first level, q = 3
+        res = rc_exact(gen_named("cycle", 6), Budget(max_nodes=3))
+        (level,) = res.stats.levels
+        assert (level.q, level.status, level.nodes) == (3, DecisionStatus.BUDGET_EXHAUSTED, 3)
 
     def test_time_budget_exhaustion(self):
         # the clock is read before the first node is counted, so a time
         # give-up, like a node give-up, counts no node it never expanded
         c6 = gen_named("cycle", 6)
-        res = rc_decision(c6, 3, budget=Budget(max_seconds=0.0))
-        assert res.status is DecisionStatus.BUDGET_EXHAUSTED
-        assert res.nodes == 0
-        assert rc_exact(c6, Budget(max_seconds=0.0)).stats.nodes == 0
+        passed = time.monotonic() - 1.0
+        level = _search_level(_search_state(c6, distance_table(c6)), 3, None, passed)
+        assert (level.status, level.nodes) == (DecisionStatus.BUDGET_EXHAUSTED, 0)
+        res = rc_exact(c6, Budget(max_seconds=0.0))
+        assert (res.stats.levels, res.stats.nodes) == ((), 0)
 
     def test_budget_spent_on_arrival_builds_nothing(self, monkeypatch):
-        # a spent budget gives up with 0 nodes before the search order and
-        # the prune tables are built
+        # a spent budget gives up with no level searched, before the
+        # search order and the prune tables are built
         orders = []
         monkeypatch.setattr(rcaudit.exact, "_search_order", orders.append)
         rng = random.Random(MASTER_SEED + 25)
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
             res = rc_exact(g, Budget(max_seconds=0.0))
-            assert (res.status, res.stats.nodes) == (ExactStatus.BUDGET_EXHAUSTED, 0)
-            assert rc_decision(g, g.m, Budget(max_nodes=0)).nodes == 0
-            res = rc_decision(g, g.m, Budget(max_nodes=-1))
-            assert (res.status, res.nodes) == (DecisionStatus.BUDGET_EXHAUSTED, 0)
+            assert (res.status, res.stats.levels) == (ExactStatus.BUDGET_EXHAUSTED, ())
+            assert rc_exact(g, Budget(max_nodes=0)).stats.levels == ()
+            assert rc_exact(g, Budget(max_nodes=-1)).stats.levels == ()
         assert orders == []
 
     def test_search_order_is_a_relabeling(self):
@@ -182,9 +191,10 @@ class TestDecision:
             assert sorted(edges) == g.edge_list()
 
     def test_distance_prune_short_circuits(self):
-        # diameter 3 > 2 colors: provably unsatisfiable without search
-        res = rc_decision(gen_named("cycle", 6), 2)
-        assert res.status is DecisionStatus.UNSAT and res.nodes == 0
+        # a level below the diameter is provably unsatisfiable, so the
+        # deepening starts at the diameter and searches none of them
+        for g in (gen_named("cycle", 6), gen_named("path", 5)):
+            assert rc_exact(g).stats.levels[0].q == diameter(g)
 
     def test_empty_conflict_set_ends_the_level(self):
         # a triangle 0-1-2 with pendant edges at 1, 1 and 2, which the
@@ -192,15 +202,9 @@ class TestDecision:
         # conflict-directed jumps empty the conflict sets, which proves
         # q = 3 UNSAT in a ninth of the plain search's nodes
         g = parse_graph6("ExP?")
-        res = rc_decision(g, 3)
-        assert (res.status, res.nodes) == (DecisionStatus.UNSAT, 21)
+        level = rc_exact(g).stats.levels[0]
+        assert (level.q, level.status, level.nodes) == (3, DecisionStatus.UNSAT, 21)
         assert plain_canonical_search(g, 3, g.edge_list()) == (None, 185)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            rc_decision(gen_named("path", 3), 0)
-        with pytest.raises(ValueError):
-            rc_decision(Graph(2, []), 1)
 
     def test_sat_exactly_from_naive_rc_on_long_graphs(self):
         # diameter >= 3 makes leaves fail on pairs with several paths, so
@@ -215,10 +219,10 @@ class TestDecision:
         assert len(graphs) > 100
         for g in graphs:
             rc = naive_rc(g)
-            sat = rc_decision(g, rc)
-            assert sat.status is DecisionStatus.SAT
+            *below, sat = rc_exact(g).stats.levels
+            assert (sat.q, sat.status) == (rc, DecisionStatus.SAT)
             assert isinstance(is_rainbow_connected(g, sat.coloring), RainbowCertificate)
-            assert rc_decision(g, rc - 1).status is DecisionStatus.UNSAT
+            assert [level.status for level in below] == [DecisionStatus.UNSAT] * (rc - diameter(g))
 
 
 def record_leaf_failures(monkeypatch):
@@ -236,6 +240,18 @@ def record_leaf_failures(monkeypatch):
     return failures
 
 
+def failures_by_level(failures, levels):
+    """The recorded failing pairs split by level: each level's leaf
+    checks but a satisfying one failed, in order."""
+    split, start = [], 0
+    for level in levels:
+        stop = start + level.leaf_checks - (level.status is DecisionStatus.SAT)
+        split.append(failures[start:stop])
+        start = stop
+    assert start == len(failures)
+    return split
+
+
 class TestLearnedAgainstPlainSearch:
     """The learned, backjumping search against the plain reference search
     of tests/oracles.py in the same edge order: cutting solution-free
@@ -249,22 +265,22 @@ class TestLearnedAgainstPlainSearch:
         yield from (g for g in iter_connected_graphs(6) if rng.random() < 0.012)
 
     def test_same_verdict_and_witness_at_rc_and_below(self, monkeypatch):
-        # every q from the diameter (or rc - 1, if lower) to rc; no pair on
+        # every level of rc_exact, from max(diameter, 1) to rc; no pair on
         # 6 vertices has more than _PATH_CAP short paths, so every failing
-        # leaf pair is learned and fails only once. Conflict-directed
-        # jumps skip only solution-free subtrees, so the learned search
-        # visits no more nodes.
+        # leaf pair is learned and fails only once per level.
+        # Conflict-directed jumps skip only solution-free subtrees, so the
+        # learned search visits no more nodes.
         failures = record_leaf_failures(monkeypatch)
         checked = 0
         for g in self.graphs():
             if g.m == 0:
                 continue
-            rc = rc_exact(g).value
+            failures.clear()
+            levels = rc_exact(g).stats.levels
             edges = _search_order(g)[1]
-            for q in range(max(min(rc - 1, diameter(g)), 1), rc + 1):
-                failures.clear()
-                learned = rc_decision(g, q)
-                assert len(failures) == len(set(failures)) == learned.learned_pairs
+            for learned, failed in zip(levels, failures_by_level(failures, levels)):
+                q = learned.q
+                assert len(failed) == len(set(failed)) == learned.learned_pairs
                 coloring, nodes = plain_canonical_search(g, q, edges)
                 got = None if learned.coloring is None else learned.coloring.colors
                 assert (learned.status is DecisionStatus.SAT, got) == (
@@ -510,8 +526,6 @@ class TestExact:
         # rc of the graph with no vertex is undefined, as its lower bound is
         with pytest.raises(ValueError, match="empty"):
             rc_exact(Graph(0))
-        with pytest.raises(ValueError, match="empty"):
-            rc_decision(Graph(0), 1)
         assert main(["exact", "?"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -627,13 +641,14 @@ class TestExact:
             # failing pairs are named in the search's relabeling
             order, _, adjacency = _search_order(g)
             ranked = [[dist[v][w] for w in order] for v in order]
-            for q in range(diameter(g), rc_exact(g, Budget(max_nodes=20000)).value + 1):
-                failures.clear()
-                res = rc_decision(g, q, Budget(max_nodes=20000))
-                assert res.leaf_checks == len(failures) + (res.status is DecisionStatus.SAT)
-                assert res.learned_pairs == len(set(failures))
+            failures.clear()
+            levels = rc_exact(g, Budget(max_nodes=20000)).stats.levels
+            assert levels[-1].status is DecisionStatus.SAT, graph6
+            for res, failed in zip(levels, failures_by_level(failures, levels)):
+                q = res.q
+                assert res.learned_pairs == len(set(failed))
                 seen = set()
-                for u, v in failures:
+                for u, v in failed:
                     if (u, v) in seen:
                         paths = _paths_within(
                             adjacency, u, ranked[v], q, _PATH_CAP, dict(adjacency[v])
@@ -702,12 +717,12 @@ class TestExact:
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
         g = parse_graph6("FJrCG")
-        res = rc_decision(g, 3)
+        (res,) = rc_exact(g).stats.levels
         assert len(listed) == len(set(listed))
         assert len(failures) > len(set(failures))  # over-cap pairs failed again
         assert res.learned_pairs < len(listed)
         plain, _ = plain_canonical_search(g, 3, _search_order(g)[1])
-        assert (res.status, res.coloring.colors) == (DecisionStatus.SAT, plain)
+        assert (res.q, res.status, res.coloring.colors) == (3, DecisionStatus.SAT, plain)
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)
@@ -721,6 +736,11 @@ class TestMaskTables:
     """At q = 2 the level search runs on per-color neighbor masks; the
     path tables, forced through the table selector, must give the same
     search tree, so the same DecisionResult field by field."""
+
+    @staticmethod
+    def level(g, max_nodes=None):
+        # q = 2 on any graph of diameter at most 2, complete ones included
+        return _search_level(_search_state(g, distance_table(g)), 2, max_nodes, None)
 
     @staticmethod
     def graphs():
@@ -750,16 +770,15 @@ class TestMaskTables:
             return paths_within(adjacency, s, dist_to_t, limit, cap, into_t)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
-        budget = Budget(max_nodes=max_nodes)
         seen = {"levels": 0, "learned": 0, "jumps": 0, "budget": 0}
         for g in self.graphs():
             if g.m == 0 or diameter(g) > 2:
                 continue
-            masks = rc_decision(g, 2, budget)
+            masks = self.level(g, max_nodes)
             assert listed == [], to_graph6(g)
             with monkeypatch.context() as patched:
                 patched.setattr(rcaudit.exact, "_prune_tables", rcaudit.exact._path_tables)
-                paths = rc_decision(g, 2, budget)
+                paths = self.level(g, max_nodes)
             # a complete graph has no pair at distance 2 to list paths for
             assert bool(listed) == (diameter(g) == 2), to_graph6(g)
             listed.clear()
@@ -781,10 +800,50 @@ class TestMaskTables:
         # id m, this level turns SAT on a coloring that is not rainbow
         # connected)
         g = parse_graph6("FtrE?")
-        masks = rc_decision(g, 2)
+        masks = rc_exact(g).stats.levels[0]
         monkeypatch.setattr(rcaudit.exact, "_prune_tables", rcaudit.exact._path_tables)
-        assert self.fields(masks) == self.fields(rc_decision(g, 2))
-        assert self.fields(masks) == (DecisionStatus.UNSAT, None, 69, 0, 0, 3)
+        assert self.fields(masks) == self.fields(rc_exact(g).stats.levels[0])
+        assert (masks.q, *self.fields(masks)) == (2, DecisionStatus.UNSAT, None, 69, 0, 0, 3)
+
+
+class TestLevelRecords:
+    """stats.levels is the evidence behind a value: one record per level
+    from max(diameter, 1) up, each refuted but the last, which holds
+    either the search's own witness or the budget's stop."""
+
+    @staticmethod
+    def check(g, res, max_nodes=None):
+        levels = res.stats.levels
+        if g.m == 0:
+            assert levels == ()
+            return
+        lb = max(diameter(g), 1)
+        assert [level.q for level in levels] == list(range(lb, lb + len(levels)))
+        assert all(level.status is DecisionStatus.UNSAT for level in levels[:-1])
+        searched = res.status is ExactStatus.EXACT and res.stats.witness_checks == 0
+        last = levels[-1]
+        assert (last.status is DecisionStatus.SAT) == searched
+        if searched:
+            assert (res.value, res.witness) == (last.q, last.coloring)
+        else:
+            # a budgeted stop: the last level gave up, or was refuted
+            # with the last node of the budget
+            assert last.status is DecisionStatus.BUDGET_EXHAUSTED or (
+                last.status is DecisionStatus.UNSAT and res.stats.nodes == max_nodes
+            )
+        return last.status
+
+    def test_unbudgeted_levels_on_small_graphs(self):
+        for n in range(1, 6):
+            for g in iter_connected_graphs(n):
+                self.check(g, rc_exact(g))
+
+    def test_budgeted_levels_on_the_random_corpus(self):
+        stops = 0
+        for g in random_corpus(500, 4, 40, MASTER_SEED):
+            res = rc_exact(g, Budget(max_nodes=2000))
+            stops += self.check(g, res, 2000) is DecisionStatus.BUDGET_EXHAUSTED
+        assert stops == 70
 
 
 class TestSeededWitness:

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcaudit.graphs
 from rcaudit import (
     Graph,
     GraphFormatError,
+    audit_graph,
     degree_stats,
     diameter,
     gen_counterexample,
@@ -22,11 +24,13 @@ from rcaudit import (
     is_connected,
     parse_edge_list,
     parse_graph6,
+    rc_exact,
     to_edge_list,
     to_graph6,
 )
 from rcaudit.generators import CounterexampleParams, iter_connected_graphs, random_corpus
-from rcaudit.graphs import bfs_distances
+from rcaudit.cli import main
+from rcaudit.graphs import bfs_distances, distance_table
 
 from .conftest import MASTER_SEED, random_graph
 from .oracles import degree_stats_brute, induced_subgraph
@@ -321,6 +325,42 @@ class TestBfsDistances:
         single = Graph(1)
         assert bfs_distances(single, 0) == [0]
         assert is_connected(single) == nx.is_connected(self.networkx_graph(single))
+
+    def test_distance_table_stops_at_a_disconnected_first_row(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # a path plus isolated vertices: the first BFS row shows -1, so
+        # no other row is built and each caller raises its own message
+        rows = []
+        bfs = rcaudit.graphs.bfs_distances
+
+        def counted(g, source):
+            rows.append(source)
+            return bfs(g, source)
+
+        monkeypatch.setattr(rcaudit.graphs, "bfs_distances", counted)
+        n = 3000
+        g = Graph(n, [(v, v + 1) for v in range(n // 2)])
+        assert distance_table(g) is None and rows == [0]
+        rows.clear()
+        with pytest.raises(ValueError, match="^rc is defined for connected graphs only$"):
+            rc_exact(g)
+        assert rows == [0]
+        rows.clear()
+        with pytest.raises(ValueError, match="^audit requires a connected graph$"):
+            audit_graph(g)
+        assert rows == [0]
+        rows.clear()
+        path = tmp_path / "g.txt"
+        path.write_text(to_edge_list(g))
+        assert main(["exact", str(path)]) == 1
+        assert rows == [0]
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: rc is defined for connected graphs only\n")
+        # a connected graph gets one row per vertex and nothing more
+        rows.clear()
+        assert len(distance_table(gen_named("path", 5))) == 5 and rows == [0, 1, 2, 3, 4]
+        assert distance_table(Graph(0)) == []
 
     def test_is_connected_matches_networkx(self):
         seen = set()
