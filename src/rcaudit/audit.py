@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .construct import Finding, decompose, run_construction, trace_to_dict
 from .exact import Budget, ExactStatus, rc_exact
-from .graphs import Graph, degree_stats, distance_table, to_graph6
+from .graphs import Graph, degree_stats, is_connected, to_graph6
 
 __all__ = [
     "BoundReport",
@@ -128,12 +128,11 @@ def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
     with an exact solve is a solver bug, not a result) are left in the
     report for check_report to find; they never raise here.
     """
-    distances = distance_table(g)
-    if distances is None:
+    if not is_connected(g):
         raise ValueError("audit requires a connected graph")
     stats = degree_stats(g)
     finding, _, trace = run_construction(g)
-    rc = rc_exact(g, budget, distances=distances)
+    rc = rc_exact(g, budget)
 
     bound1 = g.n - stats.min_degree
     exact = rc.status is ExactStatus.EXACT

@@ -21,7 +21,12 @@ K-to-G_i edge gets one fresh color c_i, and the edges inside K get:
 The induction measure is n - d: every recursive call must strictly
 decrease it, and every level must stay within its color budget. Both are
 checked at run time and recorded in the trace; the final coloring is
-handed to the rainbow verifier and the outcome stored at the trace root.
+checked for rainbow connectivity and the outcome stored at the trace
+root. The check (_verify) settles every pair joined by an edge or a
+rainbow 2-path on per-color neighbor masks (rainbow.two_path_cover) and
+runs the rainbow search only on the pairs left, which on a graph of
+diameter 2 are usually none; its answer, the lexicographically first
+failing pair, is the full search's.
 A violation of any of these checks is surfaced as a finding (with a
 reproducer), never repaired silently: the reused-color branch in
 particular is executed exactly as stated so that instances where it fails
@@ -46,9 +51,10 @@ level's ascending vertices) with the original-input labels.
 Each level writes its own edges once, keyed by root ids, at an absolute
 palette base: its parent's base plus the colors of the siblings colored
 before it. So the levels of a component tree share one edge -> color
-dict, which becomes the root's EdgeColoring and is verified. A
-contraction child writes into a dict of its own, and its parent lifts
-every edge from it.
+dict, which becomes the root's EdgeColoring as it is, with no
+normalizing pass (its keys are ordered and its colors nonnegative), and
+is verified. A contraction child writes into a dict of its own, and its
+parent lifts every edge from it.
 """
 
 from __future__ import annotations
@@ -68,9 +74,11 @@ from .graphs import (
 from .rainbow import (
     EdgeColoring,
     FailingPair,
+    check_total,
     edge_adjacency,
     edge_color_bits,
     first_failing_pair,
+    two_path_cover,
 )
 
 __all__ = [
@@ -508,10 +516,27 @@ def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
         raise ValueError("construction requires a connected graph")
     labels = tuple(str(v) for v in range(g.n))
     colors, trace = _construct(g, labels)
-    coloring = EdgeColoring(colors)
-    failing = first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
+    coloring = EdgeColoring._trusted(colors)
+    failing = _verify(g, coloring)
     trace.verification = "pass" if failing is None else failing
     return coloring, trace
+
+
+def _verify(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
+    """The construction's check of its coloring of g: what
+    first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
+    returns, with the same errors for a coloring that is not total.
+
+    Pairs joined by an edge or a rainbow 2-path (two_path_cover) are
+    settled first, with no search. The rainbow search runs only when a
+    pair is left, and as first_failing_pair's known it skips the settled
+    pairs, which have rainbow paths, so its answer is the full scan's.
+    """
+    check_total(g, coloring.colors)
+    cover = two_path_cover(g.n, coloring.colors)
+    if cover is None:
+        return None
+    return first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring), cover)
 
 
 def run_construction(

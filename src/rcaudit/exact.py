@@ -64,15 +64,24 @@ Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
 witness, is the one a plain restricted-growth search in the same order finds.
 
-rc_exact is the one entry. It checks the graph and builds its search
-state (the order, the adjacency and distance table relabeled by it, and
-per vertex its edge-by-neighbor map and neighbor mask) once, runs every
-level through _search_level, and records each level's verdict and work
-in stats.levels: a witness at q plus the UNSAT record of every level
-below it is the evidence for rc = q. Node and wall-time budgets cap the
-call so corpus sweeps never hang; one deadline covers every level and
-the witness search. When a
-budget stops the deepening at level q, a seeded repair search
+rc_exact is the one entry. It checks the graph and takes its lower
+bound, max(diameter, 1), from the graph itself when it is 1 (complete)
+or 2 (every closed 2-ball covers the graph); only a higher bound reads
+the all-pairs distance table. It builds one search state, the order and
+the adjacency relabeled by it with per vertex its neighbor mask, at the
+first level it searches, runs every level through _search_level, and
+records each level's verdict and work in stats.levels: a witness at q
+plus the UNSAT record of every level below it is the evidence for
+rc = q. Mask tables read nothing more. The first path-table level adds
+to the state the distance table relabeled by rank and per vertex its
+edge-by-neighbor map, building g's table then if the bound did not;
+the seeded witness search reuses that table or builds it at its first
+failing pair. So the table is built at most once per call, and a graph
+of diameter 2 solved at q = 2 builds none.
+
+Node and wall-time budgets cap the call so corpus sweeps never hang;
+one deadline covers every level and the witness search. When a budget
+stops the deepening at level q, a seeded repair search
 (_seeded_witness) still looks for a q-coloring: every level below q is
 refuted or lies below max(diameter, 1), so a coloring that passes a
 check of every pair proves rc = q. Its random generator is seeded with
@@ -90,7 +99,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, _bit_positions, distance_table, to_graph6
+from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, to_graph6
 from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
 
 __all__ = [
@@ -174,16 +183,31 @@ class ExactResult:
     stats: SearchStats
 
 
-def _lower_bound(distances: list[list[int]]) -> int:
-    """max(diameter, 1), read from a connected graph's distance table."""
-    return max(max(map(max, distances)), 1)
+def _bound_and_table(g: Graph) -> tuple[int, list[list[int]] | None]:
+    """max(diameter, 1) of g once g is known to be nonempty and connected,
+    and g's distance table when the bound needed it.
+
+    A complete graph has bound 1 and one whose closed 2-balls all cover
+    it has bound 2, both read off the graph with no table; only a bound
+    above 2 comes from the table, which also shows connectivity.
+    """
+    if g.n == 0:
+        raise ValueError("rc of the empty graph is undefined")
+    if g.m == g.n * (g.n - 1) // 2:
+        return 1, None
+    if _two_balls_cover(g):
+        return 2, None
+    distances = distance_table(g)
+    if distances is None:
+        raise ValueError("rc is defined for connected graphs only")
+    return max(map(max, distances)), distances
 
 
 def rc_lower_bound(g: Graph) -> int:
     """max(diameter, 1): every rainbow path between a diametral pair needs
     at least diameter distinct colors. Non-complete graphs have diameter
     at least 2, so this already exceeds 1 exactly when it should."""
-    return _lower_bound(_checked_distances(g, None))
+    return _bound_and_table(g)[0]
 
 
 # a pair with more paths of at most q edges than this is neither
@@ -270,33 +294,41 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     return order, [(u, v) for _, _, u, v in ranked], tuple(map(tuple, rows))
 
 
-# what every level of one graph's search reads: g's edges in search
-# order, its adjacency and distance table relabeled by rank, and per
-# ranked vertex t the map from each neighbor of t to its edge to t, and
-# the mask of t's neighbors
-_SearchState = tuple[
-    list[tuple[int, int]], Adjacency, list[list[int]], list[dict[int, int]], list[int]
-]
+class _SearchState:
+    """What the levels of one graph's search read, built once per graph.
+
+    Every level reads g's edges in search order, its adjacency relabeled
+    by rank, and per ranked vertex the mask of its neighbors. Path tables
+    also read g's distance table relabeled by rank and, per ranked vertex
+    t, the map from each neighbor of t to its edge to t: path_maps builds
+    them at the first path-table level, and g's own table with them
+    unless it was given, so a graph whose levels all run on mask tables
+    builds neither.
+    """
+
+    __slots__ = ("g", "order", "edge_order", "adjacency", "neighbors", "distances", "_maps")
+
+    def __init__(self, g: Graph, distances: list[list[int]] | None) -> None:
+        self.g = g
+        self.order, self.edge_order, self.adjacency = _search_order(g)
+        self.neighbors = [sum([1 << w for w, _ in row]) for row in self.adjacency]
+        self.distances = distances
+        self._maps: tuple[list[list[int]], list[dict[int, int]]] | None = None
+
+    def path_maps(self) -> tuple[list[list[int]], list[dict[int, int]]]:
+        """The ranked distance table and the per-vertex edge maps."""
+        if self._maps is None:
+            if self.distances is None:
+                self.distances = distance_table(self.g)
+            order, distances = self.order, self.distances
+            ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
+            self._maps = ranked, [dict(row) for row in self.adjacency]
+        return self._maps
 
 
-def _search_state(g: Graph, distances: list[list[int]]) -> _SearchState:
-    order, edges, adjacency = _search_order(g)
-    ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
-    into = [dict(row) for row in adjacency]
-    neighbors = [sum([1 << w for w, _ in row]) for row in adjacency]
-    return edges, adjacency, ranked, into, neighbors
-
-
-def _checked_distances(g: Graph, distances: list[list[int]] | None) -> list[list[int]]:
-    """g's distance table (distances, when given) once g is known to be
-    nonempty and connected."""
-    if g.n == 0:
-        raise ValueError("rc of the empty graph is undefined")
-    if distances is None:
-        distances = distance_table(g)
-    if distances is None or -1 in distances[0]:
-        raise ValueError("rc is defined for connected graphs only")
-    return distances
+def _search_state(g: Graph, distances: list[list[int]] | None = None) -> _SearchState:
+    """g's search state; distances is g's distance table, when built."""
+    return _SearchState(g, distances)
 
 
 # a level's prune tables on its assignment list: assign(i, c) colors
@@ -313,7 +345,8 @@ def _prune_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables
 
 
 def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
-    edges, adjacency, distances, into, neighbors = state
+    edges, adjacency, neighbors = state.edge_order, state.adjacency, state.neighbors
+    distances, into = state.path_maps()
 
     # per tracked path its edges, its pair and its blame word (0 while
     # alive); per edge the paths that can die there; per pair its path
@@ -423,7 +456,7 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
 
 
 def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
-    edges, adjacency, _, into, neighbors = state
+    edges, adjacency, neighbors = state.edge_order, state.adjacency, state.neighbors
     # the ranked ends of each edge, and per vertex its edges as depths
     ends = [(0, 0)] * len(edges)
     incident = [0] * len(adjacency)
@@ -542,7 +575,7 @@ def _search_level(
     tables at q = 2, path tables elsewhere; the module docstring says
     why both give one search tree at q = 2.
     """
-    edges, adjacency = state[:2]
+    edges, adjacency = state.edge_order, state.adjacency
     m = len(edges)
     assignment = [-1] * m
     assign, unassign, learn, known = _prune_tables(state, q, assignment)
@@ -579,7 +612,7 @@ def _search_level(
             leaf_checks += 1
             failing = first_failing_pair(adjacency, [1 << c for c in assignment], known)
             if failing is None:
-                return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
+                return done(DecisionStatus.SAT, EdgeColoring._trusted(dict(zip(edges, assignment))))
             # every leaf that keeps the blamed depths' colors fails on this pair
             culprits = learn(failing.u, failing.v)
             if culprits is None:
@@ -619,16 +652,17 @@ _WITNESS_STEPS = 30
 def _seeded_witness(
     g: Graph,
     q: int,
-    distances: list[list[int]],
+    distances: list[list[int]] | None,
     deadline: float | None,
 ) -> tuple[EdgeColoring | None, int]:
     """Look for a rainbow-connecting coloring with colors 0..q-1 by seeded
     repair; returns it (or None) and the number of full checks made.
 
     Start from random colors; at each step, take the first failing pair
-    u, v, walk one random shortest u-v path down the distance table, and
-    give its edges distinct random colors. q is at least the diameter,
-    so every shortest path fits. The deadline is checked before anything
+    u, v, walk one random shortest u-v path down g's distance table
+    (distances, or built at the first failing pair when None), and give
+    its edges distinct random colors. q is at least the diameter, so
+    every shortest path fits. The deadline is checked before anything
     is built and before every step.
     """
     if deadline is not None and time.monotonic() >= deadline:
@@ -643,7 +677,9 @@ def _seeded_witness(
         checks += 1
         failing = first_failing_pair(adjacency, [1 << c for c in colors])
         if failing is None:
-            return EdgeColoring(dict(zip(g.edge_list(), colors))), checks
+            return EdgeColoring._trusted(dict(zip(g.edge_list(), colors))), checks
+        if distances is None:
+            distances = distance_table(g)
         dist_to_v = distances[failing.v]
         path = []
         w = failing.u
@@ -657,12 +693,7 @@ def _seeded_witness(
     return None, checks
 
 
-def rc_exact(
-    g: Graph,
-    budget: Budget | None = None,
-    *,
-    distances: list[list[int]] | None = None,
-) -> ExactResult:
+def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     """Rainbow connection number with an optimal witness coloring.
 
     Exact status means a passing witness at the value plus a fully
@@ -672,13 +703,14 @@ def rc_exact(
     seeded witness search tries the level where it stopped; a miss yields
     a lower bound instead.
 
-    distances is g's all-pairs distance table (see distance_table), for
-    callers that already built it; it is computed here when not given.
+    g's distance table is built at most once, and only when something
+    reads it: a lower bound above 2, a path-table level, or a witness
+    search that walks a path.
     """
     started = time.monotonic()
     budget = budget or Budget()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
-    distances = _checked_distances(g, distances)
+    lb, distances = _bound_and_table(g)
     levels: list[DecisionResult] = []
 
     def result(
@@ -690,7 +722,7 @@ def rc_exact(
     if g.m == 0:
         # single vertex: the empty coloring is vacuously rainbow connected
         return result(ExactStatus.EXACT, 0, EdgeColoring({}))
-    lb = q = _lower_bound(distances)
+    q = lb
     state: _SearchState | None = None  # built by the first level searched
     left = budget.max_nodes  # the nodes the next level may expand
     while (left is None or left > 0) and (deadline is None or time.monotonic() < deadline):
@@ -709,6 +741,8 @@ def rc_exact(
 
     # the budget stopped the deepening at level q; every level below it
     # is refuted or lies below lb
+    if state is not None:
+        distances = state.distances
     witness, checks = _seeded_witness(g, q, distances, deadline)
     if witness is not None:
         return result(ExactStatus.EXACT, q, witness, checks)

@@ -15,7 +15,10 @@ breadth-first search whose frontier is a vertex mask and whose next
 frontier is the OR of the frontier's rows, less the vertices already
 reached or excluded. bfs_distances reads distances off its layers and
 the diameter counts them; connectivity, and the construction's split
-of a level into components (construct.py), read its reach masks.
+of a level into components (construct.py), read its reach masks. The
+exact solver's lower bound asks _two_balls_cover, one flood step per
+vertex, whether the diameter is at most 2, so that it builds no
+distance table for such a graph.
 Nothing builds an induced subgraph: the construction runs every level,
 contractions included, on vertex masks over one graph's rows (see
 construct.py), and degree_stats reads an induced vertex set's degrees
@@ -445,6 +448,21 @@ def diameter(g: Graph) -> int:
     rows, every = g._rows, (1 << g.n) - 1
     # the eccentricity of s is its number of layers less one
     return max(sum(1 for _ in _flood(rows, 1 << s, every)) for s in range(g.n)) - 1
+
+
+def _two_balls_cover(g: Graph) -> bool:
+    """Whether every vertex's closed 2-ball, itself and the rows of its
+    closed neighborhood ORed, covers every vertex: on a nonempty g, true
+    exactly when g is connected with diameter at most 2. Stops at the
+    first vertex whose ball falls short, after 2m row ORs at most."""
+    rows, every = g._rows, (1 << g.n) - 1
+    for u, nbrs in enumerate(g._nbrs):
+        ball = rows[u] | 1 << u
+        for w in nbrs:
+            ball |= rows[w]
+        if ball != every:
+            return False
+    return True
 
 
 def is_connected(g: Graph) -> bool:

@@ -17,6 +17,16 @@ stopping once every target is reached.
   when the coloring fails it returns first_failing_pair's pair.
 - rainbow_path walks back one pair's witness.
 
+The construction's check of its finished coloring (construct._verify)
+first runs two_path_cover, a pass with no search: per vertex and color
+the mask of neighbors over edges of that color, from which each vertex
+reads the vertices it reaches by an edge or a rainbow 2-path. When that
+settles every pair the coloring passes with no search; otherwise
+first_failing_pair runs with the settled pairs as its known. The exact
+solver's leaf and witness checks skip the pass: their colorings fail
+often, and on the pairs the pass leaves, so it costs them more than it
+saves.
+
 States are expanded in nondecreasing color-set size. They do not track
 visited vertices: any repeated vertex on a distinct-color walk could be
 cut out, giving a shorter distinct-color walk, so the first walk
@@ -41,6 +51,8 @@ __all__ = [
     "rainbow_path",
     "edge_adjacency",
     "edge_color_bits",
+    "check_total",
+    "two_path_cover",
     "first_failing_pair",
     "is_rainbow_connected",
     "verify_certificate",
@@ -77,6 +89,16 @@ class EdgeColoring:
                 raise ValueError(f"conflicting colors for edge {key}")
             normalized[key] = c
         object.__setattr__(self, "colors", normalized)
+
+    @classmethod
+    def _trusted(cls, colors: dict[tuple[int, int], int]) -> EdgeColoring:
+        """A coloring whose dict is already normal: every key (u, v) has
+        u < v and every color is nonnegative, as the library's own
+        colorings are. It is taken as it is, without __post_init__'s
+        pass, and equals EdgeColoring(dict(colors))."""
+        coloring = object.__new__(cls)
+        object.__setattr__(coloring, "colors", colors)
+        return coloring
 
     @property
     def num_colors(self) -> int:
@@ -125,12 +147,11 @@ def edge_adjacency(g: Graph) -> Adjacency:
     )
 
 
-def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
-    """One color bit per edge of g.edge_list(), the color ids re-indexed
-    densely. Raises ValueError unless the coloring colors exactly the
-    edges of g, naming the lexicographically first edge it misses or,
-    failing that, the first non-edge it colors."""
-    colors = coloring.colors
+def check_total(g: Graph, colors: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """g.edge_list(), once colors (an EdgeColoring's dict) is known to
+    color exactly the edges of g. Raises ValueError otherwise, naming the
+    lexicographically first edge it misses or, failing that, the first
+    non-edge it colors."""
     edges = g.edge_list()
     for e in edges:
         if e not in colors:
@@ -138,8 +159,53 @@ def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
     if len(colors) > len(edges):
         extra = min(e for e in colors if not g.has_edge(*e))
         raise ValueError(f"coloring assigns a color to non-edge {extra}")
+    return edges
+
+
+def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
+    """One color bit per edge of g.edge_list(), the color ids re-indexed
+    densely, after check_total's check and with its errors."""
+    colors = coloring.colors
+    edges = check_total(g, colors)
     index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
     return [1 << index[colors[e]] for e in edges]
+
+
+def two_path_cover(n: int, colors: dict[tuple[int, int], int]) -> list[int] | None:
+    """Per vertex u of a graph on n vertices colored by colors (a total
+    coloring's dict, keys (a, b) with a < b), the mask of the vertices u
+    reaches by an edge or by a rainbow 2-path, u's own bit included; None
+    when every mask holds every vertex, that is, when every pair has an
+    edge or a rainbow 2-path.
+
+    Per vertex and color it keeps the mask of the neighbors over edges
+    of that color. A 2-path u-w-x is rainbow when its edges differ in
+    color, so u reaches through its neighbor w, over an edge of color c,
+    exactly w's neighbors over the other colors: w's row less its mask
+    for c, which holds u. That is one XOR and one OR per edge end.
+    """
+    by_color: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), c in colors.items():
+        masks = by_color[a]
+        masks[c] = masks.get(c, 0) | 1 << b
+        masks = by_color[b]
+        masks[c] = masks.get(c, 0) | 1 << a
+    # the per-color masks of a vertex are disjoint, so they sum to its row
+    rows = [sum(masks.values()) for masks in by_color]
+    every = (1 << n) - 1
+    cover = []
+    short = False
+    for u, masks in enumerate(by_color):
+        reach = rows[u] | 1 << u
+        for c, mask in masks.items():
+            while mask:
+                low = mask & -mask
+                w = low.bit_length() - 1
+                reach |= rows[w] ^ by_color[w][c]
+                mask ^= low
+        cover.append(reach)
+        short = short or reach != every
+    return cover if short else None
 
 
 def _search(

@@ -9,6 +9,7 @@ shared between the bound criterion and the measure-decrease criterion.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -42,6 +43,9 @@ from .oracles import naive_rc
 RANDOM_CORPUS_SEED = 20260808
 RANDOM_CORPUS_SIZE = 500
 SWEEP_NODE_BUDGET = 2000
+# sha256 of _sweep_bytes on the two corpora: every report, aggregate and
+# finding of both sweeps, so any change to a value shows up here
+SWEEP_DIGEST = "3037823f64397f17cc2e4b17bde4af0b90e48bde9b64e6619f10e727c52dc4ef"
 
 
 def report_pass(criterion: str, detail: str, seconds: float) -> None:
@@ -234,6 +238,7 @@ def test_criterion_5_degree_sum_probe_completes_deterministically(
     second = _sweep_bytes(small_corpus, random_corpus_graphs)
     elapsed = time.monotonic() - started
     assert first == second, "two sweep runs were not byte-identical"
+    assert hashlib.sha256(first).hexdigest() == SWEEP_DIGEST
 
     payload = json.loads(first)
     small_agg = payload["small"]["aggregate"]

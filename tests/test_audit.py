@@ -8,12 +8,14 @@ import pytest
 import rcaudit.audit as audit_module
 from rcaudit import (
     Budget,
+    ExactStatus,
     Finding,
     Graph,
     audit_corpus,
     audit_graph,
     decompose,
     gen_named,
+    rc_exact,
 )
 from rcaudit.audit import AggregateStats, BoundReport, check_report, findings_for_report
 from rcaudit.generators import iter_connected_graphs
@@ -112,24 +114,39 @@ class TestAuditGraph:
             audit_graph(Graph(2, []))
 
     def test_distance_table_built_once(self, monkeypatch):
-        # the audit's table answers connectivity and is handed to rc_exact,
-        # which builds none of its own
-        import rcaudit.exact
+        # rc_exact builds g's distance table, one BFS row per vertex, only
+        # when something reads it, and audit_graph builds none of its own:
+        # K_{2,3} has diameter 2 and rc 2, one mask-table level and no
+        # table; C_5 has diameter 2 and rc 3, and its table is built once,
+        # at its q = 3 level; C_6 has diameter 3, so its bound needs it
+        import rcaudit.graphs
 
-        built = []
-        table = audit_module.distance_table
+        rows = []
+        bfs = rcaudit.graphs.bfs_distances
 
-        def counted(g):
-            built.append(g.n)
-            return table(g)
+        def counted(g, source):
+            rows.append(source)
+            return bfs(g, source)
 
-        monkeypatch.setattr(audit_module, "distance_table", counted)
-        monkeypatch.setattr(rcaudit.exact, "distance_table", counted)
-        report = audit_graph(gen_named("cycle", 5))
-        assert (built, report.rc_status, report.rc_value) == ([5], "exact", 3)
+        monkeypatch.setattr(rcaudit.graphs, "bfs_distances", counted)
+        k23 = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+        cases = [
+            (k23, [2], 0),
+            (gen_named("cycle", 5), [2, 3], 5),
+            (gen_named("cycle", 6), [3], 6),
+        ]
+        for g, levels, built in cases:
+            rows.clear()
+            res = rc_exact(g)
+            assert (res.status, res.value, len(rows)) == (ExactStatus.EXACT, levels[-1], built)
+            assert [level.q for level in res.stats.levels] == levels
+            rows.clear()
+            report = audit_graph(g)
+            assert (report.rc_status, report.rc_value, len(rows)) == ("exact", levels[-1], built)
+        rows.clear()
         with pytest.raises(ValueError, match="audit requires a connected graph"):
             audit_graph(Graph(3, [(0, 1)]))
-        assert built == [5, 3]
+        assert rows == []
 
     def test_to_dict_omits_wall_clock(self):
         report = audit_graph(gen_named("path", 4))

@@ -258,7 +258,7 @@ class TestAuditCommand:
     def test_solver_disagreement_exits_4(self, monkeypatch, capsys):
         # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound;
         # the report is printed, then one line per finding a sweep reports
-        def over_the_bound(g, budget, *, distances):
+        def over_the_bound(g, budget):
             return ExactResult(ExactStatus.EXACT, 4, None, SearchStats((), 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)
@@ -278,7 +278,7 @@ class TestAuditCommand:
         # D^o: n = 5, min degree 2, sigma_2 = 5, so rc 3 is within the proven
         # bound 3 and matches the 3-color construction, but exceeds the
         # degree-sum bound 5/2; audit reports it as sweep does
-        def above_degree_sum(g, budget, *, distances):
+        def above_degree_sum(g, budget):
             return ExactResult(ExactStatus.EXACT, 3, None, SearchStats((), 0.0))
 
         monkeypatch.setattr(audit_module, "rc_exact", above_degree_sum)

@@ -28,6 +28,8 @@ import rcaudit.construct as construct_module
 import rcaudit.graphs as graphs_module
 from rcaudit.construct import ConstructionError, iter_trace, measure_violations
 from rcaudit.generators import iter_connected_graphs, random_corpus
+from rcaudit.graphs import bfs_distances
+from rcaudit.rainbow import EdgeColoring, edge_adjacency, edge_color_bits, first_failing_pair
 
 from .conftest import MASTER_SEED, random_connected_graph, random_graph
 from .oracles import has_rainbow_path_brute, induced_subgraph, union_find_components
@@ -379,6 +381,86 @@ class TestConstructColoring:
         left = {coloring.color_of(u, v) for u, v in [(2, 3), (2, 4), (3, 4)]}
         right = {coloring.color_of(u, v) for u, v in [(5, 6), (5, 7), (6, 7)]}
         assert left.isdisjoint(right)
+
+
+class TestMaskedVerification:
+    """The construction's check settles edge and rainbow 2-path pairs on
+    per-color neighbor masks before any rainbow search; its answer must
+    be the full scan's, failing pair for failing pair."""
+
+    @staticmethod
+    def full(g, coloring):
+        return first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
+
+    def test_constructions_of_every_graph_up_to_six_vertices(self):
+        graphs = [g for n in range(1, 7) for g in iter_connected_graphs(n)]
+        assert len(graphs) == 27476
+        for g in graphs:
+            coloring, trace = construct_coloring(g)
+            assert (trace.verification, self.full(g, coloring)) == ("pass", None)
+
+    def test_constructions_of_the_random_corpus(self):
+        left_over = 0
+        for g in random_corpus(500, 4, 40, MASTER_SEED):
+            coloring, trace = construct_coloring(g)
+            want = self.full(g, coloring)
+            assert trace.verification == ("pass" if want is None else want)
+            left_over += construct_module.two_path_cover(g.n, coloring.colors) is not None
+        # pairs at distance 3 or more are left to the rainbow search
+        assert left_over > 0
+
+    @pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+    def test_witness_constructions(self, name):
+        g = globals()[name]()
+        coloring, trace = construct_coloring(g)
+        want = self.full(g, coloring)
+        assert construct_module._verify(g, coloring) == want
+        assert trace.verification == ("pass" if want is None else want)
+        if name == "reused_color_witness":
+            assert want == FailingPair(2, 3)
+
+    def test_seeded_recolorings(self):
+        # random colorings with 2 to 4 colors fail often, on pairs joined
+        # only by monochromatic 2-paths and on pairs further apart
+        rng = random.Random(MASTER_SEED + 40)
+        graphs = [g for g in random_corpus(120, 4, 16, MASTER_SEED + 41) if g.m]
+        graphs += [g for g in iter_connected_graphs(5) if rng.random() < 0.2]
+        distances = {2: 0, 3: 0}
+        for g in graphs:
+            for q in (2, 3, 4):
+                colors = EdgeColoring({e: rng.randrange(q) for e in g.edge_list()})
+                want = self.full(g, colors)
+                assert construct_module._verify(g, colors) == want
+                if want is not None:
+                    distances[min(bfs_distances(g, want.u)[want.v], 3)] += 1
+        assert distances[2] > 0 and distances[3] > 0
+
+    def test_partial_and_foreign_colorings_raise_the_same_errors(self):
+        g = gen_named("path", 3)
+        for colors in ({(0, 1): 0}, {(0, 1): 0, (1, 2): 1, (0, 2): 2}):
+            with pytest.raises(ValueError) as want:
+                self.full(g, EdgeColoring(colors))
+            with pytest.raises(ValueError) as got:
+                construct_module._verify(g, EdgeColoring(colors))
+            assert str(got.value) == str(want.value)
+
+    def test_result_is_trusted_but_normal(self, monkeypatch):
+        # the construction's coloring skips EdgeColoring's normalizing
+        # pass, and equals the coloring that pass would give
+        checked = []
+        real = EdgeColoring.__post_init__
+
+        def counted(self):
+            checked.append(len(self.colors))
+            real(self)
+
+        graphs = [contraction_witness(), new_color_witness(), reused_color_witness()]
+        graphs += random_corpus(40, 4, 20, MASTER_SEED)
+        monkeypatch.setattr(EdgeColoring, "__post_init__", counted)
+        colorings = [construct_coloring(g)[0] for g in graphs]
+        assert checked == []
+        for coloring in colorings:
+            assert coloring == EdgeColoring(dict(coloring.colors))
 
 
 class TestAuditConstruction:

@@ -66,6 +66,17 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             rc_lower_bound(Graph(2, []))
 
+    def test_is_max_diameter_one(self):
+        # bounds 1 and 2 are read off the graph, higher ones off its table
+        graphs = [g for n in range(1, 6) for g in iter_connected_graphs(n)]
+        graphs += random_corpus(200, 4, 40, MASTER_SEED)
+        seen = set()
+        for g in graphs:
+            lb = rc_lower_bound(g)
+            assert lb == max(diameter(g), 1)
+            seen.add(min(lb, 3))
+        assert seen == {1, 2, 3}
+
 
 class TestPathsWithin:
     def oracle(self, g, s, t, limit):
@@ -880,6 +891,25 @@ class TestSeededWitness:
             g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
             assert rc_exact(g).stats.witness_checks == 0
             assert rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks == 0
+
+    def test_colorings_are_trusted_but_normal(self, monkeypatch):
+        # the decision search's satisfying leaf and the seeded witness skip
+        # EdgeColoring's normalizing pass, and equal what it would give
+        checked = []
+        real = EdgeColoring.__post_init__
+
+        def counted(self):
+            checked.append(len(self.colors))
+            real(self)
+
+        monkeypatch.setattr(EdgeColoring, "__post_init__", counted)
+        results = [rc_exact(g) for g in self.graphs() if g.m]
+        results += [rc_exact(g, Budget(max_nodes=1)) for g in self.graphs() if g.m]
+        seeded = [r for r in results if r.stats.witness_checks and r.witness is not None]
+        assert checked == [] and seeded
+        for res in results:
+            if res.witness is not None:
+                assert res.witness == EdgeColoring(dict(res.witness.colors))
 
     def test_passed_deadline_builds_nothing(self, monkeypatch):
         # a deadline already passed returns before the seed, the adjacency

@@ -30,7 +30,7 @@ from rcaudit import (
 )
 from rcaudit.generators import CounterexampleParams, iter_connected_graphs, random_corpus
 from rcaudit.cli import main
-from rcaudit.graphs import bfs_distances, distance_table
+from rcaudit.graphs import _two_balls_cover, bfs_distances, distance_table
 
 from .conftest import MASTER_SEED, random_graph
 from .oracles import degree_stats_brute, induced_subgraph
@@ -330,7 +330,8 @@ class TestBfsDistances:
         self, monkeypatch, tmp_path, capsys
     ):
         # a path plus isolated vertices: the first BFS row shows -1, so
-        # no other row is built and each caller raises its own message
+        # no other row is built and each caller raises its own message;
+        # audit_graph checks connectivity by one flood and builds no row
         rows = []
         bfs = rcaudit.graphs.bfs_distances
 
@@ -349,7 +350,7 @@ class TestBfsDistances:
         rows.clear()
         with pytest.raises(ValueError, match="^audit requires a connected graph$"):
             audit_graph(g)
-        assert rows == [0]
+        assert rows == []
         rows.clear()
         path = tmp_path / "g.txt"
         path.write_text(to_edge_list(g))
@@ -361,6 +362,18 @@ class TestBfsDistances:
         rows.clear()
         assert len(distance_table(gen_named("path", 5))) == 5 and rows == [0, 1, 2, 3, 4]
         assert distance_table(Graph(0)) == []
+
+    def test_two_balls_cover_is_diameter_at_most_two(self):
+        # every closed 2-ball covers g exactly when g is connected with
+        # diameter at most 2
+        seen = set()
+        for g, _ in seeded_graphs(39, 120):
+            nxg = self.networkx_graph(g)
+            want = nx.is_connected(nxg) and nx.diameter(nxg) <= 2
+            assert _two_balls_cover(g) == want
+            seen.add((want, is_connected(g)))
+        assert seen == {(True, True), (False, True), (False, False)}
+        assert _two_balls_cover(Graph(1)) and not _two_balls_cover(Graph(2))
 
     def test_is_connected_matches_networkx(self):
         seen = set()
