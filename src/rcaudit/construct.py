@@ -74,7 +74,6 @@ from .graphs import (
 from .rainbow import (
     EdgeColoring,
     FailingPair,
-    check_total,
     edge_adjacency,
     edge_color_bits,
     first_failing_pair,
@@ -532,11 +531,11 @@ def _verify(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
     pair is left, and as first_failing_pair's known it skips the settled
     pairs, which have rainbow paths, so its answer is the full scan's.
     """
-    check_total(g, coloring.colors)
+    bits = edge_color_bits(g, coloring)
     cover = two_path_cover(g.n, coloring.colors)
     if cover is None:
         return None
-    return first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring), cover)
+    return first_failing_pair(edge_adjacency(g), bits, cover)
 
 
 def run_construction(

@@ -99,8 +99,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, to_graph6
-from .rainbow import Adjacency, EdgeColoring, edge_adjacency, first_failing_pair
+from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, is_complete, to_graph6
+from .rainbow import Adjacency, EdgeColoring, _adjacency, edge_adjacency, first_failing_pair
 
 __all__ = [
     "Budget",
@@ -193,7 +193,7 @@ def _bound_and_table(g: Graph) -> tuple[int, list[list[int]] | None]:
     """
     if g.n == 0:
         raise ValueError("rc of the empty graph is undefined")
-    if g.m == g.n * (g.n - 1) // 2:
+    if is_complete(g):
         return 1, None
     if _two_balls_cover(g):
         return 2, None
@@ -278,20 +278,20 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     edges in lexicographic order of their ranked ends, and its adjacency
     relabeled by rank, neighbors ascending: vertex r is order[r], and
     edge i is edges[i]."""
+    edges = g.edge_list()
     degree = [g.degree(v) for v in range(g.n)]
-    order = sorted(
-        range(g.n), key=lambda v: (degree[v], sum(degree[w] for w in g.neighbors(v)), v)
-    )
+    around = [0] * g.n
+    for u, v in edges:
+        around[u] += degree[v]
+        around[v] += degree[u]
+    order = sorted(range(g.n), key=lambda v: (degree[v], around[v], v))
     rank = sorted(range(g.n), key=order.__getitem__)
     ranked = sorted(
         (rank[u], rank[v], u, v) if rank[u] < rank[v] else (rank[v], rank[u], u, v)
-        for u, v in g.edge_list()
+        for u, v in edges
     )
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (a, b, _, _) in enumerate(ranked):
-        rows[a].append((b, i))
-        rows[b].append((a, i))
-    return order, [(u, v) for _, _, u, v in ranked], tuple(map(tuple, rows))
+    adjacency = _adjacency(g.n, [(a, b) for a, b, _, _ in ranked])
+    return order, [(u, v) for _, _, u, v in ranked], adjacency
 
 
 class _SearchState:
@@ -324,11 +324,6 @@ class _SearchState:
             ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
             self._maps = ranked, [dict(row) for row in self.adjacency]
         return self._maps
-
-
-def _search_state(g: Graph, distances: list[list[int]] | None = None) -> _SearchState:
-    """g's search state; distances is g's distance table, when built."""
-    return _SearchState(g, distances)
 
 
 # a level's prune tables on its assignment list: assign(i, c) colors
@@ -726,7 +721,7 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     state: _SearchState | None = None  # built by the first level searched
     left = budget.max_nodes  # the nodes the next level may expand
     while (left is None or left > 0) and (deadline is None or time.monotonic() < deadline):
-        state = state or _search_state(g, distances)
+        state = state or _SearchState(g, distances)
         level = _search_level(state, q, left, deadline)
         levels.append(level)
         if level.status is DecisionStatus.SAT:

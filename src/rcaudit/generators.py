@@ -30,7 +30,7 @@ from .graphs import (
     Graph,
     _bit_positions,
     _flood,
-    _graph_from_fields,
+    _graph_from_rows,
     degree_stats,
     is_connected,
 )
@@ -289,22 +289,18 @@ def iter_connected_graphs(n: int) -> Iterator[Graph]:
     The chunks of vertices n-2..1, varied in that nesting, fix the edges
     among vertices 1..n-1; that graph's components are flooded once.
     Innermost, vertex 0's neighbor sets N run in ascending order, and a
-    graph is kept when N meets every component. Each kept graph is read
-    off the fixed part plus N: vertex v's row gains bit 0 and its
-    neighbor tuple a leading 0 when v is in N, and m grows by |N|.
+    graph is kept when N meets every component. Each kept graph's rows
+    are read off the fixed part plus N: N is vertex 0's row, and vertex
+    v's row gains bit 0 when v is in N.
     """
     if n < 1:
         raise ValueError("need at least 1 vertex")
     rest = range(1, n)
-    # vertex 0's neighbor sets, ascending: mask, neighbor tuple, per-vertex
-    # membership of 1..n-1, size
+    # vertex 0's neighbor sets, ascending: mask, per-vertex membership of 1..n-1
     zero = []
     for chunk in range(1 << (n - 1)):
         mask = chunk << 1
-        zero.append(
-            (mask, _bit_positions(mask), tuple([mask >> v & 1 for v in rest]),
-             chunk.bit_count())
-        )
+        zero.append((mask, tuple([mask >> v & 1 for v in rest])))
     higher = range(n - 2, 0, -1)
     for chunks in product(*[range(1 << (n - 1 - u)) for u in higher]):
         rows = [0] * n
@@ -318,20 +314,14 @@ def iter_connected_graphs(n: int) -> Iterator[Graph]:
             comp = sum(_flood(rows, left & -left, left))
             comps.append(comp)
             left ^= comp
-        m = sum(map(int.bit_count, rows)) // 2
-        # each vertex's row and neighbor tuple without and with vertex 0
+        # each vertex's row without and with vertex 0
         row_of = [(r, r | 1) for r in rows[1:]]
-        nbrs_of = [(t, (0, *t)) for t in map(_bit_positions, rows[1:])]
-        for mask, nbrs, picks, size in zero:
+        for mask, picks in zero:
             for comp in comps:
                 if not mask & comp:
                     break
             else:
-                yield _graph_from_fields(
-                    (mask, *map(getitem, row_of, picks)),
-                    (nbrs, *map(getitem, nbrs_of, picks)),
-                    m + size,
-                )
+                yield _graph_from_rows((mask, *map(getitem, row_of, picks)))
 
 
 def random_corpus(

@@ -3,12 +3,11 @@ builds on: graph6/edge-list codecs, degree statistics of the graph or of
 an induced vertex set, and distances.
 
 A Graph keeps its adjacency only as integer bit rows, one int per
-vertex, plus the ascending neighbor tuples and the edge count read from
-them; its edges are derived from the rows on demand. Ints and tuples of
-ints are not tracked by CPython's cyclic garbage collector once it has
-seen them, so a held corpus leaves it one object per graph (the Graph)
-to walk at every collection, where per-vertex sets would add one per
-vertex.
+vertex, plus the edge count read from them; degrees, neighbors and
+edges are derived from the rows on demand. A tuple of ints is not
+tracked by CPython's cyclic garbage collector once it has seen it, so a
+held corpus leaves it one object per graph (the Graph) to walk at every
+collection, where per-vertex sets would add one per vertex.
 
 Every traversal goes through one flood over the bit rows, _flood: a
 breadth-first search whose frontier is a vertex mask and whose next
@@ -23,11 +22,10 @@ Nothing builds an induced subgraph: the construction runs every level,
 contractions included, on vertex masks over one graph's rows (see
 construct.py), and degree_stats reads an induced vertex set's degrees
 off the rows masked by that set. Graph() validates, for input from
-outside; the graph6 decoder builds through the unchecked
+outside; the graph6 decoder and the exhaustive enumeration
+(generators.iter_connected_graphs) build through the unchecked
 _graph_from_rows. Both fill a Graph's fields from its rows through
-_fill. The exhaustive enumeration (generators.iter_connected_graphs)
-derives each graph's neighbor tuples and edge count along with its rows
-and sets all of them at once through _graph_from_fields.
+_fill.
 
 Both graph6 codecs work on one layout of the adjacency bits, the upper
 triangle packed column by column: column j, the low j bits of row j
@@ -45,7 +43,7 @@ are sorted lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -74,16 +72,15 @@ class Graph:
     """Finite simple undirected graph on vertex ids 0..n-1.
 
     Adjacency is one int per vertex: bit v of _rows[u] marks the edge
-    uv, and _nbrs[u] lists those bits in ascending order. Neither holds
-    a container the garbage collector must walk (see the module
-    docstring). The rows are the only stored adjacency: m, edge_list()
-    and edges are read off them.
+    uv, and no container the garbage collector must walk is held (see
+    the module docstring). The rows are the only stored adjacency: m,
+    degrees, neighbors, edge_list() and edges are read off them.
 
     Instances are immutable after construction and safe to share across
     concurrent tasks; every operation in this module is a pure function.
     """
 
-    __slots__ = ("n", "m", "_rows", "_nbrs")
+    __slots__ = ("n", "m", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -104,11 +101,11 @@ class Graph:
         return frozenset(self.edge_list())
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return self._rows[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
-        return self._nbrs[v]
+        return _bit_positions(self._rows[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """False when either end is not a vertex."""
@@ -116,7 +113,9 @@ class Graph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u, vs in enumerate(self._nbrs) for v in vs if u < v]
+        return [
+            (u, v) for u, row in enumerate(self._rows) for v in _bit_positions(row & -(2 << u))
+        ]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._rows == other._rows
@@ -138,17 +137,15 @@ def _bit_positions(row: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fill(g: Graph, rows: list[int]) -> Graph:
+def _fill(g: Graph, rows: Sequence[int]) -> Graph:
     """Set every field of g from its bit rows."""
-    nbrs = tuple(map(_bit_positions, rows))
     g.n = len(rows)
-    g.m = sum(map(len, nbrs)) // 2
+    g.m = sum(map(int.bit_count, rows)) // 2
     g._rows = tuple(rows)
-    g._nbrs = nbrs
     return g
 
 
-def _graph_from_rows(rows: list[int]) -> Graph:
+def _graph_from_rows(rows: Sequence[int]) -> Graph:
     """A Graph straight from its bit rows, without Graph()'s checks.
 
     The rows must be symmetric, loop-free and inside range(len(rows)),
@@ -156,20 +153,6 @@ def _graph_from_rows(rows: list[int]) -> Graph:
     Graph(len(rows), its edges) field by field.
     """
     return _fill(Graph.__new__(Graph), rows)
-
-
-def _graph_from_fields(
-    rows: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...], m: int
-) -> Graph:
-    """A Graph from every one of its fields, for a builder that derives
-    the neighbor tuples and the edge count along with the rows. They
-    must be what _fill would read off the rows."""
-    g = Graph.__new__(Graph)
-    g.n = len(rows)
-    g.m = m
-    g._rows = rows
-    g._nbrs = nbrs
-    return g
 
 
 def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> Iterator[int]:
@@ -380,21 +363,16 @@ def degree_stats(g: Graph, vertices: Iterable[int] | None = None) -> DegreeStats
     the set: degrees count only neighbors in the set, and only pairs
     inside it are compared. An empty set or an id outside g is a
     ValueError."""
-    rows = g._rows
+    every = 0
+    for v in range(g.n) if vertices is None else vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} not in graph")
+        every |= 1 << v
+    rows = [row & every for row in g._rows]
     # sigma's start; as the degree of a vertex outside the set it is above
     # every real degree, so min passes it over and the loop skips the vertex
     unused = 2 * g.n
-    if vertices is None:
-        every = (1 << g.n) - 1
-        degree = list(map(len, g._nbrs))
-    else:
-        every = 0
-        for v in vertices:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} not in graph")
-            every |= 1 << v
-        rows = [row & every for row in rows]
-        degree = [r.bit_count() if every >> u & 1 else unused for u, r in enumerate(rows)]
+    degree = [r.bit_count() if every >> u & 1 else unused for u, r in enumerate(rows)]
     if not every:
         raise ValueError("degree statistics of the empty graph are undefined")
     delta = min(degree)
@@ -456,10 +434,12 @@ def _two_balls_cover(g: Graph) -> bool:
     exactly when g is connected with diameter at most 2. Stops at the
     first vertex whose ball falls short, after 2m row ORs at most."""
     rows, every = g._rows, (1 << g.n) - 1
-    for u, nbrs in enumerate(g._nbrs):
-        ball = rows[u] | 1 << u
-        for w in nbrs:
-            ball |= rows[w]
+    for u, row in enumerate(rows):
+        ball = row | 1 << u
+        while row:
+            low = row & -row
+            ball |= rows[low.bit_length() - 1]
+            row ^= low
         if ball != every:
             return False
     return True

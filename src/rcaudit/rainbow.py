@@ -51,7 +51,6 @@ __all__ = [
     "rainbow_path",
     "edge_adjacency",
     "edge_color_bits",
-    "check_total",
     "two_path_cover",
     "first_failing_pair",
     "is_rainbow_connected",
@@ -138,20 +137,32 @@ def edge_adjacency(g: Graph) -> Adjacency:
     """Per vertex, its (neighbor, edge index) pairs, neighbors ascending.
 
     Edge indices are positions in g.edge_list(); the per-edge color bits
-    that the searches below take are listed in that order.
+    that the searches below take are listed in that order. That list is
+    sorted, which is what puts each vertex's neighbors in ascending order
+    (see _adjacency).
     """
-    index = {e: i for i, e in enumerate(g.edge_list())}
-    return tuple(
-        tuple((w, index[(v, w) if v < w else (w, v)]) for w in g.neighbors(v))
-        for v in range(g.n)
-    )
+    return _adjacency(g.n, g.edge_list())
 
 
-def check_total(g: Graph, colors: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """g.edge_list(), once colors (an EdgeColoring's dict) is known to
-    color exactly the edges of g. Raises ValueError otherwise, naming the
-    lexicographically first edge it misses or, failing that, the first
-    non-edge it colors."""
+def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> Adjacency:
+    """Per vertex of 0..n-1, its (neighbor, edge index) pairs over the
+    sorted edge list edges, pairs (u, v) with u < v. Each edge is added
+    to its ends in list order; the sort puts a vertex x's edges (u, x),
+    ascending in u < x, before its edges (x, v), ascending in v, so its
+    neighbors come out ascending."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        rows[u].append((v, i))
+        rows[v].append((u, i))
+    return tuple(map(tuple, rows))
+
+
+def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
+    """One color bit per edge of g.edge_list(), the color ids re-indexed
+    densely. Raises ValueError unless coloring colors exactly the edges
+    of g, naming the lexicographically first edge it misses or, failing
+    that, the first non-edge it colors."""
+    colors = coloring.colors
     edges = g.edge_list()
     for e in edges:
         if e not in colors:
@@ -159,14 +170,6 @@ def check_total(g: Graph, colors: dict[tuple[int, int], int]) -> list[tuple[int,
     if len(colors) > len(edges):
         extra = min(e for e in colors if not g.has_edge(*e))
         raise ValueError(f"coloring assigns a color to non-edge {extra}")
-    return edges
-
-
-def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
-    """One color bit per edge of g.edge_list(), the color ids re-indexed
-    densely, after check_total's check and with its errors."""
-    colors = coloring.colors
-    edges = check_total(g, colors)
     index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
     return [1 << index[colors[e]] for e in edges]
 

@@ -29,7 +29,7 @@ from rcaudit.exact import (
     _paths_within,
     _search_level,
     _search_order,
-    _search_state,
+    _SearchState,
 )
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances, distance_table, parse_graph6
@@ -165,7 +165,7 @@ class TestDecision:
         # give-up, like a node give-up, counts no node it never expanded
         c6 = gen_named("cycle", 6)
         passed = time.monotonic() - 1.0
-        level = _search_level(_search_state(c6, distance_table(c6)), 3, None, passed)
+        level = _search_level(_SearchState(c6, distance_table(c6)), 3, None, passed)
         assert (level.status, level.nodes) == (DecisionStatus.BUDGET_EXHAUSTED, 0)
         res = rc_exact(c6, Budget(max_seconds=0.0))
         assert (res.stats.levels, res.stats.nodes) == ((), 0)
@@ -751,7 +751,7 @@ class TestMaskTables:
     @staticmethod
     def level(g, max_nodes=None):
         # q = 2 on any graph of diameter at most 2, complete ones included
-        return _search_level(_search_state(g, distance_table(g)), 2, max_nodes, None)
+        return _search_level(_SearchState(g, distance_table(g)), 2, max_nodes, None)
 
     @staticmethod
     def graphs():

@@ -73,8 +73,8 @@ class TestGraph:
         reason="counts objects tracked by CPython's cyclic collector",
     )
     def test_held_graphs_add_one_tracked_object(self):
-        # adjacency rows and neighbor tuples hold only ints, so the
-        # collector stops tracking them, and no edge set is stored; a held
+        # the adjacency is one tuple of int rows, which the collector stops
+        # tracking, and no neighbor or edge container is stored; a held
         # graph leaves it the Graph alone
         gc.collect()
         gc.collect()
@@ -109,7 +109,7 @@ class TestGraph6:
         rng = random.Random(7)
         for _ in range(100):
             g = random_graph(rng, rng.randint(0, 20), rng.random())
-            assert parse_graph6(to_graph6(g)) == g
+            assert_same_fields(parse_graph6(to_graph6(g)), g)
 
     @given(graphs(max_n=30))
     @settings(max_examples=60)
@@ -236,7 +236,15 @@ def assert_same_fields(built: Graph, checked: Graph) -> None:
     assert built.n == checked.n and built.m == checked.m
     assert built.edge_list() == checked.edge_list()
     assert built._rows == checked._rows
-    assert built._nbrs == checked._nbrs
+    # degrees and neighbors are read off the rows; both graphs must give
+    # those of checked's edge list
+    ends: list[list[int]] = [[] for _ in range(checked.n)]
+    for u, v in checked.edge_list():
+        ends[u].append(v)
+        ends[v].append(u)
+    for v in range(checked.n):
+        assert built.neighbors(v) == checked.neighbors(v) == tuple(sorted(ends[v]))
+        assert built.degree(v) == checked.degree(v) == len(ends[v])
     assert built == checked and hash(built) == hash(checked)
 
 
@@ -247,7 +255,9 @@ class TestRowBuiltGraphs:
     def test_connected_graphs_match_constructor(self):
         for n in range(1, 7):
             for g in iter_connected_graphs(n):
-                assert_same_fields(g, Graph(n, g.edge_list()))
+                checked = Graph(n, g.edge_list())
+                assert_same_fields(g, checked)
+                assert_same_fields(parse_graph6(to_graph6(g)), checked)
 
     @given(graphs())
     def test_edges_are_read_off_the_rows(self, g):

@@ -16,6 +16,7 @@ from rcaudit import (
     certificate_to_jsonl,
     coloring_to_text,
     gen_named,
+    is_connected,
     is_rainbow_connected,
     parse_coloring,
     rainbow_path,
@@ -23,7 +24,7 @@ from rcaudit import (
 )
 from rcaudit.rainbow import edge_adjacency, edge_color_bits, first_failing_pair
 
-from .conftest import MASTER_SEED, random_connected_graph
+from .conftest import MASTER_SEED, random_connected_graph, random_graph
 from .oracles import first_failing_pair_brute, has_rainbow_path_brute
 
 
@@ -186,6 +187,23 @@ class TestFirstFailingPair:
             ((1, 2), (3, 3)),
             ((0, 1), (2, 3)),
         )
+
+    def test_edge_adjacency_matches_neighbor_lists(self):
+        # the reference pairs each vertex's ascending neighbors with the
+        # edges' positions in edge_list(), looked up in a dict
+        rng = random.Random(MASTER_SEED + 5)
+        graphs = [Graph(0), Graph(1), Graph(5), Graph(6, [(0, 1), (2, 3), (3, 4)])]
+        graphs += [random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(80)]
+        disconnected = 0
+        for g in graphs:
+            disconnected += g.n > 1 and not is_connected(g)
+            index = {e: i for i, e in enumerate(g.edge_list())}
+            expected = tuple(
+                tuple((w, index[(v, w) if v < w else (w, v)]) for w in g.neighbors(v))
+                for v in range(g.n)
+            )
+            assert edge_adjacency(g) == expected
+        assert disconnected > 10
 
     def test_bits_reindex_sparse_colors(self):
         g = gen_named("path", 4)
