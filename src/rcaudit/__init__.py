@@ -35,12 +35,10 @@ from .graphs import (
     Graph,
     GraphFormatError,
     degree_stats,
-    diameter,
     is_complete,
     is_connected,
     parse_edge_list,
     parse_graph6,
-    to_edge_list,
     to_graph6,
 )
 from .rainbow import (
@@ -51,8 +49,6 @@ from .rainbow import (
     coloring_to_text,
     is_rainbow_connected,
     parse_coloring,
-    rainbow_path,
-    verify_certificate,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Immutable simple graphs plus the structural operations the toolkit
-builds on: graph6/edge-list codecs, degree statistics of the graph or of
-an induced vertex set, and distances.
+builds on: graph6 codecs, an edge-list parser, degree statistics of
+the graph or of an induced vertex set, and distances.
 
 A Graph keeps its adjacency only as integer bit rows, one int per
 vertex, plus the edge count read from them; degrees, neighbors and
@@ -12,12 +12,11 @@ collection, where per-vertex sets would add one per vertex.
 Every traversal goes through one flood over the bit rows, _flood: a
 breadth-first search whose frontier is a vertex mask and whose next
 frontier is the OR of the frontier's rows, less the vertices already
-reached or excluded. bfs_distances reads distances off its layers and
-the diameter counts them; connectivity, and the construction's split
-of a level into components (construct.py), read its reach masks. The
-exact solver's lower bound asks _two_balls_cover, one flood step per
-vertex, whether the diameter is at most 2, so that it builds no
-distance table for such a graph.
+reached or excluded. bfs_distances reads distances off its layers;
+connectivity, and the construction's split of a level into components
+(construct.py), read its reach masks. The exact solver's lower bound
+asks _two_balls_cover, one flood step per vertex, whether the diameter
+is at most 2, so that it builds no distance table for such a graph.
 Nothing builds an induced subgraph: the construction runs every level,
 contractions included, on vertex masks over one graph's rows (see
 construct.py), and degree_stats reads an induced vertex set's degrees
@@ -52,11 +51,9 @@ __all__ = [
     "parse_graph6",
     "to_graph6",
     "parse_edge_list",
-    "to_edge_list",
     "degree_stats",
     "bfs_distances",
     "distance_table",
-    "diameter",
     "is_connected",
     "is_complete",
 ]
@@ -351,12 +348,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def to_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list())
-    return "\n".join(lines) + "\n"
-
-
 def degree_stats(g: Graph, vertices: Iterable[int] | None = None) -> DegreeStats:
     """Minimum degree and minimum nonadjacent degree sum of g or, given
     vertices, of the subgraph they induce, read off g's rows masked by
@@ -416,16 +407,6 @@ def distance_table(g: Graph) -> list[list[int]] | None:
         return None
     rows += (bfs_distances(g, s) for s in range(1, g.n))
     return rows
-
-
-def diameter(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("diameter of the empty graph is undefined")
-    if not is_connected(g):
-        raise ValueError("diameter of a disconnected graph is undefined")
-    rows, every = g._rows, (1 << g.n) - 1
-    # the eccentricity of s is its number of layers less one
-    return max(sum(1 for _ in _flood(rows, 1 << s, every)) for s in range(g.n)) - 1
 
 
 def _two_balls_cover(g: Graph) -> bool:

@@ -2,7 +2,7 @@
 
 A path is rainbow when its edges carry pairwise distinct colors; a
 colored graph is rainbow connected when every vertex pair has a rainbow
-path. All three entry points run one search, _search: breadth first over
+path. Both entry points run one search, _search: breadth first over
 (vertex, used-color-set) states, recording each state's parent and
 stopping once every target is reached.
 
@@ -15,7 +15,6 @@ stopping once every target is reached.
 - is_rainbow_connected runs the same scan and walks each pair's witness
   back from the parent map, giving the certificate for `rcaudit verify`;
   when the coloring fails it returns first_failing_pair's pair.
-- rainbow_path walks back one pair's witness.
 
 The construction's check of its finished coloring (construct._verify)
 first runs two_path_cover, a pass with no search: per vertex and color
@@ -47,14 +46,11 @@ __all__ = [
     "EdgeColoring",
     "RainbowCertificate",
     "FailingPair",
-    "CertificateCheck",
-    "rainbow_path",
     "edge_adjacency",
     "edge_color_bits",
     "two_path_cover",
     "first_failing_pair",
     "is_rainbow_connected",
-    "verify_certificate",
     "parse_coloring",
     "coloring_to_text",
     "certificate_to_jsonl",
@@ -120,17 +116,6 @@ class RainbowCertificate:
     """One witness path per unordered vertex pair, keyed by (u, v), u < v."""
 
     witnesses: dict[tuple[int, int], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    """Boolean outcome plus the first violation when false."""
-
-    ok: bool
-    violation: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def edge_adjacency(g: Graph) -> Adjacency:
@@ -315,20 +300,6 @@ def first_failing_pair(
     return _scan(adjacency, bits, None, known)
 
 
-def rainbow_path(
-    g: Graph, coloring: EdgeColoring, s: int, t: int
-) -> tuple[int, ...] | None:
-    """Shortest rainbow path from s to t, or None when none exists."""
-    for x in (s, t):
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex {x} not in graph")
-    if s == t:
-        raise ValueError("endpoints must differ")
-    bits = edge_color_bits(g, coloring)
-    parent, first = _search(edge_adjacency(g), bits, s, range(t, t + 1))
-    return _walk_back(parent, first[t]) if t in first else None
-
-
 def is_rainbow_connected(
     g: Graph, coloring: EdgeColoring
 ) -> RainbowCertificate | FailingPair:
@@ -339,49 +310,6 @@ def is_rainbow_connected(
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     failing = _scan(edge_adjacency(g), bits, witnesses)
     return RainbowCertificate(witnesses) if failing is None else failing
-
-
-def verify_certificate(
-    g: Graph, coloring: EdgeColoring, cert: RainbowCertificate
-) -> CertificateCheck:
-    """Check a certificate independently of how it was produced: full pair
-    coverage, each witness a simple path in g, and no repeated color."""
-    expected = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)}
-    keys = set(cert.witnesses)
-    if keys != expected:
-        missing = sorted(expected - keys)
-        if missing:
-            return CertificateCheck(False, f"pair {missing[0]} has no witness")
-        extra = sorted(keys - expected)
-        return CertificateCheck(False, f"unexpected witness for pair {extra[0]}")
-    for u, v in sorted(expected):
-        path = cert.witnesses[(u, v)]
-        if len(path) < 2 or path[0] != u or path[-1] != v:
-            return CertificateCheck(
-                False, f"pair ({u}, {v}): witness endpoints do not match"
-            )
-        if len(set(path)) != len(path):
-            return CertificateCheck(
-                False, f"pair ({u}, {v}): witness repeats a vertex"
-            )
-        seen_colors: set[int] = set()
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                return CertificateCheck(
-                    False, f"pair ({u}, {v}): ({a}, {b}) is not an edge"
-                )
-            try:
-                c = coloring.color_of(a, b)
-            except KeyError:
-                return CertificateCheck(
-                    False, f"pair ({u}, {v}): edge ({a}, {b}) has no color"
-                )
-            if c in seen_colors:
-                return CertificateCheck(
-                    False, f"pair ({u}, {v}): color {c} repeats on witness"
-                )
-            seen_colors.add(c)
-    return CertificateCheck(True)
 
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:

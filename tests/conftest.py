@@ -23,6 +23,11 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
+def edge_list_text(g: Graph) -> str:
+    """g in the plain edge-list format that parse_edge_list reads."""
+    return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edge_list())
+
+
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(MASTER_SEED)

@@ -1,12 +1,14 @@
 """Independent brute-force references used to check the package.
 
 Everything here is deliberately naive: exhaustive simple-path
-enumeration, exhaustive coloring enumeration with no symmetry breaking,
-a restricted-growth search with no pruning, union-find components,
-induced subgraphs rebuilt from the edge list, and degree sums over every
-nonadjacent pair. None of it shares code with the search paths it
-validates: it imports nothing from rcaudit.exact or rcaudit.rainbow,
-and reads a coloring only through its color_of method.
+enumeration, a certificate check that walks every witness edge by edge,
+exhaustive coloring enumeration with no symmetry breaking, a
+restricted-growth search with no pruning, a queue breadth-first search
+per vertex for the diameter, union-find components, induced subgraphs
+rebuilt from the edge list, and degree sums over every nonadjacent
+pair. None of it shares code with the search paths it validates: it
+imports nothing from rcaudit.exact or rcaudit.rainbow, and reads a
+coloring only through its color_of method.
 """
 
 from __future__ import annotations
@@ -48,6 +50,33 @@ def path_is_rainbow(coloring: Coloring, path: tuple[int, ...]) -> bool:
 
 def has_rainbow_path_brute(g: Graph, coloring: Coloring, s: int, t: int) -> bool:
     return any(path_is_rainbow(coloring, p) for p in all_simple_paths(g, s, t))
+
+
+def certificate_violation(
+    g: Graph, coloring: Coloring, witnesses: dict[tuple[int, int], tuple[int, ...]]
+) -> str | None:
+    """The first violation of a rainbow certificate, or None when it holds:
+    every pair u < v, and no other key, has a witness from u to v that is
+    a simple path over edges of g and repeats no color."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    for pair in pairs:
+        if pair not in witnesses:
+            return f"pair {pair} has no witness"
+    extra = sorted(set(witnesses) - set(pairs))
+    if extra:
+        return f"unexpected witness for pair {extra[0]}"
+    for pair in pairs:
+        path = witnesses[pair]
+        if len(path) < 2 or (path[0], path[-1]) != pair:
+            return f"pair {pair}: witness endpoints do not match"
+        if len(set(path)) != len(path):
+            return f"pair {pair}: witness repeats a vertex"
+        for a, b in zip(path, path[1:]):
+            if not g.has_edge(a, b):
+                return f"pair {pair}: ({a}, {b}) is not an edge"
+        if not path_is_rainbow(coloring, path):
+            return f"pair {pair}: witness repeats a color"
+    return None
 
 
 def first_failing_pair_brute(
@@ -138,6 +167,24 @@ def plain_canonical_search(
 
     found = extend(0, -1)
     return (dict(zip(edge_order, colors)) if found else None), nodes
+
+
+def diameter(g: Graph) -> int:
+    """Largest distance between two vertices of a connected g, by a queue
+    breadth-first search from every vertex over g.neighbors."""
+    far = 0
+    for s in range(g.n):
+        dist = {s: 0}
+        queue = [s]
+        for v in queue:  # the loop also visits vertices appended meanwhile
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if len(dist) < g.n:
+            raise ValueError("diameter of a disconnected graph is undefined")
+        far = max(far, *dist.values())
+    return far
 
 
 def union_find_components(n: int, edges) -> list[tuple[int, ...]]:

@@ -22,7 +22,6 @@ from rcaudit import (
     audit_corpus,
     audit_graph,
     degree_stats,
-    diameter,
     gen_named,
     parse_graph6,
     rc_exact,
@@ -38,7 +37,7 @@ from rcaudit.generators import (
     random_corpus,
 )
 
-from .oracles import naive_rc
+from .oracles import diameter, naive_rc
 
 RANDOM_CORPUS_SEED = 20260808
 RANDOM_CORPUS_SIZE = 500

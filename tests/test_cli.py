@@ -11,10 +11,11 @@ import pytest
 
 import rcaudit
 import rcaudit.audit as audit_module
-from rcaudit import gen_named, parse_graph6, to_edge_list, to_graph6
+from rcaudit import gen_named, parse_graph6, to_graph6
 from rcaudit.cli import main
 from rcaudit.exact import ExactResult, ExactStatus, SearchStats
 
+from .conftest import edge_list_text
 from .test_construct import recursion_limit, reused_color_witness
 
 
@@ -27,7 +28,7 @@ def run(capsys, *argv):
 class TestVerify:
     def test_failing_coloring_exits_2(self, tmp_path, capsys):
         graph = tmp_path / "p3.txt"
-        graph.write_text(to_edge_list(gen_named("path", 3)))
+        graph.write_text(edge_list_text(gen_named("path", 3)))
         coloring = tmp_path / "coloring.txt"
         coloring.write_text("0 1 0\n1 2 0\n")
         code, out, _ = run(capsys, "verify", str(graph), str(coloring))
@@ -36,7 +37,7 @@ class TestVerify:
 
     def test_passing_coloring_exits_0(self, tmp_path, capsys):
         graph = tmp_path / "p3.txt"
-        graph.write_text(to_edge_list(gen_named("path", 3)))
+        graph.write_text(edge_list_text(gen_named("path", 3)))
         coloring = tmp_path / "coloring.txt"
         coloring.write_text("0 1 0\n1 2 1\n")
         code, out, _ = run(capsys, "verify", str(graph), str(coloring))
@@ -45,7 +46,7 @@ class TestVerify:
 
     def test_json_certificate_lines(self, tmp_path, capsys):
         graph = tmp_path / "p3.txt"
-        graph.write_text(to_edge_list(gen_named("path", 3)))
+        graph.write_text(edge_list_text(gen_named("path", 3)))
         coloring = tmp_path / "coloring.txt"
         coloring.write_text("0 1 0\n1 2 1\n")
         code, out, _ = run(
@@ -59,7 +60,7 @@ class TestVerify:
 class TestExact:
     def test_k4_edge_list_prints_1(self, tmp_path, capsys):
         graph = tmp_path / "k4.txt"
-        graph.write_text(to_edge_list(gen_named("complete", 4)))
+        graph.write_text(edge_list_text(gen_named("complete", 4)))
         code, out, _ = run(capsys, "exact", str(graph))
         assert code == 0
         assert out.strip() == "1"

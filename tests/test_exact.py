@@ -15,7 +15,6 @@ from rcaudit import (
     ExactStatus,
     Graph,
     RainbowCertificate,
-    diameter,
     gen_named,
     is_complete,
     is_rainbow_connected,
@@ -38,6 +37,7 @@ from rcaudit.rainbow import edge_adjacency
 from .conftest import MASTER_SEED, random_connected_graph
 from .oracles import (
     all_simple_paths,
+    diameter,
     has_rainbow_path_brute,
     naive_rc,
     plain_canonical_search,

@@ -17,7 +17,6 @@ from rcaudit import (
     GraphFormatError,
     audit_graph,
     degree_stats,
-    diameter,
     gen_counterexample,
     gen_named,
     is_complete,
@@ -25,14 +24,13 @@ from rcaudit import (
     parse_edge_list,
     parse_graph6,
     rc_exact,
-    to_edge_list,
     to_graph6,
 )
 from rcaudit.generators import CounterexampleParams, iter_connected_graphs, random_corpus
 from rcaudit.cli import main
 from rcaudit.graphs import _two_balls_cover, bfs_distances, distance_table
 
-from .conftest import MASTER_SEED, random_graph
+from .conftest import MASTER_SEED, edge_list_text, random_graph
 from .oracles import degree_stats_brute, induced_subgraph
 
 RANDOM_CORPUS_GRAPH6 = "2d032af6362830304ab101f4263614a9530ad5ab94adb49e8b22a522a0316444"
@@ -208,7 +206,7 @@ class TestEdgeList:
 
     def test_roundtrip(self):
         g = gen_named("cycle", 6)
-        assert parse_edge_list(to_edge_list(g)) == g
+        assert parse_edge_list(edge_list_text(g)) == g
 
 
 class TestDegreeStats:
@@ -363,7 +361,7 @@ class TestBfsDistances:
         assert rows == []
         rows.clear()
         path = tmp_path / "g.txt"
-        path.write_text(to_edge_list(g))
+        path.write_text(edge_list_text(g))
         assert main(["exact", str(path)]) == 1
         assert rows == [0]
         out, err = capsys.readouterr()
@@ -400,11 +398,10 @@ class TestDiameter:
         [("path", 4, 3), ("cycle", 5, 2), ("complete", 6, 1), ("path", 1, 0)],
     )
     def test_known_values(self, family, size, want):
-        assert diameter(gen_named(family, size)) == want
+        assert max(map(max, distance_table(gen_named(family, size)))) == want
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError, match="disconnected"):
-            diameter(Graph(2, []))
+        assert distance_table(Graph(2, [])) is None
 
     def test_connectivity_predicates(self):
         assert is_connected(gen_named("path", 4))

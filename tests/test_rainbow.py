@@ -19,13 +19,17 @@ from rcaudit import (
     is_connected,
     is_rainbow_connected,
     parse_coloring,
-    rainbow_path,
-    verify_certificate,
 )
 from rcaudit.rainbow import edge_adjacency, edge_color_bits, first_failing_pair
 
 from .conftest import MASTER_SEED, random_connected_graph, random_graph
-from .oracles import first_failing_pair_brute, has_rainbow_path_brute
+from .oracles import (
+    all_simple_paths,
+    certificate_violation,
+    first_failing_pair_brute,
+    has_rainbow_path_brute,
+    path_is_rainbow,
+)
 
 
 def color_all(g: Graph, color: int = 0) -> EdgeColoring:
@@ -41,36 +45,31 @@ def random_coloring(rng: random.Random, g: Graph, q: int) -> EdgeColoring:
 
 
 class TestRainbowPath:
+    # the witness that is_rainbow_connected walks back for one pair
+
     def test_adjacent_pair_single_edge(self):
         g = gen_named("complete", 3)
-        path = rainbow_path(g, color_all(g), 0, 1)
-        assert path == (0, 1)
+        outcome = is_rainbow_connected(g, color_all(g))
+        assert outcome.witnesses[(0, 1)] == (0, 1)
 
     def test_monochrome_path_has_no_witness(self):
         g = gen_named("path", 3)
-        assert rainbow_path(g, color_all(g), 0, 2) is None
+        assert is_rainbow_connected(g, color_all(g)) == FailingPair(0, 2)
 
     def test_alternating_cycle_crosses_in_two_edges(self):
         g = gen_named("cycle", 4)
         coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1})
         # brute force says exactly the two-edge routes work
         assert has_rainbow_path_brute(g, coloring, 0, 2)
-        path = rainbow_path(g, coloring, 0, 2)
+        path = is_rainbow_connected(g, coloring).witnesses[(0, 2)]
         assert path in ((0, 1, 2), (0, 3, 2))
         colors = {coloring.color_of(a, b) for a, b in zip(path, path[1:])}
         assert colors == {0, 1}
 
-    def test_rejects_bad_vertices(self):
-        g = gen_named("path", 3)
-        with pytest.raises(ValueError):
-            rainbow_path(g, color_all(g), 0, 5)
-        with pytest.raises(ValueError):
-            rainbow_path(g, color_all(g), 1, 1)
-
     def test_huge_color_ids_are_fine(self):
         g = gen_named("path", 3)
         coloring = EdgeColoring({(0, 1): 10**9, (1, 2): 7})
-        assert rainbow_path(g, coloring, 0, 2) == (0, 1, 2)
+        assert is_rainbow_connected(g, coloring).witnesses[(0, 2)] == (0, 1, 2)
 
 
 class TestIsRainbowConnected:
@@ -123,7 +122,7 @@ class TestIsRainbowConnected:
             brute = first_failing_pair_brute(g, coloring)
             if brute is None:
                 assert isinstance(outcome, RainbowCertificate)
-                assert verify_certificate(g, coloring, outcome)
+                assert certificate_violation(g, coloring, outcome.witnesses) is None
             else:
                 assert outcome == FailingPair(*brute)
             checked += 1
@@ -298,8 +297,11 @@ def test_first_failing_pair_matches_certificate_builder(case):
     got = check(g, coloring)
     if isinstance(outcome, RainbowCertificate):
         assert got is None
+        assert certificate_violation(g, coloring, outcome.witnesses) is None
+        # the search reaches each pair by a walk of fewest edges first
         for (s, t), witness in outcome.witnesses.items():
-            assert rainbow_path(g, coloring, s, t) == witness
+            rainbow = [p for p in all_simple_paths(g, s, t) if path_is_rainbow(coloring, p)]
+            assert len(witness) == min(map(len, rainbow))
     else:
         assert got == outcome
 
@@ -328,39 +330,41 @@ def test_known_rainbow_pairs_leave_the_first_failing_pair(case, data):
 
 
 class TestVerifyCertificate:
+    # the certificate check of tests/oracles.py, which shares no code with
+    # the search that emits the certificates it checks
+
     def setup_method(self):
-        self.g = gen_named("cycle", 5)
+        self.g = gen_named("cycle", 6)
         self.coloring = color_distinct(self.g)
         outcome = is_rainbow_connected(self.g, self.coloring)
         assert isinstance(outcome, RainbowCertificate)
-        self.cert = outcome
+        self.witnesses = outcome.witnesses
+
+    def check(self, witnesses=None, coloring=None):
+        if witnesses is None:
+            witnesses = self.witnesses
+        return certificate_violation(self.g, coloring or self.coloring, witnesses)
 
     def test_emitted_certificate_verifies(self):
-        assert verify_certificate(self.g, self.coloring, self.cert)
+        assert self.check() is None
 
     def test_duplicate_color_detected(self):
-        bad = EdgeColoring({e: 0 for e in self.g.edges})
-        check = verify_certificate(self.g, bad, self.cert)
-        # three of the five pairs are adjacent; a longer witness repeats color 0
-        assert not check and "repeats" in check.violation
+        # five of the fifteen pairs are adjacent; a longer witness repeats color 0
+        bad = EdgeColoring({e: 0 for e in self.g.edge_list()})
+        assert self.check(coloring=bad) == "pair (0, 2): witness repeats a color"
 
     def test_missing_pair_detected(self):
-        witnesses = dict(self.cert.witnesses)
+        witnesses = dict(self.witnesses)
         del witnesses[(0, 1)]
-        check = verify_certificate(self.g, self.coloring, RainbowCertificate(witnesses))
-        assert not check and "no witness" in check.violation
+        assert self.check(witnesses) == "pair (0, 1) has no witness"
 
     def test_non_edge_step_detected(self):
-        witnesses = dict(self.cert.witnesses)
-        witnesses[(0, 2)] = (0, 2)
-        check = verify_certificate(self.g, self.coloring, RainbowCertificate(witnesses))
-        assert not check and "not an edge" in check.violation
+        got = self.check({**self.witnesses, (0, 2): (0, 2)})
+        assert got == "pair (0, 2): (0, 2) is not an edge"
 
     def test_repeated_vertex_detected(self):
-        witnesses = dict(self.cert.witnesses)
-        witnesses[(0, 1)] = (0, 4, 0, 1)
-        check = verify_certificate(self.g, self.coloring, RainbowCertificate(witnesses))
-        assert not check and "repeats a vertex" in check.violation
+        got = self.check({**self.witnesses, (0, 1): (0, 5, 0, 1)})
+        assert got == "pair (0, 1): witness repeats a vertex"
 
 
 class TestColoringIO:
