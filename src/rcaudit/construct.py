@@ -19,14 +19,16 @@ K-to-G_i edge gets one fresh color c_i, and the edges inside K get:
   (lift: an edge from K to w takes the color of the contracted edge to w).
 
 The induction measure is n - d: every recursive call must strictly
-decrease it, and every level must stay within its color budget. Both are
-checked at run time and recorded in the trace; the final coloring is
-checked for rainbow connectivity and the outcome stored at the trace
-root. The check (_verify) settles every pair joined by an edge or a
-rainbow 2-path on per-color neighbor masks (rainbow.two_path_cover) and
-runs the rainbow search only on the pairs left, which on a graph of
-diameter 2 are usually none; its answer, the lexicographically first
-failing pair, is the full search's.
+decrease it, a contraction must keep d and lower the measure, and every
+level must stay within its color budget. Each level checks these where
+they arise, once, raising ConstructionError on a violation, and records
+the measures in the trace; the final coloring is checked for rainbow
+connectivity and the outcome stored at the trace root. The check
+(_verify) settles every pair joined by an edge or a rainbow 2-path on
+per-color neighbor masks (rainbow.two_path_cover) and runs the rainbow
+search only on the pairs left, which on a graph of diameter 2 are
+usually none; its answer, the lexicographically first failing pair, is
+the full search's.
 A violation of any of these checks is surfaced as a finding (with a
 reproducer), never repaired silently: the reused-color branch in
 particular is executed exactly as stated so that instances where it fails
@@ -51,9 +53,9 @@ level's ascending vertices) with the original-input labels.
 Each level writes its own edges once, keyed by root ids, at an absolute
 palette base: its parent's base plus the colors of the siblings colored
 before it. So the levels of a component tree share one edge -> color
-dict, which becomes the root's EdgeColoring as it is, with no
-normalizing pass (its keys are ordered and its colors nonnegative), and
-is verified. A contraction child writes into a dict of its own, and its
+dict, which becomes the root's EdgeColoring as it is (its keys are
+ordered and its colors nonnegative, as EdgeColoring requires), and is
+verified. A contraction child writes into a dict of its own, and its
 parent lifts every edge from it.
 """
 
@@ -92,8 +94,6 @@ __all__ = [
     "construct_coloring",
     "run_construction",
     "trace_to_dict",
-    "iter_trace",
-    "measure_violations",
 ]
 
 
@@ -156,11 +156,13 @@ class AuditTrace:
 
 class ConstructionError(RuntimeError):
     """A structural invariant (measure decrease, color budget, degree
-    bound) failed mid-construction. Carries whatever context exists."""
+    bound) failed mid-construction, at the level where it arises. trace
+    is the failing level's trace when it exceeded its color budget, None
+    for every other check."""
 
-    def __init__(self, message: str, context: dict | None = None):
+    def __init__(self, message: str, trace: AuditTrace | None = None):
         super().__init__(message)
-        self.context = context or {}
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -243,8 +245,7 @@ def _decompose(
         if c.min_degree < floor:
             raise ConstructionError(
                 f"component {c.vertices} has minimum degree {c.min_degree}"
-                f" below the guaranteed floor {floor}",
-                {"clique": clique},
+                f" below the guaranteed floor {floor}"
             )
 
     lead = comps[0][0]
@@ -259,8 +260,7 @@ def _decompose(
     else:
         if k < 2:
             raise ConstructionError(
-                "contraction case reached with a single-vertex clique",
-                {"clique": clique},
+                "contraction case reached with a single-vertex clique"
             )
         case = Case.CONTRACTION
     rec = DecompositionRecord(clique, k, tuple([c for c, _ in comps]), k1, t, case)
@@ -277,10 +277,10 @@ def decompose(g: Graph) -> DecompositionRecord:
     non-adjacent to some earlier member. G must not be complete: the
     clique would remove every vertex, a ConstructionError; so on a
     connected G, 1 <= k <= d. Connectivity is not checked: the
-    construction checks it once, at its entry. Components are ordered by attachment size (descending),
-    ties by minimum vertex id. Every component's minimum degree is
-    checked against the floor d - k + 1 that clique maximality
-    guarantees.
+    construction checks it once, at its entry. Components are ordered
+    by attachment size (descending), ties by minimum vertex id. Every
+    component's minimum degree is checked against the floor d - k + 1
+    that clique maximality guarantees.
     """
     rows, mask = _whole(g)
     verts = tuple(range(g.n))
@@ -407,14 +407,12 @@ class _Level:
             # the merged vertex collects one disjoint neighborhood per clique
             # member, so the minimum degree cannot drop
             raise ConstructionError(
-                f"contraction lowered the minimum degree: {delta_star} < {trace.min_degree}",
-                {"decomposition": rec},
+                f"contraction lowered the minimum degree: {delta_star} < {trace.min_degree}"
             )
         measure = sub_mask.bit_count() - delta_star
         if measure >= trace.budget:
             raise ConstructionError(
-                f"measure did not decrease under contraction: {measure} >= {trace.budget}",
-                {"decomposition": rec},
+                f"measure did not decrease under contraction: {measure} >= {trace.budget}"
             )
         merged_label = "merged(" + ",".join([labels[v] for v in kverts]) + ")"
         sub_labels = list(labels)
@@ -443,8 +441,7 @@ class _Level:
             if measure >= self.trace.budget:
                 raise ConstructionError(
                     f"measure did not decrease: component {comp.vertices} has"
-                    f" n-d = {measure}, parent has {self.trace.budget}",
-                    {"decomposition": self.trace.decomposition},
+                    f" n-d = {measure}, parent has {self.trace.budget}"
                 )
         return (*args, self.base + self.trace.colors_used)
 
@@ -470,7 +467,7 @@ class _Level:
             raise ConstructionError(
                 f"color budget exceeded: {trace.colors_used} > {trace.budget}"
                 f" on vertices {trace.vertex_labels}",
-                {"trace": trace},
+                trace,
             )
         return trace
 
@@ -515,7 +512,7 @@ def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
         raise ValueError("construction requires a connected graph")
     labels = tuple(str(v) for v in range(g.n))
     colors, trace = _construct(g, labels)
-    coloring = EdgeColoring._trusted(colors)
+    coloring = EdgeColoring(colors)
     failing = _verify(g, coloring)
     trace.verification = "pass" if failing is None else failing
     return coloring, trace
@@ -549,52 +546,13 @@ def run_construction(
     try:
         coloring, trace = construct_coloring(g)
     except ConstructionError as exc:
-        trace = exc.context.get("trace")
-        return Finding("structural", to_graph6(g), None, trace, str(exc)), None, None
+        return Finding("structural", to_graph6(g), None, exc.trace, str(exc)), None, None
     if isinstance(trace.verification, FailingPair):
         pair = trace.verification
         detail = f"no rainbow path between {pair.u} and {pair.v}"
         finding = Finding("verification-failed", to_graph6(g), pair, trace, detail)
         return finding, coloring, trace
     return None, coloring, trace
-
-
-def iter_trace(trace: AuditTrace):
-    """Depth-first (parent, child) pairs over the recursion tree, parents
-    before their children and siblings in order."""
-    stack = [(trace, child) for child in reversed(trace.children)]
-    while stack:
-        parent, child = stack.pop()
-        yield parent, child
-        stack.extend((child, grandchild) for grandchild in reversed(child.children))
-
-
-def measure_violations(trace: AuditTrace) -> list[str]:
-    """Strict-decrease violations of the n - min_degree measure, plus any
-    node over its color budget. Empty on a sound trace."""
-    pairs = list(iter_trace(trace))
-    problems = []
-    for parent, child in pairs:
-        if child.budget >= parent.budget:
-            problems.append(
-                f"child measure {child.budget} did not decrease below"
-                f" parent measure {parent.budget}"
-            )
-    for node in [trace] + [child for _, child in pairs]:
-        if node.colors_used > node.budget:
-            problems.append(
-                f"node with {node.n} vertices used {node.colors_used} colors,"
-                f" budget {node.budget}"
-            )
-        if node.contraction is not None:
-            if node.contraction.measure_after >= node.budget:
-                problems.append(
-                    f"contraction measure {node.contraction.measure_after}"
-                    f" did not decrease below {node.budget}"
-                )
-            if node.contraction.min_degree_after < node.min_degree:
-                problems.append("contraction lowered the minimum degree")
-    return problems
 
 
 def trace_to_dict(trace: AuditTrace) -> dict:

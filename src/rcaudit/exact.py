@@ -607,7 +607,7 @@ def _search_level(
             leaf_checks += 1
             failing = first_failing_pair(adjacency, [1 << c for c in assignment], known)
             if failing is None:
-                return done(DecisionStatus.SAT, EdgeColoring._trusted(dict(zip(edges, assignment))))
+                return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
             # every leaf that keeps the blamed depths' colors fails on this pair
             culprits = learn(failing.u, failing.v)
             if culprits is None:
@@ -672,7 +672,7 @@ def _seeded_witness(
         checks += 1
         failing = first_failing_pair(adjacency, [1 << c for c in colors])
         if failing is None:
-            return EdgeColoring._trusted(dict(zip(g.edge_list(), colors))), checks
+            return EdgeColoring(dict(zip(g.edge_list(), colors))), checks
         if distances is None:
             distances = distance_table(g)
         dist_to_v = distances[failing.v]

@@ -64,36 +64,18 @@ State = tuple[int, int]
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total map from edges to nonnegative color ids.
+    """Map from edges to color ids: every key is (u, v) with u < v and
+    every color is nonnegative.
 
-    The number of colors is derived: one past the largest assigned id,
-    zero for an edgeless coloring.
+    Nothing here checks that contract; the library's own colorings keep
+    it. parse_coloring is the checked way in from text (it rejects
+    non-edges, loops among them, negative colors and duplicates, and
+    orders each key), and edge_color_bits checks that a coloring is
+    total on its graph. The number of colors is derived: one past the
+    largest assigned id, zero for an edgeless coloring.
     """
 
     colors: dict[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        normalized: dict[tuple[int, int], int] = {}
-        for (u, v), c in self.colors.items():
-            if u == v:
-                raise ValueError(f"cannot color loop at vertex {u}")
-            if c < 0:
-                raise ValueError(f"negative color {c} on edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            if key in normalized and normalized[key] != c:
-                raise ValueError(f"conflicting colors for edge {key}")
-            normalized[key] = c
-        object.__setattr__(self, "colors", normalized)
-
-    @classmethod
-    def _trusted(cls, colors: dict[tuple[int, int], int]) -> EdgeColoring:
-        """A coloring whose dict is already normal: every key (u, v) has
-        u < v and every color is nonnegative, as the library's own
-        colorings are. It is taken as it is, without __post_init__'s
-        pass, and equals EdgeColoring(dict(colors))."""
-        coloring = object.__new__(cls)
-        object.__setattr__(coloring, "colors", colors)
-        return coloring
 
     @property
     def num_colors(self) -> int:
@@ -313,9 +295,10 @@ def is_rainbow_connected(
 
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
-    """Parse the "u v color" line format against a host graph. Unknown
-    edges and duplicate assignments are errors; totality is checked by the
-    verifier, not here."""
+    """Parse the "u v color" line format against a host graph. Non-edges
+    (loops among them), negative colors and duplicate assignments, in
+    either order of the ends, are errors; each key is stored as (u, v)
+    with u < v. Totality is checked by the verifier, not here."""
     colors: dict[tuple[int, int], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

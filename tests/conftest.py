@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from rcaudit import Graph, is_connected
+from rcaudit import AuditTrace, Graph, is_connected
 
 # frozen master seed for every randomized (non-hypothesis) check
 MASTER_SEED = 20260808
@@ -26,6 +26,34 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
 def edge_list_text(g: Graph) -> str:
     """g in the plain edge-list format that parse_edge_list reads."""
     return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edge_list())
+
+
+def trace_nodes(trace: AuditTrace):
+    """Every node of a construction trace, parents before children, on an
+    explicit stack: a path's trace is one level per vertex, deeper than
+    the recursion limit allows."""
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def assert_trace_invariants(trace: AuditTrace) -> int:
+    """Assert what the corrected proof of rc <= n - d rests on, on every
+    node of trace: each child's measure n - d is below its parent's, no
+    node uses more colors than its budget, and a contraction keeps d and
+    lowers the measure. Returns the number of parent-child steps."""
+    steps = 0
+    for node in trace_nodes(trace):
+        assert node.colors_used <= node.budget
+        if node.contraction is not None:
+            assert node.contraction.min_degree_after >= node.min_degree
+            assert node.contraction.measure_after < node.budget
+        for child in node.children:
+            assert child.budget < node.budget
+            steps += 1
+    return steps
 
 
 @pytest.fixture(scope="session")

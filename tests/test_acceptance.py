@@ -28,7 +28,6 @@ from rcaudit import (
     run_construction,
     to_graph6,
 )
-from rcaudit.construct import iter_trace, measure_violations
 from rcaudit.generators import (
     CounterexampleParams,
     counterexample_inequalities,
@@ -37,6 +36,7 @@ from rcaudit.generators import (
     random_corpus,
 )
 
+from .conftest import assert_trace_invariants
 from .oracles import diameter, naive_rc
 
 RANDOM_CORPUS_SEED = 20260808
@@ -315,10 +315,7 @@ def test_criterion_7_measure_decrease_everywhere(
         traces.extend(trace for _, finding, _, trace in results if trace is not None)
     checked_steps = 0
     for trace in traces:
-        assert measure_violations(trace) == []
-        for parent, child in iter_trace(trace):
-            assert child.budget < parent.budget
-            checked_steps += 1
+        checked_steps += assert_trace_invariants(trace)
     elapsed = time.monotonic() - started
     report_pass(
         "7",

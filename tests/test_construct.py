@@ -14,6 +14,7 @@ from rcaudit import (
     Case,
     FailingPair,
     Graph,
+    audit_corpus,
     construct_coloring,
     decompose,
     degree_stats,
@@ -26,12 +27,18 @@ from rcaudit import (
 )
 import rcaudit.construct as construct_module
 import rcaudit.graphs as graphs_module
-from rcaudit.construct import ConstructionError, iter_trace, measure_violations
+from rcaudit.construct import ConstructionError
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances
 from rcaudit.rainbow import EdgeColoring, edge_adjacency, edge_color_bits, first_failing_pair
 
-from .conftest import MASTER_SEED, random_connected_graph, random_graph
+from .conftest import (
+    MASTER_SEED,
+    assert_trace_invariants,
+    random_connected_graph,
+    random_graph,
+    trace_nodes,
+)
 from .oracles import has_rainbow_path_brute, induced_subgraph, union_find_components
 
 
@@ -291,7 +298,7 @@ class TestConstructColoring:
         monkeypatch.setattr(Graph, "__init__", counted)
         monkeypatch.setattr(graphs_module, "_fill", counted_fill)
         traces = [construct_coloring(g)[1] for g in corpus]
-        children = [child for trace in traces for _, child in iter_trace(trace)]
+        children = [node for trace in traces for node in trace_nodes(trace) if node is not trace]
         assert calls == []
         assert len(children) > 0
         assert {Case.CONTRACTION, Case.NEW_CLIQUE_COLOR} <= {t.case for t in traces}
@@ -339,7 +346,7 @@ class TestConstructColoring:
         g = gen_named("path", 600)
         with recursion_limit(400):
             coloring, trace = construct_coloring(g)
-            assert measure_violations(trace) == []
+            assert assert_trace_invariants(trace) == g.n - 2
         assert trace.colors_used == g.n - 1 == coloring.num_colors
         assert trace.verification == "pass"
 
@@ -444,23 +451,14 @@ class TestMaskedVerification:
                 construct_module._verify(g, EdgeColoring(colors))
             assert str(got.value) == str(want.value)
 
-    def test_result_is_trusted_but_normal(self, monkeypatch):
-        # the construction's coloring skips EdgeColoring's normalizing
-        # pass, and equals the coloring that pass would give
-        checked = []
-        real = EdgeColoring.__post_init__
-
-        def counted(self):
-            checked.append(len(self.colors))
-            real(self)
-
+    def test_result_is_normal(self):
+        # EdgeColoring checks nothing: the construction's coloring must
+        # keep its contract, keys (u, v) with u < v and colors >= 0
         graphs = [contraction_witness(), new_color_witness(), reused_color_witness()]
         graphs += random_corpus(40, 4, 20, MASTER_SEED)
-        monkeypatch.setattr(EdgeColoring, "__post_init__", counted)
-        colorings = [construct_coloring(g)[0] for g in graphs]
-        assert checked == []
-        for coloring in colorings:
-            assert coloring == EdgeColoring(dict(coloring.colors))
+        for g in graphs:
+            coloring = construct_coloring(g)[0]
+            assert all(u < v and c >= 0 for (u, v), c in coloring.colors.items())
 
 
 class TestAuditConstruction:
@@ -499,6 +497,96 @@ class TestAuditConstruction:
         assert d["k"] == 3 and d["t"] == 2
 
 
+class TestInvariantChecks:
+    """Each ConstructionError raise is the one check of its invariant; a
+    sound construction never reaches them, so each test breaks the level
+    it checks by patching the module, and sees the raise."""
+
+    @staticmethod
+    def short_budgets(monkeypatch):
+        # every level's color budget one below n - d
+        def short(case, n, min_degree, budget, *args, **kwargs):
+            return AuditTrace(case, n, min_degree, budget - 1, *args, **kwargs)
+
+        monkeypatch.setattr(construct_module, "AuditTrace", short)
+
+    def test_component_below_the_degree_floor(self, monkeypatch):
+        # a clique that is not maximal: on C_5 the clique {0} leaves the
+        # path 1-2-3-4, with leaves below the floor d - k + 1 = 2
+        real = construct_module._greedy_clique
+
+        def first_member_only(rows, verts, mask):
+            delta, clique, _ = real(rows, verts, mask)
+            return delta, clique[:1], 1 << verts[clique[0]]
+
+        monkeypatch.setattr(construct_module, "_greedy_clique", first_member_only)
+        with pytest.raises(ConstructionError, match="below the guaranteed floor 2"):
+            decompose(gen_named("cycle", 5))
+
+    def test_contraction_with_a_single_vertex_clique(self):
+        # decompose does not check connectivity: an isolated vertex is a
+        # one-vertex clique that attaches to no component
+        with pytest.raises(ConstructionError, match="single-vertex clique"):
+            decompose(Graph(3, [(1, 2)]))
+
+    def test_contraction_lowering_the_min_degree(self, monkeypatch):
+        # a level that counts its minimum degree one too high: the
+        # contracted graph then has a smaller one
+        real = construct_module._greedy_clique
+
+        def overcounted(rows, verts, mask):
+            delta, clique, cmask = real(rows, verts, mask)
+            return delta + 1, clique, cmask
+
+        monkeypatch.setattr(construct_module, "_greedy_clique", overcounted)
+        g = contraction_witness()
+        finding, coloring, trace = run_construction(g)
+        assert (finding.kind, finding.trace, coloring, trace) == ("structural", None, None, None)
+        assert finding.detail == "contraction lowered the minimum degree: 2 < 3"
+
+    def test_contraction_not_lowering_the_measure(self, monkeypatch):
+        self.short_budgets(monkeypatch)
+        with pytest.raises(ConstructionError, match="under contraction: 5 >= 5") as exc:
+            construct_coloring(contraction_witness())
+        assert exc.value.trace is None
+
+    def test_component_not_lowering_the_measure(self, monkeypatch):
+        # C_5 has budget 3 less one; its component, the path 2-3-4, has
+        # measure 2
+        self.short_budgets(monkeypatch)
+        with pytest.raises(ConstructionError, match=r"component \(2, 3, 4\) has n-d = 2") as exc:
+            construct_coloring(gen_named("cycle", 5))
+        assert exc.value.trace is None
+
+    def test_color_budget_two_levels_below_the_root(self, monkeypatch):
+        # P_4 recurses on the path 1-2-3, then on the edge 2-3; that
+        # base level spends one color past its budget of one, while the
+        # levels above it stay within theirs
+        g = gen_named("path", 4)
+        inner = construct_coloring(g)[1].children[0].children[0]
+        assert inner.vertex_labels == ("2", "3")
+        real = construct_module._Level.finish
+
+        def overspend(level):
+            if level.trace.vertex_labels == inner.vertex_labels:
+                level.fresh += 1
+            return real(level)
+
+        monkeypatch.setattr(construct_module._Level, "finish", overspend)
+        finding, coloring, trace = run_construction(g)
+        assert (finding.kind, coloring, trace) == ("structural", None, None)
+        assert finding.detail == "color budget exceeded: 2 > 1 on vertices ('2', '3')"
+        assert parse_graph6(finding.graph6) == g
+        assert finding.trace.vertex_labels == ("2", "3")
+        assert (finding.trace.n, finding.trace.colors_used, finding.trace.budget) == (2, 2, 1)
+        result = audit_corpus([g])
+        assert result.aggregate.construction_failures == 1
+        (reported,) = result.findings
+        assert reported.kind == "construction-failure"
+        assert reported.detail["detail"] == finding.detail
+        assert reported.detail["trace"]["vertices"] == ["2", "3"]
+
+
 class TestTraceInvariants:
     def graphs_under_test(self):
         yield gen_named("path", 7)
@@ -512,16 +600,14 @@ class TestTraceInvariants:
     def test_measure_strictly_decreases(self):
         for g in self.graphs_under_test():
             _, trace = construct_coloring(g)
-            assert measure_violations(trace) == []
-            for parent, child in iter_trace(trace):
-                assert child.budget < parent.budget
+            assert_trace_invariants(trace)
 
     def test_fresh_color_accounting(self):
         # total = children's colors plus t fresh (t+1 when the clique gets
         # its own); the contraction branch adds exactly one
         for g in self.graphs_under_test():
             _, trace = construct_coloring(g)
-            for node in self._nodes(trace):
+            for node in trace_nodes(trace):
                 if node.case is Case.BASE:
                     continue
                 child_total = sum(c.colors_used for c in node.children)
@@ -531,11 +617,6 @@ class TestTraceInvariants:
                     assert node.colors_used == child_total + node.decomposition.t + 1
                 else:
                     assert node.colors_used == child_total + node.decomposition.t
-
-    def _nodes(self, trace: AuditTrace):
-        yield trace
-        for child in trace.children:
-            yield from self._nodes(child)
 
     def test_palette_is_contiguous_and_fully_used(self):
         # color ids form exactly 0..colors_used-1: child palettes are

@@ -389,6 +389,26 @@ class TestColoringIO:
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_coloring("0 1\n", g)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("0 1 -1\n1 2 0\n", "negative color -1"),
+            ("0 0 1\n", r"\(0, 0\) is not an edge"),
+            ("0 1 1\n1 0 1\n", "line 2: duplicate"),
+            ("1 0 2\n2 1 3\n", None),
+        ],
+        ids=["negative-color", "loop", "reversed-duplicate", "reversed-key"],
+    )
+    def test_parse_is_the_checked_way_in(self, text, error):
+        # EdgeColoring checks nothing, so the text parser must reject what
+        # breaks its contract and order each key
+        g = gen_named("path", 3)
+        if error is not None:
+            with pytest.raises(GraphFormatError, match=error):
+                parse_coloring(text, g)
+        else:
+            assert parse_coloring(text, g).colors == {(0, 1): 2, (1, 2): 3}
+
     def test_comments_and_blanks_skipped(self):
         g = gen_named("path", 3)
         coloring = parse_coloring("# a coloring\n\n0 1 0\n1 2 1\n", g)
