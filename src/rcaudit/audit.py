@@ -127,11 +127,19 @@ def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
     Violations of the proven-bound invariants (a negative min-degree slack
     with an exact solve is a solver bug, not a result) are left in the
     report for check_report to find; they never raise here.
+
+    Connectivity is checked once, by the construction's flood; a
+    disconnected g raises "audit requires a connected graph", and only
+    that failure floods g again, to tell it from the construction's
+    other errors.
     """
-    if not is_connected(g):
-        raise ValueError("audit requires a connected graph")
     stats = degree_stats(g)
-    finding, _, trace = run_construction(g)
+    try:
+        finding, _, trace = run_construction(g)
+    except ValueError:
+        if is_connected(g):
+            raise
+        raise ValueError("audit requires a connected graph") from None
     rc = rc_exact(g, budget)
 
     bound1 = g.n - stats.min_degree

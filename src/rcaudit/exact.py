@@ -88,6 +88,15 @@ check of every pair proves rc = q. Its random generator is seeded with
 the crc32 of the graph's graph6 string, so reruns repeat it in any
 process. A give-up it does not close is reported as such, never as
 unsatisfiability.
+
+Its checks are incremental (_RepairChecks). A check stores, for each
+pair it searches, the edges of the witness walk the search found. A
+repair step that changes an edge's color drops every pair whose stored
+walk crosses that edge, and the next check passes the pairs left to
+first_failing_pair as known. Each of those walks is a path of g whose
+edges all kept their colors, so it is still rainbow; by known's
+contract the check returns the full scan's first failing pair, and
+every step, the witness and the check count are the full scan's.
 """
 
 from __future__ import annotations
@@ -95,12 +104,21 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, is_complete, to_graph6
-from .rainbow import Adjacency, EdgeColoring, _adjacency, edge_adjacency, first_failing_pair
+from .rainbow import (
+    Adjacency,
+    EdgeColoring,
+    FailingPair,
+    Parents,
+    State,
+    _adjacency,
+    edge_adjacency,
+    first_failing_pair,
+)
 
 __all__ = [
     "Budget",
@@ -644,6 +662,66 @@ def _search_level(
 _WITNESS_STEPS = 30
 
 
+class _RepairChecks:
+    """Rainbow checks of one coloring that a repair search recolors a few
+    edges at a time; colors[i] is the color of edge i of g.edge_list().
+
+    Each check is first_failing_pair over the current colors with known
+    set to the pairs whose stored witness still holds. Its reached hook
+    stores each searched pair's witness: the pair's target bit goes into
+    known[source], and (source, target bit) into the entry list of every
+    edge the witness walks. recolor clears, when an edge's color
+    actually changes, the known bit of every entry on that edge, and
+    empties its list.
+
+    So a known pair always has a stored witness whose edges all kept the
+    colors they had when it was found: a simple path of g that is still
+    rainbow. By known's contract every check then returns exactly what a
+    full scan of the same colors returns; it searches only the targets
+    that are new or whose witness a recoloring broke. An entry can
+    outlive its witness, when the pair is cleared through another edge
+    and found again; clearing it later only searches that pair once
+    more.
+    """
+
+    def __init__(self, adjacency: Adjacency, colors: list[int]) -> None:
+        self.adjacency = adjacency
+        self.colors = colors
+        self.bits = [1 << c for c in colors]
+        # per vertex, the edge index of each neighbor
+        self.edge_at = [dict(row) for row in adjacency]
+        self.known = [0] * len(adjacency)
+        self.entries: list[list[tuple[int, int]]] = [[] for _ in colors]
+
+    def first_failing_pair(self) -> FailingPair | None:
+        return first_failing_pair(self.adjacency, self.bits, self.known, self._store)
+
+    def _store(
+        self, s: int, targets: Sequence[int], parent: Parents, first: dict[int, State]
+    ) -> None:
+        edge_at, entries = self.edge_at, self.entries
+        found = 0
+        for t in targets:
+            entry = (s, 1 << t)
+            found |= 1 << t
+            w, state = t, parent[first[t]]
+            while state is not None:
+                v = state[0]
+                entries[edge_at[v][w]].append(entry)
+                w, state = v, parent[state]
+        self.known[s] |= found
+
+    def recolor(self, e: int, c: int) -> None:
+        if self.colors[e] == c:
+            return
+        self.colors[e] = c
+        self.bits[e] = 1 << c
+        known = self.known
+        for s, bit in self.entries[e]:
+            known[s] &= ~bit
+        self.entries[e].clear()
+
+
 def _seeded_witness(
     g: Graph,
     q: int,
@@ -651,7 +729,7 @@ def _seeded_witness(
     deadline: float | None,
 ) -> tuple[EdgeColoring | None, int]:
     """Look for a rainbow-connecting coloring with colors 0..q-1 by seeded
-    repair; returns it (or None) and the number of full checks made.
+    repair; returns it (or None) and the number of checks made.
 
     Start from random colors; at each step, take the first failing pair
     u, v, walk one random shortest u-v path down g's distance table
@@ -659,20 +737,26 @@ def _seeded_witness(
     its edges distinct random colors. q is at least the diameter, so
     every shortest path fits. The deadline is checked before anything
     is built and before every step.
+
+    A step recolors at most q edges, so most pairs keep the witness the
+    previous check found. The checks are _RepairChecks: a pair is
+    searched again only once an edge of its stored witness changed
+    color, and each check's failing pair, hence every step, the result
+    and the check count, is the one a full scan gives.
     """
     if deadline is not None and time.monotonic() >= deadline:
         return None, 0
     rng = random.Random(zlib.crc32(to_graph6(g).encode()))
     adjacency = edge_adjacency(g)
-    colors = [rng.randrange(q) for _ in range(g.m)]
+    repair = _RepairChecks(adjacency, [rng.randrange(q) for _ in range(g.m)])
     checks = 0
     for _ in range(_WITNESS_STEPS):
         if deadline is not None and time.monotonic() >= deadline:
             break
         checks += 1
-        failing = first_failing_pair(adjacency, [1 << c for c in colors])
+        failing = repair.first_failing_pair()
         if failing is None:
-            return EdgeColoring(dict(zip(g.edge_list(), colors))), checks
+            return EdgeColoring(dict(zip(g.edge_list(), repair.colors))), checks
         if distances is None:
             distances = distance_table(g)
         dist_to_v = distances[failing.v]
@@ -684,7 +768,7 @@ def _seeded_witness(
             )
             path.append(e)
         for e, c in zip(path, rng.sample(range(q), len(path))):
-            colors[e] = c
+            repair.recolor(e, c)
     return None, checks
 
 

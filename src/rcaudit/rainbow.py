@@ -9,12 +9,15 @@ stopping once every target is reached.
 - first_failing_pair answers the yes/no question and returns the
   lexicographically first pair with no rainbow path, or None, without
   walking back any witness. The exact solver calls it at each leaf it
-  reaches, and the construction calls it once to verify its finished
-  coloring. It works on the graph's edge-indexed adjacency
-  (edge_adjacency, built once per graph) and one color bit per edge.
-- is_rainbow_connected runs the same scan and walks each pair's witness
-  back from the parent map, giving the certificate for `rcaudit verify`;
-  when the coloring fails it returns first_failing_pair's pair.
+  reaches and at each step of its seeded witness search, and the
+  construction calls it once to verify its finished coloring. It works
+  on the graph's edge-indexed adjacency (edge_adjacency, built once per
+  graph) and one color bit per edge. Its reached hook hands each passed
+  source's parent map to the caller.
+- is_rainbow_connected runs the same scan with a hook that walks each
+  pair's witness back from the parent map, giving the certificate for
+  `rcaudit verify`; when the coloring fails it returns
+  first_failing_pair's pair.
 
 The construction's check of its finished coloring (construct._verify)
 first runs two_path_cover, a pass with no search: per vertex and color
@@ -38,9 +41,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .graphs import Graph, GraphFormatError
+from .graphs import Graph, GraphFormatError, _bit_positions
 
 __all__ = [
     "EdgeColoring",
@@ -60,6 +63,11 @@ __all__ = [
 Adjacency = tuple[tuple[tuple[int, int], ...], ...]
 # a search state: (vertex, bit set of the colors used to reach it)
 State = tuple[int, int]
+# a search's parent map: the state each state was first reached from
+Parents = dict[State, State | None]
+# called with (source, targets, parent map, first state at each target)
+# for each source of a scan that reaches all of its targets
+Reached = Callable[[int, Sequence[int], Parents, dict[int, State]], None]
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ def _search(
     bits: list[int],
     source: int,
     targets: Sequence[int],
-) -> tuple[dict[State, State | None], dict[int, State]]:
+) -> tuple[Parents, dict[int, State]]:
     """Breadth-first search over (vertex, color-set) states from source.
 
     Returns the parent of every state seen, and for each target reached
@@ -198,7 +206,7 @@ def _search(
         wanted[t] = True
     left = len(targets)
     start = (source, 0)
-    parent: dict[State, State | None] = {start: None}
+    parent: Parents = {start: None}
     first: dict[int, State] = {}
     queue = [start]
     for state in queue:  # the loop also visits states appended meanwhile
@@ -221,7 +229,7 @@ def _search(
     return parent, first
 
 
-def _walk_back(parent: dict[State, State | None], state: State | None) -> tuple[int, ...]:
+def _walk_back(parent: Parents, state: State | None) -> tuple[int, ...]:
     """The vertices of the walk that first reached state, from the source."""
     path = []
     while state is not None:
@@ -230,56 +238,52 @@ def _walk_back(parent: dict[State, State | None], state: State | None) -> tuple[
     return tuple(reversed(path))
 
 
-def _scan(
+def first_failing_pair(
     adjacency: Adjacency,
     bits: list[int],
-    witnesses: dict[tuple[int, int], tuple[int, ...]] | None,
     known: list[int] | None = None,
-) -> FailingPair | None:
-    """Search from each source in turn, targeting the higher-numbered
-    vertices, and return the first pair left unreached. When witnesses is
-    a dict, each reached pair's witness is walked back into it. When
-    known is given, the vertices of the mask known[s] are no targets of
-    source s, and a source left with no target is not searched."""
-    n = len(adjacency)
-    for s in range(n - 1):
-        targets: Sequence[int] = range(s + 1, n)
-        if known is not None:
-            skip = known[s]
-            targets = [t for t in targets if not skip >> t & 1]
-            if not targets:
-                continue
-        parent, first = _search(adjacency, bits, s, targets)
-        if len(first) < len(targets):
-            return FailingPair(s, next(t for t in targets if t not in first))
-        if witnesses is not None:
-            for t in targets:
-                witnesses[(s, t)] = _walk_back(parent, first[t])
-    return None
-
-
-def first_failing_pair(
-    adjacency: Adjacency, bits: list[int], known: list[int] | None = None
+    reached: Reached | None = None,
 ) -> FailingPair | None:
     """Lexicographically first vertex pair with no rainbow path, or None
     when the coloring is rainbow connected.
 
     adjacency comes from edge_adjacency(g) and bits[i] is the color bit of
-    edge i (distinct colors must have distinct single bits). No witness
-    is built: each source's search stops once it has reached every
-    higher-numbered vertex, and the scan stops at the first source that
-    cannot.
+    edge i (distinct colors must have distinct single bits). Each source
+    in turn is searched for its higher-numbered vertices: the search
+    stops once it has reached every one, and the scan stops at the first
+    source that cannot. No witness is walked back here.
 
     known, when given, holds per vertex u a mask of higher vertices v
     whose pair (u, v) the caller knows to have a rainbow path (the bits
     of u and of lower vertices are ignored); those pairs are not
-    searched for. Fewer targets only let a source's search stop sooner,
-    once the rest are reached, so it leaves unreached exactly the
-    targets the full search leaves unreached. The answer is therefore
-    the full scan's, provided every pair in known does have a rainbow
-    path: such a pair is never unreached.
+    searched for, and a source left with no target is not searched.
+    Fewer targets only let a source's search stop sooner, once the rest
+    are reached, so it leaves unreached exactly the targets the full
+    search leaves unreached. The answer is therefore the full scan's,
+    provided every pair in known does have a rainbow path: such a pair
+    is never unreached.
+
+    reached, when given, is called for each source whose search reaches
+    all of its targets, before the next source is searched, with the
+    source, those targets, the search's parent map and, per target, the
+    state that first reached it; the target's witness is the walk back
+    from that state (see _walk_back).
     """
-    return _scan(adjacency, bits, None, known)
+    n = len(adjacency)
+    for s in range(n - 1):
+        targets: Sequence[int] = range(s + 1, n)
+        if known is not None:
+            # the bits of s + 1 .. n - 1 that known[s] leaves
+            left = ((1 << n) - (2 << s)) & ~known[s]
+            if not left:
+                continue
+            targets = _bit_positions(left)
+        parent, first = _search(adjacency, bits, s, targets)
+        if len(first) < len(targets):
+            return FailingPair(s, next(t for t in targets if t not in first))
+        if reached is not None:
+            reached(s, targets, parent, first)
+    return None
 
 
 def is_rainbow_connected(
@@ -290,7 +294,14 @@ def is_rainbow_connected(
     only the verdict is needed."""
     bits = edge_color_bits(g, coloring)
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    failing = _scan(edge_adjacency(g), bits, witnesses)
+
+    def walk_back(
+        s: int, targets: Sequence[int], parent: Parents, first: dict[int, State]
+    ) -> None:
+        for t in targets:
+            witnesses[(s, t)] = _walk_back(parent, first[t])
+
+    failing = first_failing_pair(edge_adjacency(g), bits, reached=walk_back)
     return RainbowCertificate(witnesses) if failing is None else failing
 
 

@@ -5,18 +5,22 @@ enumeration, a certificate check that walks every witness edge by edge,
 exhaustive coloring enumeration with no symmetry breaking, a
 restricted-growth search with no pruning, a queue breadth-first search
 per vertex for the diameter, union-find components, induced subgraphs
-rebuilt from the edge list, and degree sums over every nonadjacent
-pair. None of it shares code with the search paths it validates: it
-imports nothing from rcaudit.exact or rcaudit.rainbow, and reads a
-coloring only through its color_of method.
+rebuilt from the edge list, degree sums over every nonadjacent pair, and
+the seeded repair loop with a full check of every pair at each step.
+None of it shares code with the search paths it validates: it imports
+nothing from rcaudit.exact or rcaudit.rainbow, and reads a coloring only
+through its color_of method or as a plain dict from edges to colors.
 """
 
 from __future__ import annotations
 
+import random
+import zlib
+from collections import deque
 from itertools import product
 from typing import Protocol
 
-from rcaudit import Graph
+from rcaudit import Graph, to_graph6
 
 
 class Coloring(Protocol):
@@ -89,6 +93,79 @@ def first_failing_pair_brute(
             if not has_rainbow_path_brute(g, coloring, u, v):
                 return (u, v)
     return None
+
+
+def first_pair_without_rainbow_walk(
+    g: Graph, colors: dict[tuple[int, int], int]
+) -> tuple[int, int] | None:
+    """Lexicographically first pair u < v that no walk with pairwise
+    distinct edge colors joins, None if there is none; colors maps each
+    edge (a, b), a < b, to its color. A shortest such walk is a rainbow
+    path, so this is the first pair with no rainbow path. From each u in
+    turn, a queue search over (vertex, frozenset of colors used) states
+    runs until every v > u is reached or no state is left."""
+    for u in range(g.n):
+        wanted = set(range(u + 1, g.n))
+        start = (u, frozenset())
+        seen = {start}
+        queue = deque([start])
+        while queue and wanted:
+            v, used = queue.popleft()
+            for w in g.neighbors(v):
+                c = colors[(v, w) if v < w else (w, v)]
+                state = (w, used | {c})
+                if c not in used and state not in seen:
+                    seen.add(state)
+                    queue.append(state)
+                    wanted.discard(w)
+        if wanted:
+            return u, min(wanted)
+    return None
+
+
+def seeded_repair_full_scan(
+    g: Graph, q: int
+) -> tuple[dict[tuple[int, int], int] | None, int]:
+    """The seeded witness search's repair loop, up to 30 checks, with
+    every pair checked from scratch at each one; returns the passing
+    coloring (or None) and the number of checks made.
+
+    The generator is seeded with the crc32 of g's graph6 string and
+    draws, in this order: a color in 0..q-1 per edge of g.edge_list();
+    then per step that fails on its first pair u, v, one choice per edge
+    of a shortest u-v path, walked from u among the neighbors one step
+    closer to v (ascending, as (neighbor, edge position) pairs), and a
+    sample of distinct colors for the path's edges, in walk order.
+    """
+    edges = g.edge_list()
+    position = {e: i for i, e in enumerate(edges)}
+    rng = random.Random(zlib.crc32(to_graph6(g).encode()))
+    colors = [rng.randrange(q) for _ in edges]
+    for check in range(1, 31):
+        coloring = dict(zip(edges, colors))
+        failing = first_pair_without_rainbow_walk(g, coloring)
+        if failing is None:
+            return coloring, check
+        u, v = failing
+        dist = {v: 0}
+        queue = [v]
+        for x in queue:  # the loop also visits vertices appended meanwhile
+            for y in g.neighbors(x):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        path = []
+        w = u
+        while dist[w]:
+            w, e = rng.choice([
+                (x, position[(w, x) if w < x else (x, w)])
+                for x in g.neighbors(w)
+                if dist[x] < dist[w]
+            ])
+            path.append(e)
+        for e, c in zip(path, rng.sample(range(q), len(path))):
+            colors[e] = c
+    return None, 30
 
 
 def _pair_paths_as_edges(

@@ -113,6 +113,36 @@ class TestAuditGraph:
         with pytest.raises(ValueError):
             audit_graph(Graph(2, []))
 
+    def test_connectivity_flooded_once(self, monkeypatch):
+        # the construction's flood is the audit's one connectivity check;
+        # only a disconnected graph is flooded again, to name the error
+        import rcaudit.construct
+
+        floods = []
+        real = rcaudit.construct.is_connected
+
+        def counted(g):
+            floods.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(rcaudit.construct, "is_connected", counted)
+        monkeypatch.setattr(audit_module, "is_connected", counted)
+        for g in (gen_named("complete", 4), gen_named("cycle", 6), contraction_witness()):
+            floods.clear()
+            audit_graph(g)
+            assert floods == [g.n]
+        floods.clear()
+        result = audit_corpus([gen_named("path", 5), Graph(3, [(0, 1)])])
+        assert result.errors == (("B_", "audit requires a connected graph"),)
+        assert floods == [5, 3, 3]
+        # an error of the construction on a connected graph is its own
+        def broken(g, labels):
+            raise ValueError("coloring is not total: edge (0, 1) has no color")
+
+        monkeypatch.setattr(rcaudit.construct, "_construct", broken)
+        with pytest.raises(ValueError, match="^coloring is not total"):
+            audit_graph(gen_named("path", 3))
+
     def test_distance_table_built_once(self, monkeypatch):
         # rc_exact builds g's distance table, one BFS row per vertex, only
         # when something reads it, and audit_graph builds none of its own:
