@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable
 
-from .construct import Finding, decompose, run_construction, trace_to_dict
+from .construct import ConstructionError, Finding, decompose, run_construction, trace_to_dict
 from .exact import Budget, ExactStatus, rc_exact
 from .graphs import Graph, degree_stats, is_connected, to_graph6
 
@@ -154,9 +154,14 @@ def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
         if trace is not None:
             t_top = trace.decomposition.t
         else:
-            # a structural failure leaves no trace to read the root level from
-            t_top = decompose(g).t
-        weakened = ds_bound + t_top
+            # a structural failure leaves no trace to read the root level
+            # from; when the root's own decomposition is what failed, the
+            # finding is reported with no top components
+            try:
+                t_top = decompose(g).t
+            except ConstructionError:
+                t_top = None
+        weakened = None if t_top is None else ds_bound + t_top
 
     return BoundReport(
         graph6=to_graph6(g),

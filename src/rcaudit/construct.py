@@ -34,10 +34,14 @@ reproducer), never repaired silently: the reused-color branch in
 particular is executed exactly as stated so that instances where it fails
 verification show up as findings.
 
-The recursion runs as one loop over an explicit stack of levels, so its
-depth is not bounded by Python's recursion limit (on a path it is one
-level per vertex). The checks run in the order a recursive descent would
-run them, so the first check to fail is the same.
+Each level is one generator (_level), written as the recursive descent
+it stands for: it takes the clique and the decomposition, yields each
+child's arguments after that child's measure check and is sent back the
+child's trace, then writes its own edges and checks its color budget.
+_construct runs the generators on one explicit stack, so the depth is
+not bounded by Python's recursion limit (on a path it is one level per
+vertex), and the checks run, and the first one to fail, in the order a
+recursive descent would run them.
 
 Every level works in one id space, the root graph's vertex ids: a level
 is a vertex mask over bit rows in those ids, and no level builds a
@@ -50,13 +54,13 @@ clique-and-components split.
 The trace still records each level in local ids (positions in the
 level's ascending vertices) with the original-input labels.
 
-Each level writes its own edges once, keyed by root ids, at an absolute
-palette base: its parent's base plus the colors of the siblings colored
-before it. So the levels of a component tree share one edge -> color
-dict, which becomes the root's EdgeColoring as it is (its keys are
-ordered and its colors nonnegative, as EdgeColoring requires), and is
-verified. A contraction child writes into a dict of its own, and its
-parent lifts every edge from it.
+Each level writes its own edges once its children are done, keyed by
+root ids, at an absolute palette base: its parent's base plus the colors
+of the siblings colored before it. So the levels of a component tree
+share one edge -> color dict, which becomes the root's EdgeColoring as
+it is (its keys are ordered and its colors nonnegative, as EdgeColoring
+requires), and is verified. A contraction child writes into a dict of
+its own, and its parent lifts every edge from it.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .graphs import (
     Graph,
@@ -287,108 +291,43 @@ def decompose(g: Graph) -> DecompositionRecord:
     return _decompose(rows, verts, mask, *_greedy_clique(rows, verts, mask))[0]
 
 
-# A child level to set up: bit rows, vertex mask, labels by id, the dict
-# its coloring goes into and its palette base (see _Level).
-_Child = tuple[Sequence[int], int, Sequence[str], dict, int]
+def _level(
+    rows: Sequence[int], mask: int, labels: Sequence[str], colors: dict, base: int
+) -> Generator[tuple, AuditTrace, AuditTrace]:
+    """One level of the construction on the vertex mask over rows, run by
+    _construct: it yields each child level's arguments in record order,
+    is sent back the child's finished trace, and returns its own.
 
-
-class _Level:
-    """One level of the construction: a frame on the explicit stack.
-
-    Every level lives in the root graph's vertex ids. A level is a vertex
-    mask over bit rows in those ids, with labels indexed by them; its
-    local ids, which the trace records, are the positions of its
-    vertices in ascending order. A component child shares its parent's
-    rows and labels and takes its component's mask. A contraction child
-    gets rows rewritten in the same ids: rep = min(K) keeps its id and
-    takes K's outside neighbours, the other members of K leave the mask,
-    and rep's label names the merged set. No level builds a Graph.
-
-    Each level writes its own edges once, keyed by (u, v) with u < v in
-    those ids, into a dict it shares with its parent, at an absolute
-    palette base: its parent's base plus the colors of the siblings
-    handed out before it. Its own fresh colors follow its children's
-    palettes. A contraction child writes into a dict of its own; the
-    parent lifts from it (an edge from K to w takes the color of the
-    contracted edge rep-w). So taking in a child only counts its colors.
+    labels name the vertices by root id; the trace records the level in
+    local ids, the positions of its vertices in ascending order. A
+    component child shares the level's rows, labels and colors and takes
+    its component's mask. A contraction child gets rows rewritten in the
+    same ids: rep = min(K) keeps its id and takes K's outside
+    neighbours, the other members of K leave the mask, and rep's label
+    names the merged set; it colors a dict of its own, from which every
+    edge outside K is lifted (an edge from K to w takes the color of the
+    contracted edge rep-w). A child's palette starts at base plus the
+    colors of the siblings before it; the level's own edges, keyed by
+    (u, v) with u < v, take fresh colors past every child's palette.
     """
-
-    def __init__(
-        self, rows: Sequence[int], mask: int, labels: Sequence[str], colors: dict, base: int
-    ) -> None:
-        verts = _bit_positions(mask)
-        n = len(verts)
-        delta, clique, cmask = _greedy_clique(rows, verts, mask)
-        if delta == n - 1:
-            # complete: the base case
-            rec, case = None, Case.BASE
-        else:
-            rec, blocks = _decompose(rows, verts, mask, delta, clique, cmask)
-            case = rec.case
-        # colors_used counts the children's palettes until finish()
-        vertex_labels = tuple([labels[v] for v in verts])
-        self.trace = AuditTrace(case, n, delta, n - delta, 0, vertex_labels, decomposition=rec)
-        self.colors = colors
-        self.base = base
-        # children not handed out yet, last first: the child's arguments
-        # but its palette base, and the component whose measure is checked
-        # when the child is handed out (None for the contraction)
-        self.todo: list[tuple[tuple, ComponentRecord | None]] = []
-        # this level's own edges, each with the index of its fresh color
-        # past the children's palettes, and the number of fresh colors
-        self.own: list[tuple[tuple[int, int], int]] = []
-        self.fresh = 0
-        # contraction only: the child's dict, and each edge outside the
-        # clique with the edge of the contracted level whose color it takes
-        self.sub_colors: dict[tuple[int, int], int] = {}
-        self.lift: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        if rec is None:
-            self.own = [((u, v), 0) for i, u in enumerate(verts) for v in verts[i + 1:]]
-            self.fresh = 1 if self.own else 0
-        elif rec.case is Case.CONTRACTION:
-            self._contraction(rows, verts, mask, labels, rec, cmask)
-        else:
-            self._components(rows, labels, rec, [verts[i] for i in clique], blocks)
-
-    def _components(
-        self,
-        rows: Sequence[int],
-        labels: Sequence[str],
-        rec: DecompositionRecord,
-        kverts: list[int],
-        blocks: list[int],
-    ) -> None:
-        own = self.own
-        for idx, block in enumerate(blocks):
-            for u in kverts:
-                for w in _bit_positions(rows[u] & block):
-                    own.append(((u, w) if u < w else (w, u), idx))
-        self.todo = [
-            ((rows, block, labels, self.colors), comp)
-            for block, comp in zip(reversed(blocks), reversed(rec.components))
-        ]
-        if rec.case is Case.NEW_CLIQUE_COLOR:
-            clique_color = rec.t
-            self.fresh = rec.t + 1
-        else:
-            # full attachment and the reused-color branch both put the lead
-            # cross color on the clique edges
-            clique_color = 0
-            self.fresh = rec.t
-        # kverts ascend, so every pair is already ordered
-        own.extend([(e, clique_color) for e in combinations(kverts, 2)])
-
-    def _contraction(
-        self,
-        rows: Sequence[int],
-        verts: tuple[int, ...],
-        mask: int,
-        labels: Sequence[str],
-        rec: DecompositionRecord,
-        cmask: int,
-    ) -> None:
-        trace = self.trace
-        kverts = [verts[i] for i in rec.clique]
+    verts = _bit_positions(mask)
+    n = len(verts)
+    delta, clique, cmask = _greedy_clique(rows, verts, mask)
+    if delta == n - 1:
+        # complete: the base case
+        rec, case = None, Case.BASE
+    else:
+        rec, blocks = _decompose(rows, verts, mask, delta, clique, cmask)
+        case = rec.case
+    vertex_labels = tuple([labels[v] for v in verts])
+    trace = AuditTrace(case, n, delta, n - delta, 0, vertex_labels, decomposition=rec)
+    kverts = [verts[i] for i in clique]
+    if rec is None:
+        # K is every vertex, and its edges are all the edges: one color,
+        # none on a single vertex
+        clique_color = base
+        trace.colors_used = min(n - 1, 1)
+    elif case is Case.CONTRACTION:
         rep = kverts[0]
         rep_bit = 1 << rep
         outside = 0
@@ -402,12 +341,12 @@ class _Level:
         sub_rows[rep] = outside
         sub_mask = mask ^ cmask | rep_bit
         delta_star = min([(sub_rows[v] & sub_mask).bit_count() for v in _bit_positions(sub_mask)])
-        if delta_star < trace.min_degree:
+        if delta_star < delta:
             # with single-vertex attachments the outside keeps its degrees and
             # the merged vertex collects one disjoint neighborhood per clique
             # member, so the minimum degree cannot drop
             raise ConstructionError(
-                f"contraction lowered the minimum degree: {delta_star} < {trace.min_degree}"
+                f"contraction lowered the minimum degree: {delta_star} < {delta}"
             )
         measure = sub_mask.bit_count() - delta_star
         if measure >= trace.budget:
@@ -418,84 +357,83 @@ class _Level:
         sub_labels = list(labels)
         sub_labels[rep] = merged_label
         trace.contraction = ContractionInfo(delta_star, measure, merged_label)
-        self.todo = [((sub_rows, sub_mask, sub_labels, self.sub_colors), None)]
+        sub_colors: dict[tuple[int, int], int] = {}
+        child = yield sub_rows, sub_mask, sub_labels, sub_colors, base
+        trace.children = (child,)
+        # K's edges take one fresh color; every other edge is lifted
+        clique_color = base + child.colors_used
         for u in verts:
             a = rep if cmask >> u & 1 else u
             # -(2 << u) masks the ids above u, so each edge comes once
             for v in _bit_positions(rows[u] & mask & -(2 << u)):
                 b = rep if cmask >> v & 1 else v
-                if a == b:
-                    self.own.append(((u, v), 0))  # inside the clique: one fresh color
-                else:
-                    self.lift.append(((u, v), (a, b) if a < b else (b, a)))
-        self.fresh = 1
-
-    def next_child(self) -> _Child | None:
-        """The next child to set up, after its measure check; None once
-        every child has been handed out."""
-        if not self.todo:
-            return None
-        args, comp = self.todo.pop()
-        if comp is not None:
+                if a != b:
+                    colors[u, v] = sub_colors[(a, b) if a < b else (b, a)]
+        trace.colors_used = child.colors_used + 1
+    else:
+        for comp, block in zip(rec.components, blocks):
             measure = comp.size - comp.min_degree
-            if measure >= self.trace.budget:
+            if measure >= trace.budget:
                 raise ConstructionError(
                     f"measure did not decrease: component {comp.vertices} has"
-                    f" n-d = {measure}, parent has {self.trace.budget}"
+                    f" n-d = {measure}, parent has {trace.budget}"
                 )
-        return (*args, self.base + self.trace.colors_used)
-
-    def add_child(self, trace: AuditTrace) -> None:
-        """Count the palette of the child handed out last, which has
-        already written its coloring."""
-        self.trace.colors_used += trace.colors_used
-        self.trace.children += (trace,)
-
-    def finish(self) -> AuditTrace:
-        """Write this level's fresh colors past every child's palette, and
-        lift a contraction child's coloring; returns the trace."""
-        trace = self.trace
-        colors = self.colors
-        top = self.base + trace.colors_used
-        for e, idx in self.own:
-            colors[e] = top + idx
-        sub_colors = self.sub_colors
-        for e, sub_e in self.lift:
-            colors[e] = sub_colors[sub_e]
-        trace.colors_used += self.fresh
-        if trace.colors_used > trace.budget:
-            raise ConstructionError(
-                f"color budget exceeded: {trace.colors_used} > {trace.budget}"
-                f" on vertices {trace.vertex_labels}",
-                trace,
-            )
-        return trace
+            child = yield rows, block, labels, colors, base + trace.colors_used
+            trace.colors_used += child.colors_used
+            trace.children += (child,)
+        # the edges from K to the i-th component take fresh color top + i
+        top = base + trace.colors_used
+        for i, block in enumerate(blocks):
+            for u in kverts:
+                for w in _bit_positions(rows[u] & block):
+                    colors[(u, w) if u < w else (w, u)] = top + i
+        if case is Case.NEW_CLIQUE_COLOR:
+            clique_color = top + rec.t
+            trace.colors_used += rec.t + 1
+        else:
+            # full attachment and the reused-color branch both put the lead
+            # cross color on the clique edges
+            clique_color = top
+            trace.colors_used += rec.t
+    # kverts ascend, so every pair is already ordered
+    for e in combinations(kverts, 2):
+        colors[e] = clique_color
+    if trace.colors_used > trace.budget:
+        raise ConstructionError(
+            f"color budget exceeded: {trace.colors_used} > {trace.budget}"
+            f" on vertices {trace.vertex_labels}",
+            trace,
+        )
+    return trace
 
 
 def _construct(
     g: Graph, labels: tuple[str, ...]
 ) -> tuple[dict[tuple[int, int], int], AuditTrace]:
-    """The recursion as one loop over an explicit stack of levels.
+    """The recursion as one loop over an explicit stack of level
+    generators.
 
-    The top level either hands out its next child, which is pushed, or,
-    with every child done, is popped and passes its trace to the level
-    below. The checks therefore run in the order of a recursive descent,
-    at any depth. Returns the root's coloring and trace.
+    The top level runs until it yields a child's arguments, and the child
+    is pushed; a level that returns is popped, and its trace is sent to
+    the level below, which runs on. The checks therefore run in the order
+    of a recursive descent, at any depth. Returns the root's coloring and
+    trace.
     """
     rows, mask = _whole(g)
     colors: dict[tuple[int, int], int] = {}
-    stack = [_Level(rows, mask, labels, colors, 0)]
+    stack = [_level(rows, mask, labels, colors, 0)]
+    sent = None
     while True:
-        top = stack[-1]
-        child = top.next_child()
-        if child is not None:
-            stack.append(_Level(*child))
-            continue
-        stack.pop()
-        trace = top.finish()
-        if not stack:
-            return colors, trace
-        stack[-1].add_child(trace)
+        try:
+            child = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return colors, done.value
+            sent = done.value
+        else:
+            stack.append(_level(*child))
+            sent = None
 
 
 def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:

@@ -442,8 +442,8 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
             assignment[d] = -1
 
     def learn(u: int, v: int) -> int | None:
-        # after the distance shortcut every pair has a path of at most q
-        # edges; each dies at its first edge that repeats a color
+        # levels start at q >= diameter, so every pair has a path of at
+        # most q edges; each dies at its first edge that repeats a color
         if (u, v) in over_cap:
             return None
         paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])

@@ -29,14 +29,14 @@ def edge_list_text(g: Graph) -> str:
 
 
 def trace_nodes(trace: AuditTrace):
-    """Every node of a construction trace, parents before children, on an
-    explicit stack: a path's trace is one level per vertex, deeper than
-    the recursion limit allows."""
+    """Every node of a construction trace in preorder (parents first,
+    children in record order), on an explicit stack: a path's trace is
+    one level per vertex, deeper than the recursion limit allows."""
     stack = [trace]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(node.children)
+        stack.extend(reversed(node.children))
 
 
 def assert_trace_invariants(trace: AuditTrace) -> int:

@@ -20,7 +20,7 @@ from rcaudit import (
 from rcaudit.audit import AggregateStats, BoundReport, check_report, findings_for_report
 from rcaudit.generators import iter_connected_graphs
 
-from .test_construct import contraction_witness, reused_color_witness
+from .test_construct import contraction_witness, first_member_cliques, reused_color_witness
 
 
 class TestAuditGraph:
@@ -80,6 +80,23 @@ class TestAuditGraph:
         report = audit_graph(g, Budget(max_nodes=200))
         assert report.top_components == 2
         assert not report.construct_verified
+
+    def test_root_decomposition_failure_is_reported(self, monkeypatch):
+        # the root level's own decomposition fails, so there is neither a
+        # trace nor a decomposition to count the top components from
+        first_member_cliques(monkeypatch)
+        g = gen_named("cycle", 5)
+        report = audit_graph(g)
+        assert report.construction_failure == {
+            "kind": "structural",
+            "detail": "component (1, 2, 3, 4) has minimum degree 1"
+            " below the guaranteed floor 2",
+        }
+        assert (report.top_components, report.weakened_degree_sum_bound) == (None, None)
+        assert (report.degree_sum_bound, report.rc_value) == (Fraction(3), 3)
+        result = audit_corpus([g])
+        assert (result.aggregate.construction_failures, result.errors) == (1, ())
+        assert [f.kind for f in result.findings] == ["construction-failure"]
 
     def test_odd_degree_sum_stays_rational(self):
         # triangle with a pendant: the nonadjacent pairs mix degrees 2 and 1

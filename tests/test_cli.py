@@ -16,7 +16,7 @@ from rcaudit.cli import main
 from rcaudit.exact import ExactResult, ExactStatus, SearchStats
 
 from .conftest import edge_list_text
-from .test_construct import recursion_limit, reused_color_witness
+from .test_construct import first_member_cliques, recursion_limit, reused_color_witness
 
 
 def run(capsys, *argv):
@@ -255,6 +255,14 @@ class TestAuditCommand:
             capsys, "audit", "--max-nodes", "500", to_graph6(reused_color_witness())
         )
         assert code == 4
+
+    def test_root_decomposition_failure_exits_4(self, monkeypatch, capsys):
+        # the construction's structural finding, not a traceback
+        first_member_cliques(monkeypatch)
+        code, out, err = run(capsys, "audit", to_graph6(gen_named("cycle", 5)))
+        assert code == 4
+        assert "top_components=None weakened_degree_sum_bound=None" in out
+        assert err.startswith("finding (construction-failure):")
 
     def test_solver_disagreement_exits_4(self, monkeypatch, capsys):
         # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound;

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 from contextlib import contextmanager
 from itertools import combinations
@@ -12,12 +13,14 @@ import pytest
 from rcaudit import (
     AuditTrace,
     Case,
+    CounterexampleParams,
     FailingPair,
     Graph,
     audit_corpus,
     construct_coloring,
     decompose,
     degree_stats,
+    gen_counterexample,
     gen_named,
     parse_graph6,
     rc_exact,
@@ -101,6 +104,18 @@ def recursion_limit(limit: int):
         yield
     finally:
         sys.setrecursionlimit(saved)
+
+
+def first_member_cliques(monkeypatch) -> None:
+    """Patch every level's clique down to its first member: a clique that
+    is not maximal, so a component may fall below the degree floor."""
+    real = construct_module._greedy_clique
+
+    def first_member_only(rows, verts, mask):
+        delta, clique, _ = real(rows, verts, mask)
+        return delta, clique[:1], 1 << verts[clique[0]]
+
+    monkeypatch.setattr(construct_module, "_greedy_clique", first_member_only)
 
 
 class TestMinDegreeClique:
@@ -350,6 +365,37 @@ class TestConstructColoring:
         assert trace.colors_used == g.n - 1 == coloring.num_colors
         assert trace.verification == "pass"
 
+    @pytest.mark.parametrize(
+        "make, levels",
+        [
+            # the lead level has three sibling components
+            (lambda: gen_counterexample(CounterexampleParams(6, 3))[0], 10),
+            (contraction_witness, 4),
+            (new_color_witness, 3),
+            (reused_color_witness, 5),
+        ],
+        ids=["counterexample", "contraction", "new_color", "reused_color"],
+    )
+    def test_levels_are_entered_in_trace_preorder(self, monkeypatch, make, levels):
+        # each level chooses its clique once, on entry; a vertex's id is
+        # the first number in its label (a merged vertex keeps the id of
+        # the first member it names)
+        entered = []
+        real = construct_module._greedy_clique
+
+        def recording(rows, verts, mask):
+            entered.append(verts)
+            return real(rows, verts, mask)
+
+        monkeypatch.setattr(construct_module, "_greedy_clique", recording)
+        trace = construct_coloring(make())[1]
+        preorder = [
+            tuple([int(re.search(r"\d+", label).group()) for label in node.vertex_labels])
+            for node in trace_nodes(trace)
+        ]
+        assert len(entered) == levels
+        assert entered == preorder
+
     def test_contraction_branch_verifies(self):
         g = contraction_witness()
         coloring, trace = construct_coloring(g)
@@ -511,15 +557,9 @@ class TestInvariantChecks:
         monkeypatch.setattr(construct_module, "AuditTrace", short)
 
     def test_component_below_the_degree_floor(self, monkeypatch):
-        # a clique that is not maximal: on C_5 the clique {0} leaves the
-        # path 1-2-3-4, with leaves below the floor d - k + 1 = 2
-        real = construct_module._greedy_clique
-
-        def first_member_only(rows, verts, mask):
-            delta, clique, _ = real(rows, verts, mask)
-            return delta, clique[:1], 1 << verts[clique[0]]
-
-        monkeypatch.setattr(construct_module, "_greedy_clique", first_member_only)
+        # on C_5 the clique {0} leaves the path 1-2-3-4, with leaves below
+        # the floor d - k + 1 = 2
+        first_member_cliques(monkeypatch)
         with pytest.raises(ConstructionError, match="below the guaranteed floor 2"):
             decompose(gen_named("cycle", 5))
 
@@ -559,26 +599,25 @@ class TestInvariantChecks:
         assert exc.value.trace is None
 
     def test_color_budget_two_levels_below_the_root(self, monkeypatch):
-        # P_4 recurses on the path 1-2-3, then on the edge 2-3; that
-        # base level spends one color past its budget of one, while the
-        # levels above it stay within theirs
+        # P_4 recurses on the path 1-2-3, then on the edge 2-3; only that
+        # base level gets a budget one short, zero, so its one color
+        # overspends while the levels above it stay within theirs
         g = gen_named("path", 4)
         inner = construct_coloring(g)[1].children[0].children[0]
         assert inner.vertex_labels == ("2", "3")
-        real = construct_module._Level.finish
 
-        def overspend(level):
-            if level.trace.vertex_labels == inner.vertex_labels:
-                level.fresh += 1
-            return real(level)
+        def short_inner(case, n, min_degree, budget, colors_used, vertex_labels, **kwargs):
+            if vertex_labels == inner.vertex_labels:
+                budget -= 1
+            return AuditTrace(case, n, min_degree, budget, colors_used, vertex_labels, **kwargs)
 
-        monkeypatch.setattr(construct_module._Level, "finish", overspend)
+        monkeypatch.setattr(construct_module, "AuditTrace", short_inner)
         finding, coloring, trace = run_construction(g)
         assert (finding.kind, coloring, trace) == ("structural", None, None)
-        assert finding.detail == "color budget exceeded: 2 > 1 on vertices ('2', '3')"
+        assert finding.detail == "color budget exceeded: 1 > 0 on vertices ('2', '3')"
         assert parse_graph6(finding.graph6) == g
         assert finding.trace.vertex_labels == ("2", "3")
-        assert (finding.trace.n, finding.trace.colors_used, finding.trace.budget) == (2, 2, 1)
+        assert (finding.trace.n, finding.trace.colors_used, finding.trace.budget) == (2, 1, 0)
         result = audit_corpus([g])
         assert result.aggregate.construction_failures == 1
         (reported,) = result.findings

@@ -152,7 +152,8 @@ class TestDecision:
         )
 
     def test_unsat_without_prune_exhausts(self):
-        # the plain reference search has no distance shortcut
+        # the plain reference search prunes nothing: below P_4's diameter
+        # it tries every restricted-growth coloring before giving up
         g = gen_named("path", 4)
         coloring, nodes = plain_canonical_search(g, 2, g.edge_list())
         assert coloring is None and nodes > 0
