@@ -42,9 +42,7 @@ from .graphs import (
     to_graph6,
 )
 from .rainbow import (
-    EdgeColoring,
     FailingPair,
-    RainbowCertificate,
     certificate_to_jsonl,
     coloring_to_text,
     is_rainbow_connected,

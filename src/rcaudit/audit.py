@@ -53,7 +53,6 @@ class BoundReport:
     rc_status: str
     rc_value: int
     rc_nodes: int
-    rc_seconds: float
     construct_colors: int | None
     construct_verified: bool
     construction_failure: dict | None
@@ -65,12 +64,8 @@ class BoundReport:
     weakened_degree_sum_bound: Fraction | None
 
     def to_dict(self) -> dict:
-        """JSON-ready rendering. Rationals become exact 'p/q' strings and
-        wall-clock time is omitted so identical runs serialize
-        identically."""
-        out = _fields_dict(self)
-        del out["rc_seconds"]
-        return out
+        """JSON-ready rendering; rationals become exact 'p/q' strings."""
+        return _fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,6 @@ def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
         rc_status=rc.status.value,
         rc_value=rc.value,
         rc_nodes=rc.stats.nodes,
-        rc_seconds=rc.stats.seconds,
         construct_colors=trace.colors_used if trace is not None else None,
         construct_verified=finding is None,
         construction_failure=_finding_dict(finding) if finding is not None else None,

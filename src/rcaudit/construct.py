@@ -57,9 +57,9 @@ level's ascending vertices) with the original-input labels.
 Each level writes its own edges once its children are done, keyed by
 root ids, at an absolute palette base: its parent's base plus the colors
 of the siblings colored before it. So the levels of a component tree
-share one edge -> color dict, which becomes the root's EdgeColoring as
-it is (its keys are ordered and its colors nonnegative, as EdgeColoring
-requires), and is verified. A contraction child writes into a dict of
+share one edge -> color dict, which is the root's coloring as it is
+(its keys are ordered and its colors nonnegative, as a Coloring's must
+be), and is verified. A contraction child writes into a dict of
 its own, and its parent lifts every edge from it.
 """
 
@@ -78,7 +78,7 @@ from .graphs import (
     to_graph6,
 )
 from .rainbow import (
-    EdgeColoring,
+    Coloring,
     FailingPair,
     edge_adjacency,
     edge_color_bits,
@@ -436,7 +436,7 @@ def _construct(
             sent = None
 
 
-def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
+def construct_coloring(g: Graph) -> tuple[Coloring, AuditTrace]:
     """Color a connected graph with at most n - min_degree colors.
 
     Returns the coloring and the audit trace; the root trace node records
@@ -450,15 +450,14 @@ def construct_coloring(g: Graph) -> tuple[EdgeColoring, AuditTrace]:
         raise ValueError("construction requires a connected graph")
     labels = tuple(str(v) for v in range(g.n))
     colors, trace = _construct(g, labels)
-    coloring = EdgeColoring(colors)
-    failing = _verify(g, coloring)
+    failing = _verify(g, colors)
     trace.verification = "pass" if failing is None else failing
-    return coloring, trace
+    return colors, trace
 
 
-def _verify(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
+def _verify(g: Graph, colors: Coloring) -> FailingPair | None:
     """The construction's check of its coloring of g: what
-    first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
+    first_failing_pair(edge_adjacency(g), edge_color_bits(g, colors))
     returns, with the same errors for a coloring that is not total.
 
     Pairs joined by an edge or a rainbow 2-path (two_path_cover) are
@@ -466,8 +465,8 @@ def _verify(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
     pair is left, and as first_failing_pair's known it skips the settled
     pairs, which have rainbow paths, so its answer is the full scan's.
     """
-    bits = edge_color_bits(g, coloring)
-    cover = two_path_cover(g.n, coloring.colors)
+    bits = edge_color_bits(g, colors)
+    cover = two_path_cover(g.n, colors)
     if cover is None:
         return None
     return first_failing_pair(edge_adjacency(g), bits, cover)
@@ -475,7 +474,7 @@ def _verify(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
 
 def run_construction(
     g: Graph,
-) -> tuple[Finding | None, EdgeColoring | None, AuditTrace | None]:
+) -> tuple[Finding | None, Coloring | None, AuditTrace | None]:
     """Run the construction and report a Finding on any failure, None on a
     clean pass (coloring verified rainbow connected and within budget),
     together with the coloring and trace when the run produced them.

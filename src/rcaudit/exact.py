@@ -111,7 +111,7 @@ from enum import Enum
 from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, is_complete, to_graph6
 from .rainbow import (
     Adjacency,
-    EdgeColoring,
+    Coloring,
     FailingPair,
     Parents,
     State,
@@ -160,7 +160,7 @@ class DecisionResult:
 
     q: int
     status: DecisionStatus
-    coloring: EdgeColoring | None
+    coloring: Coloring | None
     nodes: int
     leaf_checks: int = 0  # first_failing_pair calls at the search's leaves
     learned_pairs: int = 0  # failing leaf pairs added to the prune tables
@@ -175,7 +175,6 @@ class SearchStats:
     other counters are sums over the levels."""
 
     levels: tuple[DecisionResult, ...]
-    seconds: float
     witness_checks: int = 0
 
     nodes = property(lambda self: sum(r.nodes for r in self.levels))
@@ -197,7 +196,7 @@ class ExactStatus(Enum):
 class ExactResult:
     status: ExactStatus
     value: int
-    witness: EdgeColoring | None
+    witness: Coloring | None
     stats: SearchStats
 
 
@@ -604,7 +603,7 @@ def _search_level(
     check_at = 0 if deadline is not None else cap
     i = 0
 
-    def done(status: DecisionStatus, coloring: EdgeColoring | None = None) -> DecisionResult:
+    def done(status: DecisionStatus, coloring: Coloring | None = None) -> DecisionResult:
         return DecisionResult(q, status, coloring, nodes, leaf_checks, learned, jumps)
 
     def backjump(depth: int, culprits: int) -> int:
@@ -625,7 +624,7 @@ def _search_level(
             leaf_checks += 1
             failing = first_failing_pair(adjacency, [1 << c for c in assignment], known)
             if failing is None:
-                return done(DecisionStatus.SAT, EdgeColoring(dict(zip(edges, assignment))))
+                return done(DecisionStatus.SAT, dict(zip(edges, assignment)))
             # every leaf that keeps the blamed depths' colors fails on this pair
             culprits = learn(failing.u, failing.v)
             if culprits is None:
@@ -727,7 +726,7 @@ def _seeded_witness(
     q: int,
     distances: list[list[int]] | None,
     deadline: float | None,
-) -> tuple[EdgeColoring | None, int]:
+) -> tuple[Coloring | None, int]:
     """Look for a rainbow-connecting coloring with colors 0..q-1 by seeded
     repair; returns it (or None) and the number of checks made.
 
@@ -756,7 +755,7 @@ def _seeded_witness(
         checks += 1
         failing = repair.first_failing_pair()
         if failing is None:
-            return EdgeColoring(dict(zip(g.edge_list(), repair.colors))), checks
+            return dict(zip(g.edge_list(), repair.colors)), checks
         if distances is None:
             distances = distance_table(g)
         dist_to_v = distances[failing.v]
@@ -786,21 +785,19 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     reads it: a lower bound above 2, a path-table level, or a witness
     search that walks a path.
     """
-    started = time.monotonic()
     budget = budget or Budget()
-    deadline = None if budget.max_seconds is None else started + budget.max_seconds
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
     lb, distances = _bound_and_table(g)
     levels: list[DecisionResult] = []
 
     def result(
-        status: ExactStatus, value: int, witness: EdgeColoring | None, checks: int = 0
+        status: ExactStatus, value: int, witness: Coloring | None, checks: int = 0
     ) -> ExactResult:
-        stats = SearchStats(tuple(levels), time.monotonic() - started, checks)
-        return ExactResult(status, value, witness, stats)
+        return ExactResult(status, value, witness, SearchStats(tuple(levels), checks))
 
     if g.m == 0:
         # single vertex: the empty coloring is vacuously rainbow connected
-        return result(ExactStatus.EXACT, 0, EdgeColoring({}))
+        return result(ExactStatus.EXACT, 0, {})
     q = lb
     state: _SearchState | None = None  # built by the first level searched
     left = budget.max_nodes  # the nodes the next level may expand

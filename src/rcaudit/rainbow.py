@@ -41,13 +41,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, GraphFormatError, _bit_positions
 
 __all__ = [
-    "EdgeColoring",
-    "RainbowCertificate",
     "FailingPair",
     "edge_adjacency",
     "edge_color_bits",
@@ -68,29 +66,15 @@ Parents = dict[State, State | None]
 # called with (source, targets, parent map, first state at each target)
 # for each source of a scan that reaches all of its targets
 Reached = Callable[[int, Sequence[int], Parents, dict[int, State]], None]
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Map from edges to color ids: every key is (u, v) with u < v and
-    every color is nonnegative.
-
-    Nothing here checks that contract; the library's own colorings keep
-    it. parse_coloring is the checked way in from text (it rejects
-    non-edges, loops among them, negative colors and duplicates, and
-    orders each key), and edge_color_bits checks that a coloring is
-    total on its graph. The number of colors is derived: one past the
-    largest assigned id, zero for an edgeless coloring.
-    """
-
-    colors: dict[tuple[int, int], int]
-
-    @property
-    def num_colors(self) -> int:
-        return 1 + max(self.colors.values()) if self.colors else 0
-
-    def color_of(self, u: int, v: int) -> int:
-        return self.colors[(u, v) if u < v else (v, u)]
+# an edge coloring: each key is an edge (u, v) with u < v, each color is
+# nonnegative. Nothing checks that contract; the library's own colorings
+# keep it. parse_coloring is the checked way in from text (it rejects
+# non-edges, loops among them, negative colors and duplicates, and orders
+# each key), and edge_color_bits checks that a coloring is total on its
+# graph.
+Coloring = dict[tuple[int, int], int]
+# a rainbow certificate: one witness path per vertex pair (u, v), u < v
+Certificate = dict[tuple[int, int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -99,13 +83,6 @@ class FailingPair:
 
     u: int
     v: int
-
-
-@dataclass(frozen=True)
-class RainbowCertificate:
-    """One witness path per unordered vertex pair, keyed by (u, v), u < v."""
-
-    witnesses: dict[tuple[int, int], tuple[int, ...]]
 
 
 def edge_adjacency(g: Graph) -> Adjacency:
@@ -132,29 +109,28 @@ def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> Adjacency:
     return tuple(map(tuple, rows))
 
 
-def edge_color_bits(g: Graph, coloring: EdgeColoring) -> list[int]:
+def edge_color_bits(g: Graph, coloring: Coloring) -> list[int]:
     """One color bit per edge of g.edge_list(), the color ids re-indexed
     densely. Raises ValueError unless coloring colors exactly the edges
     of g, naming the lexicographically first edge it misses or, failing
     that, the first non-edge it colors."""
-    colors = coloring.colors
     edges = g.edge_list()
     for e in edges:
-        if e not in colors:
+        if e not in coloring:
             raise ValueError(f"coloring is not total: edge {e} has no color")
-    if len(colors) > len(edges):
-        extra = min(e for e in colors if not g.has_edge(*e))
+    if len(coloring) > len(edges):
+        extra = min(e for e in coloring if not g.has_edge(*e))
         raise ValueError(f"coloring assigns a color to non-edge {extra}")
-    index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-    return [1 << index[colors[e]] for e in edges]
+    index = {c: i for i, c in enumerate(sorted(set(coloring.values())))}
+    return [1 << index[coloring[e]] for e in edges]
 
 
-def two_path_cover(n: int, colors: dict[tuple[int, int], int]) -> list[int] | None:
+def two_path_cover(n: int, colors: Coloring) -> list[int] | None:
     """Per vertex u of a graph on n vertices colored by colors (a total
-    coloring's dict, keys (a, b) with a < b), the mask of the vertices u
-    reaches by an edge or by a rainbow 2-path, u's own bit included; None
-    when every mask holds every vertex, that is, when every pair has an
-    edge or a rainbow 2-path.
+    coloring), the mask of the vertices u reaches by an edge or by a
+    rainbow 2-path, u's own bit included; None when every mask holds
+    every vertex, that is, when every pair has an edge or a rainbow
+    2-path.
 
     Per vertex and color it keeps the mask of the neighbors over edges
     of that color. A 2-path u-w-x is rainbow when its edges differ in
@@ -286,14 +262,12 @@ def first_failing_pair(
     return None
 
 
-def is_rainbow_connected(
-    g: Graph, coloring: EdgeColoring
-) -> RainbowCertificate | FailingPair:
+def is_rainbow_connected(g: Graph, coloring: Coloring) -> Certificate | FailingPair:
     """Certificate with a witness per pair, or the failing pair that
     first_failing_pair returns, on any graph. Use first_failing_pair when
     only the verdict is needed."""
     bits = edge_color_bits(g, coloring)
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
+    witnesses: Certificate = {}
 
     def walk_back(
         s: int, targets: Sequence[int], parent: Parents, first: dict[int, State]
@@ -302,15 +276,15 @@ def is_rainbow_connected(
             witnesses[(s, t)] = _walk_back(parent, first[t])
 
     failing = first_failing_pair(edge_adjacency(g), bits, reached=walk_back)
-    return RainbowCertificate(witnesses) if failing is None else failing
+    return witnesses if failing is None else failing
 
 
-def parse_coloring(text: str, g: Graph) -> EdgeColoring:
+def parse_coloring(text: str, g: Graph) -> Coloring:
     """Parse the "u v color" line format against a host graph. Non-edges
     (loops among them), negative colors and duplicate assignments, in
     either order of the ends, are errors; each key is stored as (u, v)
     with u < v. Totality is checked by the verifier, not here."""
-    colors: dict[tuple[int, int], int] = {}
+    colors: Coloring = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -338,26 +312,20 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 f"coloring: line {lineno}: duplicate assignment for edge {u} {v}"
             )
         colors[key] = c
-    return EdgeColoring(colors)
+    return colors
 
 
-def coloring_to_text(coloring: EdgeColoring) -> str:
-    lines = [f"{u} {v} {c}" for (u, v), c in sorted(coloring.colors.items())]
+def coloring_to_text(coloring: Coloring) -> str:
+    lines = [f"{u} {v} {c}" for (u, v), c in sorted(coloring.items())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _witness_records(
-    cert: RainbowCertificate, coloring: EdgeColoring
-) -> Iterator[dict]:
-    for (u, v), path in sorted(cert.witnesses.items()):
-        colors = [coloring.color_of(a, b) for a, b in zip(path, path[1:])]
-        yield {"pair": [u, v], "path": list(path), "colors": colors}
-
-
-def certificate_to_jsonl(cert: RainbowCertificate, coloring: EdgeColoring) -> str:
-    """One JSON witness record per line, pairs in lexicographic order."""
-    lines = [
-        json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        for rec in _witness_records(cert, coloring)
-    ]
+def certificate_to_jsonl(cert: Certificate, coloring: Coloring) -> str:
+    """One JSON witness record per line, pairs in lexicographic order;
+    each record lists its path's edge colors."""
+    lines = []
+    for (u, v), path in sorted(cert.items()):
+        colors = [coloring[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:])]
+        rec = {"pair": [u, v], "path": list(path), "colors": colors}
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")

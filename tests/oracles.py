@@ -8,8 +8,8 @@ per vertex for the diameter, union-find components, induced subgraphs
 rebuilt from the edge list, degree sums over every nonadjacent pair, and
 the seeded repair loop with a full check of every pair at each step.
 None of it shares code with the search paths it validates: it imports
-nothing from rcaudit.exact or rcaudit.rainbow, and reads a coloring only
-through its color_of method or as a plain dict from edges to colors.
+nothing from rcaudit.exact or rcaudit.rainbow, and reads a coloring as
+a plain dict from edges (a, b), a < b, to colors.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import random
 import zlib
 from collections import deque
 from itertools import product
-from typing import Protocol
 
 from rcaudit import Graph, to_graph6
 
-
-class Coloring(Protocol):
-    def color_of(self, u: int, v: int) -> int: ...
+Coloring = dict[tuple[int, int], int]
 
 
 def all_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
@@ -48,7 +45,7 @@ def all_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
 
 
 def path_is_rainbow(coloring: Coloring, path: tuple[int, ...]) -> bool:
-    colors = [coloring.color_of(a, b) for a, b in zip(path, path[1:])]
+    colors = [coloring[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:])]
     return len(set(colors)) == len(colors)
 
 
@@ -96,7 +93,7 @@ def first_failing_pair_brute(
 
 
 def first_pair_without_rainbow_walk(
-    g: Graph, colors: dict[tuple[int, int], int]
+    g: Graph, colors: Coloring
 ) -> tuple[int, int] | None:
     """Lexicographically first pair u < v that no walk with pairwise
     distinct edge colors joins, None if there is none; colors maps each
@@ -125,7 +122,7 @@ def first_pair_without_rainbow_walk(
 
 def seeded_repair_full_scan(
     g: Graph, q: int
-) -> tuple[dict[tuple[int, int], int] | None, int]:
+) -> tuple[Coloring | None, int]:
     """The seeded witness search's repair loop, up to 30 checks, with
     every pair checked from scratch at each one; returns the passing
     coloring (or None) and the number of checks made.
@@ -213,7 +210,7 @@ def naive_rc(g: Graph) -> int:
 
 def plain_canonical_search(
     g: Graph, q: int, edge_order: list[tuple[int, int]]
-) -> tuple[dict[tuple[int, int], int] | None, int]:
+) -> tuple[Coloring | None, int]:
     """Restricted-growth search for a rainbow-connecting q-coloring, with
     no pruning: edge i of edge_order tries the colors 0..min(1 + the
     largest earlier color, q - 1) in ascending order, each try one node,

@@ -201,7 +201,7 @@ class TestAuditGraph:
         assert "rc_seconds" not in d
         assert d["rc_nodes"] == report.rc_nodes
         names = [f.name for f in dataclasses.fields(BoundReport)]
-        assert list(d) == [name for name in names if name != "rc_seconds"]
+        assert list(d) == names
         # every aggregate field is rendered, rationals as 'p/q' strings
         paw = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
         agg = audit_corpus([paw, gen_named("path", 4)]).aggregate
@@ -235,7 +235,6 @@ class TestFindingsClassification:
             rc_status="exact",
             rc_value=4,
             rc_nodes=10,
-            rc_seconds=0.0,
             construct_colors=4,
             construct_verified=True,
             construction_failure=None,

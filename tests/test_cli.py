@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(graph), str(coloring))
         assert code == 0
         assert "rainbow connected" in out
+
+    def test_single_vertex_text(self, tmp_path, capsys):
+        # the empty coloring of one vertex passes with no pair and no color
+        coloring = tmp_path / "coloring.txt"
+        coloring.write_text("")
+        code, out, _ = run(capsys, "verify", "@", str(coloring))
+        assert (code, out) == (0, "rainbow connected: 0 pair(s), 0 color(s)\n")
 
     def test_json_certificate_lines(self, tmp_path, capsys):
         graph = tmp_path / "p3.txt"
@@ -241,6 +249,15 @@ class TestAuditCommand:
         assert "rc: exact 3" in out
         assert "min_degree_bound=3 slack=0" in out
 
+    def test_text_report_does_not_depend_on_the_clock(self, capsys, monkeypatch):
+        # a clock whose steps grow would give each run its own wall time;
+        # the text report, like the JSON one, holds none
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(time, "monotonic", lambda: next(ticks) ** 2)
+        first = run(capsys, "audit", "D?{")
+        assert first == run(capsys, "audit", "D?{")
+        assert first[0] == 0 and "rc: exact 4 (nodes=" in first[1]
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "audit", "--format", "json", to_graph6(gen_named("complete", 5))
@@ -268,7 +285,7 @@ class TestAuditCommand:
         # an exact rc above n - min_degree = 3 on C_5 breaks the proven bound;
         # the report is printed, then one line per finding a sweep reports
         def over_the_bound(g, budget):
-            return ExactResult(ExactStatus.EXACT, 4, None, SearchStats((), 0.0))
+            return ExactResult(ExactStatus.EXACT, 4, None, SearchStats(()))
 
         monkeypatch.setattr(audit_module, "rc_exact", over_the_bound)
         code, out, err = run(capsys, "audit", to_graph6(gen_named("cycle", 5)))
@@ -288,7 +305,7 @@ class TestAuditCommand:
         # bound 3 and matches the 3-color construction, but exceeds the
         # degree-sum bound 5/2; audit reports it as sweep does
         def above_degree_sum(g, budget):
-            return ExactResult(ExactStatus.EXACT, 3, None, SearchStats((), 0.0))
+            return ExactResult(ExactStatus.EXACT, 3, None, SearchStats(()))
 
         monkeypatch.setattr(audit_module, "rc_exact", above_degree_sum)
         code, out, err = run(capsys, "audit", "D^o")
@@ -504,14 +521,23 @@ class TestUsage:
             (["sweep", "--random", "-3"], "--random"),
             (["gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "-1"],
              "--count"),
+            (["gen", "named", "--family", "path", "--size", "3", "--format", "json"],
+             "--format"),
+            (["gen", "random", "--n", "3", "--p", "1", "--count", "2", "--format", "json"],
+             "--format"),
         ],
     )
     def test_bad_option_values_exit_1(self, capsys, argv, flag):
         # each would otherwise run no search (exit 3), drop the deadline,
-        # leak an internal message, or sweep or print nothing and exit 0
+        # leak an internal message, sweep or print nothing and exit 0, or
+        # ignore the flag and exit 0
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         lines = err.splitlines()
+        if flag == "--format":
+            # argparse rejects the flag itself, after its usage line
+            assert lines[0].startswith("usage: rcaudit ")
+            lines = [lines[1].removeprefix("rcaudit: ")]
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert flag in lines[0]

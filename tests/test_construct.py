@@ -33,7 +33,7 @@ import rcaudit.graphs as graphs_module
 from rcaudit.construct import ConstructionError
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances
-from rcaudit.rainbow import EdgeColoring, edge_adjacency, edge_color_bits, first_failing_pair
+from rcaudit.rainbow import edge_adjacency, edge_color_bits, first_failing_pair
 
 from .conftest import (
     MASTER_SEED,
@@ -247,7 +247,7 @@ class TestConstructColoring:
     def test_clique_base_case(self):
         coloring, trace = construct_coloring(gen_named("complete", 5))
         assert trace.case is Case.BASE
-        assert trace.colors_used == 1 == coloring.num_colors
+        assert trace.colors_used == 1 == 1 + max(coloring.values())
         assert trace.verification == "pass"
 
     def test_path3_hand_trace(self):
@@ -264,7 +264,7 @@ class TestConstructColoring:
         # covers both cross edges and the clique edge
         coloring, trace = construct_coloring(gen_named("cycle", 5))
         assert trace.colors_used == 3 and trace.budget == 3
-        assert coloring.color_of(0, 1) == coloring.color_of(1, 2) == coloring.color_of(0, 4)
+        assert coloring[0, 1] == coloring[1, 2] == coloring[0, 4]
         assert trace.verification == "pass"
 
     def test_single_vertex(self):
@@ -328,14 +328,14 @@ class TestConstructColoring:
         assert len(graphs) == 832
         for g in graphs:
             coloring, trace = construct_coloring(g)
-            record = [sorted(coloring.colors.items()), trace_to_dict(trace)]
+            record = [sorted(coloring.items()), trace_to_dict(trace)]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == CONSTRUCTION_DIGEST
 
     @pytest.mark.parametrize("name", sorted(WITNESS_PINS))
     def test_witness_colorings_and_traces_are_pinned(self, name):
         coloring, trace = construct_coloring(globals()[name]())
-        record = [sorted(coloring.colors.items()), trace_to_dict(trace)]
+        record = [sorted(coloring.items()), trace_to_dict(trace)]
         digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
         assert (digest, trace.verification) == WITNESS_PINS[name]
 
@@ -362,7 +362,7 @@ class TestConstructColoring:
         with recursion_limit(400):
             coloring, trace = construct_coloring(g)
             assert assert_trace_invariants(trace) == g.n - 2
-        assert trace.colors_used == g.n - 1 == coloring.num_colors
+        assert trace.colors_used == g.n - 1 == 1 + max(coloring.values())
         assert trace.verification == "pass"
 
     @pytest.mark.parametrize(
@@ -406,15 +406,15 @@ class TestConstructColoring:
         assert trace.contraction.min_degree_after >= trace.min_degree
         assert trace.contraction.measure_after < trace.budget
         # the lift gives clique-internal edges their own fresh color
-        assert coloring.color_of(0, 1) == trace.colors_used - 1
+        assert coloring[0, 1] == trace.colors_used - 1
 
     def test_new_color_branch_verifies(self):
         g = new_color_witness()
         coloring, trace = construct_coloring(g)
         assert trace.case is Case.NEW_CLIQUE_COLOR
         assert trace.verification == "pass"
-        clique_color = coloring.color_of(0, 1)
-        cross_colors = {coloring.color_of(0, 3), coloring.color_of(1, 4), coloring.color_of(2, 7)}
+        clique_color = coloring[0, 1]
+        cross_colors = {coloring[0, 3], coloring[1, 4], coloring[2, 7]}
         assert clique_color not in cross_colors
 
     def test_reused_color_branch_fails_as_designed(self):
@@ -431,8 +431,8 @@ class TestConstructColoring:
         g = contraction_witness()
         coloring, trace = construct_coloring(g)
         # triangle {2,3,4} and triangle {5,6,7} recurse independently
-        left = {coloring.color_of(u, v) for u, v in [(2, 3), (2, 4), (3, 4)]}
-        right = {coloring.color_of(u, v) for u, v in [(5, 6), (5, 7), (6, 7)]}
+        left = {coloring[e] for e in [(2, 3), (2, 4), (3, 4)]}
+        right = {coloring[e] for e in [(5, 6), (5, 7), (6, 7)]}
         assert left.isdisjoint(right)
 
 
@@ -458,7 +458,7 @@ class TestMaskedVerification:
             coloring, trace = construct_coloring(g)
             want = self.full(g, coloring)
             assert trace.verification == ("pass" if want is None else want)
-            left_over += construct_module.two_path_cover(g.n, coloring.colors) is not None
+            left_over += construct_module.two_path_cover(g.n, coloring) is not None
         # pairs at distance 3 or more are left to the rainbow search
         assert left_over > 0
 
@@ -481,7 +481,7 @@ class TestMaskedVerification:
         distances = {2: 0, 3: 0}
         for g in graphs:
             for q in (2, 3, 4):
-                colors = EdgeColoring({e: rng.randrange(q) for e in g.edge_list()})
+                colors = {e: rng.randrange(q) for e in g.edge_list()}
                 want = self.full(g, colors)
                 assert construct_module._verify(g, colors) == want
                 if want is not None:
@@ -492,19 +492,20 @@ class TestMaskedVerification:
         g = gen_named("path", 3)
         for colors in ({(0, 1): 0}, {(0, 1): 0, (1, 2): 1, (0, 2): 2}):
             with pytest.raises(ValueError) as want:
-                self.full(g, EdgeColoring(colors))
+                self.full(g, colors)
             with pytest.raises(ValueError) as got:
-                construct_module._verify(g, EdgeColoring(colors))
+                construct_module._verify(g, colors)
             assert str(got.value) == str(want.value)
 
     def test_result_is_normal(self):
-        # EdgeColoring checks nothing: the construction's coloring must
-        # keep its contract, keys (u, v) with u < v and colors >= 0
+        # a coloring dict is checked by nothing: the construction's
+        # coloring must keep its contract, keys (u, v) with u < v and
+        # colors >= 0
         graphs = [contraction_witness(), new_color_witness(), reused_color_witness()]
         graphs += random_corpus(40, 4, 20, MASTER_SEED)
         for g in graphs:
             coloring = construct_coloring(g)[0]
-            assert all(u < v and c >= 0 for (u, v), c in coloring.colors.items())
+            assert all(u < v and c >= 0 for (u, v), c in coloring.items())
 
 
 class TestAuditConstruction:
@@ -662,8 +663,8 @@ class TestTraceInvariants:
         # offset without gaps and every fresh color lands on an edge
         for g in self.graphs_under_test():
             coloring, trace = construct_coloring(g)
-            assert set(coloring.colors.values()) == set(range(trace.colors_used))
-            assert coloring.num_colors == trace.colors_used
+            assert set(coloring.values()) == set(range(trace.colors_used))
+            assert 1 + max(coloring.values()) == trace.colors_used
 
     def test_trace_labels_name_original_vertices(self):
         g = contraction_witness()

@@ -12,10 +12,8 @@ import rcaudit.rainbow
 from rcaudit import (
     Budget,
     DecisionStatus,
-    EdgeColoring,
     ExactStatus,
     Graph,
-    RainbowCertificate,
     gen_named,
     is_complete,
     is_rainbow_connected,
@@ -123,7 +121,7 @@ class TestDecision:
     def test_clique_with_one_color(self):
         (level,) = rc_exact(gen_named("complete", 4)).stats.levels
         assert (level.q, level.status) == (1, DecisionStatus.SAT)
-        assert level.coloring.num_colors == 1
+        assert 1 + max(level.coloring.values()) == 1
 
     def test_path4_needs_three(self):
         # the unique 3-edge path forces 3 distinct colors, so the search
@@ -135,11 +133,10 @@ class TestDecision:
         from itertools import product
 
         from .oracles import first_failing_pair_brute
-        from rcaudit import EdgeColoring
 
         edges = g.edge_list()
         assert all(
-            first_failing_pair_brute(g, EdgeColoring(dict(zip(edges, a)))) is not None
+            first_failing_pair_brute(g, dict(zip(edges, a))) is not None
             for a in product(range(2), repeat=3)
         )
 
@@ -148,7 +145,7 @@ class TestDecision:
         assert (level.q, level.status) == (2, DecisionStatus.SAT)
         assert isinstance(
             is_rainbow_connected(gen_named("cycle", 4), level.coloring),
-            RainbowCertificate,
+            dict,
         )
 
     def test_unsat_without_prune_exhausts(self):
@@ -236,7 +233,7 @@ class TestDecision:
             rc = naive_rc(g)
             *below, sat = rc_exact(g).stats.levels
             assert (sat.q, sat.status) == (rc, DecisionStatus.SAT)
-            assert isinstance(is_rainbow_connected(g, sat.coloring), RainbowCertificate)
+            assert isinstance(is_rainbow_connected(g, sat.coloring), dict)
             assert [level.status for level in below] == [DecisionStatus.UNSAT] * (rc - diameter(g))
 
 
@@ -297,8 +294,7 @@ class TestLearnedAgainstPlainSearch:
                 q = learned.q
                 assert len(failed) == len(set(failed)) == learned.learned_pairs
                 coloring, nodes = plain_canonical_search(g, q, edges)
-                got = None if learned.coloring is None else learned.coloring.colors
-                assert (learned.status is DecisionStatus.SAT, got) == (
+                assert (learned.status is DecisionStatus.SAT, learned.coloring) == (
                     coloring is not None, coloring
                 ), (to_graph6(g), q)
                 assert learned.nodes <= nodes, (to_graph6(g), q)
@@ -322,11 +318,11 @@ class TestLearnedAgainstPlainSearch:
                     for w, e in row
                     if v < w
                 }
-                h, coloring = Graph(len(adjacency), colors), EdgeColoring(colors)
+                h = Graph(len(adjacency), colors)
                 for u in range(h.n):
                     for v in range(u + 1, h.n):
                         if known[u] >> v & 1:
-                            assert has_rainbow_path_brute(h, coloring, u, v)
+                            assert has_rainbow_path_brute(h, colors, u, v)
                             tracked += not h.has_edge(u, v)
                 leaves += 1
             return check(adjacency, bits, known)
@@ -390,7 +386,7 @@ class TestExact:
     def test_single_vertex_needs_no_colors(self):
         res = rc_exact(Graph(1))
         assert res.status is ExactStatus.EXACT and res.value == 0
-        assert res.witness.num_colors == 0
+        assert res.witness == {}
 
     def test_witness_uses_exactly_value_colors_and_verifies(self):
         rng = random.Random(MASTER_SEED + 10)
@@ -398,8 +394,8 @@ class TestExact:
             g = random_connected_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9))
             res = rc_exact(g)
             assert res.status is ExactStatus.EXACT
-            assert res.witness.num_colors == res.value
-            assert isinstance(is_rainbow_connected(g, res.witness), RainbowCertificate)
+            assert 1 + max(res.witness.values()) == res.value
+            assert isinstance(is_rainbow_connected(g, res.witness), dict)
 
     def test_matches_naive_enumerator_small(self):
         for n in range(1, 5):
@@ -449,7 +445,7 @@ class TestExact:
             g = random_connected_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9))
             res = rc_exact(g)
             edges = _search_order(g)[1]
-            assert plain_canonical_search(g, res.value, edges)[0] == res.witness.colors
+            assert plain_canonical_search(g, res.value, edges)[0] == res.witness
             if res.value > 1:
                 assert plain_canonical_search(g, res.value - 1, edges)[0] is None
 
@@ -464,7 +460,7 @@ class TestExact:
             for _ in range(4):
                 res = rc_exact(g)
                 assert res.status is ExactStatus.EXACT
-                assert isinstance(is_rainbow_connected(g, res.witness), RainbowCertificate)
+                assert isinstance(is_rainbow_connected(g, res.witness), dict)
                 values.add(res.value)
                 perm = rng.sample(range(n), n)
                 g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -509,8 +505,8 @@ class TestExact:
         c6 = gen_named("cycle", 6)
         res = rc_exact(c6, Budget(max_nodes=2))
         assert (res.status, res.value) == (ExactStatus.EXACT, 3)
-        assert res.witness.num_colors == 3
-        assert isinstance(is_rainbow_connected(c6, res.witness), RainbowCertificate)
+        assert 1 + max(res.witness.values()) == 3
+        assert isinstance(is_rainbow_connected(c6, res.witness), dict)
         assert res.stats.witness_checks > 0
         # no time is left for any witness step
         timed_out = rc_exact(c6, Budget(max_seconds=0.0))
@@ -572,8 +568,8 @@ class TestExact:
             res = rc_exact(g, Budget(max_nodes=2000))
             assert (res.status, res.value) == (ExactStatus.EXACT, value), graph6
             assert res.stats.witness_checks == 0 and res.stats.jumps > 0
-            assert res.witness.num_colors == value
-            assert isinstance(is_rainbow_connected(g, res.witness), RainbowCertificate)
+            assert 1 + max(res.witness.values()) == value
+            assert isinstance(is_rainbow_connected(g, res.witness), dict)
 
     def test_pinned_search_outcomes(self):
         # (status, value, nodes) at a 2000-node budget; the node counts
@@ -639,7 +635,7 @@ class TestExact:
         for graph6, status, value, nodes, witness in self.PINNED:
             g = parse_graph6(graph6)
             r = rc_exact(g, Budget(max_nodes=20000))
-            got = None if r.witness is None else [r.witness.colors[e] for e in g.edge_list()]
+            got = None if r.witness is None else [r.witness[e] for e in g.edge_list()]
             assert (r.status.value, r.value, r.stats.nodes, got) == (
                 status, value, nodes, witness
             ), graph6
@@ -686,7 +682,7 @@ class TestExact:
         for n in range(1, 6):
             for g in iter_connected_graphs(n):
                 r = rc_exact(g)
-                witness = [r.witness.colors[e] for e in g.edge_list()]
+                witness = [r.witness[e] for e in g.edge_list()]
                 row = (
                     to_graph6(g), r.status.value, r.value, r.stats.nodes,
                     r.stats.jumps, r.stats.leaf_checks, witness,
@@ -708,7 +704,7 @@ class TestExact:
         for g in random_corpus(500, 4, 40, MASTER_SEED):
             r = rc_exact(g, Budget(max_nodes=2000))
             s = r.stats
-            witness = None if r.witness is None else [r.witness.colors[e] for e in g.edge_list()]
+            witness = None if r.witness is None else [r.witness[e] for e in g.edge_list()]
             row = (
                 to_graph6(g), r.status.value, r.value, s.nodes, s.leaf_checks,
                 s.learned_pairs, s.witness_checks, s.jumps, witness,
@@ -737,7 +733,7 @@ class TestExact:
         assert len(failures) > len(set(failures))  # over-cap pairs failed again
         assert res.learned_pairs < len(listed)
         plain, _ = plain_canonical_search(g, 3, _search_order(g)[1])
-        assert (res.q, res.status, res.coloring.colors) == (3, DecisionStatus.SAT, plain)
+        assert (res.q, res.status, res.coloring) == (3, DecisionStatus.SAT, plain)
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)
@@ -766,8 +762,7 @@ class TestMaskTables:
 
     @staticmethod
     def fields(res):
-        coloring = None if res.coloring is None else res.coloring.colors
-        return res.status, coloring, res.nodes, res.leaf_checks, res.learned_pairs, res.jumps
+        return res.status, res.coloring, res.nodes, res.leaf_checks, res.learned_pairs, res.jumps
 
     # (_PRELOAD_CAP, node budget): the real caps, then caps that leave
     # most pairs to be learned, then a budget that cuts many levels
@@ -880,10 +875,8 @@ class TestSeededWitness:
                 res = rc_exact(g, Budget(max_nodes=cap))
                 if res.status is ExactStatus.EXACT:
                     assert res.value == rc, (to_graph6(g), cap)
-                    assert res.witness.num_colors == rc
-                    assert isinstance(
-                        is_rainbow_connected(g, res.witness), RainbowCertificate
-                    )
+                    assert 1 + max(res.witness.values(), default=-1) == rc
+                    assert isinstance(is_rainbow_connected(g, res.witness), dict)
                     closed += res.stats.witness_checks > 0
                 else:
                     assert res.value <= rc and res.witness is None
@@ -897,16 +890,16 @@ class TestSeededWitness:
             assert rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks == 0
 
     def test_colorings_are_normal(self):
-        # EdgeColoring checks nothing: the decision search's satisfying
-        # leaf and the seeded witness must keep its contract, keys (u, v)
-        # with u < v and colors >= 0
+        # a coloring dict is checked by nothing: the decision search's
+        # satisfying leaf and the seeded witness must keep its contract,
+        # keys (u, v) with u < v and colors >= 0
         results = [rc_exact(g) for g in self.graphs() if g.m]
         results += [rc_exact(g, Budget(max_nodes=1)) for g in self.graphs() if g.m]
         seeded = [r for r in results if r.stats.witness_checks and r.witness is not None]
         assert seeded
         for res in results:
             if res.witness is not None:
-                assert all(u < v and c >= 0 for (u, v), c in res.witness.colors.items())
+                assert all(u < v and c >= 0 for (u, v), c in res.witness.items())
 
     def test_passed_deadline_builds_nothing(self, monkeypatch):
         # a deadline already passed returns before the seed, the adjacency
@@ -949,8 +942,7 @@ class TestSeededWitness:
             lb = max(diameter(g), 1)
             for q in (lb, lb + 1, lb + 2):
                 witness, checks = rcaudit.exact._seeded_witness(g, q, None, None)
-                colors = None if witness is None else witness.colors
-                assert (colors, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
+                assert (witness, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
                 closed += witness is not None and checks > 1
                 given_up += witness is None
         assert closed and given_up
@@ -972,8 +964,7 @@ class TestSeededWitness:
         assert len(runs) == 70
         assert sum(witness is not None for _, _, (witness, _) in runs) == 38
         for g, q, (witness, checks) in runs:
-            colors = None if witness is None else witness.colors
-            assert (colors, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
+            assert (witness, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
 
 
 class TestRepairChecks:

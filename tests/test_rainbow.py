@@ -1,26 +1,30 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcaudit import (
-    EdgeColoring,
     FailingPair,
     Graph,
     GraphFormatError,
-    RainbowCertificate,
     certificate_to_jsonl,
     coloring_to_text,
     gen_named,
     is_connected,
     is_rainbow_connected,
     parse_coloring,
+    to_graph6,
 )
-from rcaudit.rainbow import edge_adjacency, edge_color_bits, first_failing_pair
+from rcaudit.cli import main
+from rcaudit.rainbow import Coloring, edge_adjacency, edge_color_bits, first_failing_pair
 
 from .conftest import MASTER_SEED, random_connected_graph, random_graph
 from .oracles import (
@@ -32,16 +36,16 @@ from .oracles import (
 )
 
 
-def color_all(g: Graph, color: int = 0) -> EdgeColoring:
-    return EdgeColoring({e: color for e in g.edges})
+def color_all(g: Graph, color: int = 0) -> Coloring:
+    return {e: color for e in g.edges}
 
 
-def color_distinct(g: Graph) -> EdgeColoring:
-    return EdgeColoring({e: i for i, e in enumerate(g.edge_list())})
+def color_distinct(g: Graph) -> Coloring:
+    return {e: i for i, e in enumerate(g.edge_list())}
 
 
-def random_coloring(rng: random.Random, g: Graph, q: int) -> EdgeColoring:
-    return EdgeColoring({e: rng.randrange(q) for e in g.edges})
+def random_coloring(rng: random.Random, g: Graph, q: int) -> Coloring:
+    return {e: rng.randrange(q) for e in g.edges}
 
 
 class TestRainbowPath:
@@ -50,7 +54,7 @@ class TestRainbowPath:
     def test_adjacent_pair_single_edge(self):
         g = gen_named("complete", 3)
         outcome = is_rainbow_connected(g, color_all(g))
-        assert outcome.witnesses[(0, 1)] == (0, 1)
+        assert outcome[(0, 1)] == (0, 1)
 
     def test_monochrome_path_has_no_witness(self):
         g = gen_named("path", 3)
@@ -58,18 +62,18 @@ class TestRainbowPath:
 
     def test_alternating_cycle_crosses_in_two_edges(self):
         g = gen_named("cycle", 4)
-        coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1})
+        coloring = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}
         # brute force says exactly the two-edge routes work
         assert has_rainbow_path_brute(g, coloring, 0, 2)
-        path = is_rainbow_connected(g, coloring).witnesses[(0, 2)]
+        path = is_rainbow_connected(g, coloring)[(0, 2)]
         assert path in ((0, 1, 2), (0, 3, 2))
-        colors = {coloring.color_of(a, b) for a, b in zip(path, path[1:])}
+        colors = {coloring[min(a, b), max(a, b)] for a, b in zip(path, path[1:])}
         assert colors == {0, 1}
 
     def test_huge_color_ids_are_fine(self):
         g = gen_named("path", 3)
-        coloring = EdgeColoring({(0, 1): 10**9, (1, 2): 7})
-        assert is_rainbow_connected(g, coloring).witnesses[(0, 2)] == (0, 1, 2)
+        coloring = {(0, 1): 10**9, (1, 2): 7}
+        assert is_rainbow_connected(g, coloring)[(0, 2)] == (0, 1, 2)
 
 
 class TestIsRainbowConnected:
@@ -77,17 +81,17 @@ class TestIsRainbowConnected:
         for n in (2, 4, 6):
             g = gen_named("complete", n)
             outcome = is_rainbow_connected(g, color_all(g))
-            assert isinstance(outcome, RainbowCertificate)
-            assert all(len(p) == 2 for p in outcome.witnesses.values())
+            assert isinstance(outcome, dict)
+            assert all(len(p) == 2 for p in outcome.values())
 
     def test_all_distinct_cycle_certifies(self):
         g = gen_named("cycle", 5)
         outcome = is_rainbow_connected(g, color_distinct(g))
-        assert isinstance(outcome, RainbowCertificate)
+        assert isinstance(outcome, dict)
 
     def test_bad_path_coloring_fails_at_endpoints(self):
         g = gen_named("path", 4)
-        coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0})
+        coloring = {(0, 1): 0, (1, 2): 1, (2, 3): 0}
         outcome = is_rainbow_connected(g, coloring)
         assert outcome == FailingPair(0, 3)
 
@@ -99,17 +103,17 @@ class TestIsRainbowConnected:
     def test_partial_coloring_rejected(self):
         g = gen_named("path", 3)
         with pytest.raises(ValueError, match="not total"):
-            is_rainbow_connected(g, EdgeColoring({(0, 1): 0}))
+            is_rainbow_connected(g, {(0, 1): 0})
 
     def test_foreign_edge_rejected(self):
         g = gen_named("path", 3)
         with pytest.raises(ValueError, match="non-edge"):
-            is_rainbow_connected(g, EdgeColoring({(0, 1): 0, (1, 2): 0, (0, 2): 0}))
+            is_rainbow_connected(g, {(0, 1): 0, (1, 2): 0, (0, 2): 0})
 
     def test_single_vertex_trivially_connected(self):
-        outcome = is_rainbow_connected(Graph(1), EdgeColoring({}))
-        assert isinstance(outcome, RainbowCertificate)
-        assert outcome.witnesses == {}
+        outcome = is_rainbow_connected(Graph(1), {})
+        assert isinstance(outcome, dict)
+        assert outcome == {}
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(MASTER_SEED)
@@ -121,8 +125,8 @@ class TestIsRainbowConnected:
             outcome = is_rainbow_connected(g, coloring)
             brute = first_failing_pair_brute(g, coloring)
             if brute is None:
-                assert isinstance(outcome, RainbowCertificate)
-                assert certificate_violation(g, coloring, outcome.witnesses) is None
+                assert isinstance(outcome, dict)
+                assert certificate_violation(g, coloring, outcome) is None
             else:
                 assert outcome == FailingPair(*brute)
             checked += 1
@@ -136,8 +140,8 @@ class TestIsRainbowConnected:
             g = random_connected_graph(rng, n, rng.uniform(0.3, 0.9))
             coloring = random_coloring(rng, g, rng.randint(1, max(g.m, 1)))
             outcome = is_rainbow_connected(g, coloring)
-            if isinstance(outcome, RainbowCertificate):
-                for path in outcome.witnesses.values():
+            if isinstance(outcome, dict):
+                for path in outcome.values():
                     assert len(set(path)) == len(path)
 
     def test_refinement_keeps_passing(self):
@@ -151,17 +155,17 @@ class TestIsRainbowConnected:
             if isinstance(is_rainbow_connected(g, coloring), FailingPair):
                 continue
             passed += 1
-            split = rng.randrange(coloring.num_colors)
-            fresh = coloring.num_colors
+            split = rng.randrange(1 + max(coloring.values()))
+            fresh = 1 + max(coloring.values())
             refined = {}
-            for e, c in coloring.colors.items():
+            for e, c in coloring.items():
                 if c == split and rng.random() < 0.5:
                     refined[e] = fresh
                     fresh += 1
                 else:
                     refined[e] = c
-            outcome = is_rainbow_connected(g, EdgeColoring(refined))
-            assert isinstance(outcome, RainbowCertificate)
+            outcome = is_rainbow_connected(g, refined)
+            assert isinstance(outcome, dict)
 
     def test_deterministic(self):
         rng = random.Random(MASTER_SEED + 3)
@@ -172,7 +176,7 @@ class TestIsRainbowConnected:
         assert first == second
 
 
-def check(g: Graph, coloring: EdgeColoring) -> FailingPair | None:
+def check(g: Graph, coloring: Coloring) -> FailingPair | None:
     return first_failing_pair(edge_adjacency(g), edge_color_bits(g, coloring))
 
 
@@ -206,28 +210,28 @@ class TestFirstFailingPair:
 
     def test_bits_reindex_sparse_colors(self):
         g = gen_named("path", 4)
-        coloring = EdgeColoring({(0, 1): 10**18, (1, 2): 5, (2, 3): 10**18})
+        coloring = {(0, 1): 10**18, (1, 2): 5, (2, 3): 10**18}
         assert edge_color_bits(g, coloring) == [2, 1, 2]
 
     def test_partial_coloring_rejected(self):
         g = gen_named("path", 3)
         with pytest.raises(ValueError, match="not total"):
-            edge_color_bits(g, EdgeColoring({(0, 1): 0}))
+            edge_color_bits(g, {(0, 1): 0})
 
     def test_errors_name_the_lexicographically_first_edge(self):
         g = gen_named("cycle", 6)
         missing = {(2, 3): 0, (3, 4): 0, (4, 5): 0, (0, 1): 0}
         with pytest.raises(ValueError) as err:
-            edge_color_bits(g, EdgeColoring(missing))
+            edge_color_bits(g, missing)
         assert str(err.value) == "coloring is not total: edge (0, 5) has no color"
         extra = dict.fromkeys(g.edge_list(), 0) | {(1, 3): 0, (0, 2): 0}
         with pytest.raises(ValueError) as err:
-            edge_color_bits(g, EdgeColoring(extra))
+            edge_color_bits(g, extra)
         assert str(err.value) == "coloring assigns a color to non-edge (0, 2)"
 
     def test_bad_path_coloring_fails_at_endpoints(self):
         g = gen_named("path", 4)
-        coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0})
+        coloring = {(0, 1): 0, (1, 2): 1, (2, 3): 0}
         assert check(g, coloring) == FailingPair(0, 3)
 
     def test_passing_colorings(self):
@@ -285,7 +289,7 @@ def colored_graphs(draw):
             unique=True,
         )
     )
-    coloring = EdgeColoring({e: draw(st.sampled_from(palette)) for e in g.edge_list()})
+    coloring = {e: draw(st.sampled_from(palette)) for e in g.edge_list()}
     return g, coloring
 
 
@@ -295,11 +299,11 @@ def test_first_failing_pair_matches_certificate_builder(case):
     g, coloring = case
     outcome = is_rainbow_connected(g, coloring)
     got = check(g, coloring)
-    if isinstance(outcome, RainbowCertificate):
+    if isinstance(outcome, dict):
         assert got is None
-        assert certificate_violation(g, coloring, outcome.witnesses) is None
+        assert certificate_violation(g, coloring, outcome) is None
         # the search reaches each pair by a walk of fewest edges first
-        for (s, t), witness in outcome.witnesses.items():
+        for (s, t), witness in outcome.items():
             rainbow = [p for p in all_simple_paths(g, s, t) if path_is_rainbow(coloring, p)]
             assert len(witness) == min(map(len, rainbow))
     else:
@@ -337,8 +341,8 @@ class TestVerifyCertificate:
         self.g = gen_named("cycle", 6)
         self.coloring = color_distinct(self.g)
         outcome = is_rainbow_connected(self.g, self.coloring)
-        assert isinstance(outcome, RainbowCertificate)
-        self.witnesses = outcome.witnesses
+        assert isinstance(outcome, dict)
+        self.witnesses = outcome
 
     def check(self, witnesses=None, coloring=None):
         if witnesses is None:
@@ -350,7 +354,7 @@ class TestVerifyCertificate:
 
     def test_duplicate_color_detected(self):
         # five of the fifteen pairs are adjacent; a longer witness repeats color 0
-        bad = EdgeColoring({e: 0 for e in self.g.edge_list()})
+        bad = {e: 0 for e in self.g.edge_list()}
         assert self.check(coloring=bad) == "pair (0, 2): witness repeats a color"
 
     def test_missing_pair_detected(self):
@@ -370,7 +374,7 @@ class TestVerifyCertificate:
 class TestColoringIO:
     def test_text_roundtrip(self):
         g = gen_named("cycle", 4)
-        coloring = EdgeColoring({(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1})
+        coloring = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}
         text = coloring_to_text(coloring)
         assert parse_coloring(text, g) == coloring
 
@@ -400,23 +404,23 @@ class TestColoringIO:
         ids=["negative-color", "loop", "reversed-duplicate", "reversed-key"],
     )
     def test_parse_is_the_checked_way_in(self, text, error):
-        # EdgeColoring checks nothing, so the text parser must reject what
-        # breaks its contract and order each key
+        # a coloring dict is checked by nothing, so the text parser must
+        # reject what breaks its contract and order each key
         g = gen_named("path", 3)
         if error is not None:
             with pytest.raises(GraphFormatError, match=error):
                 parse_coloring(text, g)
         else:
-            assert parse_coloring(text, g).colors == {(0, 1): 2, (1, 2): 3}
+            assert parse_coloring(text, g) == {(0, 1): 2, (1, 2): 3}
 
     def test_comments_and_blanks_skipped(self):
         g = gen_named("path", 3)
         coloring = parse_coloring("# a coloring\n\n0 1 0\n1 2 1\n", g)
-        assert coloring.num_colors == 2
+        assert 1 + max(coloring.values()) == 2
 
     def test_certificate_jsonl(self):
         g = gen_named("path", 3)
-        coloring = EdgeColoring({(0, 1): 0, (1, 2): 1})
+        coloring = {(0, 1): 0, (1, 2): 1}
         outcome = is_rainbow_connected(g, coloring)
         lines = certificate_to_jsonl(outcome, coloring).splitlines()
         assert len(lines) == 3
@@ -428,9 +432,17 @@ class TestColoringIO:
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_num_colors_matches_definition(data):
-    m = data.draw(st.integers(0, 8))
-    colors = {
-        (i, i + 1): data.draw(st.integers(0, 20)) for i in range(m)
-    }
-    coloring = EdgeColoring(colors)
-    assert coloring.num_colors == (1 + max(colors.values()) if colors else 0)
+    # verify's color count is one past the largest id, zero with no edge;
+    # any coloring of a complete graph is rainbow connected, so it passes
+    k = data.draw(st.integers(1, 5))
+    g = gen_named("complete", k)
+    coloring = {e: data.draw(st.integers(0, 20)) for e in g.edge_list()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coloring.txt"
+        path.write_text(coloring_to_text(coloring))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", to_graph6(g), str(path)]) == 0
+    pairs = g.n * (g.n - 1) // 2
+    colors = 1 + max(coloring.values()) if coloring else 0
+    assert out.getvalue() == f"rainbow connected: {pairs} pair(s), {colors} color(s)\n"
