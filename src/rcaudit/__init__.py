@@ -11,11 +11,10 @@ from .audit import audit_corpus, audit_graph
 from .construct import (
     AuditTrace,
     Case,
-    Finding,
     construct_coloring,
     decompose,
     run_construction,
-    trace_to_dict,
+    trace_records,
 )
 from .exact import (
     Budget,

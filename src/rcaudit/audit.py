@@ -18,13 +18,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable
 
-from .construct import ConstructionError, Finding, decompose, run_construction, trace_to_dict
+from .construct import ConstructionError, decompose, run_construction
 from .exact import Budget, ExactStatus, rc_exact
 from .graphs import Graph, degree_stats, is_connected, to_graph6
 
 __all__ = [
     "BoundReport",
-    "CorpusFinding",
     "AggregateStats",
     "CorpusResult",
     "audit_graph",
@@ -32,15 +31,6 @@ __all__ = [
     "check_report",
     "findings_for_report",
 ]
-
-
-@dataclass(frozen=True)
-class CorpusFinding:
-    """Anomaly with a replayable reproducer (the graph6 string)."""
-
-    kind: str  # construction-failure | negative-degree-sum-slack | solver-disagreement
-    graph6: str
-    detail: dict
 
 
 @dataclass
@@ -89,7 +79,7 @@ class AggregateStats:
 @dataclass(frozen=True)
 class CorpusResult:
     aggregate: AggregateStats
-    findings: tuple[CorpusFinding, ...]
+    findings: tuple[dict, ...]  # sorted by (graph6, kind)
     reports: tuple[BoundReport, ...]
     errors: tuple[tuple[str, str], ...]  # (label, message)
 
@@ -104,15 +94,6 @@ def _fields_dict(record) -> dict:
     for f in fields(record):
         value = getattr(record, f.name)
         out[f.name] = str(value) if isinstance(value, Fraction) else value
-    return out
-
-
-def _finding_dict(finding: Finding) -> dict:
-    out = {"kind": finding.kind, "detail": finding.detail}
-    if finding.failing_pair is not None:
-        out["failing_pair"] = [finding.failing_pair.u, finding.failing_pair.v]
-    if finding.trace is not None:
-        out["trace"] = trace_to_dict(finding.trace)
     return out
 
 
@@ -169,7 +150,7 @@ def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
         rc_nodes=rc.stats.nodes,
         construct_colors=trace.colors_used if trace is not None else None,
         construct_verified=finding is None,
-        construction_failure=_finding_dict(finding) if finding is not None else None,
+        construction_failure=finding,
         min_degree_bound=bound1,
         min_degree_slack=slack1,
         degree_sum_bound=ds_bound,
@@ -208,32 +189,26 @@ def check_report(report: BoundReport) -> list[str]:
     return problems
 
 
-def findings_for_report(report: BoundReport) -> list[CorpusFinding]:
+def findings_for_report(report: BoundReport) -> list[dict]:
+    """The report's anomalies, each a JSON-ready {"kind", "graph6",
+    "detail"} dict whose graph6 string replays it. kind is
+    construction-failure, solver-disagreement or
+    negative-degree-sum-slack."""
     out = []
+
+    def found(kind: str, detail: dict) -> None:
+        out.append({"kind": kind, "graph6": report.graph6, "detail": detail})
+
     if not report.construct_verified:
-        out.append(
-            CorpusFinding(
-                "construction-failure",
-                report.graph6,
-                report.construction_failure or {},
-            )
-        )
+        found("construction-failure", report.construction_failure or {})
     for violation in check_report(report):
-        out.append(
-            CorpusFinding("solver-disagreement", report.graph6, {"detail": violation})
-        )
+        found("solver-disagreement", {"detail": violation})
     if report.degree_sum_slack is not None and report.degree_sum_slack < 0:
-        out.append(
-            CorpusFinding(
-                "negative-degree-sum-slack",
-                report.graph6,
-                {
-                    "degree_sum_bound": _frac(report.degree_sum_bound),
-                    "rc_value": report.rc_value,
-                    "degree_sum_slack": _frac(report.degree_sum_slack),
-                },
-            )
-        )
+        found("negative-degree-sum-slack", {
+            "degree_sum_bound": _frac(report.degree_sum_bound),
+            "rc_value": report.rc_value,
+            "degree_sum_slack": _frac(report.degree_sum_slack),
+        })
     return out
 
 
@@ -246,7 +221,7 @@ def audit_corpus(
     sorted findings are independent of processing order.
     """
     reports: list[BoundReport] = []
-    findings: list[CorpusFinding] = []
+    findings: list[dict] = []
     errors: list[tuple[str, str]] = []
     for idx, g in enumerate(graphs):
         try:
@@ -279,5 +254,5 @@ def audit_corpus(
         mean_degree_sum_slack=(sum(slack2) / len(slack2)) if slack2 else None,
         degree_sum_slack_count=len(slack2),
     )
-    findings.sort(key=lambda f: (f.graph6, f.kind))
+    findings.sort(key=lambda f: (f["graph6"], f["kind"]))
     return CorpusResult(aggregate, tuple(findings), tuple(reports), tuple(errors))

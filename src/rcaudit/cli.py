@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .audit import audit_corpus, audit_graph, findings_for_report
-from .construct import run_construction, trace_to_dict
+from .construct import run_construction, trace_records
 from .exact import Budget, ExactStatus, rc_exact
 from .generators import (
     CounterexampleParams,
@@ -115,7 +115,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         sys.stdout.write(certificate_to_jsonl(outcome, coloring))
     else:
-        colors = 1 + max(coloring.values()) if coloring else 0
+        colors = len(set(coloring.values()))
         print(f"rainbow connected: {len(outcome)} pair(s), {colors} color(s)")
     return EXIT_OK
 
@@ -142,27 +142,14 @@ def _cmd_construct(args) -> int:
     g = _load_one(args.graph)
     finding, coloring, trace = run_construction(g)
     if args.trace and trace is not None:
-        try:
-            text = _dumps(trace_to_dict(trace)) + "\n"
-        except RecursionError:
-            print(
-                "error: the construction trace is too deeply nested to write"
-                f" as JSON; {args.trace} was not written",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        Path(args.trace).write_text(text)
+        Path(args.trace).write_text(_dumps(trace_records(trace)) + "\n")
     if finding is not None:
+        kind, detail, graph6 = finding["kind"], finding["detail"], to_graph6(g)
         if args.format == "json":
-            print(_dumps({
-                "status": "finding",
-                "kind": finding.kind,
-                "graph6": finding.graph6,
-                "detail": finding.detail,
-            }))
+            print(_dumps({"status": "finding", "kind": kind, "graph6": graph6, "detail": detail}))
         else:
-            print(f"finding ({finding.kind}): {finding.detail}")
-            print(f"reproducer: {finding.graph6}")
+            print(f"finding ({kind}): {detail}")
+            print(f"reproducer: {graph6}")
         return EXIT_FINDING
     if coloring is None or trace is None:
         raise RuntimeError("construction passed without a coloring and trace")
@@ -235,7 +222,7 @@ def _cmd_audit(args) -> int:
     # the same findings a sweep reports for this graph
     findings = findings_for_report(report)
     for finding in findings:
-        print(f"finding ({finding.kind}): {_dumps(finding.detail)}", file=sys.stderr)
+        print(f"finding ({finding['kind']}): {_dumps(finding['detail'])}", file=sys.stderr)
     if findings:
         return EXIT_FINDING
     if report.rc_status != ExactStatus.EXACT.value:
@@ -287,7 +274,6 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = audit_corpus(graphs, budget)
-    findings = [asdict(f) for f in result.findings]
 
     if args.out:
         # one line per report, written as it is dumped
@@ -297,12 +283,12 @@ def _cmd_sweep(args) -> int:
     if args.findings_dir:
         fdir = Path(args.findings_dir)
         fdir.mkdir(parents=True, exist_ok=True)
-        for i, payload in enumerate(findings):
+        for i, payload in enumerate(result.findings):
             (fdir / f"finding-{i:04d}.json").write_text(_dumps(payload) + "\n")
 
     summary = {
         "aggregate": result.aggregate.to_dict(),
-        "findings": findings,
+        "findings": result.findings,
         "errors": [{"graph": g, "error": e} for g, e in result.errors],
     }
     if args.format == "json":
@@ -324,8 +310,18 @@ def _cmd_sweep(args) -> int:
         )
         print(f"findings: {len(result.findings)}")
         for finding in result.findings:
-            print(f"  {finding.kind}: {finding.graph6}")
+            print(f"  {finding['kind']}: {finding['graph6']}")
     return EXIT_FINDING if result.findings else EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so main
+    reports them as it reports every input error: one error line, exit 1.
+    Subparsers are made with the class of their parent, so they raise
+    too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--max-seconds", type=float, default=None,
                         help="wall-time budget for the exact solver")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rcaudit",
         description="Rainbow-connection colorings, exact values, and bound audits.",
     )
@@ -415,14 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors and 0 for --help
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:
+        # usage errors raise (_Parser.error), so only --help exits
+        return EXIT_OK
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,6 +53,10 @@ decompose(g) runs on the level of all of G; it is the library's only
 clique-and-components split.
 The trace still records each level in local ids (positions in the
 level's ascending vertices) with the original-input labels.
+trace_records writes it flat, as `construct --trace` and a finding's
+trace show it: a list of one record per level in preorder, each with
+the index of its parent's record (None at the root) in place of nested
+children, so the JSON nests no deeper on a path than on a clique.
 
 Each level writes its own edges once its children are done, keyed by
 root ids, at an absolute palette base: its parent's base plus the colors
@@ -70,13 +74,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Generator, Sequence
 
-from .graphs import (
-    Graph,
-    _bit_positions,
-    _flood,
-    is_connected,
-    to_graph6,
-)
+from .graphs import Graph, _bit_positions, _flood, is_connected
 from .rainbow import (
     Coloring,
     FailingPair,
@@ -93,11 +91,10 @@ __all__ = [
     "ContractionInfo",
     "AuditTrace",
     "ConstructionError",
-    "Finding",
     "decompose",
     "construct_coloring",
     "run_construction",
-    "trace_to_dict",
+    "trace_records",
 ]
 
 
@@ -167,18 +164,6 @@ class ConstructionError(RuntimeError):
     def __init__(self, message: str, trace: AuditTrace | None = None):
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class Finding:
-    """A graph on which the construction did not deliver: either its
-    coloring failed verification or an internal invariant broke."""
-
-    kind: str  # "verification-failed" | "structural"
-    graph6: str
-    failing_pair: FailingPair | None
-    trace: AuditTrace | None
-    detail: str
 
 
 def _whole(g: Graph) -> tuple[tuple[int, ...], int]:
@@ -474,64 +459,85 @@ def _verify(g: Graph, colors: Coloring) -> FailingPair | None:
 
 def run_construction(
     g: Graph,
-) -> tuple[Finding | None, Coloring | None, AuditTrace | None]:
-    """Run the construction and report a Finding on any failure, None on a
+) -> tuple[dict | None, Coloring | None, AuditTrace | None]:
+    """Run the construction and report a finding on any failure, None on a
     clean pass (coloring verified rainbow connected and within budget),
     together with the coloring and trace when the run produced them.
+
+    A finding is the JSON-ready dict {"kind", "detail", "failing_pair"?,
+    "trace"?}: kind "verification-failed", with the failing pair and the
+    trace records, or "structural" for a broken invariant, with the
+    failing level's trace records when it overspent its color budget.
     A coloring over budget raises ConstructionError at the root level, so
     it is reported as structural."""
     try:
         coloring, trace = construct_coloring(g)
     except ConstructionError as exc:
-        return Finding("structural", to_graph6(g), None, exc.trace, str(exc)), None, None
+        finding = {"kind": "structural", "detail": str(exc)}
+        if exc.trace is not None:
+            finding["trace"] = trace_records(exc.trace)
+        return finding, None, None
     if isinstance(trace.verification, FailingPair):
         pair = trace.verification
-        detail = f"no rainbow path between {pair.u} and {pair.v}"
-        finding = Finding("verification-failed", to_graph6(g), pair, trace, detail)
+        finding = {
+            "kind": "verification-failed",
+            "detail": f"no rainbow path between {pair.u} and {pair.v}",
+            "failing_pair": [pair.u, pair.v],
+            "trace": trace_records(trace),
+        }
         return finding, coloring, trace
     return None, coloring, trace
 
 
-def trace_to_dict(trace: AuditTrace) -> dict:
-    """JSON-ready nested rendering; local ids are replaced by the
-    original-input labels carried on each node."""
-    labels = trace.vertex_labels
-    out: dict = {
-        "case": trace.case.value,
-        "n": trace.n,
-        "min_degree": trace.min_degree,
-        "budget": trace.budget,
-        "colors_used": trace.colors_used,
-        "vertices": list(labels),
-    }
-    rec = trace.decomposition
-    if rec is not None:
-        out["clique"] = [labels[v] for v in rec.clique]
-        out["k"] = rec.k
-        out["k1"] = rec.k1
-        out["t"] = rec.t
-        out["components"] = [
-            {
-                "vertices": [labels[v] for v in c.vertices],
-                "size": c.size,
-                "min_degree": c.min_degree,
-                "attachment": [labels[v] for v in c.attachment],
-            }
-            for c in rec.components
-        ]
-    if trace.contraction is not None:
-        out["contraction"] = {
-            "min_degree_after": trace.contraction.min_degree_after,
-            "measure_after": trace.contraction.measure_after,
-            "merged": trace.contraction.merged_label,
+def trace_records(trace: AuditTrace) -> list[dict]:
+    """JSON-ready flat rendering: one record per level in preorder (a
+    parent before its children, children in record order), each with
+    parent, the index of its parent's record (None at the root). Local
+    ids are replaced by the original-input labels carried on each level.
+    The tree is walked on an explicit stack, so a trace of any depth
+    renders."""
+    records: list[dict] = []
+    stack: list[tuple[AuditTrace, int | None]] = [(trace, None)]
+    while stack:
+        node, parent = stack.pop()
+        labels = node.vertex_labels
+        out: dict = {
+            "parent": parent,
+            "case": node.case.value,
+            "n": node.n,
+            "min_degree": node.min_degree,
+            "budget": node.budget,
+            "colors_used": node.colors_used,
+            "vertices": list(labels),
         }
-    if trace.children:
-        out["children"] = [trace_to_dict(c) for c in trace.children]
-    if trace.verification is not None:
-        if isinstance(trace.verification, FailingPair):
-            out["verification"] = {
-                "failing_pair": [trace.verification.u, trace.verification.v]
+        rec = node.decomposition
+        if rec is not None:
+            out["clique"] = [labels[v] for v in rec.clique]
+            out["k"] = rec.k
+            out["k1"] = rec.k1
+            out["t"] = rec.t
+            out["components"] = [
+                {
+                    "vertices": [labels[v] for v in c.vertices],
+                    "size": c.size,
+                    "min_degree": c.min_degree,
+                    "attachment": [labels[v] for v in c.attachment],
+                }
+                for c in rec.components
+            ]
+        if node.contraction is not None:
+            out["contraction"] = {
+                "min_degree_after": node.contraction.min_degree_after,
+                "measure_after": node.contraction.measure_after,
+                "merged": node.contraction.merged_label,
             }
-        else:
-            out["verification"] = trace.verification
-    return out
+        if isinstance(node.verification, FailingPair):
+            out["verification"] = {
+                "failing_pair": [node.verification.u, node.verification.v]
+            }
+        elif node.verification is not None:
+            out["verification"] = node.verification
+        index = len(records)
+        records.append(out)
+        stack.extend([(child, index) for child in reversed(node.children)])
+    return records

@@ -79,12 +79,12 @@ the seeded witness search reuses that table or builds it at its first
 failing pair. So the table is built at most once per call, and a graph
 of diameter 2 solved at q = 2 builds none.
 
-Node and wall-time budgets cap the call so corpus sweeps never hang;
-one deadline covers every level and the witness search. When a budget
-stops the deepening at level q, a seeded repair search
-(_seeded_witness) still looks for a q-coloring: every level below q is
-refuted or lies below max(diameter, 1), so a coloring that passes a
-check of every pair proves rc = q. Its random generator is seeded with
+Node and wall-time budgets cap the deepening so corpus sweeps never
+hang; one deadline covers every level. When a budget stops the
+deepening at level q, a seeded repair search (_seeded_witness), capped
+by its own step count alone, still looks for a q-coloring: every level
+below q is refuted or lies below max(diameter, 1), so a coloring that
+passes a check of every pair proves rc = q. Its random generator is seeded with
 the crc32 of the graph's graph6 string, so reruns repeat it in any
 process. A give-up it does not close is reported as such, never as
 unsatisfiability.
@@ -136,11 +136,11 @@ __all__ = [
 class Budget:
     """Caps on a single search; None means unlimited.
 
-    max_nodes caps the exhaustive search only. max_seconds also caps the
-    seeded witness search that runs once the exhaustive search gives up.
-    Both are checked before a node is counted, the clock before the
-    first node and then every 1024 nodes, so a give-up counts only the
-    nodes it expanded.
+    Both cap the exhaustive search only: the seeded witness search that
+    runs once it gives up takes its fixed number of steps whatever is
+    left. Both are checked before a node is counted, the clock before
+    the first node and then every 1024 nodes, so a give-up counts only
+    the nodes it expanded.
     """
 
     max_nodes: int | None = None
@@ -725,7 +725,6 @@ def _seeded_witness(
     g: Graph,
     q: int,
     distances: list[list[int]] | None,
-    deadline: float | None,
 ) -> tuple[Coloring | None, int]:
     """Look for a rainbow-connecting coloring with colors 0..q-1 by seeded
     repair; returns it (or None) and the number of checks made.
@@ -734,8 +733,8 @@ def _seeded_witness(
     u, v, walk one random shortest u-v path down g's distance table
     (distances, or built at the first failing pair when None), and give
     its edges distinct random colors. q is at least the diameter, so
-    every shortest path fits. The deadline is checked before anything
-    is built and before every step.
+    every shortest path fits. _WITNESS_STEPS caps the steps; no budget
+    and no clock cuts them short.
 
     A step recolors at most q edges, so most pairs keep the witness the
     previous check found. The checks are _RepairChecks: a pair is
@@ -743,15 +742,11 @@ def _seeded_witness(
     color, and each check's failing pair, hence every step, the result
     and the check count, is the one a full scan gives.
     """
-    if deadline is not None and time.monotonic() >= deadline:
-        return None, 0
     rng = random.Random(zlib.crc32(to_graph6(g).encode()))
     adjacency = edge_adjacency(g)
     repair = _RepairChecks(adjacency, [rng.randrange(q) for _ in range(g.m)])
     checks = 0
     for _ in range(_WITNESS_STEPS):
-        if deadline is not None and time.monotonic() >= deadline:
-            break
         checks += 1
         failing = repair.first_failing_pair()
         if failing is None:
@@ -819,7 +814,7 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     # is refuted or lies below lb
     if state is not None:
         distances = state.distances
-    witness, checks = _seeded_witness(g, q, distances, deadline)
+    witness, checks = _seeded_witness(g, q, distances)
     if witness is not None:
         return result(ExactStatus.EXACT, q, witness, checks)
     status = ExactStatus.LOWER_BOUND_ONLY if q > lb else ExactStatus.BUDGET_EXHAUSTED

@@ -39,6 +39,25 @@ def trace_nodes(trace: AuditTrace):
         stack.extend(reversed(node.children))
 
 
+def nested_trace(records: list[dict]) -> dict:
+    """The nested rendering of trace_records' flat list: each record
+    without its parent index, with its children's renderings in record
+    order under "children" just before "verification", as the nested
+    trace format had them. Its JSON is that format's byte for byte, so
+    the digests pinned over it stay valid."""
+    nodes = [
+        {k: v for k, v in r.items() if k not in ("parent", "verification")}
+        for r in records
+    ]
+    for r, node in zip(records, nodes):
+        if r["parent"] is not None:
+            nodes[r["parent"]].setdefault("children", []).append(node)
+    for r, node in zip(records, nodes):
+        if "verification" in r:
+            node["verification"] = r["verification"]
+    return nodes[0]
+
+
 def assert_trace_invariants(trace: AuditTrace) -> int:
     """Assert what the corrected proof of rc <= n - d rests on, on every
     node of trace: each child's measure n - d is below its parent's, no

@@ -9,7 +9,6 @@ import rcaudit.audit as audit_module
 from rcaudit import (
     Budget,
     ExactStatus,
-    Finding,
     Graph,
     audit_corpus,
     audit_graph,
@@ -74,7 +73,7 @@ class TestAuditGraph:
         g = contraction_witness()
 
         def structural(h):
-            return Finding("structural", "", None, None, "broken"), None, None
+            return {"kind": "structural", "detail": "broken"}, None, None
 
         monkeypatch.setattr(audit_module, "run_construction", structural)
         report = audit_graph(g, Budget(max_nodes=200))
@@ -96,7 +95,7 @@ class TestAuditGraph:
         assert (report.degree_sum_bound, report.rc_value) == (Fraction(3), 3)
         result = audit_corpus([g])
         assert (result.aggregate.construction_failures, result.errors) == (1, ())
-        assert [f.kind for f in result.findings] == ["construction-failure"]
+        assert [f["kind"] for f in result.findings] == ["construction-failure"]
 
     def test_odd_degree_sum_stays_rational(self):
         # triangle with a pendant: the nonadjacent pairs mix degrees 2 and 1
@@ -254,15 +253,15 @@ class TestFindingsClassification:
     def test_negative_degree_sum_slack_is_a_finding_not_a_failure(self):
         report = self._base_report(degree_sum_slack=Fraction(-1, 2))
         found = findings_for_report(report)
-        assert [f.kind for f in found] == ["negative-degree-sum-slack"]
-        assert found[0].graph6 == "D?{"
-        assert found[0].detail["degree_sum_slack"] == "-1/2"
+        assert [f["kind"] for f in found] == ["negative-degree-sum-slack"]
+        assert found[0]["graph6"] == "D?{"
+        assert found[0]["detail"]["degree_sum_slack"] == "-1/2"
         assert check_report(report) == []  # reported, never asserted
 
     def test_negative_min_degree_slack_is_a_solver_bug(self):
         report = self._base_report(min_degree_slack=-1, rc_value=5)
         assert check_report(report)
-        kinds = [f.kind for f in findings_for_report(report)]
+        kinds = [f["kind"] for f in findings_for_report(report)]
         assert "solver-disagreement" in kinds
 
     def test_construction_failure_finding(self):
@@ -270,7 +269,7 @@ class TestFindingsClassification:
             construct_verified=False,
             construction_failure={"kind": "verification-failed"},
         )
-        kinds = [f.kind for f in findings_for_report(report)]
+        kinds = [f["kind"] for f in findings_for_report(report)]
         assert kinds == ["construction-failure"]
 
     def test_colors_above_the_bound_are_a_violation(self):
@@ -301,8 +300,8 @@ class TestAuditCorpus:
         graphs = [gen_named("path", 4), reused_color_witness()]
         result = audit_corpus(graphs, Budget(max_nodes=2000))
         assert result.aggregate.construction_failures == 1
-        assert [f.kind for f in result.findings] == ["construction-failure"]
-        assert result.findings[0].detail["failing_pair"] == [2, 3]
+        assert [f["kind"] for f in result.findings] == ["construction-failure"]
+        assert result.findings[0]["detail"]["failing_pair"] == [2, 3]
 
     def test_per_graph_errors_recorded_not_fatal(self):
         graphs = [gen_named("path", 4), Graph(3, [(0, 1)])]
@@ -314,7 +313,7 @@ class TestAuditCorpus:
     def test_findings_sorted_by_graph6(self):
         graphs = [reused_color_witness(), reused_color_witness()]
         result = audit_corpus(graphs, Budget(max_nodes=500))
-        keys = [(f.graph6, f.kind) for f in result.findings]
+        keys = [(f["graph6"], f["kind"]) for f in result.findings]
         assert keys == sorted(keys)
 
     def test_replay_determinism(self):

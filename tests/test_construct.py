@@ -26,7 +26,7 @@ from rcaudit import (
     rc_exact,
     run_construction,
     to_graph6,
-    trace_to_dict,
+    trace_records,
 )
 import rcaudit.construct as construct_module
 import rcaudit.graphs as graphs_module
@@ -38,6 +38,7 @@ from rcaudit.rainbow import edge_adjacency, edge_color_bits, first_failing_pair
 from .conftest import (
     MASTER_SEED,
     assert_trace_invariants,
+    nested_trace,
     random_connected_graph,
     random_graph,
     trace_nodes,
@@ -328,14 +329,14 @@ class TestConstructColoring:
         assert len(graphs) == 832
         for g in graphs:
             coloring, trace = construct_coloring(g)
-            record = [sorted(coloring.items()), trace_to_dict(trace)]
+            record = [sorted(coloring.items()), nested_trace(trace_records(trace))]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == CONSTRUCTION_DIGEST
 
     @pytest.mark.parametrize("name", sorted(WITNESS_PINS))
     def test_witness_colorings_and_traces_are_pinned(self, name):
         coloring, trace = construct_coloring(globals()[name]())
-        record = [sorted(coloring.items()), trace_to_dict(trace)]
+        record = [sorted(coloring.items()), nested_trace(trace_records(trace))]
         digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
         assert (digest, trace.verification) == WITNESS_PINS[name]
 
@@ -523,22 +524,23 @@ class TestAuditConstruction:
         for _ in range(150):
             g = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.9))
             finding = run_construction(g)[0]
-            assert finding is None, finding.graph6
+            assert finding is None, to_graph6(g)
 
     def test_reused_color_witness_becomes_finding(self):
         g = reused_color_witness()
-        finding = run_construction(g)[0]
+        finding, _, trace = run_construction(g)
         assert finding is not None
-        assert finding.kind == "verification-failed"
-        assert finding.failing_pair == FailingPair(2, 3)
-        assert parse_graph6(finding.graph6) == g
+        assert finding["kind"] == "verification-failed"
+        assert finding["failing_pair"] == [2, 3]
+        assert trace.verification == FailingPair(2, 3)
         # replaying the reproducer reproduces the finding
-        again = run_construction(parse_graph6(finding.graph6))[0]
-        assert again is not None and again.failing_pair == finding.failing_pair
+        again = run_construction(parse_graph6(to_graph6(g)))[0]
+        assert again == finding
 
     def test_finding_trace_serializes(self):
         finding = run_construction(reused_color_witness())[0]
-        d = trace_to_dict(finding.trace)
+        d = finding["trace"][0]
+        assert d["parent"] is None
         assert d["case"] == "reused_clique_color"
         assert d["verification"] == {"failing_pair": [2, 3]}
         assert d["k"] == 3 and d["t"] == 2
@@ -582,8 +584,11 @@ class TestInvariantChecks:
         monkeypatch.setattr(construct_module, "_greedy_clique", overcounted)
         g = contraction_witness()
         finding, coloring, trace = run_construction(g)
-        assert (finding.kind, finding.trace, coloring, trace) == ("structural", None, None, None)
-        assert finding.detail == "contraction lowered the minimum degree: 2 < 3"
+        assert (coloring, trace) == (None, None)
+        assert finding == {
+            "kind": "structural",
+            "detail": "contraction lowered the minimum degree: 2 < 3",
+        }
 
     def test_contraction_not_lowering_the_measure(self, monkeypatch):
         self.short_budgets(monkeypatch)
@@ -614,17 +619,18 @@ class TestInvariantChecks:
 
         monkeypatch.setattr(construct_module, "AuditTrace", short_inner)
         finding, coloring, trace = run_construction(g)
-        assert (finding.kind, coloring, trace) == ("structural", None, None)
-        assert finding.detail == "color budget exceeded: 1 > 0 on vertices ('2', '3')"
-        assert parse_graph6(finding.graph6) == g
-        assert finding.trace.vertex_labels == ("2", "3")
-        assert (finding.trace.n, finding.trace.colors_used, finding.trace.budget) == (2, 1, 0)
+        assert (finding["kind"], coloring, trace) == ("structural", None, None)
+        assert finding["detail"] == "color budget exceeded: 1 > 0 on vertices ('2', '3')"
+        # the failing level's trace alone, as its root
+        (level,) = finding["trace"]
+        assert (level["parent"], level["vertices"]) == (None, ["2", "3"])
+        assert (level["n"], level["colors_used"], level["budget"]) == (2, 1, 0)
         result = audit_corpus([g])
         assert result.aggregate.construction_failures == 1
         (reported,) = result.findings
-        assert reported.kind == "construction-failure"
-        assert reported.detail["detail"] == finding.detail
-        assert reported.detail["trace"]["vertices"] == ["2", "3"]
+        assert reported["kind"] == "construction-failure"
+        assert parse_graph6(reported["graph6"]) == g
+        assert reported["detail"] == finding
 
 
 class TestTraceInvariants:

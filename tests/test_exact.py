@@ -172,15 +172,20 @@ class TestDecision:
         assert (res.stats.levels, res.stats.nodes) == ((), 0)
 
     def test_budget_spent_on_arrival_builds_nothing(self, monkeypatch):
-        # a spent budget gives up with no level searched, before the
-        # search order and the prune tables are built
+        # a spent budget stops the deepening with no level searched, before
+        # the search order and the prune tables are built; a spent clock
+        # leaves the seeded witness search its steps at the lower bound
         orders = []
         monkeypatch.setattr(rcaudit.exact, "_search_order", orders.append)
         rng = random.Random(MASTER_SEED + 25)
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
             res = rc_exact(g, Budget(max_seconds=0.0))
-            assert (res.status, res.stats.levels) == (ExactStatus.BUDGET_EXHAUSTED, ())
+            assert (res.stats.levels, res.value) == ((), rc_lower_bound(g))
+            assert res.stats.witness_checks > 0
+            closed = res.status is ExactStatus.EXACT
+            assert closed == (res.witness is not None)
+            assert closed or res.status is ExactStatus.BUDGET_EXHAUSTED
             assert rc_exact(g, Budget(max_nodes=0)).stats.levels == ()
             assert rc_exact(g, Budget(max_nodes=-1)).stats.levels == ()
         assert orders == []
@@ -508,10 +513,13 @@ class TestExact:
         assert 1 + max(res.witness.values()) == 3
         assert isinstance(is_rainbow_connected(c6, res.witness), dict)
         assert res.stats.witness_checks > 0
-        # no time is left for any witness step
+        # a spent clock stops only the deepening: the witness search
+        # still takes its steps, and closes the same give-up
         timed_out = rc_exact(c6, Budget(max_seconds=0.0))
-        assert timed_out.status is ExactStatus.BUDGET_EXHAUSTED
-        assert timed_out.value == 3 and timed_out.witness is None
+        assert (timed_out.status, timed_out.value) == (ExactStatus.EXACT, 3)
+        assert timed_out.stats.levels == ()
+        assert timed_out.witness == res.witness
+        assert timed_out.stats.witness_checks == res.stats.witness_checks
 
     def test_lower_bound_only_after_refuted_level(self):
         # star K_{1,5}: diameter 2, rc 5; a generous-but-finite budget
@@ -883,11 +891,14 @@ class TestSeededWitness:
         assert closed > 0
 
     def test_no_witness_checks_when_it_does_not_run(self):
+        # it runs only once a budget stops the deepening; a clock that
+        # stopped it on arrival cuts none of its checks
         rng = random.Random(MASTER_SEED + 24)
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
             assert rc_exact(g).stats.witness_checks == 0
-            assert rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks == 0
+            spent = rc_exact(g, Budget(max_seconds=0.0)).stats.witness_checks
+            assert spent == rc_exact(g, Budget(max_nodes=0)).stats.witness_checks > 0
 
     def test_colorings_are_normal(self):
         # a coloring dict is checked by nothing: the decision search's
@@ -901,20 +912,19 @@ class TestSeededWitness:
             if res.witness is not None:
                 assert all(u < v and c >= 0 for (u, v), c in res.witness.items())
 
-    def test_passed_deadline_builds_nothing(self, monkeypatch):
-        # a deadline already passed returns before the seed, the adjacency
-        # and the random colors are built
-        def unreachable(g):
-            raise AssertionError("to_graph6 called after the deadline")
-
-        monkeypatch.setattr(rcaudit.exact, "to_graph6", unreachable)
+    def test_witness_search_reads_no_clock(self, monkeypatch):
+        # its steps are its only cap: with the clock unreadable it finds
+        # the witness, in the checks, that it finds with the clock
         c6 = gen_named("cycle", 6)
         distances = [bfs_distances(c6, s) for s in range(c6.n)]
-        passed = time.monotonic() - 1.0
-        assert rcaudit.exact._seeded_witness(c6, 3, distances, passed) == (None, 0)
-        timed_out = rc_exact(c6, Budget(max_seconds=0.0))
-        assert timed_out.status is ExactStatus.BUDGET_EXHAUSTED
-        assert timed_out.stats.witness_checks == 0
+        found = rcaudit.exact._seeded_witness(c6, 3, distances)
+        assert found[0] is not None and found[1] > 0
+
+        def unreadable():
+            raise AssertionError("the witness search read the clock")
+
+        monkeypatch.setattr(rcaudit.exact.time, "monotonic", unreadable)
+        assert rcaudit.exact._seeded_witness(c6, 3, distances) == found
 
     def test_seed_is_the_graph6_crc(self, monkeypatch):
         # the generator's seed comes from the graph alone, never from the
@@ -941,7 +951,7 @@ class TestSeededWitness:
             g = random_connected_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.6))
             lb = max(diameter(g), 1)
             for q in (lb, lb + 1, lb + 2):
-                witness, checks = rcaudit.exact._seeded_witness(g, q, None, None)
+                witness, checks = rcaudit.exact._seeded_witness(g, q, None)
                 assert (witness, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
                 closed += witness is not None and checks > 1
                 given_up += witness is None
@@ -953,8 +963,8 @@ class TestSeededWitness:
         runs = []
         real = rcaudit.exact._seeded_witness
 
-        def recorded(g, q, distances, deadline):
-            out = real(g, q, distances, deadline)
+        def recorded(g, q, distances):
+            out = real(g, q, distances)
             runs.append((g, q, out))
             return out
 

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcaudit import (
@@ -21,6 +21,7 @@ from rcaudit import (
     is_connected,
     is_rainbow_connected,
     parse_coloring,
+    parse_graph6,
     to_graph6,
 )
 from rcaudit.cli import main
@@ -429,14 +430,22 @@ class TestColoringIO:
         assert [r["pair"] for r in records] == [[0, 1], [0, 2], [1, 2]]
 
 
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_num_colors_matches_definition(data):
-    # verify's color count is one past the largest id, zero with no edge;
+@st.composite
+def complete_graph_colorings(draw):
     # any coloring of a complete graph is rainbow connected, so it passes
-    k = data.draw(st.integers(1, 5))
-    g = gen_named("complete", k)
-    coloring = {e: data.draw(st.integers(0, 20)) for e in g.edge_list()}
+    g = gen_named("complete", draw(st.integers(1, 5)))
+    return g, {e: draw(st.integers(0, 20)) for e in g.edge_list()}
+
+
+@given(complete_graph_colorings())
+# a path whose two colors are far apart: the count is not one past the
+# largest id
+@example((parse_graph6("Bg"), {(0, 1): 10**9, (1, 2): 7}))
+@settings(max_examples=40, deadline=None)
+def test_num_colors_matches_definition(case):
+    # verify's color count is the number of distinct colors, zero with
+    # no edge
+    g, coloring = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "coloring.txt"
         path.write_text(coloring_to_text(coloring))
@@ -444,5 +453,5 @@ def test_num_colors_matches_definition(data):
         with redirect_stdout(out):
             assert main(["verify", to_graph6(g), str(path)]) == 0
     pairs = g.n * (g.n - 1) // 2
-    colors = 1 + max(coloring.values()) if coloring else 0
+    colors = len(set(coloring.values()))
     assert out.getvalue() == f"rainbow connected: {pairs} pair(s), {colors} color(s)\n"
