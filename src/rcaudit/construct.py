@@ -218,7 +218,7 @@ def _decompose(
     left = mask ^ cmask
     while left:
         # blocks come out by minimum vertex id, lowest remaining vertex first
-        block = sum(_flood(rows, left & -left, left))
+        block = _flood(rows, left & -left, left)
         left ^= block
         inside = _bit_positions(block)
         # block is a component of the level minus K, so a vertex's neighbors

@@ -295,20 +295,15 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     edges in lexicographic order of their ranked ends, and its adjacency
     relabeled by rank, neighbors ascending: vertex r is order[r], and
     edge i is edges[i]."""
-    edges = g.edge_list()
-    degree = [g.degree(v) for v in range(g.n)]
-    around = [0] * g.n
-    for u, v in edges:
-        around[u] += degree[v]
-        around[v] += degree[u]
-    order = sorted(range(g.n), key=lambda v: (degree[v], around[v], v))
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    degree = list(map(len, nbrs))
+    order = sorted(range(g.n), key=lambda v: (degree[v], sum(map(degree.__getitem__, nbrs[v])), v))
     rank = sorted(range(g.n), key=order.__getitem__)
-    ranked = sorted(
-        (rank[u], rank[v], u, v) if rank[u] < rank[v] else (rank[v], rank[u], u, v)
-        for u, v in edges
-    )
-    adjacency = _adjacency(g.n, [(a, b) for a, b, _, _ in ranked])
-    return order, [(u, v) for _, _, u, v in ranked], adjacency
+    # the ranked edges (a, b), a < b, in order, off the ranked neighbor masks
+    ranked = [sum([1 << rank[w] for w in nbrs[v]]) for v in order]
+    pairs = [(a, b) for a, row in enumerate(ranked) for b in _bit_positions(row & -(2 << a))]
+    edges = [(u, v) if u < v else (v, u) for u, v in ((order[a], order[b]) for a, b in pairs)]
+    return order, edges, _adjacency(g.n, pairs)
 
 
 class _SearchState:
@@ -477,18 +472,18 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
             ends[e] = (a, b)
             incident[a] |= 1 << e
     # cm[c][v]: v's neighbors over the assigned edges of color c; per
-    # vertex its tracked partners and, by partner bit, the pair ids; per
-    # pair its ends and live paths
+    # vertex its tracked partners and, by partner vertex, the pair ids;
+    # per pair its ends and live paths
     cm = [[0] * len(adjacency) for _ in range(q)]
     tracked = [0] * len(adjacency)
-    pair_id: list[dict[int, int]] = [{} for _ in adjacency]
+    pair_id = [[0] * len(adjacency) for _ in adjacency]
     pairs: list[tuple[int, int]] = []
     alive: list[int] = []
     known = neighbors.copy()
 
     def add_pair(u: int, v: int, count: int) -> int:
         p = len(alive)
-        pair_id[u][1 << v] = pair_id[v][1 << u] = p
+        pair_id[u][v] = pair_id[v][u] = p
         pairs.append((u, v))
         alive.append(count)
         tracked[u] |= 1 << v
@@ -526,10 +521,8 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
         row[b] |= 1 << a
         dead = -1
         for mask, ids in ((xs, pair_id[b]), (ys, pair_id[a])):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                p = ids[low]
+            for w in _bit_positions(mask):
+                p = ids[w]
                 alive[p] -= 1
                 if not alive[p] and (dead < 0 or p < dead):
                     dead = p
@@ -547,10 +540,8 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
             row[a] ^= 1 << b
             row[b] ^= 1 << a
             for mask, ids in ((row[a] & tracked[b], pair_id[b]), (row[b] & tracked[a], pair_id[a])):
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    alive[ids[low]] += 1
+                for w in _bit_positions(mask):
+                    alive[ids[w]] += 1
 
     def learn(u: int, v: int) -> int | None:
         if (neighbors[u] & neighbors[v]).bit_count() > _PATH_CAP:

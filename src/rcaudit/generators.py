@@ -311,7 +311,7 @@ def iter_connected_graphs(n: int) -> Iterator[Graph]:
         comps = []
         left = ((1 << n) - 1) ^ 1
         while left:
-            comp = sum(_flood(rows, left & -left, left))
+            comp = _flood(rows, left & -left, left)
             comps.append(comp)
             left ^= comp
         # each vertex's row without and with vertex 0

@@ -9,12 +9,14 @@ tracked by CPython's cyclic garbage collector once it has seen it, so a
 held corpus leaves it one object per graph (the Graph) to walk at every
 collection, where per-vertex sets would add one per vertex.
 
-Every traversal goes through one flood over the bit rows, _flood: a
-breadth-first search whose frontier is a vertex mask and whose next
-frontier is the OR of the frontier's rows, less the vertices already
-reached or excluded. bfs_distances reads distances off its layers;
-connectivity, and the construction's split of a level into components
-(construct.py), read its reach masks. The exact solver's lower bound
+Every loop over the vertices of a mask runs on one kernel,
+_bit_positions (byte tables up to 64 bits), and every traversal is a
+flood over the bit rows: a breadth-first search whose frontier is a
+vertex mask and whose next frontier is the OR of the frontier's rows,
+less the vertices already reached or excluded. Connectivity, and the
+construction's split of a level into components (construct.py), read
+_flood's reach mask; bfs_distances floods inline, setting each layer's
+distances in the pass that ORs its rows. The exact solver's lower bound
 asks _two_balls_cover, one flood step per vertex, whether the diameter
 is at most 2, so that it builds no distance table for such a graph.
 Nothing builds an induced subgraph: the construction runs every level,
@@ -42,7 +44,7 @@ are sorted lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Graph",
@@ -124,8 +126,28 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# byte k's table, k < 8, maps a byte b to 8k plus each set-bit position of b, ascending
+_LOW_BYTE, *_HIGH_BYTES = [
+    [tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)] for k in range(8)
+]
+
+
 def _bit_positions(row: int) -> tuple[int, ...]:
-    """Positions of the set bits of row, ascending."""
+    """Positions of the set bits of row >= 0, ascending; every loop over a
+    vertex mask runs on it. Below 2^64 it joins, from the low byte up to
+    the highest nonzero one, the tuple byte k's table holds for byte k's
+    value (below 2^8, one lookup in _LOW_BYTE); a wider row peels off
+    its lowest set bit until none is left."""
+    if row < 256:
+        return _LOW_BYTE[row]
+    if row < 1 << 64:
+        out = _LOW_BYTE[row & 255]
+        for table in _HIGH_BYTES:
+            row >>= 8
+            if not row:
+                break
+            out += table[row & 255]
+        return out
     out = []
     while row:
         low = row & -row
@@ -152,20 +174,17 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
     return _fill(Graph.__new__(Graph), rows)
 
 
-def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> Iterator[int]:
-    """Breadth-first layers from the vertex mask frontier, entering only
-    vertices of the mask allowed. Yields each layer as a mask, frontier
-    first; the layers are disjoint, so their sum is the reach mask."""
-    left = allowed & ~frontier
+def _flood(rows: tuple[int, ...], frontier: int, allowed: int) -> int:
+    """The vertex mask frontier plus every vertex a breadth-first flood
+    from it reaches through the mask allowed: the flood's reach mask."""
+    reached = frontier
     while frontier:
-        yield frontier
         reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & left
-        left ^= frontier
+        for v in _bit_positions(frontier):
+            reach |= rows[v]
+        frontier = reach & allowed & ~reached
+        reached |= frontier
+    return reached
 
 
 @dataclass(frozen=True)
@@ -255,10 +274,8 @@ def parse_graph6(text: str) -> Graph:
         col = int(bits[end - j:end], 2)
         end -= j
         rows[j] = col
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << j
-            col ^= low
+        for i in _bit_positions(col):
+            rows[i] |= 1 << j
     return _graph_from_rows(rows)
 
 
@@ -377,25 +394,24 @@ def degree_stats(g: Graph, vertices: Iterable[int] | None = None) -> DegreeStats
         du = degree[u]
         if du + delta >= sigma:
             continue
-        outside = every ^ (row | 1 << u)
-        while outside:
-            low = outside & -outside
-            pair = du + degree[low.bit_length() - 1]
-            if pair < sigma:
-                sigma = pair
-            outside ^= low
+        for w in _bit_positions(every ^ (row | 1 << u)):
+            if du + degree[w] < sigma:
+                sigma = du + degree[w]
     return DegreeStats(delta, sigma)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Breadth-first distances from source, -1 for every vertex it does
     not reach."""
-    dist = [-1] * g.n
-    for d, layer in enumerate(_flood(g._rows, 1 << source, (1 << g.n) - 1)):
-        while layer:
-            low = layer & -layer
-            dist[low.bit_length() - 1] = d
-            layer ^= low
+    rows, dist = g._rows, [-1] * g.n
+    layer, left, d = 1 << source, (1 << g.n) - 1, 0
+    while layer:
+        left ^= layer
+        reach = 0
+        for v in _bit_positions(layer):
+            dist[v] = d
+            reach |= rows[v]
+        layer, d = reach & left, d + 1
     return dist
 
 
@@ -405,8 +421,7 @@ def distance_table(g: Graph) -> list[list[int]] | None:
     rows = [bfs_distances(g, 0)] if g.n else []
     if rows and -1 in rows[0]:
         return None
-    rows += (bfs_distances(g, s) for s in range(1, g.n))
-    return rows
+    return rows + [bfs_distances(g, s) for s in range(1, g.n)]
 
 
 def _two_balls_cover(g: Graph) -> bool:
@@ -417,10 +432,8 @@ def _two_balls_cover(g: Graph) -> bool:
     rows, every = g._rows, (1 << g.n) - 1
     for u, row in enumerate(rows):
         ball = row | 1 << u
-        while row:
-            low = row & -row
-            ball |= rows[low.bit_length() - 1]
-            row ^= low
+        for w in _bit_positions(row):
+            ball |= rows[w]
         if ball != every:
             return False
     return True
@@ -428,7 +441,7 @@ def _two_balls_cover(g: Graph) -> bool:
 
 def is_connected(g: Graph) -> bool:
     every = (1 << g.n) - 1
-    return g.n <= 1 or sum(_flood(g._rows, 1, every)) == every
+    return g.n <= 1 or _flood(g._rows, 1, every) == every
 
 
 def is_complete(g: Graph) -> bool:

@@ -148,18 +148,13 @@ def two_path_cover(n: int, colors: Coloring) -> list[int] | None:
     rows = [sum(masks.values()) for masks in by_color]
     every = (1 << n) - 1
     cover = []
-    short = False
     for u, masks in enumerate(by_color):
         reach = rows[u] | 1 << u
         for c, mask in masks.items():
-            while mask:
-                low = mask & -mask
-                w = low.bit_length() - 1
+            for w in _bit_positions(mask):
                 reach |= rows[w] ^ by_color[w][c]
-                mask ^= low
         cover.append(reach)
-        short = short or reach != every
-    return cover if short else None
+    return cover if any(reach != every for reach in cover) else None
 
 
 def _search(

@@ -7,6 +7,10 @@ restricted-growth search with no pruning, a queue breadth-first search
 per vertex for the diameter, union-find components, induced subgraphs
 rebuilt from the edge list, degree sums over every nonadjacent pair, and
 the seeded repair loop with a full check of every pair at each step.
+Set-bit positions come from the lowest-set-bit loop, distance rows from
+the layers of a flood over neighbor masks, and the exact search's order
+from sorting its edges as 4-tuples; these three read g through has_edge
+and degree only, which go through no set-bit iteration.
 None of it shares code with the search paths it validates: it imports
 nothing from rcaudit.exact or rcaudit.rainbow, and reads a coloring as
 a plain dict from edges (a, b), a < b, to colors.
@@ -306,3 +310,70 @@ def degree_stats_brute(g: Graph) -> tuple[int, int | None]:
         if (u, v) not in edges
     ]
     return min(degree), min(sums, default=None)
+
+
+def bit_positions_by_lowest_bit(row: int) -> list[int]:
+    """Positions of the set bits of row >= 0, ascending, by peeling off
+    the lowest set bit, row & -row, until none is left."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def _edges_by_has_edge(g: Graph) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+
+def distance_rows_by_layers(g: Graph) -> list[list[int]]:
+    """Per source s, the distance from s to every vertex, -1 where s does
+    not reach it, read off the layers of a breadth-first flood over
+    neighbor masks: layer 0 is s, and layer d + 1 is the OR of the masks
+    of layer d's vertices less every vertex of an earlier layer."""
+    masks = [0] * g.n
+    for u, v in _edges_by_has_edge(g):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    table = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        layer = seen = 1 << s
+        d = 0
+        while layer:
+            reach = 0
+            for v in range(g.n):
+                if layer >> v & 1:
+                    dist[v] = d
+                    reach |= masks[v]
+            layer = reach & ~seen
+            seen |= layer
+            d += 1
+        table.append(dist)
+    return table
+
+
+def search_order_by_sorting(g: Graph) -> tuple[list[int], list[tuple[int, int]], tuple]:
+    """The exact search's vertex order, edge order and ranked adjacency,
+    by sorting: vertices ranked by (degree, sum of neighbor degrees,
+    label); edges (u, v), u < v, sorted as 4-tuples (lower rank, higher
+    rank, u, v); and per ranked vertex its (ranked neighbor, edge index)
+    pairs, added to both ends in edge order, so neighbors come ascending."""
+    edges = _edges_by_has_edge(g)
+    degree = [g.degree(v) for v in range(g.n)]
+    around = [0] * g.n
+    for u, v in edges:
+        around[u] += degree[v]
+        around[v] += degree[u]
+    order = sorted(range(g.n), key=lambda v: (degree[v], around[v], v))
+    rank = sorted(range(g.n), key=order.__getitem__)
+    ranked = sorted(
+        (rank[u], rank[v], u, v) if rank[u] < rank[v] else (rank[v], rank[u], u, v)
+        for u, v in edges
+    )
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (a, b, _, _) in enumerate(ranked):
+        rows[a].append((b, i))
+        rows[b].append((a, i))
+    return order, [(u, v) for _, _, u, v in ranked], tuple(map(tuple, rows))

@@ -41,6 +41,7 @@ from .oracles import (
     has_rainbow_path_brute,
     naive_rc,
     plain_canonical_search,
+    search_order_by_sorting,
     seeded_repair_full_scan,
 )
 
@@ -206,6 +207,14 @@ class TestDecision:
                 relabeled.edge_list()
             )
             assert sorted(edges) == g.edge_list()
+
+    def test_search_order_matches_the_sorted_edges(self):
+        # reading the ranked edges off the ranked neighbor masks gives the
+        # order, edges and adjacency that sorting the edges as 4-tuples gives
+        graphs = [g for n in range(1, 7) for g in iter_connected_graphs(n)]
+        graphs += random_corpus(300, 5, 11, 99) + random_corpus(500, 4, 40, MASTER_SEED)
+        for g in graphs:
+            assert _search_order(g) == search_order_by_sorting(g), to_graph6(g)
 
     def test_distance_prune_short_circuits(self):
         # a level below the diameter is provably unsatisfiable, so the

@@ -28,10 +28,15 @@ from rcaudit import (
 )
 from rcaudit.generators import CounterexampleParams, iter_connected_graphs, random_corpus
 from rcaudit.cli import main
-from rcaudit.graphs import _two_balls_cover, bfs_distances, distance_table
+from rcaudit.graphs import _bit_positions, _two_balls_cover, bfs_distances, distance_table
 
 from .conftest import MASTER_SEED, edge_list_text, random_graph
-from .oracles import degree_stats_brute, induced_subgraph
+from .oracles import (
+    bit_positions_by_lowest_bit,
+    degree_stats_brute,
+    distance_rows_by_layers,
+    induced_subgraph,
+)
 
 RANDOM_CORPUS_GRAPH6 = "2d032af6362830304ab101f4263614a9530ad5ab94adb49e8b22a522a0316444"
 
@@ -306,7 +311,30 @@ class TestInducedDegreeStats:
             degree_stats(gen_named("path", 3), [0, bad])
 
 
+class TestBitPositions:
+    def test_matches_the_lowest_bit_loop(self):
+        # across the byte tables' edges: one lookup below 2^8, joined
+        # bytes below 2^64, the lowest-bit loop above
+        rows = [0] + [1 << k for k in (0, 7, 8, 63, 64, 65)]
+        rows += [(1 << width) - 1 for width in range(1, 131)]
+        rng = random.Random(MASTER_SEED + 60)
+        rows += [rng.getrandbits(rng.randint(1, 700)) for _ in range(2000)]
+        for row in rows:
+            got = _bit_positions(row)
+            assert type(got) is tuple
+            assert list(got) == bit_positions_by_lowest_bit(row), row
+
+
 class TestBfsDistances:
+    def test_rows_match_the_flood_layers(self):
+        # the rows bfs_distances fills in one pass per layer are the ones
+        # read off a layer-by-layer flood, on every connected graph with
+        # n <= 6 and on the random acceptance corpus
+        graphs = [g for n in range(1, 7) for g in iter_connected_graphs(n)]
+        graphs += random_corpus(500, 4, 40, MASTER_SEED)
+        for g in graphs:
+            assert distance_table(g) == distance_rows_by_layers(g), to_graph6(g)
+
     def test_matches_networkx(self):
         disconnected = 0
         for g, _ in seeded_graphs(31):

@@ -70,6 +70,38 @@ def test_bit_rows_are_read_only_in_graphs_and_decompose():
     assert root_reads == 1
 
 
+def test_set_bits_are_iterated_only_by_the_kernel():
+    # every loop over the set bits of a mask goes through
+    # graphs._bit_positions: a while loop on x whose body assigns x & -x
+    # anywhere else hand-rolls that kernel. Taking x & -x once, as the
+    # flood seeds do, is no loop over the bits
+    found = []
+    kernels = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kernel: set[int] = set()
+        if path.name == "graphs.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_bit_positions":
+                    kernel = {id(sub) for sub in ast.walk(node)}
+        for loop in ast.walk(tree):
+            if not (isinstance(loop, ast.While) and isinstance(loop.test, ast.Name)):
+                continue
+            x = loop.test.id
+            lowest = (f"{x} & -{x}", f"-{x} & {x}")
+            if any(
+                isinstance(node, ast.Assign) and ast.unparse(node.value) in lowest
+                for stmt in loop.body
+                for node in ast.walk(stmt)
+            ):
+                if id(loop) in kernel:
+                    kernels += 1
+                else:
+                    found.append(f"{path.name}:{loop.lineno}")
+    assert found == []
+    assert kernels == 1
+
+
 def test_library_reads_no_edge_sets():
     # the bit rows are the one stored adjacency; Graph.edges derives a
     # frozenset from them for outside callers, and the library reads
