@@ -42,7 +42,6 @@ from .graphs import (
 )
 from .rainbow import (
     FailingPair,
-    certificate_to_jsonl,
     coloring_to_text,
     is_rainbow_connected,
     parse_coloring,

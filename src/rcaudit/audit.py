@@ -10,11 +10,16 @@ negative value surfaces as a finding, never as a crash.
 
 Sweeps aggregate reports deterministically (findings sorted by graph6)
 and record per-graph errors without aborting the corpus.
+
+Nothing here writes JSON. Reports, aggregates and findings hold their
+values as they are, Fractions included; the command line dumps them
+with vars() through cli._dumps, which writes each Fraction as its exact
+'p/q' string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -53,10 +58,6 @@ class BoundReport:
     top_components: int | None
     weakened_degree_sum_bound: Fraction | None
 
-    def to_dict(self) -> dict:
-        """JSON-ready rendering; rationals become exact 'p/q' strings."""
-        return _fields_dict(self)
-
 
 @dataclass(frozen=True)
 class AggregateStats:
@@ -72,9 +73,6 @@ class AggregateStats:
     mean_degree_sum_slack: Fraction | None
     degree_sum_slack_count: int
 
-    def to_dict(self) -> dict:
-        return _fields_dict(self)
-
 
 @dataclass(frozen=True)
 class CorpusResult:
@@ -82,19 +80,6 @@ class CorpusResult:
     findings: tuple[dict, ...]  # sorted by (graph6, kind)
     reports: tuple[BoundReport, ...]
     errors: tuple[tuple[str, str], ...]  # (label, message)
-
-
-def _frac(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
-
-
-def _fields_dict(record) -> dict:
-    """A dataclass's fields by name, each Fraction as its 'p/q' string."""
-    out = {}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        out[f.name] = str(value) if isinstance(value, Fraction) else value
-    return out
 
 
 def audit_graph(g: Graph, budget: Budget | None = None) -> BoundReport:
@@ -190,10 +175,10 @@ def check_report(report: BoundReport) -> list[str]:
 
 
 def findings_for_report(report: BoundReport) -> list[dict]:
-    """The report's anomalies, each a JSON-ready {"kind", "graph6",
-    "detail"} dict whose graph6 string replays it. kind is
-    construction-failure, solver-disagreement or
-    negative-degree-sum-slack."""
+    """The report's anomalies, each a {"kind", "graph6", "detail"} dict
+    whose graph6 string replays it. kind is construction-failure,
+    solver-disagreement or negative-degree-sum-slack; the last one's
+    detail holds the bound and slack as Fractions."""
     out = []
 
     def found(kind: str, detail: dict) -> None:
@@ -205,9 +190,9 @@ def findings_for_report(report: BoundReport) -> list[dict]:
         found("solver-disagreement", {"detail": violation})
     if report.degree_sum_slack is not None and report.degree_sum_slack < 0:
         found("negative-degree-sum-slack", {
-            "degree_sum_bound": _frac(report.degree_sum_bound),
+            "degree_sum_bound": report.degree_sum_bound,
             "rc_value": report.rc_value,
-            "degree_sum_slack": _frac(report.degree_sum_slack),
+            "degree_sum_slack": report.degree_sum_slack,
         })
     return out
 

@@ -7,6 +7,12 @@ by the first byte (graph6 bytes never start with a digit).
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failed or
 unsatisfiable, 3 budget exhausted, 4 finding emitted.
+
+Every JSON line the package writes is written here, by _dumps: keys
+sorted, no spaces, each Fraction as its exact 'p/q' string. The library
+hands over its records as they are (reports, aggregates and facts
+through vars(), failing pairs as the tuples they are), so this is the
+one place that knows the JSON form.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 from .audit import audit_corpus, audit_graph, findings_for_report
@@ -37,7 +43,6 @@ from .graphs import (
 )
 from .rainbow import (
     FailingPair,
-    certificate_to_jsonl,
     coloring_to_text,
     is_rainbow_connected,
     parse_coloring,
@@ -56,8 +61,16 @@ EXIT_FINDING = 4
 ALL_CONNECTED_MAX = 7
 
 
+def _json_default(obj) -> str:
+    """A Fraction as its exact 'p/q' string ('3' when whole); any other
+    object json cannot write is an error, never its repr."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
 def _graph6_lines(text: str) -> list[Graph]:
@@ -108,12 +121,15 @@ def _cmd_verify(args) -> int:
     outcome = is_rainbow_connected(g, coloring)
     if isinstance(outcome, FailingPair):
         if args.format == "json":
-            print(_dumps({"status": "failed", "failing_pair": [outcome.u, outcome.v]}))
+            print(_dumps({"status": "failed", "failing_pair": outcome}))
         else:
             print(f"verification failed: no rainbow path between {outcome.u} and {outcome.v}")
         return EXIT_FAILED
     if args.format == "json":
-        sys.stdout.write(certificate_to_jsonl(outcome, coloring))
+        # one witness record per pair, pairs in lexicographic order
+        for pair, path in sorted(outcome.items()):
+            colors = [coloring[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:])]
+            print(_dumps({"pair": pair, "path": path, "colors": colors}))
     else:
         colors = len(set(coloring.values()))
         print(f"rainbow connected: {len(outcome)} pair(s), {colors} color(s)")
@@ -170,11 +186,10 @@ def _cmd_gen(args) -> int:
     if args.generator == "cex":
         params = CounterexampleParams(args.delta, args.t, args.seed)
         g, facts = gen_counterexample(params)
-        facts_dict = asdict(facts)
         if args.facts:
-            Path(args.facts).write_text(_dumps(facts_dict) + "\n")
+            Path(args.facts).write_text(_dumps(vars(facts)) + "\n")
         if args.format == "json":
-            print(_dumps({"graph6": to_graph6(g), "facts": facts_dict}))
+            print(_dumps({"graph6": to_graph6(g), "facts": vars(facts)}))
         else:
             print(to_graph6(g))
         return EXIT_OK
@@ -216,7 +231,7 @@ def _cmd_audit(args) -> int:
     g = _load_one(args.graph)
     report = audit_graph(g, _budget(args))
     if args.format == "json":
-        print(_dumps(report.to_dict()))
+        print(_dumps(vars(report)))
     else:
         print(_report_text(report))
     # the same findings a sweep reports for this graph
@@ -279,7 +294,7 @@ def _cmd_sweep(args) -> int:
         # one line per report, written as it is dumped
         with open(args.out, "w") as out:
             for r in result.reports:
-                out.write(_dumps(r.to_dict()) + "\n")
+                out.write(_dumps(vars(r)) + "\n")
     if args.findings_dir:
         fdir = Path(args.findings_dir)
         fdir.mkdir(parents=True, exist_ok=True)
@@ -287,7 +302,7 @@ def _cmd_sweep(args) -> int:
             (fdir / f"finding-{i:04d}.json").write_text(_dumps(payload) + "\n")
 
     summary = {
-        "aggregate": result.aggregate.to_dict(),
+        "aggregate": vars(result.aggregate),
         "findings": result.findings,
         "errors": [{"graph": g, "error": e} for g, e in result.errors],
     }

@@ -482,7 +482,7 @@ def run_construction(
         finding = {
             "kind": "verification-failed",
             "detail": f"no rainbow path between {pair.u} and {pair.v}",
-            "failing_pair": [pair.u, pair.v],
+            "failing_pair": pair,
             "trace": trace_records(trace),
         }
         return finding, coloring, trace
@@ -532,9 +532,7 @@ def trace_records(trace: AuditTrace) -> list[dict]:
                 "merged": node.contraction.merged_label,
             }
         if isinstance(node.verification, FailingPair):
-            out["verification"] = {
-                "failing_pair": [node.verification.u, node.verification.v]
-            }
+            out["verification"] = {"failing_pair": node.verification}
         elif node.verification is not None:
             out["verification"] = node.verification
         index = len(records)

@@ -240,18 +240,14 @@ def _paths_within(
     dist_to_t: list[int],
     limit: int,
     cap: int,
-    into_t: dict[int, int],
 ) -> list[tuple[int, ...]] | None:
     """Every simple path from s to t with at most limit edges, each as a
     sorted tuple of edge indices; None when more than cap exist.
 
-    t is the vertex with dist_to_t[t] == 0, s != t, and into_t maps each
-    neighbor of t to its edge to t. The DFS over the edge-indexed
-    adjacency enters a vertex only if t is still within limit from it,
-    so for limit = dist(s, t) it walks exactly the shortest paths. A
-    neighbor of t reached with one edge to spare has no way on but its
-    edge to t, which is looked up instead of scanned. Paths of one or
-    two edges are built in order; only longer ones are sorted.
+    t is the vertex with dist_to_t[t] == 0, and s != t. The DFS over the
+    edge-indexed adjacency enters a vertex only if t is still within
+    limit from it, so for limit = dist(s, t) it walks exactly the
+    shortest paths.
     """
     out: list[tuple[int, ...]] = []
     on_path = [False] * len(adjacency)
@@ -265,16 +261,8 @@ def _paths_within(
             d = dist_to_t[w]
             if d > slack or on_path[w]:
                 continue
-            if d == 0 or slack == 1:
-                # w is t, or a neighbor of t with no edge to spare after it
-                if len(path) + (d > 0) > 1:  # three edges or more
-                    found = tuple(sorted(path + ([e, into_t[w]] if d else [e])))
-                elif d or path:  # s-w-t, or s-x-t with w = t
-                    f = into_t[w] if d else path[0]
-                    found = (e, f) if e < f else (f, e)
-                else:  # the edge s-t
-                    found = (e,)
-                out.append(found)
+            if d == 0:
+                out.append(tuple(sorted(path + [e])))
                 if len(out) > cap:
                     return None
                 continue
@@ -311,31 +299,29 @@ class _SearchState:
 
     Every level reads g's edges in search order, its adjacency relabeled
     by rank, and per ranked vertex the mask of its neighbors. Path tables
-    also read g's distance table relabeled by rank and, per ranked vertex
-    t, the map from each neighbor of t to its edge to t: path_maps builds
-    them at the first path-table level, and g's own table with them
+    also read g's distance table relabeled by rank: ranked_distances
+    builds it at the first path-table level, and g's own table with it
     unless it was given, so a graph whose levels all run on mask tables
     builds neither.
     """
 
-    __slots__ = ("g", "order", "edge_order", "adjacency", "neighbors", "distances", "_maps")
+    __slots__ = ("g", "order", "edge_order", "adjacency", "neighbors", "distances", "_ranked")
 
     def __init__(self, g: Graph, distances: list[list[int]] | None) -> None:
         self.g = g
         self.order, self.edge_order, self.adjacency = _search_order(g)
         self.neighbors = [sum([1 << w for w, _ in row]) for row in self.adjacency]
         self.distances = distances
-        self._maps: tuple[list[list[int]], list[dict[int, int]]] | None = None
+        self._ranked: list[list[int]] | None = None
 
-    def path_maps(self) -> tuple[list[list[int]], list[dict[int, int]]]:
-        """The ranked distance table and the per-vertex edge maps."""
-        if self._maps is None:
+    def ranked_distances(self) -> list[list[int]]:
+        """g's distance table relabeled by rank."""
+        if self._ranked is None:
             if self.distances is None:
                 self.distances = distance_table(self.g)
             order, distances = self.order, self.distances
-            ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
-            self._maps = ranked, [dict(row) for row in self.adjacency]
-        return self._maps
+            self._ranked = [[row[w] for w in order] for row in (distances[v] for v in order)]
+        return self._ranked
 
 
 # a level's prune tables on its assignment list: assign(i, c) colors
@@ -353,7 +339,7 @@ def _prune_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables
 
 def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
     edges, adjacency, neighbors = state.edge_order, state.adjacency, state.neighbors
-    distances, into = state.path_maps()
+    distances = state.ranked_distances()
 
     # per tracked path its edges, its pair and its blame word (0 while
     # alive); per edge the paths that can die there; per pair its path
@@ -393,7 +379,7 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
         for v in range(u + 1, len(adjacency)):
             if distances[u][v] != q:
                 continue
-            paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])
+            paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP)
             if paths is None or total + len(paths) > _PRELOAD_CAP:
                 continue
             add_pair(u, v, paths)
@@ -440,7 +426,7 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
         # most q edges; each dies at its first edge that repeats a color
         if (u, v) in over_cap:
             return None
-        paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP, into[v])
+        paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP)
         if paths is None:
             over_cap.add((u, v))
             return None

@@ -156,12 +156,22 @@ def gen_counterexample(params: CounterexampleParams) -> tuple[Graph, FamilyFacts
         raise RuntimeError(
             f"minimum degree sum {stats.min_degree_sum}, expected {2 * (d + 1)}"
         )
+    # each copy's component once the shared clique is gone: its block and
+    # its two attachments
+    for i in range(t):
+        attach = attach_base + 2 * i
+        copy = [*range(i * block, (i + 1) * block), attach, attach + 1]
+        pair_sum = degree_stats(g, copy).min_degree_sum
+        if pair_sum != 4 * t:
+            raise RuntimeError(
+                f"copy {i + 1} has minimum degree sum {pair_sum}, expected {4 * t}"
+            )
 
     facts = FamilyFacts(
         n=n,
         clique_size=k,
-        min_degree_sum=2 * (d + 1),
-        component_pair_degree_sum=4 * t,
+        min_degree_sum=stats.min_degree_sum,
+        component_pair_degree_sum=pair_sum,
         roles=tuple(roles),
     )
     return g, facts

@@ -39,9 +39,7 @@ handles any number of colors with one representation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph, GraphFormatError, _bit_positions
 
@@ -54,7 +52,6 @@ __all__ = [
     "is_rainbow_connected",
     "parse_coloring",
     "coloring_to_text",
-    "certificate_to_jsonl",
 ]
 
 # per vertex, (neighbor, edge index) pairs with neighbors ascending
@@ -77,8 +74,7 @@ Coloring = dict[tuple[int, int], int]
 Certificate = dict[tuple[int, int], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class FailingPair:
+class FailingPair(NamedTuple):
     """Vertex pair with no rainbow path; u < v."""
 
     u: int
@@ -312,15 +308,4 @@ def parse_coloring(text: str, g: Graph) -> Coloring:
 
 def coloring_to_text(coloring: Coloring) -> str:
     lines = [f"{u} {v} {c}" for (u, v), c in sorted(coloring.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def certificate_to_jsonl(cert: Certificate, coloring: Coloring) -> str:
-    """One JSON witness record per line, pairs in lexicographic order;
-    each record lists its path's edge colors."""
-    lines = []
-    for (u, v), path in sorted(cert.items()):
-        colors = [coloring[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:])]
-        rec = {"pair": [u, v], "path": list(path), "colors": colors}
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")

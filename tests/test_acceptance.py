@@ -200,21 +200,22 @@ def _sweep_bytes(small, rand) -> bytes:
     result_rand = audit_corpus(rand, budget_rand)
     blob = {
         "small": {
-            "aggregate": result_small.aggregate.to_dict(),
+            "aggregate": vars(result_small.aggregate),
             "reports": sorted(
-                json.dumps(r.to_dict(), sort_keys=True) for r in result_small.reports
+                json.dumps(vars(r), sort_keys=True, default=str) for r in result_small.reports
             ),
             "findings": list(result_small.findings),
         },
         "random": {
-            "aggregate": result_rand.aggregate.to_dict(),
+            "aggregate": vars(result_rand.aggregate),
             "reports": sorted(
-                json.dumps(r.to_dict(), sort_keys=True) for r in result_rand.reports
+                json.dumps(vars(r), sort_keys=True, default=str) for r in result_rand.reports
             ),
             "findings": list(result_rand.findings),
         },
     }
-    return json.dumps(blob, sort_keys=True).encode()
+    # default=str writes each Fraction as its 'p/q' string
+    return json.dumps(blob, sort_keys=True, default=str).encode()
 
 
 def test_criterion_5_degree_sum_probe_completes_deterministically(

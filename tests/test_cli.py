@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rcaudit
 import rcaudit.audit as audit_module
-from rcaudit import gen_named, parse_graph6, to_graph6
-from rcaudit.cli import main
+from rcaudit import FailingPair, gen_named, parse_graph6, to_graph6
+from rcaudit.cli import _dumps, main
 from rcaudit.exact import ExactResult, ExactStatus, SearchStats
 
 from .conftest import edge_list_text
@@ -501,6 +502,26 @@ def test_random_sweep_output_ignores_hash_seed():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["aggregate"]["total"] == 60
+
+
+class TestEncoder:
+    """_dumps is the one writer of JSON: it writes a Fraction as its exact
+    'p/q' string, a FailingPair as the pair it is, and nothing else that
+    json cannot write by itself."""
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(Fraction(-1, 2), '"-1/2"'), (Fraction(3), '"3"'), (FailingPair(2, 3), "[2,3]")],
+        ids=["fraction", "whole-fraction", "failing-pair"],
+    )
+    def test_writes(self, value, text):
+        assert _dumps(value) == text
+        assert _dumps({"x": [value]}) == f'{{"x":[{text}]}}'
+
+    @pytest.mark.parametrize("value", [{1, 2}, object()], ids=["set", "object"])
+    def test_anything_else_raises(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            _dumps({"x": value})
 
 
 class TestUsage:

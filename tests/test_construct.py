@@ -531,7 +531,7 @@ class TestAuditConstruction:
         finding, _, trace = run_construction(g)
         assert finding is not None
         assert finding["kind"] == "verification-failed"
-        assert finding["failing_pair"] == [2, 3]
+        assert finding["failing_pair"] == FailingPair(2, 3)
         assert trace.verification == FailingPair(2, 3)
         # replaying the reproducer reproduces the finding
         again = run_construction(parse_graph6(to_graph6(g)))[0]
@@ -542,7 +542,7 @@ class TestAuditConstruction:
         d = finding["trace"][0]
         assert d["parent"] is None
         assert d["case"] == "reused_clique_color"
-        assert d["verification"] == {"failing_pair": [2, 3]}
+        assert d["verification"] == {"failing_pair": FailingPair(2, 3)}
         assert d["k"] == 3 and d["t"] == 2
 
 

@@ -96,24 +96,23 @@ class TestPathsWithin:
             adjacency = edge_adjacency(g)
             for t in range(g.n):
                 dist_to_t = bfs_distances(g, t)
-                into_t = dict(adjacency[t])
                 for s in range(g.n):
                     if s == t:
                         continue
                     for limit in range(1, g.n):
-                        got = _paths_within(adjacency, s, dist_to_t, limit, 10**6, into_t)
+                        got = _paths_within(adjacency, s, dist_to_t, limit, 10**6)
                         assert sorted(got) == self.oracle(g, s, t, limit)
 
     def test_cap_returns_none_above_it(self):
         g = gen_named("complete", 5)
         adjacency = edge_adjacency(g)
-        dist_to_t, into_t = bfs_distances(g, 4), dict(adjacency[4])
+        dist_to_t = bfs_distances(g, 4)
         # 1 + 3 + 3*2 + 3*2*1 simple 0-4 paths in K5
-        assert len(_paths_within(adjacency, 0, dist_to_t, 4, 16, into_t)) == 16
-        assert _paths_within(adjacency, 0, dist_to_t, 4, 15, into_t) is None
+        assert len(_paths_within(adjacency, 0, dist_to_t, 4, 16)) == 16
+        assert _paths_within(adjacency, 0, dist_to_t, 4, 15) is None
         # within 2 edges: the direct edge and 3 two-edge paths
-        assert len(_paths_within(adjacency, 0, dist_to_t, 2, 4, into_t)) == 4
-        assert _paths_within(adjacency, 0, dist_to_t, 2, 3, into_t) is None
+        assert len(_paths_within(adjacency, 0, dist_to_t, 2, 4)) == 4
+        assert _paths_within(adjacency, 0, dist_to_t, 2, 3) is None
 
 
 class TestDecision:
@@ -678,9 +677,7 @@ class TestExact:
                 seen = set()
                 for u, v in failed:
                     if (u, v) in seen:
-                        paths = _paths_within(
-                            adjacency, u, ranked[v], q, _PATH_CAP, dict(adjacency[v])
-                        )
+                        paths = _paths_within(adjacency, u, ranked[v], q, _PATH_CAP)
                         assert paths is None, (graph6, q, u, v)
                         repeats += 1
                     seen.add((u, v))
@@ -739,9 +736,9 @@ class TestExact:
         listed = []
         paths_within = rcaudit.exact._paths_within
 
-        def counted(adjacency, s, dist_to_t, limit, cap, into_t):
+        def counted(adjacency, s, dist_to_t, limit, cap):
             listed.append((s, dist_to_t.index(0)))
-            return paths_within(adjacency, s, dist_to_t, limit, cap, into_t)
+            return paths_within(adjacency, s, dist_to_t, limit, cap)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
         g = parse_graph6("FJrCG")
@@ -792,9 +789,9 @@ class TestMaskTables:
         listed = []
         paths_within = rcaudit.exact._paths_within
 
-        def counted(adjacency, s, dist_to_t, limit, cap, into_t):
+        def counted(adjacency, s, dist_to_t, limit, cap):
             listed.append(limit)
-            return paths_within(adjacency, s, dist_to_t, limit, cap, into_t)
+            return paths_within(adjacency, s, dist_to_t, limit, cap)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
         seen = {"levels": 0, "learned": 0, "jumps": 0, "budget": 0}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rcaudit.generators as generators_module
 from rcaudit import (
     CounterexampleParams,
     Graph,
@@ -53,6 +54,22 @@ class TestCounterexample:
         assert facts.component_pair_degree_sum == 4 * t
         stats = degree_stats(g)
         assert stats.min_degree == d and stats.min_degree_sum == sigma
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_component_degree_sum_is_recounted(self, monkeypatch, seed):
+        # a wrong sigma_2 on one copy's component must stop the generator,
+        # not reach the facts as the formula 4t
+        real = generators_module.degree_stats
+
+        def off_by_one(g, vertices=None):
+            stats = real(g, vertices)
+            if vertices is None:
+                return stats
+            return dataclasses.replace(stats, min_degree_sum=stats.min_degree_sum + 1)
+
+        monkeypatch.setattr(generators_module, "degree_stats", off_by_one)
+        with pytest.raises(RuntimeError, match="copy 1 has minimum degree sum 9, expected 8"):
+            gen_counterexample(CounterexampleParams(4, 2, seed))
 
     def test_degree_profile_by_role(self):
         d, t = 6, 2

@@ -15,7 +15,6 @@ from rcaudit import (
     FailingPair,
     Graph,
     GraphFormatError,
-    certificate_to_jsonl,
     coloring_to_text,
     gen_named,
     is_connected,
@@ -419,15 +418,20 @@ class TestColoringIO:
         coloring = parse_coloring("# a coloring\n\n0 1 0\n1 2 1\n", g)
         assert 1 + max(coloring.values()) == 2
 
-    def test_certificate_jsonl(self):
+    def test_certificate_jsonl(self, tmp_path, capsys):
+        # verify's JSON form: one witness record per pair, pairs in
+        # lexicographic order, each listing its path's edge colors
         g = gen_named("path", 3)
         coloring = {(0, 1): 0, (1, 2): 1}
-        outcome = is_rainbow_connected(g, coloring)
-        lines = certificate_to_jsonl(outcome, coloring).splitlines()
+        path = tmp_path / "coloring.txt"
+        path.write_text(coloring_to_text(coloring))
+        assert main(["verify", "--format", "json", to_graph6(g), str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         records = [json.loads(line) for line in lines]
         assert records[0] == {"pair": [0, 1], "path": [0, 1], "colors": [0]}
         assert [r["pair"] for r in records] == [[0, 1], [0, 2], [1, 2]]
+        assert records[1] == {"pair": [0, 2], "path": [0, 1, 2], "colors": [0, 1]}
 
 
 @st.composite

@@ -152,3 +152,18 @@ def test_every_listed_name_is_defined():
             if not hasattr(module, name)
         ]
     assert stale == []
+
+
+def test_only_the_cli_writes_json():
+    # the JSON form (sorted keys, Fractions as 'p/q' strings) is known in
+    # one place, cli._dumps; the library hands over its records as they are
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
