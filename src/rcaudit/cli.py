@@ -73,9 +73,17 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
 
 
-def _graph6_lines(text: str) -> list[Graph]:
-    """One graph per non-blank line."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+def _graph6_lines(source: str, text: str) -> list[Graph]:
+    """One graph per non-blank line of the file source; a bad line's error
+    names the file and the line, blank lines counted."""
+    graphs = []
+    for k, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                graphs.append(parse_graph6(line))
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"{source}: line {k}: {exc}") from None
+    return graphs
 
 
 def _load_graphs(source: str) -> list[Graph]:
@@ -92,7 +100,7 @@ def _load_graphs(source: str) -> list[Graph]:
             raise GraphFormatError(f"{source}: empty file")
         if stripped[0].isdigit():
             return [parse_edge_list(text)]
-        return _graph6_lines(text)
+        return _graph6_lines(source, text)
     return [parse_graph6(source)]
 
 
@@ -256,7 +264,7 @@ def _sweep_source(args) -> list[Graph]:
             "sweep needs exactly one source: a corpus file, --all-connected, or --random"
         )
     if args.corpus is not None:
-        return _graph6_lines(Path(args.corpus).read_text())
+        return _graph6_lines(args.corpus, Path(args.corpus).read_text())
     if args.all_connected is not None:
         if args.all_connected < 1:
             raise GraphFormatError("--all-connected needs a positive vertex count")

@@ -50,13 +50,12 @@ rewrites the rows in the same ids, the representative min(K) standing
 for K. Degrees, the clique, the components and their attachments are
 popcounts and masked floods over the rows, in one decomposition that
 decompose(g) runs on the level of all of G; it is the library's only
-clique-and-components split.
-The trace still records each level in local ids (positions in the
-level's ascending vertices) with the original-input labels.
-trace_records writes it flat, as `construct --trace` and a finding's
-trace show it: a list of one record per level in preorder, each with
-the index of its parent's record (None at the root) in place of nested
-children, so the JSON nests no deeper on a path than on a clique.
+clique-and-components split. The trace records each level in those ids
+too, with the labels of the original input. trace_records writes it
+flat, as `construct --trace` and a finding's trace show it: a list of
+one record per level in preorder, each with the index of its parent's
+record (None at the root) in place of nested children, so the JSON
+nests no deeper on a path than on a clique.
 
 Each level writes its own edges once its children are done, keyed by
 root ids, at an absolute palette base: its parent's base plus the colors
@@ -108,7 +107,7 @@ class Case(Enum):
 
 @dataclass(frozen=True)
 class ComponentRecord:
-    """One component of G minus the clique, in the ids of that graph."""
+    """One component of G minus the clique, in root ids."""
 
     vertices: tuple[int, ...]
     size: int
@@ -137,10 +136,10 @@ class ContractionInfo:
 class AuditTrace:
     """Recursion tree of the construction.
 
-    vertex_labels names each local vertex in terms of the original input
-    (contraction nodes label the merged vertex with the set it replaced),
-    so traces stay checkable against the graph the user supplied.
-    verification is populated at the root only.
+    vertices are the level's root ids, ascending, like its clique,
+    components and attachments; labels names each root id in terms of
+    the original input (below a contraction, the merged vertex by the
+    set it replaced). verification is populated at the root only.
     """
 
     case: Case
@@ -148,7 +147,8 @@ class AuditTrace:
     min_degree: int
     budget: int
     colors_used: int
-    vertex_labels: tuple[str, ...]
+    vertices: tuple[int, ...]
+    labels: Sequence[str]
     decomposition: DecompositionRecord | None = None
     children: tuple["AuditTrace", ...] = ()
     contraction: ContractionInfo | None = None
@@ -177,30 +177,25 @@ def _greedy_clique(
 ) -> tuple[int, tuple[int, ...], int]:
     """The minimum degree of the level on mask (verts its vertices,
     ascending) and its greedy maximal clique of minimum-degree vertices
-    over ascending ids, as positions in verts and as a vertex mask."""
+    over ascending ids, as root ids and as a vertex mask."""
     degrees = [(rows[v] & mask).bit_count() for v in verts]
     delta = min(degrees)
     clique: list[int] = []
     cmask = 0
-    for i, d in enumerate(degrees):
+    for v, d in zip(verts, degrees):
         # adjacent to every member so far: its row covers the clique mask
-        if d == delta and rows[verts[i]] & cmask == cmask:
-            clique.append(i)
-            cmask |= 1 << verts[i]
+        if d == delta and rows[v] & cmask == cmask:
+            clique.append(v)
+            cmask |= 1 << v
     return delta, tuple(clique), cmask
 
 
 def _decompose(
-    rows: Sequence[int],
-    verts: tuple[int, ...],
-    mask: int,
-    delta: int,
-    clique: tuple[int, ...],
-    cmask: int,
+    rows: Sequence[int], mask: int, delta: int, clique: tuple[int, ...], cmask: int
 ) -> tuple[DecompositionRecord, list[int]]:
     """The decomposition of the level on mask by the clique that
-    _greedy_clique chose, in the level's local ids (positions in verts),
-    with each component's vertex mask in record order.
+    _greedy_clique chose, in root ids, with each component's vertex mask
+    in record order.
 
     The components of the level minus the clique come from masked floods
     over the rows; a component's inner degrees and its clique attachment
@@ -208,24 +203,21 @@ def _decompose(
     built per component.
     """
     k = len(clique)
-    if len(verts) == k:
+    if mask == cmask:
         raise ConstructionError(
             "deleting the clique removed every vertex of a non-complete graph"
         )
-    local = {v: i for i, v in enumerate(verts)}
-    members = [(i, rows[verts[i]]) for i in clique]
     comps = []
     left = mask ^ cmask
     while left:
         # blocks come out by minimum vertex id, lowest remaining vertex first
         block = _flood(rows, left & -left, left)
         left ^= block
-        inside = _bit_positions(block)
+        vertices = _bit_positions(block)
         # block is a component of the level minus K, so a vertex's neighbors
         # inside it are its neighbors in the induced subgraph on block
-        dmin = min([(rows[w] & block).bit_count() for w in inside])
-        attachment = tuple([i for i, row in members if row & block])
-        vertices = tuple([local[w] for w in inside])
+        dmin = min([(rows[w] & block).bit_count() for w in vertices])
+        attachment = tuple([u for u in clique if rows[u] & block])
         comps.append((ComponentRecord(vertices, len(vertices), dmin, attachment), block))
     comps.sort(key=lambda c: (-len(c[0].attachment), c[0].vertices[0]))
 
@@ -272,8 +264,7 @@ def decompose(g: Graph) -> DecompositionRecord:
     that clique maximality guarantees.
     """
     rows, mask = _whole(g)
-    verts = tuple(range(g.n))
-    return _decompose(rows, verts, mask, *_greedy_clique(rows, verts, mask))[0]
+    return _decompose(rows, mask, *_greedy_clique(rows, tuple(range(g.n)), mask))[0]
 
 
 def _level(
@@ -283,17 +274,17 @@ def _level(
     _construct: it yields each child level's arguments in record order,
     is sent back the child's finished trace, and returns its own.
 
-    labels name the vertices by root id; the trace records the level in
-    local ids, the positions of its vertices in ascending order. A
-    component child shares the level's rows, labels and colors and takes
-    its component's mask. A contraction child gets rows rewritten in the
-    same ids: rep = min(K) keeps its id and takes K's outside
-    neighbours, the other members of K leave the mask, and rep's label
-    names the merged set; it colors a dict of its own, from which every
-    edge outside K is lifted (an edge from K to w takes the color of the
-    contracted edge rep-w). A child's palette starts at base plus the
-    colors of the siblings before it; the level's own edges, keyed by
-    (u, v) with u < v, take fresh colors past every child's palette.
+    labels name the vertices by root id, and the trace records the level
+    in root ids with those labels. A component child shares the level's
+    rows, labels and colors and takes its component's mask. A
+    contraction child gets rows rewritten in the same ids: rep = min(K)
+    keeps its id and takes K's outside neighbours, the other members of
+    K leave the mask, and rep's label names the merged set; it colors a
+    dict of its own, from which every edge outside K is lifted (an edge
+    from K to w takes the color of the contracted edge rep-w). A child's
+    palette starts at base plus the colors of the siblings before it;
+    the level's own edges, keyed by (u, v) with u < v, take fresh colors
+    past every child's palette.
     """
     verts = _bit_positions(mask)
     n = len(verts)
@@ -302,21 +293,19 @@ def _level(
         # complete: the base case
         rec, case = None, Case.BASE
     else:
-        rec, blocks = _decompose(rows, verts, mask, delta, clique, cmask)
+        rec, blocks = _decompose(rows, mask, delta, clique, cmask)
         case = rec.case
-    vertex_labels = tuple([labels[v] for v in verts])
-    trace = AuditTrace(case, n, delta, n - delta, 0, vertex_labels, decomposition=rec)
-    kverts = [verts[i] for i in clique]
+    trace = AuditTrace(case, n, delta, n - delta, 0, verts, labels, decomposition=rec)
     if rec is None:
         # K is every vertex, and its edges are all the edges: one color,
         # none on a single vertex
         clique_color = base
         trace.colors_used = min(n - 1, 1)
     elif case is Case.CONTRACTION:
-        rep = kverts[0]
+        rep = clique[0]
         rep_bit = 1 << rep
         outside = 0
-        for u in kverts:
+        for u in clique:
             outside |= rows[u]
         outside &= mask ^ cmask
         # rep takes K's outside neighbours, and they take rep in place of K
@@ -338,7 +327,7 @@ def _level(
             raise ConstructionError(
                 f"measure did not decrease under contraction: {measure} >= {trace.budget}"
             )
-        merged_label = "merged(" + ",".join([labels[v] for v in kverts]) + ")"
+        merged_label = "merged(" + ",".join([labels[v] for v in clique]) + ")"
         sub_labels = list(labels)
         sub_labels[rep] = merged_label
         trace.contraction = ContractionInfo(delta_star, measure, merged_label)
@@ -369,7 +358,7 @@ def _level(
         # the edges from K to the i-th component take fresh color top + i
         top = base + trace.colors_used
         for i, block in enumerate(blocks):
-            for u in kverts:
+            for u in clique:
                 for w in _bit_positions(rows[u] & block):
                     colors[(u, w) if u < w else (w, u)] = top + i
         if case is Case.NEW_CLIQUE_COLOR:
@@ -380,13 +369,13 @@ def _level(
             # cross color on the clique edges
             clique_color = top
             trace.colors_used += rec.t
-    # kverts ascend, so every pair is already ordered
-    for e in combinations(kverts, 2):
+    # the clique ascends, so every pair is already ordered
+    for e in combinations(clique, 2):
         colors[e] = clique_color
     if trace.colors_used > trace.budget:
         raise ConstructionError(
             f"color budget exceeded: {trace.colors_used} > {trace.budget}"
-            f" on vertices {trace.vertex_labels}",
+            f" on vertices {tuple([labels[v] for v in verts])}",
             trace,
         )
     return trace
@@ -492,7 +481,7 @@ def run_construction(
 def trace_records(trace: AuditTrace) -> list[dict]:
     """JSON-ready flat rendering: one record per level in preorder (a
     parent before its children, children in record order), each with
-    parent, the index of its parent's record (None at the root). Local
+    parent, the index of its parent's record (None at the root). Root
     ids are replaced by the original-input labels carried on each level.
     The tree is walked on an explicit stack, so a trace of any depth
     renders."""
@@ -500,7 +489,7 @@ def trace_records(trace: AuditTrace) -> list[dict]:
     stack: list[tuple[AuditTrace, int | None]] = [(trace, None)]
     while stack:
         node, parent = stack.pop()
-        labels = node.vertex_labels
+        labels = node.labels
         out: dict = {
             "parent": parent,
             "case": node.case.value,
@@ -508,7 +497,7 @@ def trace_records(trace: AuditTrace) -> list[dict]:
             "min_degree": node.min_degree,
             "budget": node.budget,
             "colors_used": node.colors_used,
-            "vertices": list(labels),
+            "vertices": [labels[v] for v in node.vertices],
         }
         rec = node.decomposition
         if rec is not None:

@@ -278,11 +278,12 @@ def _paths_within(
     return out
 
 
-def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency]:
+def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency, list[int]]:
     """g's vertices ranked by (degree, sum of neighbor degrees, label), its
-    edges in lexicographic order of their ranked ends, and its adjacency
-    relabeled by rank, neighbors ascending: vertex r is order[r], and
-    edge i is edges[i]."""
+    edges in lexicographic order of their ranked ends, its adjacency
+    relabeled by rank, neighbors ascending, and per ranked vertex the
+    mask of its ranked neighbors: vertex r is order[r], and edge i is
+    edges[i]."""
     nbrs = [g.neighbors(v) for v in range(g.n)]
     degree = list(map(len, nbrs))
     order = sorted(range(g.n), key=lambda v: (degree[v], sum(map(degree.__getitem__, nbrs[v])), v))
@@ -291,7 +292,7 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     ranked = [sum([1 << rank[w] for w in nbrs[v]]) for v in order]
     pairs = [(a, b) for a, row in enumerate(ranked) for b in _bit_positions(row & -(2 << a))]
     edges = [(u, v) if u < v else (v, u) for u, v in ((order[a], order[b]) for a, b in pairs)]
-    return order, edges, _adjacency(g.n, pairs)
+    return order, edges, _adjacency(g.n, pairs), ranked
 
 
 class _SearchState:
@@ -309,8 +310,7 @@ class _SearchState:
 
     def __init__(self, g: Graph, distances: list[list[int]] | None) -> None:
         self.g = g
-        self.order, self.edge_order, self.adjacency = _search_order(g)
-        self.neighbors = [sum([1 << w for w, _ in row]) for row in self.adjacency]
+        self.order, self.edge_order, self.adjacency, self.neighbors = _search_order(g)
         self.distances = distances
         self._ranked: list[list[int]] | None = None
 

@@ -207,7 +207,6 @@ def counterexample_inequalities(
                 f"structure mismatch: component of size {comp.size},"
                 f" expected {expect_size}"
             )
-        # the root level's local ids are g's own ids
         stats = degree_stats(g, comp.vertices)
         if stats.min_degree_sum is None:
             raise ValueError("structure mismatch: component is complete")

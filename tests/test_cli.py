@@ -535,6 +535,17 @@ class TestUsage:
         code = main(["exact", "not a graph6 line"])
         assert code == 1
 
+    def test_bad_graph6_line_names_file_and_line(self, tmp_path, capsys):
+        # the line count includes blank lines; a literal's message is the
+        # parser's alone
+        bad = "graph6: invalid byte 0x21 at offset 1\n"
+        path = tmp_path / "bad.g6"
+        path.write_text("D?{\n\nD!{\n")
+        assert run(capsys, "sweep", str(path)) == (1, "", f"error: {path}: line 3: {bad}")
+        path.write_text("\nD!{\n")
+        assert run(capsys, "construct", str(path)) == (1, "", f"error: {path}: line 2: {bad}")
+        assert run(capsys, "construct", "D!{") == (1, "", f"error: {bad}")
+
     def test_multi_graph_file_rejected_for_single_commands(self, tmp_path, capsys):
         path = tmp_path / "two.g6"
         path.write_text(

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 import sys
 from contextlib import contextmanager
 from itertools import combinations
@@ -114,7 +113,7 @@ def first_member_cliques(monkeypatch) -> None:
 
     def first_member_only(rows, verts, mask):
         delta, clique, _ = real(rows, verts, mask)
-        return delta, clique[:1], 1 << verts[clique[0]]
+        return delta, clique[:1], 1 << clique[0]
 
     monkeypatch.setattr(construct_module, "_greedy_clique", first_member_only)
 
@@ -378,9 +377,8 @@ class TestConstructColoring:
         ids=["counterexample", "contraction", "new_color", "reused_color"],
     )
     def test_levels_are_entered_in_trace_preorder(self, monkeypatch, make, levels):
-        # each level chooses its clique once, on entry; a vertex's id is
-        # the first number in its label (a merged vertex keeps the id of
-        # the first member it names)
+        # each level chooses its clique once, on entry, on the vertices
+        # its trace records
         entered = []
         real = construct_module._greedy_clique
 
@@ -390,12 +388,8 @@ class TestConstructColoring:
 
         monkeypatch.setattr(construct_module, "_greedy_clique", recording)
         trace = construct_coloring(make())[1]
-        preorder = [
-            tuple([int(re.search(r"\d+", label).group()) for label in node.vertex_labels])
-            for node in trace_nodes(trace)
-        ]
         assert len(entered) == levels
-        assert entered == preorder
+        assert entered == [node.vertices for node in trace_nodes(trace)]
 
     def test_contraction_branch_verifies(self):
         g = contraction_witness()
@@ -610,12 +604,12 @@ class TestInvariantChecks:
         # overspends while the levels above it stay within theirs
         g = gen_named("path", 4)
         inner = construct_coloring(g)[1].children[0].children[0]
-        assert inner.vertex_labels == ("2", "3")
+        assert inner.vertices == (2, 3)
 
-        def short_inner(case, n, min_degree, budget, colors_used, vertex_labels, **kwargs):
-            if vertex_labels == inner.vertex_labels:
+        def short_inner(case, n, min_degree, budget, colors_used, vertices, *args, **kwargs):
+            if vertices == inner.vertices:
                 budget -= 1
-            return AuditTrace(case, n, min_degree, budget, colors_used, vertex_labels, **kwargs)
+            return AuditTrace(case, n, min_degree, budget, colors_used, vertices, *args, **kwargs)
 
         monkeypatch.setattr(construct_module, "AuditTrace", short_inner)
         finding, coloring, trace = run_construction(g)
@@ -675,9 +669,40 @@ class TestTraceInvariants:
     def test_trace_labels_name_original_vertices(self):
         g = contraction_witness()
         _, trace = construct_coloring(g)
-        assert trace.vertex_labels == tuple(str(v) for v in range(8))
+        assert [trace.labels[v] for v in trace.vertices] == [str(v) for v in range(8)]
         child = trace.children[0]
-        assert any(label.startswith("merged(") for label in child.vertex_labels)
+        assert any(child.labels[v].startswith("merged(") for v in child.vertices)
+
+    def test_levels_are_recorded_in_root_ids(self):
+        # every level's vertices, clique, components and attachments are
+        # ids of the input graph; above any contraction the rows are g's
+        # own, so a component's minimum degree is that of g's subgraph
+        graphs = [contraction_witness(), new_color_witness(), reused_color_witness()]
+        graphs.append(gen_named("path", 7))
+        rng = random.Random(MASTER_SEED + 29)
+        graphs += [
+            random_connected_graph(rng, rng.randint(2, 14), rng.uniform(0.2, 0.8))
+            for _ in range(40)
+        ]
+        for g in graphs:
+            trace = construct_coloring(g)[1]
+            stack = [(trace, False)]
+            while stack:
+                node, contracted = stack.pop()
+                assert list(node.vertices) == sorted(set(node.vertices))
+                assert node.n == len(node.vertices)
+                rec = node.decomposition
+                if rec is not None:
+                    assert set(rec.clique) <= set(node.vertices)
+                    parts = [v for c in rec.components for v in c.vertices]
+                    assert len(parts) == len(set(parts))
+                    assert set(parts) == set(node.vertices) - set(rec.clique)
+                    for c in rec.components:
+                        assert set(c.attachment) <= set(rec.clique)
+                        if not contracted:
+                            assert degree_stats(g, c.vertices).min_degree == c.min_degree
+                below = contracted or node.case is Case.CONTRACTION
+                stack.extend([(child, below) for child in node.children])
 
     def test_optimality_gap_on_all_n4(self):
         for g in iter_connected_graphs(4):

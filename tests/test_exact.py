@@ -192,11 +192,13 @@ class TestDecision:
 
     def test_search_order_is_a_relabeling(self):
         # the adjacency the search runs on is that of g relabeled by rank,
-        # and its edge indices follow the returned edge order
+        # its edge indices follow the returned edge order, and the neighbor
+        # masks are the adjacency's
         rng = random.Random(MASTER_SEED + 26)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
-            order, edges, adjacency = _search_order(g)
+            order, edges, adjacency, neighbors = _search_order(g)
+            assert neighbors == [sum(1 << w for w, _ in row) for row in adjacency]
             rank = {v: r for r, v in enumerate(order)}
             key = [(g.degree(v), sum(g.degree(w) for w in g.neighbors(v)), v) for v in order]
             assert key == sorted(key)
@@ -213,7 +215,7 @@ class TestDecision:
         graphs = [g for n in range(1, 7) for g in iter_connected_graphs(n)]
         graphs += random_corpus(300, 5, 11, 99) + random_corpus(500, 4, 40, MASTER_SEED)
         for g in graphs:
-            assert _search_order(g) == search_order_by_sorting(g), to_graph6(g)
+            assert _search_order(g)[:3] == search_order_by_sorting(g), to_graph6(g)
 
     def test_distance_prune_short_circuits(self):
         # a level below the diameter is provably unsatisfiable, so the
@@ -666,7 +668,7 @@ class TestExact:
             g = parse_graph6(graph6)
             dist = [bfs_distances(g, s) for s in range(g.n)]
             # failing pairs are named in the search's relabeling
-            order, _, adjacency = _search_order(g)
+            order, _, adjacency, _ = _search_order(g)
             ranked = [[dist[v][w] for w in order] for v in order]
             failures.clear()
             levels = rc_exact(g, Budget(max_nodes=20000)).stats.levels
