@@ -8,8 +8,9 @@ under an exact solve as a solver bug, and n - min_degree_sum/2, whose truth is a
 question: its slack is reported in exact rational arithmetic and a
 negative value surfaces as a finding, never as a crash.
 
-Sweeps aggregate reports deterministically (findings sorted by graph6)
-and record per-graph errors without aborting the corpus.
+A sweep is one pass that holds no report: each goes to the caller's hook
+as it is made and is folded into running counts, minima and exact sums;
+findings are sorted by graph6, and per-graph errors do not abort it.
 
 Nothing here writes JSON. Reports, aggregates and findings hold their
 values as they are, Fractions included; the command line dumps them
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .construct import ConstructionError, decompose, run_construction
 from .exact import Budget, ExactStatus, rc_exact
@@ -78,7 +79,6 @@ class AggregateStats:
 class CorpusResult:
     aggregate: AggregateStats
     findings: tuple[dict, ...]  # sorted by (graph6, kind)
-    reports: tuple[BoundReport, ...]
     errors: tuple[tuple[str, str], ...]  # (label, message)
 
 
@@ -198,46 +198,54 @@ def findings_for_report(report: BoundReport) -> list[dict]:
 
 
 def audit_corpus(
-    graphs: Iterable[Graph], budget: Budget | None = None
+    graphs: Iterable[Graph],
+    budget: Budget | None = None,
+    on_report: Callable[[BoundReport], object] | None = None,
 ) -> CorpusResult:
-    """Audit every graph, aggregate, and collect findings.
+    """Audit every graph in one pass, aggregate, and collect findings.
 
-    Per-graph exceptions are recorded, not fatal. The aggregate and the
-    sorted findings are independent of processing order.
+    Each report goes to on_report before the next graph is pulled and is
+    then dropped. Per-graph exceptions are recorded, not fatal. The
+    aggregate and the sorted findings are independent of processing order.
     """
-    reports: list[BoundReport] = []
     findings: list[dict] = []
     errors: list[tuple[str, str]] = []
-    for idx, g in enumerate(graphs):
+    total = complete = exact = failures = count1 = count2 = sum1 = sum2 = 0
+    min1 = min2 = None
+    for g in graphs:
         try:
             report = audit_graph(g, budget)
         except Exception as exc:
-            try:
-                label = to_graph6(g)
-            except Exception:
-                label = f"entry-{idx}"
-            errors.append((label, str(exc)))
+            errors.append((to_graph6(g), str(exc)))
             continue
-        reports.append(report)
+        if on_report is not None:
+            on_report(report)
         findings.extend(findings_for_report(report))
-
-    slack1 = [r.min_degree_slack for r in reports if r.min_degree_slack is not None]
-    slack2 = [r.degree_sum_slack for r in reports if r.degree_sum_slack is not None]
-    exact = sum(1 for r in reports if r.rc_status == ExactStatus.EXACT.value)
+        total += 1
+        complete += report.min_degree_sum is None
+        exact += report.rc_status == ExactStatus.EXACT.value
+        failures += not report.construct_verified
+        slack1, slack2 = report.min_degree_slack, report.degree_sum_slack
+        if slack1 is not None:
+            count1 += 1
+            sum1 += slack1
+            min1 = slack1 if min1 is None else min(min1, slack1)
+        if slack2 is not None:
+            count2 += 1
+            sum2 += slack2
+            min2 = slack2 if min2 is None else min(min2, slack2)
     aggregate = AggregateStats(
-        total=len(reports),
-        complete_graphs=sum(1 for r in reports if r.min_degree_sum is None),
+        total=total,
+        complete_graphs=complete,
         exact=exact,
-        not_exact=len(reports) - exact,
-        construction_failures=sum(1 for r in reports if not r.construct_verified),
+        not_exact=total - exact,
+        construction_failures=failures,
         errors=len(errors),
-        min_min_degree_slack=min(slack1) if slack1 else None,
-        mean_min_degree_slack=(
-            Fraction(sum(slack1), len(slack1)) if slack1 else None
-        ),
-        min_degree_sum_slack=min(slack2) if slack2 else None,
-        mean_degree_sum_slack=(sum(slack2) / len(slack2)) if slack2 else None,
-        degree_sum_slack_count=len(slack2),
+        min_min_degree_slack=min1,
+        mean_min_degree_slack=Fraction(sum1, count1) if count1 else None,
+        min_degree_sum_slack=min2,
+        mean_degree_sum_slack=sum2 / count2 if count2 else None,
+        degree_sum_slack_count=count2,
     )
     findings.sort(key=lambda f: (f["graph6"], f["kind"]))
-    return CorpusResult(aggregate, tuple(findings), tuple(reports), tuple(errors))
+    return CorpusResult(aggregate, tuple(findings), tuple(errors))

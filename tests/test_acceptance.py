@@ -195,24 +195,21 @@ def test_criterion_4_counterexample_family_reproduction():
 
 
 def _sweep_bytes(small, rand) -> bytes:
-    budget_rand = Budget(max_nodes=SWEEP_NODE_BUDGET)
-    result_small = audit_corpus(small)
-    result_rand = audit_corpus(rand, budget_rand)
+    def section(graphs, budget=None):
+        # each report as the audit hands it over, dumped on arrival
+        lines = []
+        result = audit_corpus(
+            graphs, budget, lambda r: lines.append(json.dumps(vars(r), sort_keys=True, default=str))
+        )
+        return {
+            "aggregate": vars(result.aggregate),
+            "reports": sorted(lines),
+            "findings": list(result.findings),
+        }
+
     blob = {
-        "small": {
-            "aggregate": vars(result_small.aggregate),
-            "reports": sorted(
-                json.dumps(vars(r), sort_keys=True, default=str) for r in result_small.reports
-            ),
-            "findings": list(result_small.findings),
-        },
-        "random": {
-            "aggregate": vars(result_rand.aggregate),
-            "reports": sorted(
-                json.dumps(vars(r), sort_keys=True, default=str) for r in result_rand.reports
-            ),
-            "findings": list(result_rand.findings),
-        },
+        "small": section(small),
+        "random": section(rand, Budget(max_nodes=SWEEP_NODE_BUDGET)),
     }
     # default=str writes each Fraction as its 'p/q' string
     return json.dumps(blob, sort_keys=True, default=str).encode()

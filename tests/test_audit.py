@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rcaudit import (
     decompose,
     gen_named,
     rc_exact,
+    to_graph6,
 )
 from rcaudit.audit import AggregateStats, BoundReport, check_report, findings_for_report
 from rcaudit.cli import _dumps
@@ -282,9 +284,10 @@ class TestFindingsClassification:
 
 class TestAuditCorpus:
     def test_empty_corpus(self):
-        result = audit_corpus([])
+        reports = []
+        result = audit_corpus([], on_report=reports.append)
         assert result.aggregate.total == 0
-        assert result.findings == () and result.reports == ()
+        assert result.findings == () and reports == []
 
     def test_small_corpus_aggregates(self):
         graphs = [gen_named("path", 4), gen_named("cycle", 5), gen_named("complete", 4)]
@@ -322,19 +325,20 @@ class TestAuditCorpus:
     def test_replay_determinism(self):
         graphs = [gen_named("cycle", 5), reused_color_witness()]
         budget = Budget(max_nodes=2000)
-        first = audit_corpus(graphs, budget)
-        second = audit_corpus(graphs, budget)
-        assert [_dumps(vars(r)) for r in first.reports] == [
-            _dumps(vars(r)) for r in second.reports
-        ]
+        first_lines, second_lines = [], []
+        first = audit_corpus(graphs, budget, lambda r: first_lines.append(_dumps(vars(r))))
+        second = audit_corpus(graphs, budget, lambda r: second_lines.append(_dumps(vars(r))))
+        assert len(first_lines) == 2
+        assert first_lines == second_lines
         assert first.findings == second.findings
         assert first.aggregate == second.aggregate
 
     def test_sandwich_holds_on_all_n4(self):
-        result = audit_corpus(list(iter_connected_graphs(4)))
-        assert result.aggregate.total == 38
+        reports = []
+        result = audit_corpus(iter_connected_graphs(4), on_report=reports.append)
+        assert result.aggregate.total == len(reports) == 38
         assert result.findings == ()
-        for report in result.reports:
+        for report in reports:
             assert report.rc_value <= report.construct_colors <= report.min_degree_bound
 
     def test_family_singleton_corpus_weakened_bound(self):
@@ -344,9 +348,38 @@ class TestAuditCorpus:
         from rcaudit.generators import CounterexampleParams
 
         g, _ = gen_counterexample(CounterexampleParams(2, 1))
-        result = audit_corpus([g], Budget(max_nodes=2000))
-        (report,) = result.reports
+        reports = []
+        audit_corpus([g], Budget(max_nodes=2000), reports.append)
+        (report,) = reports
         assert report.degree_sum_bound == Fraction(6)
         assert report.top_components == 1
         assert report.weakened_degree_sum_bound == Fraction(7)
         assert report.construct_verified
+
+    def test_holds_no_report(self):
+        # every report is dead once the call returns, its result still bound
+        refs = []
+        graphs = list(iter_connected_graphs(4))
+        result = audit_corpus(graphs, on_report=lambda r: refs.append(weakref.ref(r)))
+        assert result.aggregate.total == len(refs) == 38
+        assert all(ref() is None for ref in refs)
+
+    def test_each_report_reaches_the_hook_before_the_next_graph(self):
+        # graph k's report reaches the hook before graph k + 1 is pulled,
+        # errors skipping the hook in place
+        events = []
+        graphs = [gen_named("path", 4), Graph(3, [(0, 1)]), gen_named("cycle", 5)]
+
+        def pulled():
+            for k, g in enumerate(graphs):
+                events.append(("pull", k))
+                yield g
+
+        audit_corpus(pulled(), on_report=lambda r: events.append(("report", r.graph6)))
+        assert events == [
+            ("pull", 0),
+            ("report", to_graph6(graphs[0])),
+            ("pull", 1),
+            ("pull", 2),
+            ("report", to_graph6(graphs[2])),
+        ]

@@ -378,8 +378,7 @@ class TestSweep:
         assert json.loads(out)["aggregate"]["total"] == 1
 
     def test_all_connected_above_the_limit_exits_1(self, monkeypatch, capsys):
-        # the corpus is built whole before the first audit, so n = 8 is
-        # refused before any graph is enumerated
+        # n = 8 is refused before any graph is enumerated
         def unreachable(n):
             raise AssertionError(f"enumerated n = {n}")
 
@@ -388,6 +387,38 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "at most 7" in err and "251,548,592" in err
+
+    def test_unwritable_out_fails_before_any_audit(self, monkeypatch, tmp_path, capsys):
+        # --out is opened before the first graph is audited, so a path in a
+        # missing directory costs no audit
+        calls = []
+        audit_graph = audit_module.audit_graph
+
+        def counted(g, budget=None):
+            calls.append(g)
+            return audit_graph(g, budget)
+
+        monkeypatch.setattr(audit_module, "audit_graph", counted)
+        out_path = tmp_path / "missing" / "reports.jsonl"
+        code, out, err = run(capsys, "sweep", "--all-connected", "3", "--out", str(out_path))
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.parent.exists()
+
+    def test_bad_source_leaves_out_untouched(self, tmp_path, capsys):
+        # the source is checked before --out is opened: a bad corpus line
+        # neither creates nor truncates the reports file
+        corpus = tmp_path / "bad.g6"
+        corpus.write_text(to_graph6(gen_named("path", 4)) + "\nnot graph6\n")
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("kept\n")
+        code, out, err = run(capsys, "sweep", str(corpus), "--out", str(reports))
+        assert (code, out) == (1, "")
+        assert "line 2" in err
+        assert reports.read_text() == "kept\n"
+        fresh = tmp_path / "fresh.jsonl"
+        code, _, _ = run(capsys, "sweep", "--all-connected", "0", "--out", str(fresh))
+        assert code == 1 and not fresh.exists()
 
     def test_findings_dir_and_exit_code(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.g6"
