@@ -290,14 +290,17 @@ def _sweep_source(args) -> Iterable[Graph]:
 def _cmd_sweep(args) -> int:
     budget = _budget(args)
     graphs = _sweep_source(args)
+    # the findings dir is made, and --out opened, before the first audit:
+    # a path that cannot be written costs no audit
+    fdir = Path(args.findings_dir) if args.findings_dir else None
+    if fdir:
+        fdir.mkdir(parents=True, exist_ok=True)
     if args.out:
         with open(args.out, "w") as out:
             result = audit_corpus(graphs, budget, lambda r: out.write(_dumps(vars(r)) + "\n"))
     else:
         result = audit_corpus(graphs, budget)
-    if args.findings_dir:
-        fdir = Path(args.findings_dir)
-        fdir.mkdir(parents=True, exist_ok=True)
+    if fdir:
         for i, payload in enumerate(result.findings):
             (fdir / f"finding-{i:04d}.json").write_text(_dumps(payload) + "\n")
 

@@ -9,6 +9,17 @@ losing any coloring up to renaming. The order depends on no color, so
 this and every cut below stay sound. The exhausted search at q - 1
 doubles as the optimality certificate for a hit at q.
 
+Each edge tries its allowed colors fewest-used-first: by how many
+earlier edges at its two ends carry the color, ties to the lower color
+(least-constraining value; Haralick and Elliott 1980, Frost and Dechter
+1995). A rainbow path repeats no color, so a color rare at the edge's
+ends leaves the most 2-edge paths through it rainbow. This value order
+is a permutation of the allowed colors that depends only on the colors
+of earlier edges. Restricted growth and the backjump argument (see
+_search_level) speak of which colors an edge may take, never of the
+order it tries them, so every verdict stays the same, and only the
+first satisfying leaf can change.
+
 Pruning rests on prune tables of tracked pairs. A rainbow path with q
 colors has at most q edges, so a pair fails exactly when all of those
 paths repeat a color, and a partial coloring in which every path of one
@@ -62,7 +73,8 @@ lexicographically first failing pair, as the full check gives it.
 
 Both cuts and the jumps only skip solution-free subtrees, so the first
 satisfying leaf in canonical order, and with it every value and
-witness, is the one a plain restricted-growth search in the same order finds.
+witness, is the one a plain restricted-growth search in the same edge
+and color order finds.
 
 rc_exact is the one entry. It checks the graph and takes its lower
 bound, max(diameter, 1), from the graph itself when it is 1 (complete)
@@ -228,8 +240,12 @@ def rc_lower_bound(g: Graph) -> int:
 
 
 # a pair with more paths of at most q edges than this is neither
-# preloaded into the prune tables nor learned from a failing leaf
-_PATH_CAP = 512
+# preloaded into the prune tables nor learned from a failing leaf, so a
+# leaf that fails on it steps back one depth. Fewest-used-first colors
+# reach leaves that fail on such pairs again and again where the cap is
+# low: at 512, gen cex --delta 10 --t 3 took 25 s for 2,000 nodes, 1,378
+# of them failing leaves, against 0.4 s and 396 nodes at 2,048
+_PATH_CAP = 2048
 # paths preloaded at one level, over all pairs at distance q
 _PRELOAD_CAP = 8192
 
@@ -303,16 +319,35 @@ class _SearchState:
     also read g's distance table relabeled by rank: ranked_distances
     builds it at the first path-table level, and g's own table with it
     unless it was given, so a graph whose levels all run on mask tables
-    builds neither.
+    builds neither. Every level above q = 1 reads per edge the earlier
+    edges at its two ends, which order its colors; earlier_edges builds
+    them at the first such level.
     """
 
-    __slots__ = ("g", "order", "edge_order", "adjacency", "neighbors", "distances", "_ranked")
+    __slots__ = (
+        "g", "order", "edge_order", "adjacency", "neighbors", "distances", "_ranked", "_earlier"
+    )
 
     def __init__(self, g: Graph, distances: list[list[int]] | None) -> None:
         self.g = g
         self.order, self.edge_order, self.adjacency, self.neighbors = _search_order(g)
         self.distances = distances
         self._ranked: list[list[int]] | None = None
+        self._earlier: list[list[int]] | None = None
+
+    def earlier_edges(self) -> list[list[int]]:
+        """Per edge i, the edges j < i at its two ends."""
+        if self._earlier is None:
+            # a row lists its edges in ascending order: those to lower
+            # neighbors (w, v) come before every (v, w) in the edge order
+            earlier: list[list[int]] = [[] for _ in self.edge_order]
+            for row in self.adjacency:
+                seen: list[int] = []
+                for _, e in row:
+                    earlier[e] += seen
+                    seen.append(e)
+            self._earlier = earlier
+        return self._earlier
 
     def ranked_distances(self) -> list[list[int]]:
         """g's distance table relabeled by rank."""
@@ -351,7 +386,8 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
     pair_paths: list[range] = []
     alive: list[int] = []
     known = neighbors.copy()
-    # failing leaf pairs above _PATH_CAP, not enumerated again
+    # pairs above _PATH_CAP, met at preload or at a failing leaf, not
+    # enumerated again
     over_cap: set[tuple[int, int]] = set()
 
     def add_pair(u: int, v: int, paths: list[tuple[int, ...]]) -> int:
@@ -379,8 +415,14 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
         for v in range(u + 1, len(adjacency)):
             if distances[u][v] != q:
                 continue
-            paths = _paths_within(adjacency, u, distances[v], q, _PATH_CAP)
-            if paths is None or total + len(paths) > _PRELOAD_CAP:
+            # a pair is preloaded only within both caps, so its listing
+            # stops past the smaller; a stop past _PATH_CAP spares learn
+            # listing it again
+            room = min(_PATH_CAP, _PRELOAD_CAP - total)
+            paths = _paths_within(adjacency, u, distances[v], q, room)
+            if paths is None:
+                if room == _PATH_CAP:
+                    over_cap.add((u, v))
                 continue
             add_pair(u, v, paths)
             total += len(paths)
@@ -560,6 +602,17 @@ def _search_level(
     and so the conflict set, as it was; so a coloring that gives depth i
     a color above top[i] fails whenever the fresh color top[i] fails.
 
+    Depth i tries the colors 0..top[i] fewest-used-first, by their
+    count on the earlier edges at its two ends, ties to the lower
+    color; the order is computed when the search descends into i, and a
+    jump back to i keeps it, since it depends only on the colors of the
+    depths below i. Both arguments above speak of the set of colors a
+    depth may take, never of their order, so they hold for any order
+    that is a function of the earlier colors: every verdict is the one
+    ascending colors give, and only the first satisfying leaf can
+    change. The order costs a count over the earlier edges at the ends,
+    and a sort only when more than two colors are allowed.
+
     One driver runs every level on the tables of _prune_tables: mask
     tables at q = 2, path tables elsewhere; the module docstring says
     why both give one search tree at q = 2.
@@ -568,8 +621,11 @@ def _search_level(
     m = len(edges)
     assignment = [-1] * m
     assign, unassign, learn, known = _prune_tables(state, q, assignment)
-    next_color = [0] * (m + 1)
+    earlier = state.earlier_edges() if q > 1 else []
+    ascending = [range(t + 1) for t in range(q)]
+    next_color = [0] * (m + 1)  # per depth, the index in tries of its next color
     top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
+    tries = [ascending[0]] * (m + 1)  # per depth, those colors in the order tried
     # per depth, as a bitset: the earlier depths its failed colors depend on
     conflicts = [0] * (m + 1)
     every_depth = (1 << m) - 1
@@ -610,8 +666,8 @@ def _search_level(
                 learned += 1
             i = backjump(m, culprits)
             continue
-        c = next_color[i]
-        if c > top[i]:
+        k = next_color[i]
+        if k > top[i]:
             if not conflicts[i]:
                 return done(DecisionStatus.UNSAT)
             i = backjump(i, conflicts[i])
@@ -620,18 +676,31 @@ def _search_level(
             if nodes >= cap or (deadline is not None and time.monotonic() > deadline):
                 return done(DecisionStatus.BUDGET_EXHAUSTED)
             check_at = min(cap, nodes + 1024) if deadline is not None else cap
-        next_color[i] = c + 1
+        next_color[i] = k + 1
         nodes += 1
 
+        c = tries[i][k]
         blamed = assign(i, c)
         if blamed:
             conflicts[i] |= blamed ^ (1 << i)
             continue
         # canonical order: a new color is one above the largest so far
-        top[i + 1] = c + 1 if c == top[i] and c < q - 1 else top[i]
+        top[i + 1] = t = c + 1 if c == top[i] and c < q - 1 else top[i]
         i += 1
         next_color[i] = 0
         conflicts[i] = 0
+        # fewest uses at the edge's ends first, ties to the lower color
+        if t == 0 or i == m:
+            tries[i] = ascending[0]
+        elif t == 1:
+            # the earlier colors are 0 and 1, so their sum counts the 1s
+            ones = sum(map(assignment.__getitem__, earlier[i]))
+            tries[i] = (1, 0) if 2 * ones < len(earlier[i]) else ascending[1]
+        else:
+            uses = [0] * (t + 1)
+            for f in earlier[i]:
+                uses[assignment[f]] += 1
+            tries[i] = sorted(ascending[t], key=uses.__getitem__)
 
 
 # repair steps of the seeded witness search

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: exhaustive simple-path
 enumeration, a certificate check that walks every witness edge by edge,
 exhaustive coloring enumeration with no symmetry breaking, a
-restricted-growth search with no pruning, a queue breadth-first search
-per vertex for the diameter, union-find components, induced subgraphs
-rebuilt from the edge list, degree sums over every nonadjacent pair, and
-the seeded repair loop with a full check of every pair at each step.
+restricted-growth search with no pruning that counts each color's uses
+at an edge's ends by scanning every earlier edge, a queue breadth-first
+search per vertex for the diameter, union-find components, induced
+subgraphs rebuilt from the edge list, degree sums over every nonadjacent
+pair, and the seeded repair loop with a full check of every pair at each
+step.
 Set-bit positions come from the lowest-set-bit loop, distance rows from
 the layers of a flood over neighbor masks, and the exact search's order
 from sorting its edges as 4-tuples; these three read g through has_edge
@@ -217,14 +219,19 @@ def plain_canonical_search(
 ) -> tuple[Coloring | None, int]:
     """Restricted-growth search for a rainbow-connecting q-coloring, with
     no pruning: edge i of edge_order tries the colors 0..min(1 + the
-    largest earlier color, q - 1) in ascending order, each try one node,
-    and every full coloring is checked against every pair's simple paths.
-    Returns the first coloring that passes, or None, and the nodes tried.
+    largest earlier color, q - 1), each try one node, those on the fewest
+    earlier edges that share an end with edge i first and ties in
+    ascending order; every full coloring is checked against every pair's
+    simple paths. Returns the first coloring that passes, or None, and
+    the nodes tried.
     """
     pair_paths = _pair_paths_as_edges(g, edge_order)
     m = len(edge_order)
     colors = [0] * m
     nodes = 0
+    touching = [
+        [j for j in range(i) if set(edge_order[j]) & set(edge_order[i])] for i in range(m)
+    ]
 
     def rainbow_connected() -> bool:
         return all(
@@ -236,7 +243,9 @@ def plain_canonical_search(
         nonlocal nodes
         if i == m:
             return rainbow_connected()
-        for c in range(min(largest + 1, q - 1) + 1):
+        uses = [colors[j] for j in touching[i]]
+        allowed = range(min(largest + 1, q - 1) + 1)
+        for c in sorted(allowed, key=lambda c: (uses.count(c), c)):
             nodes += 1
             colors[i] = c
             if extend(i + 1, max(largest, c)):

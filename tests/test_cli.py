@@ -90,12 +90,22 @@ class TestExact:
     def test_spent_time_budget_leaves_the_witness_search(self, capsys):
         # the clock stops only the deepening: with no time left for a
         # single node, the seeded witness search still certifies rc = 6
-        # on the counterexample instance, in the checks a node budget gives
+        # on the counterexample instance, in the checks a spent node budget gives
         graph = run(capsys, "gen", "cex", "--delta", "4", "--t", "2")[1].strip()
         code, out, _ = run(capsys, "exact", "--max-seconds", "0", "--format", "json", graph)
         assert code == 0
         assert json.loads(out) == {
             "status": "exact", "value": 6, "nodes": 0, "witness_checks": 14, "jumps": 0,
+        }
+
+    def test_counterexample_solves_with_no_budget(self, capsys):
+        # the unbudgeted search proves rc = 6 by itself, in 97 nodes
+        graph = run(capsys, "gen", "cex", "--delta", "4", "--t", "2")[1].strip()
+        assert run(capsys, "exact", graph) == (0, "6\n", "")
+        code, out, _ = run(capsys, "exact", "--format", "json", graph)
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "exact", "value": 6, "nodes": 97, "witness_checks": 0, "jumps": 0,
         }
 
     def test_witness_search_closes_budgeted_give_up(self, capsys):
@@ -123,7 +133,7 @@ class TestExact:
         )
         assert code == 0
         assert json.loads(out) == {
-            "status": "exact", "value": 4, "nodes": 1158, "witness_checks": 0, "jumps": 90,
+            "status": "exact", "value": 4, "nodes": 990, "witness_checks": 0, "jumps": 90,
         }
 
 
@@ -257,6 +267,13 @@ class TestGen:
             "error: 1000 consecutive samples were disconnected;"
             " increase the edge probability\n"
         )
+
+    def test_random_probability_above_one_exits_1(self, capsys):
+        # p is a probability: 1.5 is refused, never read as "every edge"
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            rcaudit.gen_random_connected(5, 1.5, seed=1)
+        code, out, err = run(capsys, "gen", "random", "--n", "5", "--p", "1.5", "--seed", "1")
+        assert (code, out, err) == (1, "", "error: edge probability must be in (0, 1]\n")
 
 
 class TestAuditCommand:
@@ -405,6 +422,36 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.parent.exists()
 
+    def test_unusable_findings_dir_fails_before_any_audit(self, monkeypatch, tmp_path, capsys):
+        # the findings dir is made where --out is opened, before the first
+        # graph is audited: a dir under a regular file writes no report line
+        calls = []
+        audit_graph = audit_module.audit_graph
+
+        def counted(g, budget=None):
+            calls.append(g)
+            return audit_graph(g, budget)
+
+        monkeypatch.setattr(audit_module, "audit_graph", counted)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        reports = tmp_path / "reports.jsonl"
+        code, out, err = run(
+            capsys, "sweep", "--all-connected", "3", "--out", str(reports),
+            "--findings-dir", str(blocker / "findings"),
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not reports.exists()
+
+    def test_all_connected_starts_at_one_vertex(self, tmp_path, capsys):
+        # the corpus runs n = 1, 2, ..., N: its first report is K_1's
+        reports = tmp_path / "reports.jsonl"
+        code, _, _ = run(capsys, "sweep", "--all-connected", "3", "--out", str(reports))
+        assert code == 0
+        lines = [json.loads(line) for line in reports.read_text().splitlines()]
+        assert [r["graph6"] for r in lines] == ["@", "A_", "Bo", "Bg", "BW", "Bw"]
+
     def test_bad_source_leaves_out_untouched(self, tmp_path, capsys):
         # the source is checked before --out is opened: a bad corpus line
         # neither creates nor truncates the reports file
@@ -509,10 +556,10 @@ def test_random_sweep_output_is_byte_stable(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f2375e8969e267ae0663cd24029d587cb1942c07460dd07cc97e91d73c1b43e8"
+        "035090f89b23c0f92ba425595dbddf568f3a9f5931f707d82adce02e467dc683"
     )
     assert hashlib.sha256(reports.read_bytes()).hexdigest() == (
-        "c32f03a91ce32e4713da3d721218f5bb48636222a89a77cf5a7725fff3a71f77"
+        "3906e6ed87001d26824c0230bc8f425ba731a20c56b6f2e0cdc06cf3c9a0a8bd"
     )
 
 

@@ -180,6 +180,22 @@ class TestDecompose:
         assert rec.case is Case.NEW_CLIQUE_COLOR
         assert rec.k1 == 2
 
+    def test_new_color_threshold_is_one_above_the_floor(self):
+        # triangle clique of degree-3 vertices; both components sit at
+        # d - k + 2 = 2, one above the floor d - k + 1: the lowest
+        # minimum degree that takes the fresh clique color
+        edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 7)]
+        edges += [(3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+        edges += [(7, 8), (7, 9)] + list(combinations([8, 9, 10, 11], 2))
+        g = Graph(12, edges)
+        rec = decompose(g)
+        d = degree_stats(g).min_degree
+        assert (d, rec.clique, rec.k1) == (3, (0, 1, 2), 2)
+        assert [c.min_degree for c in rec.components] == [d - rec.k + 2] * 2
+        assert rec.case is Case.NEW_CLIQUE_COLOR
+        _, trace = construct_coloring(g)
+        assert trace.verification == "pass" and trace.colors_used <= trace.budget
+
     def test_reused_color_witness_classified(self):
         g = reused_color_witness()
         rec = decompose(g)

@@ -29,7 +29,12 @@ from rcaudit.exact import (
     _search_order,
     _SearchState,
 )
-from rcaudit.generators import iter_connected_graphs, random_corpus
+from rcaudit.generators import (
+    CounterexampleParams,
+    gen_counterexample,
+    iter_connected_graphs,
+    random_corpus,
+)
 from rcaudit.graphs import bfs_distances, distance_table, parse_graph6
 from rcaudit.rainbow import edge_adjacency
 
@@ -225,12 +230,13 @@ class TestDecision:
 
     def test_empty_conflict_set_ends_the_level(self):
         # a triangle 0-1-2 with pendant edges at 1, 1 and 2, which the
-        # search order colors first: two learned leaf pairs and three
+        # search order colors first: one learned leaf pair and two
         # conflict-directed jumps empty the conflict sets, which proves
-        # q = 3 UNSAT in a ninth of the plain search's nodes
+        # q = 3 UNSAT in under a tenth of the plain search's nodes
         g = parse_graph6("ExP?")
         level = rc_exact(g).stats.levels[0]
-        assert (level.q, level.status, level.nodes) == (3, DecisionStatus.UNSAT, 21)
+        assert (level.q, level.status, level.nodes) == (3, DecisionStatus.UNSAT, 14)
+        assert (level.learned_pairs, level.jumps) == (1, 2)
         assert plain_canonical_search(g, 3, g.edge_list()) == (None, 185)
 
     def test_sat_exactly_from_naive_rc_on_long_graphs(self):
@@ -348,17 +354,18 @@ class TestLearnedAgainstPlainSearch:
         assert leaves > 1000 and tracked > 1000, (leaves, tracked)
 
     # (graph6, nodes) of the plain canonical search in g.edge_list()
-    # order, summed over the levels from max(diameter, 1) to rc, as the
-    # library's plain search counted them before learning and
-    # backjumping were added: the reference must walk the same tree
+    # order, summed over the levels from max(diameter, 1) to rc: the
+    # reference must walk the same tree. An exhausted level visits every
+    # node in any color order, so only the satisfying level's count
+    # depends on the order
     PLAIN_NODES = [
-        ("G@oAqG", 1722),
-        ("DHg", 45),
-        ("FJrCG", 1070),
-        ("GLBARS", 2376),
-        ("FOCMo", 1725),
-        ("Ecr_", 177),
-        ("E^E_", 36),
+        ("G@oAqG", 131),
+        ("DHg", 38),
+        ("FJrCG", 252),
+        ("GLBARS", 18),
+        ("FOCMo", 1196),
+        ("Ecr_", 16),
+        ("E^E_", 8),
     ]
 
     def test_plain_search_node_counts(self):
@@ -402,6 +409,27 @@ class TestExact:
         res = rc_exact(Graph(1))
         assert res.status is ExactStatus.EXACT and res.value == 0
         assert res.witness == {}
+
+    def test_single_vertex_runs_no_search(self):
+        # no level is searched and no witness check is made: the empty
+        # coloring is the answer before either runs
+        stats = rc_exact(Graph(1)).stats
+        assert (stats.levels, stats.witness_checks, stats.nodes) == ((), 0, 0)
+
+    def test_counterexample_family_solves_with_no_budget(self):
+        # every instance with min degree d <= 8 is solved by the search
+        # itself, with no budget, in at most 1,503 nodes
+        solved = []
+        for d in range(2, 9):
+            for t in range(1, d // 2 + 1):
+                g, _ = gen_counterexample(CounterexampleParams(d, t))
+                res = rc_exact(g)
+                assert res.status is ExactStatus.EXACT, (d, t)
+                assert res.stats.witness_checks == 0
+                assert res.value == (3 if t == 1 else 6), (d, t)
+                assert isinstance(is_rainbow_connected(g, res.witness), dict)
+                solved.append(res.stats.nodes)
+        assert len(solved) == 16 and max(solved) == 1503
 
     def test_witness_uses_exactly_value_colors_and_verifies(self):
         rng = random.Random(MASTER_SEED + 10)
@@ -482,15 +510,17 @@ class TestExact:
             assert len(values) == 1, to_graph6(g)
 
     def test_search_order_outcomes_on_the_random_corpus(self):
-        # at 2,000 nodes the search refutes level 5 of the first graph,
-        # where lexicographic edge order gave up at 5; the second, solved
-        # in 274 nodes in that order, now needs 5,896
-        lower = rc_exact(parse_graph6("OO?AS_T?G_?CC??Gq@pCB"), Budget(max_nodes=2000))
-        assert (lower.status, lower.value) == (ExactStatus.LOWER_BOUND_ONLY, 6)
-        g = parse_graph6("OH_DdG_?D?`KO??Q@oGa?")
-        assert rc_exact(g, Budget(max_nodes=2000)).status is ExactStatus.BUDGET_EXHAUSTED
-        res = rc_exact(g, Budget(max_nodes=20000))
-        assert (res.status, res.value, res.stats.nodes) == (ExactStatus.EXACT, 5, 5896)
+        # at 2,000 nodes, with colors tried in ascending order, the
+        # fail-first edge order refuted level 5 of the first graph and
+        # gave up at 6, and it solved the second only at 5,896 nodes;
+        # fewest-used-first colors solve both by search
+        for graph6, value, nodes in (
+            ("OO?AS_T?G_?CC??Gq@pCB", 6, 711),
+            ("OH_DdG_?D?`KO??Q@oGa?", 5, 122),
+        ):
+            res = rc_exact(parse_graph6(graph6), Budget(max_nodes=2000))
+            assert (res.status, res.value, res.stats.nodes) == (ExactStatus.EXACT, value, nodes)
+            assert res.stats.witness_checks == 0
 
     def test_deterministic_witness(self):
         rng = random.Random(MASTER_SEED + 14)
@@ -598,16 +628,16 @@ class TestExact:
             for r in (rc_exact(g, Budget(max_nodes=2000)) for g in random_corpus(10, 5, 16, 2))
         ]
         assert got == [
-            ("exact", 4, 30),
-            ("exact", 2, 34),
-            ("exact", 2, 71),
-            ("exact", 3, 231),
-            ("exact", 2, 79),
+            ("exact", 4, 19),
+            ("exact", 2, 26),
+            ("exact", 2, 58),
+            ("exact", 3, 46),
+            ("exact", 2, 62),
             ("exact", 1, 10),
-            ("exact", 2, 46),
-            ("exact", 4, 160),
-            ("exact", 3, 20),
-            ("exact", 2, 61),
+            ("exact", 2, 34),
+            ("exact", 4, 133),
+            ("exact", 3, 13),
+            ("exact", 2, 48),
         ]
 
     # (graph6, status, value, nodes, witness colors in edge-list order) at
@@ -620,31 +650,34 @@ class TestExact:
     # and Ecr_. The fail-first edge order kept every status and value and
     # changed every witness but DHg's; it lowered seven node counts and
     # raised those of HWtaHks, HRO_iCo, HJmHtYV, IaMYDK^Tw, IYABhPECG and
-    # E^E_.
+    # E^E_. Fewest-used-first colors kept every status and value and the
+    # witnesses of G@oAqG, DHg, Hv_@GC_, FOCMo and Ecr_; they raised the
+    # node count of FJrCG from 41 and of Hv_@GC_ from 218, and lowered
+    # every other one.
     PINNED = [
-        ("HWtaHks", "exact", 3, 72, [0, 0, 1, 0, 2, 0, 2, 2, 0, 0, 1, 0, 1, 0, 1, 0]),
-        ("G@oAqG", "exact", 5, 52, [2, 0, 2, 4, 0, 3, 1, 1]),
-        ("HRO_iCo", "exact", 4, 535, [1, 3, 0, 0, 2, 0, 0, 1, 1, 2, 2]),
+        ("HWtaHks", "exact", 3, 17, [1, 0, 0, 2, 1, 0, 0, 0, 2, 1, 2, 0, 2, 0, 1, 1]),
+        ("G@oAqG", "exact", 5, 34, [2, 0, 2, 4, 0, 3, 1, 1]),
+        ("HRO_iCo", "exact", 4, 96, [1, 3, 0, 1, 2, 3, 0, 1, 1, 2, 0]),
         (
-            "HJmHtYV", "exact", 3, 41,
-            [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1, 1, 1, 0, 0, 0, 0],
+            "HJmHtYV", "exact", 3, 20,
+            [0, 0, 2, 1, 0, 1, 2, 1, 1, 0, 2, 0, 0, 1, 2, 0, 1, 2, 0, 1],
         ),
-        ("DHg", "exact", 4, 30, [0, 1, 2, 3]),
+        ("DHg", "exact", 4, 19, [0, 1, 2, 3]),
         (
-            "IaMYDK^Tw", "exact", 3, 84,
-            [0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 0, 1, 0, 2, 1],
+            "IaMYDK^Tw", "exact", 3, 23,
+            [0, 1, 2, 2, 1, 0, 0, 1, 1, 0, 1, 2, 2, 0, 0, 2, 1, 0, 2, 1, 1, 2, 0],
         ),
-        ("FJrCG", "exact", 3, 41, [1, 1, 0, 0, 0, 1, 2, 0, 1]),
-        ("GLBARS", "exact", 4, 52, [0, 0, 1, 1, 0, 3, 0, 2, 0, 2, 2]),
+        ("FJrCG", "exact", 3, 47, [1, 2, 0, 1, 1, 0, 0, 0, 2]),
+        ("GLBARS", "exact", 4, 18, [0, 1, 2, 0, 1, 3, 1, 0, 0, 2, 2]),
         (
-            "HnztBkV", "exact", 3, 61,
-            [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0],
+            "HnztBkV", "exact", 3, 23,
+            [0, 1, 0, 2, 1, 0, 1, 2, 2, 1, 0, 1, 1, 2, 2, 1, 0, 2, 0, 0, 0, 0, 1],
         ),
-        ("IYABhPECG", "exact", 5, 188, [2, 0, 2, 0, 4, 0, 3, 1, 2, 0, 0, 3, 0, 4, 2]),
-        ("Hv_@GC_", "exact", 5, 218, [1, 3, 2, 2, 0, 4, 4, 3, 0, 1]),
-        ("FOCMo", "exact", 5, 122, [0, 3, 2, 0, 1, 1, 4]),
-        ("Ecr_", "exact", 3, 20, [2, 1, 1, 2, 0, 1, 0]),
-        ("E^E_", "exact", 3, 21, [1, 0, 0, 1, 0, 2, 1, 0]),
+        ("IYABhPECG", "exact", 5, 22, [2, 0, 0, 1, 2, 3, 4, 1, 2, 0, 0, 3, 1, 3, 2]),
+        ("Hv_@GC_", "exact", 5, 225, [1, 3, 2, 2, 0, 4, 4, 3, 0, 1]),
+        ("FOCMo", "exact", 5, 91, [0, 3, 2, 0, 1, 1, 4]),
+        ("Ecr_", "exact", 3, 15, [2, 1, 1, 2, 0, 1, 0]),
+        ("E^E_", "exact", 3, 8, [1, 2, 0, 0, 1, 2, 1, 0]),
     ]
 
     def test_pinned_outcomes_and_witnesses_on_long_graphs(self):
@@ -690,7 +723,7 @@ class TestExact:
     # edge-list order) from unbudgeted rc_exact; a refactor of the search
     # must keep every row
     SMALL_GRAPHS_DIGEST = (
-        "639e94dc7c5b1a22141372c98b641b8e39727df8a7166f44e1b02fb975331d10"
+        "61e0bd9b46447fa4ce9ae623865d9b72c6748bd5cec48a13aaa21f882f8337bc"
     )
 
     def test_unbudgeted_outcomes_on_small_graphs(self):
@@ -712,7 +745,7 @@ class TestExact:
     # edge-list order, or None); a change to the search that keeps its
     # tree must keep every row
     RANDOM_CORPUS_DIGEST = (
-        "582b95234c9ca8f6284a8dcd4fae293ccc4d68d265fb59e63da6935692b8a831"
+        "dea2b618669e3fc3f955b3097288389968493ad0c4134cecbb44f613d8c0d5c1"
     )
 
     def test_budgeted_outcomes_on_the_random_corpus(self):
@@ -731,8 +764,9 @@ class TestExact:
     def test_pairs_above_the_cap_are_enumerated_once(self, monkeypatch):
         # with a cap of 2 most pairs are neither preloaded nor learned:
         # failing ones fail at several leaves, but each pair's paths are
-        # listed only once, and the search still finds the plain search's
-        # first satisfying leaf in the same edge order
+        # listed only once, a pair that preloading found above the cap
+        # included, and the search still finds the plain search's first
+        # satisfying leaf in the same edge order
         monkeypatch.setattr(rcaudit.exact, "_PATH_CAP", 2)
         failures = record_leaf_failures(monkeypatch)
         listed = []
@@ -743,13 +777,13 @@ class TestExact:
             return paths_within(adjacency, s, dist_to_t, limit, cap)
 
         monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
-        g = parse_graph6("FJrCG")
+        g = parse_graph6("HRO_iCo")
         (res,) = rc_exact(g).stats.levels
         assert len(listed) == len(set(listed))
         assert len(failures) > len(set(failures))  # over-cap pairs failed again
-        assert res.learned_pairs < len(listed)
-        plain, _ = plain_canonical_search(g, 3, _search_order(g)[1])
-        assert (res.q, res.status, res.coloring) == (3, DecisionStatus.SAT, plain)
+        assert 0 < res.learned_pairs < len(listed)
+        plain, _ = plain_canonical_search(g, 4, _search_order(g)[1])
+        assert (res.q, res.status, res.coloring) == (4, DecisionStatus.SAT, plain)
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)
@@ -783,7 +817,7 @@ class TestMaskTables:
     # (_PRELOAD_CAP, node budget): the real caps, then caps that leave
     # most pairs to be learned, then a budget that cuts many levels
     @pytest.mark.parametrize(
-        "preload_cap, max_nodes", [(None, 2000), (3, 300), (1, 300), (None, 17)]
+        "preload_cap, max_nodes", [(None, 2000), (3, 100), (1, 100), (None, 17)]
     )
     def test_same_result_as_path_tables(self, monkeypatch, preload_cap, max_nodes):
         if preload_cap is not None:
@@ -829,7 +863,7 @@ class TestMaskTables:
         masks = rc_exact(g).stats.levels[0]
         monkeypatch.setattr(rcaudit.exact, "_prune_tables", rcaudit.exact._path_tables)
         assert self.fields(masks) == self.fields(rc_exact(g).stats.levels[0])
-        assert (masks.q, *self.fields(masks)) == (2, DecisionStatus.UNSAT, None, 69, 0, 0, 3)
+        assert (masks.q, *self.fields(masks)) == (2, DecisionStatus.UNSAT, None, 73, 0, 0, 4)
 
 
 class TestLevelRecords:
@@ -869,7 +903,7 @@ class TestLevelRecords:
         for g in random_corpus(500, 4, 40, MASTER_SEED):
             res = rc_exact(g, Budget(max_nodes=2000))
             stops += self.check(g, res, 2000) is DecisionStatus.BUDGET_EXHAUSTED
-        assert stops == 70
+        assert stops == 10
 
 
 class TestSeededWitness:
@@ -966,8 +1000,10 @@ class TestSeededWitness:
         assert closed and given_up
 
     def test_matches_the_full_scan_loop_on_the_budget_stopped_corpus(self, monkeypatch):
-        # every random-corpus graph whose deepening the 2000-node budget
-        # stops, with the distance table the search hands over
+        # every random-corpus graph whose deepening a 200-node budget
+        # stops, with the distance table the search hands over; at 2,000
+        # nodes the search solves all but 10, and the witness search
+        # closes none of those
         runs = []
         real = rcaudit.exact._seeded_witness
 
@@ -978,9 +1014,10 @@ class TestSeededWitness:
 
         monkeypatch.setattr(rcaudit.exact, "_seeded_witness", recorded)
         for g in random_corpus(500, 4, 40, MASTER_SEED):
-            rc_exact(g, Budget(max_nodes=2000))
-        assert len(runs) == 70
-        assert sum(witness is not None for _, _, (witness, _) in runs) == 38
+            rc_exact(g, Budget(max_nodes=200))
+        assert len(runs) == 174
+        assert sum(witness is not None for _, _, (witness, _) in runs) == 130
+        assert sum(witness is not None and checks > 8 for _, _, (witness, checks) in runs) > 10
         for g, q, (witness, checks) in runs:
             assert (witness, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
 
