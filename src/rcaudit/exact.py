@@ -100,15 +100,6 @@ passes a check of every pair proves rc = q. Its random generator is seeded with
 the crc32 of the graph's graph6 string, so reruns repeat it in any
 process. A give-up it does not close is reported as such, never as
 unsatisfiability.
-
-Its checks are incremental (_RepairChecks). A check stores, for each
-pair it searches, the edges of the witness walk the search found. A
-repair step that changes an edge's color drops every pair whose stored
-walk crosses that edge, and the next check passes the pairs left to
-first_failing_pair as known. Each of those walks is a path of g whose
-edges all kept their colors, so it is still rainbow; by known's
-contract the check returns the full scan's first failing pair, and
-every step, the witness and the check count are the full scan's.
 """
 
 from __future__ import annotations
@@ -116,21 +107,12 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, is_complete, to_graph6
-from .rainbow import (
-    Adjacency,
-    Coloring,
-    FailingPair,
-    Parents,
-    State,
-    _adjacency,
-    edge_adjacency,
-    first_failing_pair,
-)
+from .rainbow import Adjacency, Coloring, _adjacency, edge_adjacency, first_failing_pair
 
 __all__ = [
     "Budget",
@@ -500,8 +482,8 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
             ends[e] = (a, b)
             incident[a] |= 1 << e
     # cm[c][v]: v's neighbors over the assigned edges of color c; per
-    # vertex its tracked partners and, by partner vertex, the pair ids;
-    # per pair its ends and live paths
+    # vertex its lower tracked partners and, by partner vertex, the pair
+    # ids; per pair its ends and live paths
     cm = [[0] * len(adjacency) for _ in range(q)]
     tracked = [0] * len(adjacency)
     pair_id = [[0] * len(adjacency) for _ in adjacency]
@@ -510,11 +492,15 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
     known = neighbors.copy()
 
     def add_pair(u: int, v: int, count: int) -> int:
+        # only the higher end v tracks the pair: for a middle vertex w,
+        # the edge {u, w} comes before {w, v} in the edge order whichever
+        # of u, v, w is lowest, so the path u-w-v dies, and revives, only
+        # at {w, v}, where it is looked up through tracked[v] and
+        # pair_id[v][u]
         p = len(alive)
-        pair_id[u][v] = pair_id[v][u] = p
+        pair_id[v][u] = p
         pairs.append((u, v))
         alive.append(count)
-        tracked[u] |= 1 << v
         tracked[v] |= 1 << u
         known[u] |= 1 << v
         return p
@@ -707,66 +693,6 @@ def _search_level(
 _WITNESS_STEPS = 30
 
 
-class _RepairChecks:
-    """Rainbow checks of one coloring that a repair search recolors a few
-    edges at a time; colors[i] is the color of edge i of g.edge_list().
-
-    Each check is first_failing_pair over the current colors with known
-    set to the pairs whose stored witness still holds. Its reached hook
-    stores each searched pair's witness: the pair's target bit goes into
-    known[source], and (source, target bit) into the entry list of every
-    edge the witness walks. recolor clears, when an edge's color
-    actually changes, the known bit of every entry on that edge, and
-    empties its list.
-
-    So a known pair always has a stored witness whose edges all kept the
-    colors they had when it was found: a simple path of g that is still
-    rainbow. By known's contract every check then returns exactly what a
-    full scan of the same colors returns; it searches only the targets
-    that are new or whose witness a recoloring broke. An entry can
-    outlive its witness, when the pair is cleared through another edge
-    and found again; clearing it later only searches that pair once
-    more.
-    """
-
-    def __init__(self, adjacency: Adjacency, colors: list[int]) -> None:
-        self.adjacency = adjacency
-        self.colors = colors
-        self.bits = [1 << c for c in colors]
-        # per vertex, the edge index of each neighbor
-        self.edge_at = [dict(row) for row in adjacency]
-        self.known = [0] * len(adjacency)
-        self.entries: list[list[tuple[int, int]]] = [[] for _ in colors]
-
-    def first_failing_pair(self) -> FailingPair | None:
-        return first_failing_pair(self.adjacency, self.bits, self.known, self._store)
-
-    def _store(
-        self, s: int, targets: Sequence[int], parent: Parents, first: dict[int, State]
-    ) -> None:
-        edge_at, entries = self.edge_at, self.entries
-        found = 0
-        for t in targets:
-            entry = (s, 1 << t)
-            found |= 1 << t
-            w, state = t, parent[first[t]]
-            while state is not None:
-                v = state[0]
-                entries[edge_at[v][w]].append(entry)
-                w, state = v, parent[state]
-        self.known[s] |= found
-
-    def recolor(self, e: int, c: int) -> None:
-        if self.colors[e] == c:
-            return
-        self.colors[e] = c
-        self.bits[e] = 1 << c
-        known = self.known
-        for s, bit in self.entries[e]:
-            known[s] &= ~bit
-        self.entries[e].clear()
-
-
 def _seeded_witness(
     g: Graph,
     q: int,
@@ -781,22 +707,17 @@ def _seeded_witness(
     its edges distinct random colors. q is at least the diameter, so
     every shortest path fits. _WITNESS_STEPS caps the steps; no budget
     and no clock cuts them short.
-
-    A step recolors at most q edges, so most pairs keep the witness the
-    previous check found. The checks are _RepairChecks: a pair is
-    searched again only once an edge of its stored witness changed
-    color, and each check's failing pair, hence every step, the result
-    and the check count, is the one a full scan gives.
     """
     rng = random.Random(zlib.crc32(to_graph6(g).encode()))
     adjacency = edge_adjacency(g)
-    repair = _RepairChecks(adjacency, [rng.randrange(q) for _ in range(g.m)])
+    colors = [rng.randrange(q) for _ in range(g.m)]
+    bits = [1 << c for c in colors]
     checks = 0
     for _ in range(_WITNESS_STEPS):
         checks += 1
-        failing = repair.first_failing_pair()
+        failing = first_failing_pair(adjacency, bits)
         if failing is None:
-            return dict(zip(g.edge_list(), repair.colors)), checks
+            return dict(zip(g.edge_list(), colors)), checks
         if distances is None:
             distances = distance_table(g)
         dist_to_v = distances[failing.v]
@@ -808,7 +729,8 @@ def _seeded_witness(
             )
             path.append(e)
         for e, c in zip(path, rng.sample(range(q), len(path))):
-            repair.recolor(e, c)
+            colors[e] = c
+            bits[e] = 1 << c
     return None, checks
 
 

@@ -12,10 +12,10 @@ stopping once every target is reached.
   reaches and at each step of its seeded witness search, and the
   construction calls it once to verify its finished coloring. It works
   on the graph's edge-indexed adjacency (edge_adjacency, built once per
-  graph) and one color bit per edge. Its reached hook hands each passed
-  source's parent map to the caller.
-- is_rainbow_connected runs the same scan with a hook that walks each
-  pair's witness back from the parent map, giving the certificate for
+  graph) and one color bit per edge.
+- is_rainbow_connected, the one caller of first_failing_pair's reached
+  hook, runs the same scan and walks each pair's witness back from the
+  parent map the hook hands it, giving the certificate for
   `rcaudit verify`; when the coloring fails it returns
   first_failing_pair's pair.
 

@@ -42,7 +42,6 @@ from .conftest import MASTER_SEED, random_connected_graph
 from .oracles import (
     all_simple_paths,
     diameter,
-    first_pair_without_rainbow_walk,
     has_rainbow_path_brute,
     naive_rc,
     plain_canonical_search,
@@ -985,8 +984,8 @@ class TestSeededWitness:
         assert rc_exact(g, Budget(max_nodes=2)).witness == first.witness
 
     def test_matches_the_full_scan_loop_on_seeded_graphs(self):
-        # the incremental checks change no step: same coloring, same
-        # number of checks as the loop that checks every pair each step
+        # every step is the reference loop's: same coloring and number of
+        # checks as the independent loop that checks every pair each step
         rng = random.Random(MASTER_SEED + 27)
         closed = given_up = 0
         for _ in range(40):
@@ -1020,99 +1019,3 @@ class TestSeededWitness:
         assert sum(witness is not None and checks > 8 for _, _, (witness, checks) in runs) > 10
         for g, q, (witness, checks) in runs:
             assert (witness, checks) == seeded_repair_full_scan(g, q), (to_graph6(g), q)
-
-
-class TestRepairChecks:
-    """The seeded witness search's checks: each one searches only the
-    pairs whose stored witness a recoloring broke, and answers what a
-    full check answers."""
-
-    @staticmethod
-    def checks_of(g, colors):
-        return rcaudit.exact._RepairChecks(edge_adjacency(g), list(colors))
-
-    @staticmethod
-    def full_check(g, checks):
-        return first_pair_without_rainbow_walk(g, dict(zip(g.edge_list(), checks.colors)))
-
-    @staticmethod
-    def answer(failing):
-        return None if failing is None else (failing.u, failing.v)
-
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        # (source, targets) of every rainbow search, in call order
-        calls = []
-        real = rcaudit.rainbow._search
-
-        def recorded(adjacency, bits, source, targets):
-            calls.append((source, tuple(targets)))
-            return real(adjacency, bits, source, targets)
-
-        monkeypatch.setattr(rcaudit.rainbow, "_search", recorded)
-        return calls
-
-    @staticmethod
-    def star():
-        # center 0 joined to 1, 2, 3, plus the edge 2-3; edges in list
-        # order (0,1), (0,2), (0,3), (2,3). Edges 0-1 and 0-2 share color
-        # 0, so source 0 passes on its three edges and source 1 fails at
-        # 2: 1-0-2 repeats a color, and so does 1-0-3-2 with 2-3 at 0
-        return Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), [0, 0, 1, 0]
-
-    def test_a_repair_off_every_stored_witness_searches_no_earlier_source(
-        self, searches
-    ):
-        g, colors = self.star()
-        checks = self.checks_of(g, colors)
-        assert self.answer(checks.first_failing_pair()) == (1, 2)
-        assert searches == [(0, (1, 2, 3)), (1, (2, 3))]
-        searches.clear()
-        checks.recolor(3, 1)  # 2-3 lies on no stored witness
-        assert self.answer(checks.first_failing_pair()) == self.full_check(g, checks) == (1, 2)
-        assert searches == [(1, (2, 3))]
-
-    def test_a_repair_on_a_stored_witness_searches_that_pair_only(self, searches):
-        g, colors = self.star()
-        checks = self.checks_of(g, colors)
-        checks.first_failing_pair()
-        searches.clear()
-        checks.recolor(2, 0)  # 0-3 is the stored witness of (0, 3) alone
-        assert self.answer(checks.first_failing_pair()) == self.full_check(g, checks) == (1, 2)
-        assert searches == [(0, (3,)), (1, (2, 3))]
-        searches.clear()
-        # recoloring an edge to its own color breaks nothing
-        checks.recolor(1, 0)
-        checks.first_failing_pair()
-        assert searches == [(1, (2, 3))]
-
-    def test_a_repair_that_breaks_an_earlier_witness_gets_the_full_answer(self):
-        # C_5 with 0-1, 0-4, 1-2, 2-3, 3-4 colored 0, 2, 1, 1, 0: source 0
-        # passes with the witness 0-4-3 (colors 2, 0) for (0, 3), and
-        # source 1 fails at 3 (1-2-3 reads 1, 1 and 1-0-4-3 reads 0, 2, 0).
-        # Recoloring 3-4 to 2 breaks 0-4-3, and (0, 3) fails then: 0-1-2-3
-        # reads 0, 1, 1
-        g = gen_named("cycle", 5)
-        assert g.edge_list() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-        checks = self.checks_of(g, [0, 2, 1, 1, 0])
-        assert self.answer(checks.first_failing_pair()) == self.full_check(g, checks) == (1, 3)
-        checks.recolor(4, 2)
-        assert self.answer(checks.first_failing_pair()) == self.full_check(g, checks) == (0, 3)
-
-    def test_random_recoloring_sequences_match_full_checks(self):
-        # a few edges recolored per step, each check against the full
-        # oracle check; many steps must break a stored witness
-        rng = random.Random(MASTER_SEED + 28)
-        broke = 0
-        for _ in range(60):
-            g = random_connected_graph(rng, rng.randint(4, 10), rng.uniform(0.3, 0.7))
-            q = max(diameter(g), 1) + rng.randint(0, 1)
-            checks = self.checks_of(g, [rng.randrange(q) for _ in range(g.m)])
-            for _ in range(8):
-                known = list(checks.known)
-                assert self.answer(checks.first_failing_pair()) == self.full_check(g, checks)
-                for e in rng.sample(range(g.m), min(g.m, rng.randint(1, 3))):
-                    checks.recolor(e, rng.randrange(q))
-                kept = checks.known
-                broke += any(k & ~after for k, after in zip(known, kept))
-        assert broke > 50

@@ -172,8 +172,15 @@ class TestGraph6:
             parse_graph6(text)
 
     def test_error_names_offset(self):
-        with pytest.raises(GraphFormatError, match="offset 2"):
-            parse_graph6("D?!")
+        # each message matched whole, so an offset one byte off fails
+        for text, message in [
+            ("D?!", r"invalid byte 0x21 at offset 2"),
+            ("D?", r"truncated adjacency data at offset 2 \(need 2 bytes, found 1\)"),
+            ("D?{?", r"trailing garbage at offset 3"),
+            ("D", r"truncated adjacency data at offset 1 \(need 2 bytes, found 0\)"),
+        ]:
+            with pytest.raises(GraphFormatError, match=f"^graph6: {message}$"):
+                parse_graph6(text)
 
     @pytest.mark.parametrize("n, offset", [(3, 1), (5, 2), (70, 406)])
     def test_padding_error_names_the_last_byte(self, n, offset):
