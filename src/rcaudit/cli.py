@@ -115,8 +115,7 @@ def _load_one(source: str) -> Graph:
 def _budget(args) -> Budget:
     """The solver budget from --max-nodes and --max-seconds; a negative or
     NaN cap is an input error, not a budget that runs no search."""
-    max_nodes = getattr(args, "max_nodes", None)
-    max_seconds = getattr(args, "max_seconds", None)
+    max_nodes, max_seconds = args.max_nodes, args.max_seconds
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"--max-nodes must be at least 0, got {max_nodes}")
     if max_seconds is not None and not max_seconds >= 0:
@@ -191,30 +190,30 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gen(args) -> int:
-    if args.generator == "cex":
-        params = CounterexampleParams(args.delta, args.t, args.seed)
-        g, facts = gen_counterexample(params)
-        if args.facts:
-            Path(args.facts).write_text(_dumps(vars(facts)) + "\n")
-        if args.format == "json":
-            print(_dumps({"graph6": to_graph6(g), "facts": vars(facts)}))
-        else:
-            print(to_graph6(g))
-        return EXIT_OK
-    if args.generator == "named":
-        g = gen_named(args.family, *args.size)
+def _cmd_gen_cex(args) -> int:
+    params = CounterexampleParams(args.delta, args.t, args.seed)
+    g, facts = gen_counterexample(params)
+    if args.facts:
+        Path(args.facts).write_text(_dumps(vars(facts)) + "\n")
+    if args.format == "json":
+        print(_dumps({"graph6": to_graph6(g), "facts": vars(facts)}))
+    else:
         print(to_graph6(g))
-        return EXIT_OK
-    if args.generator == "random":
-        if args.count < 0:
-            raise ValueError(f"--count needs a nonnegative count, got {args.count}")
-        for i in range(args.count):
-            seed = None if args.seed is None else args.seed + i
-            g = gen_random_connected(args.n, args.p, seed)
-            print(to_graph6(g))
-        return EXIT_OK
-    raise ValueError(f"unknown generator {args.generator!r}")
+    return EXIT_OK
+
+
+def _cmd_gen_named(args) -> int:
+    print(to_graph6(gen_named(args.family, *args.size)))
+    return EXIT_OK
+
+
+def _cmd_gen_random(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count needs a nonnegative count, got {args.count}")
+    for i in range(args.count):
+        seed = None if args.seed is None else args.seed + i
+        print(to_graph6(gen_random_connected(args.n, args.p, seed)))
+    return EXIT_OK
 
 
 def _report_text(report) -> str:
@@ -389,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="randomize the attachment choice")
     p.add_argument("--facts", help="write the facts sidecar JSON to this file")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen_cex)
 
     p = gensub.add_parser("named", help="standard families")
     p.add_argument("--family", required=True,
                    choices=("path", "cycle", "complete", "complete_bipartite", "star"))
     p.add_argument("--size", type=int, nargs="+", required=True)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen_named)
 
     p = gensub.add_parser("random", help="random connected graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen_random)
 
     p = sub.add_parser("audit", parents=[common, solver],
                        help="full bound report for one graph")

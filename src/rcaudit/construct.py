@@ -23,12 +23,8 @@ decrease it, a contraction must keep d and lower the measure, and every
 level must stay within its color budget. Each level checks these where
 they arise, once, raising ConstructionError on a violation, and records
 the measures in the trace; the final coloring is checked for rainbow
-connectivity and the outcome stored at the trace root. The check
-(_verify) settles every pair joined by an edge or a rainbow 2-path on
-per-color neighbor masks (rainbow.two_path_cover) and runs the rainbow
-search only on the pairs left, which on a graph of diameter 2 are
-usually none; its answer, the lexicographically first failing pair, is
-the full search's.
+connectivity by rainbow.failing_pair and the outcome stored at the trace
+root.
 A violation of any of these checks is surfaced as a finding (with a
 reproducer), never repaired silently: the reused-color branch in
 particular is executed exactly as stated so that instances where it fails
@@ -74,14 +70,7 @@ from itertools import combinations
 from typing import Generator, Sequence
 
 from .graphs import Graph, _bit_positions, _flood, is_connected
-from .rainbow import (
-    Coloring,
-    FailingPair,
-    edge_adjacency,
-    edge_color_bits,
-    first_failing_pair,
-    two_path_cover,
-)
+from .rainbow import Coloring, FailingPair, failing_pair
 
 __all__ = [
     "Case",
@@ -424,26 +413,9 @@ def construct_coloring(g: Graph) -> tuple[Coloring, AuditTrace]:
         raise ValueError("construction requires a connected graph")
     labels = tuple(str(v) for v in range(g.n))
     colors, trace = _construct(g, labels)
-    failing = _verify(g, colors)
+    failing = failing_pair(g, colors)
     trace.verification = "pass" if failing is None else failing
     return colors, trace
-
-
-def _verify(g: Graph, colors: Coloring) -> FailingPair | None:
-    """The construction's check of its coloring of g: what
-    first_failing_pair(edge_adjacency(g), edge_color_bits(g, colors))
-    returns, with the same errors for a coloring that is not total.
-
-    Pairs joined by an edge or a rainbow 2-path (two_path_cover) are
-    settled first, with no search. The rainbow search runs only when a
-    pair is left, and as first_failing_pair's known it skips the settled
-    pairs, which have rainbow paths, so its answer is the full scan's.
-    """
-    bits = edge_color_bits(g, colors)
-    cover = two_path_cover(g.n, colors)
-    if cover is None:
-        return None
-    return first_failing_pair(edge_adjacency(g), bits, cover)
 
 
 def run_construction(

@@ -85,11 +85,10 @@ first level it searches, runs every level through _search_level, and
 records each level's verdict and work in stats.levels: a witness at q
 plus the UNSAT record of every level below it is the evidence for
 rc = q. Mask tables read nothing more. The first path-table level adds
-to the state the distance table relabeled by rank and per vertex its
-edge-by-neighbor map, building g's table then if the bound did not;
-the seeded witness search reuses that table or builds it at its first
-failing pair. So the table is built at most once per call, and a graph
-of diameter 2 solved at q = 2 builds none.
+to the state the distance table relabeled by rank, building g's table
+then if the bound did not; the seeded witness search reuses that table
+or builds it at its first failing pair. So the table is built at most
+once per call, and a graph of diameter 2 solved at q = 2 builds none.
 
 Node and wall-time budgets cap the deepening so corpus sweeps never
 hang; one deadline covers every level. When a budget stops the

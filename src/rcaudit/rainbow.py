@@ -2,32 +2,26 @@
 
 A path is rainbow when its edges carry pairwise distinct colors; a
 colored graph is rainbow connected when every vertex pair has a rainbow
-path. Both entry points run one search, _search: breadth first over
+path. One search, _search, runs breadth first from a source over
 (vertex, used-color-set) states, recording each state's parent and
-stopping once every target is reached.
+stopping once every target is reached. Three entry points answer three
+questions with it, each scanning the sources in order and answering
+with the lexicographically first pair that has no rainbow path:
 
-- first_failing_pair answers the yes/no question and returns the
-  lexicographically first pair with no rainbow path, or None, without
-  walking back any witness. The exact solver calls it at each leaf it
-  reaches and at each step of its seeded witness search, and the
-  construction calls it once to verify its finished coloring. It works
-  on the graph's edge-indexed adjacency (edge_adjacency, built once per
-  graph) and one color bit per edge.
-- is_rainbow_connected, the one caller of first_failing_pair's reached
-  hook, runs the same scan and walks each pair's witness back from the
-  parent map the hook hands it, giving the certificate for
-  `rcaudit verify`; when the coloring fails it returns
-  first_failing_pair's pair.
-
-The construction's check of its finished coloring (construct._verify)
-first runs two_path_cover, a pass with no search: per vertex and color
-the mask of neighbors over edges of that color, from which each vertex
-reads the vertices it reaches by an edge or a rainbow 2-path. When that
-settles every pair the coloring passes with no search; otherwise
-first_failing_pair runs with the settled pairs as its known. The exact
-solver's leaf and witness checks skip the pass: their colorings fail
-often, and on the pairs the pass leaves, so it costs them more than it
-saves.
+- first_failing_pair, the solver's verdict: the exact solver calls it at
+  each leaf it reaches and at each step of its seeded witness search. It
+  works on the graph's edge-indexed adjacency (edge_adjacency, built
+  once per graph) and one color bit per edge, and walks back no witness.
+- failing_pair, a coloring's verdict: the construction checks its
+  finished coloring with it. It first settles every pair joined by an
+  edge or a rainbow 2-path with no search (_two_path_cover, on per-color
+  neighbor masks), which on a graph of diameter 2 is usually every pair,
+  and runs first_failing_pair's scan only on the pairs left. The solver's
+  checks skip that pass: their colorings fail often, and on the pairs
+  the pass leaves, so it costs them more than it saves.
+- is_rainbow_connected, the certificate, in a scan of its own: it walks
+  each pair's witness back from its source's parent map, for
+  `rcaudit verify`.
 
 States are expanded in nondecreasing color-set size. They do not track
 visited vertices: any repeated vertex on a distinct-color walk could be
@@ -39,7 +33,7 @@ handles any number of colors with one representation.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, GraphFormatError, _bit_positions
 
@@ -47,8 +41,8 @@ __all__ = [
     "FailingPair",
     "edge_adjacency",
     "edge_color_bits",
-    "two_path_cover",
     "first_failing_pair",
+    "failing_pair",
     "is_rainbow_connected",
     "parse_coloring",
     "coloring_to_text",
@@ -60,9 +54,6 @@ Adjacency = tuple[tuple[tuple[int, int], ...], ...]
 State = tuple[int, int]
 # a search's parent map: the state each state was first reached from
 Parents = dict[State, State | None]
-# called with (source, targets, parent map, first state at each target)
-# for each source of a scan that reaches all of its targets
-Reached = Callable[[int, Sequence[int], Parents, dict[int, State]], None]
 # an edge coloring: each key is an edge (u, v) with u < v, each color is
 # nonnegative. Nothing checks that contract; the library's own colorings
 # keep it. parse_coloring is the checked way in from text (it rejects
@@ -121,7 +112,7 @@ def edge_color_bits(g: Graph, coloring: Coloring) -> list[int]:
     return [1 << index[coloring[e]] for e in edges]
 
 
-def two_path_cover(n: int, colors: Coloring) -> list[int] | None:
+def _two_path_cover(n: int, colors: Coloring) -> list[int] | None:
     """Per vertex u of a graph on n vertices colored by colors (a total
     coloring), the mask of the vertices u reaches by an edge or by a
     rainbow 2-path, u's own bit included; None when every mask holds
@@ -209,7 +200,6 @@ def first_failing_pair(
     adjacency: Adjacency,
     bits: list[int],
     known: list[int] | None = None,
-    reached: Reached | None = None,
 ) -> FailingPair | None:
     """Lexicographically first vertex pair with no rainbow path, or None
     when the coloring is rainbow connected.
@@ -229,12 +219,6 @@ def first_failing_pair(
     search leaves unreached. The answer is therefore the full scan's,
     provided every pair in known does have a rainbow path: such a pair
     is never unreached.
-
-    reached, when given, is called for each source whose search reaches
-    all of its targets, before the next source is searched, with the
-    source, those targets, the search's parent map and, per target, the
-    state that first reached it; the target's witness is the walk back
-    from that state (see _walk_back).
     """
     n = len(adjacency)
     for s in range(n - 1):
@@ -245,29 +229,46 @@ def first_failing_pair(
             if not left:
                 continue
             targets = _bit_positions(left)
-        parent, first = _search(adjacency, bits, s, targets)
+        first = _search(adjacency, bits, s, targets)[1]
         if len(first) < len(targets):
             return FailingPair(s, next(t for t in targets if t not in first))
-        if reached is not None:
-            reached(s, targets, parent, first)
     return None
+
+
+def failing_pair(g: Graph, coloring: Coloring) -> FailingPair | None:
+    """What first_failing_pair(edge_adjacency(g), edge_color_bits(g,
+    coloring)) returns, with the same errors for a coloring that is not
+    total on g.
+
+    Pairs joined by an edge or a rainbow 2-path (_two_path_cover) are
+    settled first, with no search. The rainbow search runs only when a
+    pair is left, and as first_failing_pair's known it skips the settled
+    pairs, which have rainbow paths, so its answer is the full scan's.
+    """
+    bits = edge_color_bits(g, coloring)
+    cover = _two_path_cover(g.n, coloring)
+    if cover is None:
+        return None
+    return first_failing_pair(edge_adjacency(g), bits, cover)
 
 
 def is_rainbow_connected(g: Graph, coloring: Coloring) -> Certificate | FailingPair:
     """Certificate with a witness per pair, or the failing pair that
-    first_failing_pair returns, on any graph. Use first_failing_pair when
-    only the verdict is needed."""
+    first_failing_pair returns, on any graph. Use failing_pair when only
+    the verdict is needed. The scan is first_failing_pair's; each
+    target's witness is walked back from its source's parent map."""
     bits = edge_color_bits(g, coloring)
+    adjacency = edge_adjacency(g)
     witnesses: Certificate = {}
-
-    def walk_back(
-        s: int, targets: Sequence[int], parent: Parents, first: dict[int, State]
-    ) -> None:
+    n = g.n
+    for s in range(n - 1):
+        targets = range(s + 1, n)
+        parent, first = _search(adjacency, bits, s, targets)
         for t in targets:
+            if t not in first:
+                return FailingPair(s, t)
             witnesses[(s, t)] = _walk_back(parent, first[t])
-
-    failing = first_failing_pair(edge_adjacency(g), bits, reached=walk_back)
-    return witnesses if failing is None else failing
+    return witnesses
 
 
 def parse_coloring(text: str, g: Graph) -> Coloring:

@@ -37,6 +37,13 @@ class TestVerify:
         assert code == 2
         assert "0 and 2" in out
 
+    def test_failing_coloring_json(self, tmp_path, capsys):
+        coloring = tmp_path / "coloring.txt"
+        coloring.write_text("0 1 0\n1 2 0\n")
+        assert run(capsys, "verify", "Bg", str(coloring), "--format", "json") == (
+            2, '{"failing_pair":[0,2],"status":"failed"}\n', ""
+        )
+
     def test_passing_coloring_exits_0(self, tmp_path, capsys):
         graph = tmp_path / "p3.txt"
         graph.write_text(edge_list_text(gen_named("path", 3)))
@@ -196,6 +203,15 @@ class TestConstruct:
         assert code == 4
         assert "finding" in out and "reproducer" in out
 
+    def test_finding_json(self, capsys):
+        graph6 = to_graph6(reused_color_witness())
+        assert graph6 == "N}CYW[Ng??_BGB?B_@w"
+        code, out, _ = run(capsys, "construct", graph6, "--format", "json")
+        assert (code, json.loads(out)) == (4, {
+            "status": "finding", "kind": "verification-failed", "graph6": graph6,
+            "detail": "no rainbow path between 2 and 3",
+        })
+
     def test_json_coloring(self, capsys):
         code, out, _ = run(
             capsys, "construct", "--format", "json", to_graph6(gen_named("path", 3))
@@ -219,6 +235,13 @@ class TestGen:
         facts = json.loads(facts_path.read_text())
         assert facts["min_degree_sum"] == 6
         assert facts["roles"].count("clique") == 1
+
+    def test_cex_json(self, capsys):
+        code, out, _ = run(capsys, "gen", "cex", "--delta", "4", "--t", "2", "--format", "json")
+        g, facts = rcaudit.gen_counterexample(rcaudit.CounterexampleParams(4, 2))
+        payload = json.loads(out)
+        assert (code, payload["graph6"]) == (0, to_graph6(g))
+        assert payload["facts"] == {**vars(facts), "roles": list(facts.roles)}
 
     def test_cex_parameter_violation_exits_1(self, capsys):
         code, _, err = run(capsys, "gen", "cex", "--delta", "3", "--t", "2")
@@ -300,6 +323,11 @@ class TestAuditCommand:
         assert code == 0
         assert payload["rc_value"] == 1
         assert payload["degree_sum_bound"] is None
+
+    def test_budget_exhausted_exits_3(self, capsys):
+        code, out, err = run(capsys, "audit", "M?@Qc@k?OW?qcIC@?", "--max-nodes", "2000")
+        assert (code, err) == (3, "")
+        assert "rc: budget-exhausted 4 (nodes=2000)" in out.splitlines()
 
     def test_construction_finding_exits_4(self, capsys):
         code, _, _ = run(
@@ -623,6 +651,11 @@ class TestUsage:
         path.write_text("\nD!{\n")
         assert run(capsys, "construct", str(path)) == (1, "", f"error: {path}: line 2: {bad}")
         assert run(capsys, "construct", "D!{") == (1, "", f"error: {bad}")
+
+    def test_empty_graph_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        assert run(capsys, "exact", str(path)) == (1, "", f"error: {path}: empty file\n")
 
     def test_multi_graph_file_rejected_for_single_commands(self, tmp_path, capsys):
         path = tmp_path / "two.g6"

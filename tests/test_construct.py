@@ -29,6 +29,7 @@ from rcaudit import (
 )
 import rcaudit.construct as construct_module
 import rcaudit.graphs as graphs_module
+import rcaudit.rainbow as rainbow_module
 from rcaudit.construct import ConstructionError
 from rcaudit.generators import iter_connected_graphs, random_corpus
 from rcaudit.graphs import bfs_distances
@@ -293,6 +294,10 @@ class TestConstructColoring:
         with pytest.raises(ValueError, match="connected"):
             construct_coloring(Graph(3, [(0, 1)]))
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="^construction requires at least one vertex$"):
+            construct_coloring(Graph(0))
+
     def test_connectivity_checked_once(self, monkeypatch):
         # every level below the root colors a component of a connected
         # graph or the contraction of one, so only the entry checks
@@ -469,7 +474,7 @@ class TestMaskedVerification:
             coloring, trace = construct_coloring(g)
             want = self.full(g, coloring)
             assert trace.verification == ("pass" if want is None else want)
-            left_over += construct_module.two_path_cover(g.n, coloring) is not None
+            left_over += rainbow_module._two_path_cover(g.n, coloring) is not None
         # pairs at distance 3 or more are left to the rainbow search
         assert left_over > 0
 
@@ -478,7 +483,7 @@ class TestMaskedVerification:
         g = globals()[name]()
         coloring, trace = construct_coloring(g)
         want = self.full(g, coloring)
-        assert construct_module._verify(g, coloring) == want
+        assert rainbow_module.failing_pair(g, coloring) == want
         assert trace.verification == ("pass" if want is None else want)
         if name == "reused_color_witness":
             assert want == FailingPair(2, 3)
@@ -494,7 +499,7 @@ class TestMaskedVerification:
             for q in (2, 3, 4):
                 colors = {e: rng.randrange(q) for e in g.edge_list()}
                 want = self.full(g, colors)
-                assert construct_module._verify(g, colors) == want
+                assert rainbow_module.failing_pair(g, colors) == want
                 if want is not None:
                     distances[min(bfs_distances(g, want.u)[want.v], 3)] += 1
         assert distances[2] > 0 and distances[3] > 0
@@ -505,7 +510,7 @@ class TestMaskedVerification:
             with pytest.raises(ValueError) as want:
                 self.full(g, colors)
             with pytest.raises(ValueError) as got:
-                construct_module._verify(g, colors)
+                rainbow_module.failing_pair(g, colors)
             assert str(got.value) == str(want.value)
 
     def test_result_is_normal(self):

@@ -175,6 +175,27 @@ class TestDecision:
         res = rc_exact(c6, Budget(max_seconds=0.0))
         assert (res.stats.levels, res.stats.nodes) == ((), 0)
 
+    def test_deadline_far_off_reads_the_clock_every_1024_nodes(self, monkeypatch):
+        # one level of 2,000 nodes: the clock is read for the deadline, by
+        # the deepening loop, and by the level at nodes 0 and 1,024; a
+        # deadline that never comes leaves the node budget's answer
+        g = parse_graph6("M?@Qc@k?OW?qcIC@?")
+        nodes_only = rc_exact(g, Budget(max_nodes=2000))
+        reads = []
+        monotonic = rcaudit.exact.time.monotonic
+
+        def counted():
+            reads.append(None)
+            return monotonic()
+
+        monkeypatch.setattr(rcaudit.exact.time, "monotonic", counted)
+        timed = rc_exact(g, Budget(max_nodes=2000, max_seconds=3600))
+        assert timed == nodes_only
+        assert [(r.q, r.status, r.nodes) for r in timed.stats.levels] == [
+            (4, DecisionStatus.BUDGET_EXHAUSTED, 2000)
+        ]
+        assert len(reads) == 4
+
     def test_budget_spent_on_arrival_builds_nothing(self, monkeypatch):
         # a spent budget stops the deepening with no level searched, before
         # the search order and the prune tables are built; a spent clock
@@ -783,6 +804,34 @@ class TestExact:
         assert 0 < res.learned_pairs < len(listed)
         plain, _ = plain_canonical_search(g, 4, _search_order(g)[1])
         assert (res.q, res.status, res.coloring) == (4, DecisionStatus.SAT, plain)
+
+    def test_pairs_over_the_cap_at_a_leaf_are_not_learned(self, monkeypatch):
+        # with a cap of 1 most failing pairs are met first at a leaf, over
+        # the cap: they blame every depth, which changes the search tree
+        # but never the first satisfying leaf, and each is listed once per
+        # level; n stays at most 8: at 11 one graph's capped search expands
+        # 2,283,765 nodes against 767
+        graphs = list(random_corpus(120, 4, 8, 5))
+        plain = [rc_exact(g) for g in graphs]
+        monkeypatch.setattr(rcaudit.exact, "_PATH_CAP", 1)
+        paths_within = rcaudit.exact._paths_within
+        listed = []
+
+        def counted(adjacency, s, dist_to_t, limit, cap):
+            listed.append((s, dist_to_t.index(0), limit))
+            return paths_within(adjacency, s, dist_to_t, limit, cap)
+
+        monkeypatch.setattr(rcaudit.exact, "_paths_within", counted)
+        capped = []
+        for g in graphs:
+            listed.clear()
+            capped.append(rc_exact(g))
+            assert len(listed) == len(set(listed))
+        for a, b in zip(plain, capped):
+            assert (b.status, b.value, b.witness) == (a.status, a.value, a.witness)
+        learned = [sum(r.stats.learned_pairs for r in rs) for rs in (plain, capped)]
+        assert learned == [65, 53]
+        assert any(a.stats.nodes != b.stats.nodes for a, b in zip(plain, capped))
 
     def test_exact_respects_diameter_floor(self):
         rng = random.Random(MASTER_SEED + 15)

@@ -192,6 +192,19 @@ class TestNamed:
         with pytest.raises(ValueError, match="unknown family"):
             gen_named("wheel", 5)
 
+    @pytest.mark.parametrize(
+        "family, sizes, message",
+        [
+            ("path", (0,), "path needs at least 1 vertex"),
+            ("complete", (0,), "complete graph needs at least 1 vertex"),
+            ("star", (0,), "star needs at least 1 vertex"),
+            ("complete_bipartite", (0, 2), "complete_bipartite needs two positive sizes"),
+        ],
+    )
+    def test_sizes_below_the_family_minimum(self, family, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_named(family, *sizes)
+
 
 class TestRandomConnected:
     def test_single_vertex(self):
@@ -231,6 +244,10 @@ class TestEnumeration:
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in iter_connected_graphs(4))
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 1 vertex$"):
+            list(iter_connected_graphs(0))
 
     def test_matches_plain_enumeration(self):
         # every edge mask built with Graph() and kept when connected: the

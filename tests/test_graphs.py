@@ -58,6 +58,10 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1)
+
     def test_adjacency_is_symmetric_and_deduped(self):
         g = Graph(3, [(0, 1), (1, 0), (2, 1)])
         assert g.m == 2
@@ -215,6 +219,19 @@ class TestEdgeList:
     def test_non_integer_rejected(self):
         with pytest.raises(GraphFormatError, match="expected integer"):
             parse_edge_list("3\n0 x")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (" \n\n", "empty input"),
+            ("-1", "negative vertex count"),
+            ("3\n0 1\n2", "line 3: dangling endpoint '2'"),
+        ],
+        ids=["empty", "negative-count", "dangling-endpoint"],
+    )
+    def test_shape_errors(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^edge list: {message}$"):
+            parse_edge_list(text)
 
     def test_roundtrip(self):
         g = gen_named("cycle", 6)

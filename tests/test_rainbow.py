@@ -400,8 +400,9 @@ class TestColoringIO:
             ("0 0 1\n", r"\(0, 0\) is not an edge"),
             ("0 1 1\n1 0 1\n", "line 2: duplicate"),
             ("1 0 2\n2 1 3\n", None),
+            ("0 1 x\n", r"^coloring: line 1: expected integers, got '0 1 x'$"),
         ],
-        ids=["negative-color", "loop", "reversed-duplicate", "reversed-key"],
+        ids=["negative-color", "loop", "reversed-duplicate", "reversed-key", "non-integer"],
     )
     def test_parse_is_the_checked_way_in(self, text, error):
         # a coloring dict is checked by nothing, so the text parser must
