@@ -9,13 +9,13 @@ losing any coloring up to renaming. The order depends on no color, so
 this and every cut below stay sound. The exhausted search at q - 1
 doubles as the optimality certificate for a hit at q.
 
-Each edge tries its allowed colors fewest-used-first: by how many
-earlier edges at its two ends carry the color, ties to the lower color
-(least-constraining value; Haralick and Elliott 1980, Frost and Dechter
-1995). A rainbow path repeats no color, so a color rare at the edge's
-ends leaves the most 2-edge paths through it rainbow. This value order
-is a permutation of the allowed colors that depends only on the colors
-of earlier edges. Restricted growth and the backjump argument (see
+Each edge tries its allowed colors fewest-used-first (_value_order):
+by how many earlier edges at its two ends carry the color, ties to the
+lower color (least-constraining value; Haralick and Elliott 1980, Frost
+and Dechter 1995). A rainbow path repeats no color, so a color rare at
+the edge's ends leaves the most 2-edge paths through it rainbow. This
+value order is a permutation of the allowed colors that depends only on
+the colors of earlier edges. Restricted growth and the backjump argument (see
 _search_level) speak of which colors an edge may take, never of the
 order it tries them, so every verdict stays the same, and only the
 first satisfying leaf can change.
@@ -76,19 +76,29 @@ satisfying leaf in canonical order, and with it every value and
 witness, is the one a plain restricted-growth search in the same edge
 and color order finds.
 
+Many levels end at the first leaf: no color fails on the way down and
+the leaf passes. Their tables cut nothing, so before each level a
+first descent (_first_descent) makes that dive with no table, giving
+each depth the first color of the same value order, and checks the
+whole coloring with rainbow's coloring verdict. When it passes, the
+level is recorded as the search would record it, SAT after m nodes and
+one leaf check; otherwise _search_level runs.
+
 rc_exact is the one entry. It checks the graph and takes its lower
 bound, max(diameter, 1), from the graph itself when it is 1 (complete)
 or 2 (every closed 2-ball covers the graph); only a higher bound reads
-the all-pairs distance table. It builds one search state, the order and
-the adjacency relabeled by it with per vertex its neighbor mask, at the
-first level it searches, runs every level through _search_level, and
+the all-pairs distance table. It builds one search state, the order,
+the ranked edge ends and the adjacency relabeled by it with per vertex
+its neighbor mask, at the first level it searches, runs every level
+through the first descent and, when that fails, _search_level, and
 records each level's verdict and work in stats.levels: a witness at q
 plus the UNSAT record of every level below it is the evidence for
-rc = q. Mask tables read nothing more. The first path-table level adds
-to the state the distance table relabeled by rank, building g's table
-then if the bound did not; the seeded witness search reuses that table
-or builds it at its first failing pair. So the table is built at most
-once per call, and a graph of diameter 2 solved at q = 2 builds none.
+rc = q. The descent and mask tables read nothing more. The first
+path-table level adds to the state the distance table relabeled by
+rank, building g's table then if the bound did not; the seeded witness
+search reuses that table or builds it at its first failing pair. So the
+table is built at most once per call, and a graph of diameter 2 whose
+levels all end in mask tables or the descent builds none.
 
 Node and wall-time budgets cap the deepening so corpus sweeps never
 hang; one deadline covers every level. When a budget stops the
@@ -106,12 +116,13 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .graphs import Graph, _bit_positions, _two_balls_cover, distance_table, is_complete, to_graph6
-from .rainbow import Adjacency, Coloring, _adjacency, edge_adjacency, first_failing_pair
+from .rainbow import Adjacency, Coloring, _adjacency, _verdict, edge_adjacency, first_failing_pair
 
 __all__ = [
     "Budget",
@@ -295,40 +306,27 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
 class _SearchState:
     """What the levels of one graph's search read, built once per graph.
 
-    Every level reads g's edges in search order, its adjacency relabeled
-    by rank, and per ranked vertex the mask of its neighbors. Path tables
+    Every level reads g's edges in search order, the ranked ends of each
+    (ends[i] = (a, b), a < b, for edge i), its adjacency relabeled by
+    rank, and per ranked vertex the mask of its neighbors. Path tables
     also read g's distance table relabeled by rank: ranked_distances
     builds it at the first path-table level, and g's own table with it
     unless it was given, so a graph whose levels all run on mask tables
-    builds neither. Every level above q = 1 reads per edge the earlier
-    edges at its two ends, which order its colors; earlier_edges builds
-    them at the first such level.
+    or end in the first descent builds neither.
     """
 
     __slots__ = (
-        "g", "order", "edge_order", "adjacency", "neighbors", "distances", "_ranked", "_earlier"
+        "g", "order", "edge_order", "ends", "adjacency", "neighbors", "distances", "_ranked"
     )
 
     def __init__(self, g: Graph, distances: list[list[int]] | None) -> None:
         self.g = g
         self.order, self.edge_order, self.adjacency, self.neighbors = _search_order(g)
+        # a row lists its neighbors ascending, so the edges (a, b), a < b,
+        # come out in edge order
+        self.ends = [(a, b) for a, row in enumerate(self.adjacency) for b, _ in row if a < b]
         self.distances = distances
         self._ranked: list[list[int]] | None = None
-        self._earlier: list[list[int]] | None = None
-
-    def earlier_edges(self) -> list[list[int]]:
-        """Per edge i, the edges j < i at its two ends."""
-        if self._earlier is None:
-            # a row lists its edges in ascending order: those to lower
-            # neighbors (w, v) come before every (v, w) in the edge order
-            earlier: list[list[int]] = [[] for _ in self.edge_order]
-            for row in self.adjacency:
-                seen: list[int] = []
-                for _, e in row:
-                    earlier[e] += seen
-                    seen.append(e)
-            self._earlier = earlier
-        return self._earlier
 
     def ranked_distances(self) -> list[list[int]]:
         """g's distance table relabeled by rank."""
@@ -472,13 +470,11 @@ def _path_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
 
 
 def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
-    edges, adjacency, neighbors = state.edge_order, state.adjacency, state.neighbors
-    # the ranked ends of each edge, and per vertex its edges as depths
-    ends = [(0, 0)] * len(edges)
+    ends, adjacency, neighbors = state.ends, state.adjacency, state.neighbors
+    # per vertex its edges as depths
     incident = [0] * len(adjacency)
     for a, row in enumerate(adjacency):
-        for b, e in row:
-            ends[e] = (a, b)
+        for _, e in row:
             incident[a] |= 1 << e
     # cm[c][v]: v's neighbors over the assigned edges of color c; per
     # vertex its lower tracked partners and, by partner vertex, the pair
@@ -564,6 +560,54 @@ def _mask_tables(state: _SearchState, q: int, assignment: list[int]) -> _Tables:
     return assign, unassign, learn, known
 
 
+def _value_order(at_a: list[int], at_b: list[int], top: int) -> Sequence[int]:
+    """The colors 0..top an edge may take, in the order it tries them:
+    fewest uses at its two ends first, ties to the lower color. at_a and
+    at_b count per color the assigned edges at the two ends, which are
+    the earlier edges there."""
+    if top == 0:
+        return (0,)
+    if top == 1:
+        return (1, 0) if at_a[1] + at_b[1] < at_a[0] + at_b[0] else (0, 1)
+    uses = list(map(add, at_a, at_b))
+    return sorted(range(top + 1), key=uses.__getitem__)
+
+
+def _first_descent(state: _SearchState, q: int) -> Coloring | None:
+    """The coloring of the first leaf a level at q reaches when no color
+    fails on the way, if it rainbow-connects g; None otherwise.
+
+    Every depth takes the first color of _value_order under restricted
+    growth, with no prune table, and the whole coloring is checked once
+    by rainbow's coloring verdict, _verdict, on the ranked graph: the
+    2-path pass, then the search on the pairs it leaves (at q = 2 every
+    such pair fails outright). Colors never change along the dive, so
+    a path dead at some depth is still dead at the leaf. If the leaf
+    coloring rainbow-connects g, no tracked pair ever lost all of its
+    paths and no assign failed, so _search_level follows the same dive
+    to the same leaf and is SAT there after m nodes and one leaf check,
+    learning nothing and jumping nowhere; conversely, a level that is
+    SAT after m nodes made exactly this dive. Recording that result in
+    its place leaves every value, witness and level record as it was.
+    """
+    n = len(state.adjacency)
+    uses = [[0] * q for _ in range(n)]
+    colors: list[int] = []
+    top = 0
+    for a, b in state.ends:
+        at_a, at_b = uses[a], uses[b]
+        c = _value_order(at_a, at_b, top)[0]
+        at_a[c] += 1
+        at_b[c] += 1
+        colors.append(c)
+        if c == top and c < q - 1:
+            top += 1
+    ranked = dict(zip(state.ends, colors))
+    if _verdict(n, ranked, [1 << c for c in colors], lambda: state.adjacency):
+        return None
+    return dict(zip(state.edge_order, colors))
+
+
 def _search_level(
     state: _SearchState, q: int, max_nodes: int | None, deadline: float | None
 ) -> DecisionResult:
@@ -587,30 +631,32 @@ def _search_level(
     and so the conflict set, as it was; so a coloring that gives depth i
     a color above top[i] fails whenever the fresh color top[i] fails.
 
-    Depth i tries the colors 0..top[i] fewest-used-first, by their
-    count on the earlier edges at its two ends, ties to the lower
-    color; the order is computed when the search descends into i, and a
-    jump back to i keeps it, since it depends only on the colors of the
-    depths below i. Both arguments above speak of the set of colors a
-    depth may take, never of their order, so they hold for any order
-    that is a function of the earlier colors: every verdict is the one
-    ascending colors give, and only the first satisfying leaf can
-    change. The order costs a count over the earlier edges at the ends,
-    and a sort only when more than two colors are allowed.
+    Depth i tries the colors 0..top[i] in _value_order, fewest-used-
+    first by their count on the earlier edges at its two ends, ties to
+    the lower color; the order is computed when the search descends into
+    i, and a jump back to i keeps it, since it depends only on the colors
+    of the depths below i. Both arguments above speak of the set of
+    colors a depth may take, never of their order, so they hold for any
+    order that is a function of the earlier colors: every verdict is the
+    one ascending colors give, and only the first satisfying leaf can
+    change. The driver keeps per vertex and color the number of assigned
+    edges, updated on assign and on unassign, so the order reads two
+    rows of q counts, and sorts only when more than two colors are
+    allowed.
 
     One driver runs every level on the tables of _prune_tables: mask
     tables at q = 2, path tables elsewhere; the module docstring says
     why both give one search tree at q = 2.
     """
-    edges, adjacency = state.edge_order, state.adjacency
+    edges, ends, adjacency = state.edge_order, state.ends, state.adjacency
     m = len(edges)
     assignment = [-1] * m
     assign, unassign, learn, known = _prune_tables(state, q, assignment)
-    earlier = state.earlier_edges() if q > 1 else []
-    ascending = [range(t + 1) for t in range(q)]
+    # per ranked vertex and color, the assigned edges of that color there
+    uses = [[0] * q for _ in adjacency]
     next_color = [0] * (m + 1)  # per depth, the index in tries of its next color
     top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
-    tries = [ascending[0]] * (m + 1)  # per depth, those colors in the order tried
+    tries: list[Sequence[int]] = [(0,)] * (m + 1)  # per depth, those colors in the order tried
     # per depth, as a bitset: the earlier depths its failed colors depend on
     conflicts = [0] * (m + 1)
     every_depth = (1 << m) - 1
@@ -633,6 +679,11 @@ def _search_level(
         j = culprits.bit_length() - 1
         if j < depth - 1:
             jumps += 1
+        for d in range(j, depth):
+            a, b = ends[d]
+            c = assignment[d]
+            uses[a][c] -= 1
+            uses[b][c] -= 1
         unassign(j, depth)
         conflicts[j] |= culprits ^ (1 << j)
         return j
@@ -669,23 +720,17 @@ def _search_level(
         if blamed:
             conflicts[i] |= blamed ^ (1 << i)
             continue
+        a, b = ends[i]
+        uses[a][c] += 1
+        uses[b][c] += 1
         # canonical order: a new color is one above the largest so far
         top[i + 1] = t = c + 1 if c == top[i] and c < q - 1 else top[i]
         i += 1
         next_color[i] = 0
         conflicts[i] = 0
-        # fewest uses at the edge's ends first, ties to the lower color
-        if t == 0 or i == m:
-            tries[i] = ascending[0]
-        elif t == 1:
-            # the earlier colors are 0 and 1, so their sum counts the 1s
-            ones = sum(map(assignment.__getitem__, earlier[i]))
-            tries[i] = (1, 0) if 2 * ones < len(earlier[i]) else ascending[1]
-        else:
-            uses = [0] * (t + 1)
-            for f in earlier[i]:
-                uses[assignment[f]] += 1
-            tries[i] = sorted(ascending[t], key=uses.__getitem__)
+        if i < m:
+            a, b = ends[i]
+            tries[i] = _value_order(uses[a], uses[b], t)
 
 
 # repair steps of the seeded witness search
@@ -744,8 +789,8 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     a lower bound instead.
 
     g's distance table is built at most once, and only when something
-    reads it: a lower bound above 2, a path-table level, or a witness
-    search that walks a path.
+    reads it: a lower bound above 2, a path-table level the first descent
+    does not solve, or a witness search that walks a path.
     """
     budget = budget or Budget()
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
@@ -765,7 +810,14 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     left = budget.max_nodes  # the nodes the next level may expand
     while (left is None or left > 0) and (deadline is None or time.monotonic() < deadline):
         state = state or _SearchState(g, distances)
-        level = _search_level(state, q, left, deadline)
+        # the first descent stands in for the level's first m nodes, so it
+        # runs only when they fit the budget and no clock is read
+        dive = deadline is None and (left is None or left >= g.m)
+        coloring = _first_descent(state, q) if dive else None
+        if coloring is None:
+            level = _search_level(state, q, left, deadline)
+        else:
+            level = DecisionResult(q, DecisionStatus.SAT, coloring, g.m, leaf_checks=1)
         levels.append(level)
         if level.status is DecisionStatus.SAT:
             return result(ExactStatus.EXACT, q, level.coloring)

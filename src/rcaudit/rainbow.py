@@ -16,9 +16,12 @@ with the lexicographically first pair that has no rainbow path:
   finished coloring with it. It first settles every pair joined by an
   edge or a rainbow 2-path with no search (_two_path_cover, on per-color
   neighbor masks), which on a graph of diameter 2 is usually every pair,
-  and runs first_failing_pair's scan only on the pairs left. The solver's
-  checks skip that pass: their colorings fail often, and on the pairs
-  the pass leaves, so it costs them more than it saves.
+  and runs first_failing_pair's scan only on the pairs left; under at
+  most two colors every pair left fails, and no scan runs. The exact
+  solver's first descent checks its one coloring per level with the
+  same verdict (_verdict, on the solver's relabeled graph). The checks
+  at the solver's leaves skip that pass: their colorings fail often,
+  and on the pairs the pass leaves, so it costs them more than it saves.
 - is_rainbow_connected, the certificate, in a scan of its own: it walks
   each pair's witness back from its source's parent map, for
   `rcaudit verify`.
@@ -33,7 +36,9 @@ handles any number of colors with one representation.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
+from typing import NamedTuple
 
 from .graphs import Graph, GraphFormatError, _bit_positions
 
@@ -123,7 +128,9 @@ def _two_path_cover(n: int, colors: Coloring) -> list[int] | None:
     of that color. A 2-path u-w-x is rainbow when its edges differ in
     color, so u reaches through its neighbor w, over an edge of color c,
     exactly w's neighbors over the other colors: w's row less its mask
-    for c, which holds u. That is one XOR and one OR per edge end.
+    for c, which holds u. One walk over the edges gives each edge (a, b)
+    of color c that mask at both ends: a gets b's row less b's mask for
+    c, and b gets the mirror.
     """
     by_color: list[dict[int, int]] = [{} for _ in range(n)]
     for (a, b), c in colors.items():
@@ -133,15 +140,11 @@ def _two_path_cover(n: int, colors: Coloring) -> list[int] | None:
         masks[c] = masks.get(c, 0) | 1 << a
     # the per-color masks of a vertex are disjoint, so they sum to its row
     rows = [sum(masks.values()) for masks in by_color]
-    every = (1 << n) - 1
-    cover = []
-    for u, masks in enumerate(by_color):
-        reach = rows[u] | 1 << u
-        for c, mask in masks.items():
-            for w in _bit_positions(mask):
-                reach |= rows[w] ^ by_color[w][c]
-        cover.append(reach)
-    return cover if any(reach != every for reach in cover) else None
+    cover = [row | 1 << u for u, row in enumerate(rows)]
+    for (a, b), c in colors.items():
+        cover[a] |= rows[b] ^ by_color[b][c]
+        cover[b] |= rows[a] ^ by_color[a][c]
+    return None if cover.count((1 << n) - 1) == n else cover
 
 
 def _search(
@@ -238,18 +241,35 @@ def first_failing_pair(
 def failing_pair(g: Graph, coloring: Coloring) -> FailingPair | None:
     """What first_failing_pair(edge_adjacency(g), edge_color_bits(g,
     coloring)) returns, with the same errors for a coloring that is not
-    total on g.
+    total on g (see _verdict)."""
+    bits = edge_color_bits(g, coloring)
+    return _verdict(g.n, coloring, bits, partial(edge_adjacency, g))
+
+
+def _verdict(
+    n: int, colors: Coloring, bits: list[int], adjacency: Callable[[], Adjacency]
+) -> FailingPair | None:
+    """What first_failing_pair(adjacency(), bits) returns, for a graph on
+    n vertices with a total coloring given twice: colors by edge, and
+    bits[i] as the color bit of edge i of adjacency().
 
     Pairs joined by an edge or a rainbow 2-path (_two_path_cover) are
-    settled first, with no search. The rainbow search runs only when a
-    pair is left, and as first_failing_pair's known it skips the settled
-    pairs, which have rainbow paths, so its answer is the full scan's.
+    settled first, with no search. A rainbow path repeats no color, so
+    under at most two colors it has at most two edges, and every pair
+    left fails: the first of them is the answer. Under more colors the
+    rainbow search runs, on adjacency() built only then, and as
+    first_failing_pair's known it skips the settled pairs, which have
+    rainbow paths, so its answer is the full scan's.
     """
-    bits = edge_color_bits(g, coloring)
-    cover = _two_path_cover(g.n, coloring)
+    cover = _two_path_cover(n, colors)
     if cover is None:
         return None
-    return first_failing_pair(edge_adjacency(g), bits, cover)
+    if max(bits, default=0) <= 2:  # color bits 1 and 2 only
+        for u in range(n - 1):
+            left = ((1 << n) - (2 << u)) & ~cover[u]
+            if left:
+                return FailingPair(u, (left & -left).bit_length() - 1)
+    return first_failing_pair(adjacency(), bits, cover)
 
 
 def is_rainbow_connected(g: Graph, coloring: Coloring) -> Certificate | FailingPair:

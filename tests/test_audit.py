@@ -168,8 +168,11 @@ class TestAuditGraph:
         # rc_exact builds g's distance table, one BFS row per vertex, only
         # when something reads it, and audit_graph builds none of its own:
         # K_{2,3} has diameter 2 and rc 2, one mask-table level and no
-        # table; C_5 has diameter 2 and rc 3, and its table is built once,
-        # at its q = 3 level; C_6 has diameter 3, so its bound needs it
+        # table; C_5 has diameter 2 and rc 3, and the first descent solves
+        # its q = 3 level with no table; the star K_{1,4} has diameter 2
+        # and rc 4, and its table is built once, at its q = 3 level, which
+        # the descent does not solve; C_6 has diameter 3, so its bound
+        # needs it
         import rcaudit.graphs
 
         rows = []
@@ -183,7 +186,8 @@ class TestAuditGraph:
         k23 = Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
         cases = [
             (k23, [2], 0),
-            (gen_named("cycle", 5), [2, 3], 5),
+            (gen_named("cycle", 5), [2, 3], 0),
+            (gen_named("star", 5), [2, 3, 4], 5),
             (gen_named("cycle", 6), [3], 6),
         ]
         for g, levels, built in cases:

@@ -504,6 +504,20 @@ class TestMaskedVerification:
                     distances[min(bfs_distances(g, want.u)[want.v], 3)] += 1
         assert distances[2] > 0 and distances[3] > 0
 
+    def test_disconnected_graphs(self):
+        # no edge, or two colors far apart: the pairs the 2-path pass
+        # leaves fail with no rainbow search, on the full scan's pair
+        cases = [
+            (Graph(2), {}),
+            (Graph(3, [(0, 1)]), {(0, 1): 5}),
+            (Graph(4, [(0, 1), (2, 3)]), {(0, 1): 5, (2, 3): 7}),
+            (Graph(5, [(0, 1), (1, 2), (3, 4)]), {(0, 1): 0, (1, 2): 1, (3, 4): 2}),
+        ]
+        for g, colors in cases:
+            want = self.full(g, colors)
+            assert want is not None
+            assert rainbow_module.failing_pair(g, colors) == want
+
     def test_partial_and_foreign_colorings_raise_the_same_errors(self):
         g = gen_named("path", 3)
         for colors in ({(0, 1): 0}, {(0, 1): 0, (1, 2): 1, (0, 2): 2}):

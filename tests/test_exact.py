@@ -24,6 +24,7 @@ from rcaudit import (
 from rcaudit.cli import main
 from rcaudit.exact import (
     _PATH_CAP,
+    _first_descent,
     _paths_within,
     _search_level,
     _search_order,
@@ -346,7 +347,9 @@ class TestLearnedAgainstPlainSearch:
         # the leaf check skips the pairs the level search passes as known
         # (neighbors, and preloaded or learned pairs); each must have a
         # rainbow path under the leaf's coloring, or the skip could hide
-        # the first failing pair
+        # the first failing pair. The first descent is turned off, so
+        # that every level runs on the tables to its leaves
+        monkeypatch.setattr(rcaudit.exact, "_first_descent", lambda state, q: None)
         check = rcaudit.exact.first_failing_pair
         leaves = tracked = 0
 
@@ -912,6 +915,50 @@ class TestMaskTables:
         monkeypatch.setattr(rcaudit.exact, "_prune_tables", rcaudit.exact._path_tables)
         assert self.fields(masks) == self.fields(rc_exact(g).stats.levels[0])
         assert (masks.q, *self.fields(masks)) == (2, DecisionStatus.UNSAT, None, 73, 0, 0, 4)
+
+
+class TestFirstDescent:
+    """rc_exact tries each level's first dive with no prune table before
+    the level search. The dive must return a coloring exactly when
+    _search_level on the same state is SAT after m nodes, with one leaf
+    check and no learned pair or jump, and then the two colorings, and
+    rc_exact's level record and the search's, must be equal."""
+
+    @staticmethod
+    def solved(graphs, max_nodes=None):
+        """Per graph with an edge, per level rc_exact searches, whether
+        the dive solves it."""
+        rows = []
+        for g in graphs:
+            if g.m == 0:
+                continue
+            state = _SearchState(g, None)
+            row = []
+            for level in rc_exact(g, Budget(max_nodes=max_nodes)).stats.levels:
+                dive = _first_descent(state, level.q)
+                # the dive is the search's first m nodes, so m decide it
+                search = _search_level(state, level.q, g.m, None)
+                first = (
+                    search.status, search.nodes, search.leaf_checks,
+                    search.learned_pairs, search.jumps,
+                ) == (DecisionStatus.SAT, g.m, 1, 0, 0)
+                assert (dive is not None) == first, (to_graph6(g), level.q)
+                if first:
+                    assert dive == search.coloring, (to_graph6(g), level.q)
+                    assert level == search, (to_graph6(g), level.q)
+                row.append(first)
+            rows.append(row)
+        return rows
+
+    def test_small_graphs(self):
+        rows = self.solved(g for n in range(1, 6) for g in iter_connected_graphs(n))
+        assert len(rows) == 771
+        assert sum(row[0] for row in rows) == 328
+
+    def test_random_corpus(self):
+        rows = self.solved(random_corpus(500, 4, 40, MASTER_SEED), 2000)
+        assert (sum(map(sum, rows)), sum(map(len, rows))) == (230, 513)
+        assert sum(row[0] for row in rows) == 226
 
 
 class TestLevelRecords:
