@@ -286,12 +286,14 @@ def _paths_within(
     return out
 
 
-def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency, list[int]]:
+def _search_order(
+    g: Graph,
+) -> tuple[list[int], list[tuple[int, int]], Adjacency, list[int], list[tuple[int, int]]]:
     """g's vertices ranked by (degree, sum of neighbor degrees, label), its
     edges in lexicographic order of their ranked ends, its adjacency
-    relabeled by rank, neighbors ascending, and per ranked vertex the
-    mask of its ranked neighbors: vertex r is order[r], and edge i is
-    edges[i]."""
+    relabeled by rank, neighbors ascending, per ranked vertex the mask of
+    its ranked neighbors, and the ranked ends of each edge: vertex r is
+    order[r], and edge i is edges[i] with ranked ends pairs[i]."""
     nbrs = [g.neighbors(v) for v in range(g.n)]
     degree = list(map(len, nbrs))
     order = sorted(range(g.n), key=lambda v: (degree[v], sum(map(degree.__getitem__, nbrs[v])), v))
@@ -300,7 +302,7 @@ def _search_order(g: Graph) -> tuple[list[int], list[tuple[int, int]], Adjacency
     ranked = [sum([1 << rank[w] for w in nbrs[v]]) for v in order]
     pairs = [(a, b) for a, row in enumerate(ranked) for b in _bit_positions(row & -(2 << a))]
     edges = [(u, v) if u < v else (v, u) for u, v in ((order[a], order[b]) for a, b in pairs)]
-    return order, edges, _adjacency(g.n, pairs), ranked
+    return order, edges, _adjacency(g.n, pairs), ranked, pairs
 
 
 class _SearchState:
@@ -321,10 +323,7 @@ class _SearchState:
 
     def __init__(self, g: Graph, distances: list[list[int]] | None) -> None:
         self.g = g
-        self.order, self.edge_order, self.adjacency, self.neighbors = _search_order(g)
-        # a row lists its neighbors ascending, so the edges (a, b), a < b,
-        # come out in edge order
-        self.ends = [(a, b) for a, row in enumerate(self.adjacency) for b, _ in row if a < b]
+        self.order, self.edge_order, self.adjacency, self.neighbors, self.ends = _search_order(g)
         self.distances = distances
         self._ranked: list[list[int]] | None = None
 
@@ -580,15 +579,15 @@ def _first_descent(state: _SearchState, q: int) -> Coloring | None:
     Every depth takes the first color of _value_order under restricted
     growth, with no prune table, and the whole coloring is checked once
     by rainbow's coloring verdict, _verdict, on the ranked graph: the
-    2-path pass, then the search on the pairs it leaves (at q = 2 every
-    such pair fails outright). Colors never change along the dive, so
-    a path dead at some depth is still dead at the leaf. If the leaf
-    coloring rainbow-connects g, no tracked pair ever lost all of its
-    paths and no assign failed, so _search_level follows the same dive
-    to the same leaf and is SAT there after m nodes and one leaf check,
-    learning nothing and jumping nowhere; conversely, a level that is
-    SAT after m nodes made exactly this dive. Recording that result in
-    its place leaves every value, witness and level record as it was.
+    2-path pass, then the search on the pairs it leaves. Colors never
+    change along the dive, so a path dead at some depth is still dead at
+    the leaf. If the leaf coloring rainbow-connects g, no tracked pair
+    ever lost all of its paths and no assign failed, so _search_level
+    follows the same dive to the same leaf and is SAT there after m
+    nodes and one leaf check, learning nothing and jumping nowhere;
+    conversely, a level that is SAT after m nodes made exactly this
+    dive. Recording that result in its place leaves every value, witness
+    and level record as it was.
     """
     n = len(state.adjacency)
     uses = [[0] * q for _ in range(n)]
@@ -811,8 +810,10 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     while (left is None or left > 0) and (deadline is None or time.monotonic() < deadline):
         state = state or _SearchState(g, distances)
         # the first descent stands in for the level's first m nodes, so it
-        # runs only when they fit the budget and no clock is read
-        dive = deadline is None and (left is None or left >= g.m)
+        # runs only when they fit the node allowance; the clock was just
+        # read, and the dive reads it no more than a level's first 1,024
+        # nodes do
+        dive = left is None or left >= g.m
         coloring = _first_descent(state, q) if dive else None
         if coloring is None:
             level = _search_level(state, q, left, deadline)

@@ -16,8 +16,7 @@ with the lexicographically first pair that has no rainbow path:
   finished coloring with it. It first settles every pair joined by an
   edge or a rainbow 2-path with no search (_two_path_cover, on per-color
   neighbor masks), which on a graph of diameter 2 is usually every pair,
-  and runs first_failing_pair's scan only on the pairs left; under at
-  most two colors every pair left fails, and no scan runs. The exact
+  and runs first_failing_pair's scan only on the pairs left. The exact
   solver's first descent checks its one coloring per level with the
   same verdict (_verdict, on the solver's relabeled graph). The checks
   at the solver's leaves skip that pass: their colorings fail often,
@@ -37,7 +36,6 @@ handles any number of colors with one representation.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import partial
 from typing import NamedTuple
 
 from .graphs import Graph, GraphFormatError, _bit_positions
@@ -243,7 +241,7 @@ def failing_pair(g: Graph, coloring: Coloring) -> FailingPair | None:
     coloring)) returns, with the same errors for a coloring that is not
     total on g (see _verdict)."""
     bits = edge_color_bits(g, coloring)
-    return _verdict(g.n, coloring, bits, partial(edge_adjacency, g))
+    return _verdict(g.n, coloring, bits, lambda: edge_adjacency(g))
 
 
 def _verdict(
@@ -254,21 +252,14 @@ def _verdict(
     bits[i] as the color bit of edge i of adjacency().
 
     Pairs joined by an edge or a rainbow 2-path (_two_path_cover) are
-    settled first, with no search. A rainbow path repeats no color, so
-    under at most two colors it has at most two edges, and every pair
-    left fails: the first of them is the answer. Under more colors the
-    rainbow search runs, on adjacency() built only then, and as
+    settled first, with no search. The rainbow search runs only when a
+    pair is left, on adjacency() built only then, and as
     first_failing_pair's known it skips the settled pairs, which have
     rainbow paths, so its answer is the full scan's.
     """
     cover = _two_path_cover(n, colors)
     if cover is None:
         return None
-    if max(bits, default=0) <= 2:  # color bits 1 and 2 only
-        for u in range(n - 1):
-            left = ((1 << n) - (2 << u)) & ~cover[u]
-            if left:
-                return FailingPair(u, (left & -left).bit_length() - 1)
     return first_failing_pair(adjacency(), bits, cover)
 
 

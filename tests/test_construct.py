@@ -505,8 +505,8 @@ class TestMaskedVerification:
         assert distances[2] > 0 and distances[3] > 0
 
     def test_disconnected_graphs(self):
-        # no edge, or two colors far apart: the pairs the 2-path pass
-        # leaves fail with no rainbow search, on the full scan's pair
+        # no edge, or colors far apart: the pairs the 2-path pass leaves
+        # get the full scan's pair
         cases = [
             (Graph(2), {}),
             (Graph(3, [(0, 1)]), {(0, 1): 5}),

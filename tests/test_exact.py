@@ -223,7 +223,7 @@ class TestDecision:
         rng = random.Random(MASTER_SEED + 26)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
-            order, edges, adjacency, neighbors = _search_order(g)
+            order, edges, adjacency, neighbors, ends = _search_order(g)
             assert neighbors == [sum(1 << w for w, _ in row) for row in adjacency]
             rank = {v: r for r, v in enumerate(order)}
             key = [(g.degree(v), sum(g.degree(w) for w in g.neighbors(v)), v) for v in order]
@@ -233,6 +233,7 @@ class TestDecision:
             assert [tuple(sorted((rank[u], rank[v]))) for u, v in edges] == (
                 relabeled.edge_list()
             )
+            assert ends == relabeled.edge_list()
             assert sorted(edges) == g.edge_list()
 
     def test_search_order_matches_the_sorted_edges(self):
@@ -724,7 +725,7 @@ class TestExact:
             g = parse_graph6(graph6)
             dist = [bfs_distances(g, s) for s in range(g.n)]
             # failing pairs are named in the search's relabeling
-            order, _, adjacency, _ = _search_order(g)
+            order, _, adjacency, _, _ = _search_order(g)
             ranked = [[dist[v][w] for w in order] for v in order]
             failures.clear()
             levels = rc_exact(g, Budget(max_nodes=20000)).stats.levels
@@ -959,6 +960,22 @@ class TestFirstDescent:
         rows = self.solved(random_corpus(500, 4, 40, MASTER_SEED), 2000)
         assert (sum(map(sum, rows)), sum(map(len, rows))) == (230, 513)
         assert sum(row[0] for row in rows) == 226
+
+    def test_a_deadline_far_off_keeps_the_dive(self, monkeypatch):
+        # a wall-clock budget takes the same path as none: every level
+        # tries the dive first, and every result and record stays the same
+        graphs = [g for n in range(2, 6) for g in iter_connected_graphs(n)]
+        plain = [rc_exact(g) for g in graphs]
+        dives = []
+        descent = rcaudit.exact._first_descent
+
+        def counted(state, q):
+            dives.append(q)
+            return descent(state, q)
+
+        monkeypatch.setattr(rcaudit.exact, "_first_descent", counted)
+        assert [rc_exact(g, Budget(max_seconds=3600)) for g in graphs] == plain
+        assert len(dives) == sum(len(res.stats.levels) for res in plain)
 
 
 class TestLevelRecords:
