@@ -328,6 +328,8 @@ def _cmd_sweep(args) -> int:
         print(f"findings: {len(result.findings)}")
         for finding in result.findings:
             print(f"  {finding['kind']}: {finding['graph6']}")
+        for graph, message in result.errors:
+            print(f"  error: {graph}: {message}")
     return EXIT_FINDING if result.findings else EXIT_OK
 
 

@@ -77,12 +77,13 @@ witness, is the one a plain restricted-growth search in the same edge
 and color order finds.
 
 Many levels end at the first leaf: no color fails on the way down and
-the leaf passes. Their tables cut nothing, so before each level a
-first descent (_first_descent) makes that dive with no table, giving
-each depth the first color of the same value order, and checks the
-whole coloring with rainbow's coloring verdict. When it passes, the
-level is recorded as the search would record it, SAT after m nodes and
-one leaf check; otherwise _search_level runs.
+the leaf passes. Their tables cut nothing, so when a level's m nodes
+fit the node allowance, _search_level opens it with that dive and no
+table: each depth takes the first color of the same value order, and
+rainbow's coloring verdict checks the whole coloring once. When it
+passes, the level is SAT after m nodes and one leaf check, as the
+table search would find it; otherwise the tables are built and the
+search runs from the root.
 
 rc_exact is the one entry. It checks the graph and takes its lower
 bound, max(diameter, 1), from the graph itself when it is 1 (complete)
@@ -90,15 +91,15 @@ or 2 (every closed 2-ball covers the graph); only a higher bound reads
 the all-pairs distance table. It builds one search state, the order,
 the ranked edge ends and the adjacency relabeled by it with per vertex
 its neighbor mask, at the first level it searches, runs every level
-through the first descent and, when that fails, _search_level, and
-records each level's verdict and work in stats.levels: a witness at q
-plus the UNSAT record of every level below it is the evidence for
-rc = q. The descent and mask tables read nothing more. The first
-path-table level adds to the state the distance table relabeled by
-rank, building g's table then if the bound did not; the seeded witness
-search reuses that table or builds it at its first failing pair. So the
-table is built at most once per call, and a graph of diameter 2 whose
-levels all end in mask tables or the descent builds none.
+through _search_level, and records each level's verdict and work in
+stats.levels: a witness at q plus the UNSAT record of every level
+below it is the evidence for rc = q. The dive and mask tables read
+nothing more. The first path-table level adds to the state the
+distance table relabeled by rank, building g's table then if the bound
+did not; the seeded witness search reuses that table or builds it at
+its first failing pair. So the table is built at most once per call,
+and a graph of diameter 2 whose levels all end in mask tables or the
+dive builds none.
 
 Node and wall-time budgets cap the deepening so corpus sweeps never
 hang; one deadline covers every level. When a budget stops the
@@ -144,7 +145,9 @@ class Budget:
     runs once it gives up takes its fixed number of steps whatever is
     left. Both are checked before a node is counted, the clock before
     the first node and then every 1024 nodes, so a give-up counts only
-    the nodes it expanded.
+    the nodes it expanded. A level's first dive (see _search_level) runs
+    only when its m nodes fit what is left of max_nodes, counts them
+    against it when it solves the level, and reads no clock.
     """
 
     max_nodes: int | None = None
@@ -314,7 +317,7 @@ class _SearchState:
     also read g's distance table relabeled by rank: ranked_distances
     builds it at the first path-table level, and g's own table with it
     unless it was given, so a graph whose levels all run on mask tables
-    or end in the first descent builds neither.
+    or end in the first dive builds neither.
     """
 
     __slots__ = (
@@ -572,41 +575,6 @@ def _value_order(at_a: list[int], at_b: list[int], top: int) -> Sequence[int]:
     return sorted(range(top + 1), key=uses.__getitem__)
 
 
-def _first_descent(state: _SearchState, q: int) -> Coloring | None:
-    """The coloring of the first leaf a level at q reaches when no color
-    fails on the way, if it rainbow-connects g; None otherwise.
-
-    Every depth takes the first color of _value_order under restricted
-    growth, with no prune table, and the whole coloring is checked once
-    by rainbow's coloring verdict, _verdict, on the ranked graph: the
-    2-path pass, then the search on the pairs it leaves. Colors never
-    change along the dive, so a path dead at some depth is still dead at
-    the leaf. If the leaf coloring rainbow-connects g, no tracked pair
-    ever lost all of its paths and no assign failed, so _search_level
-    follows the same dive to the same leaf and is SAT there after m
-    nodes and one leaf check, learning nothing and jumping nowhere;
-    conversely, a level that is SAT after m nodes made exactly this
-    dive. Recording that result in its place leaves every value, witness
-    and level record as it was.
-    """
-    n = len(state.adjacency)
-    uses = [[0] * q for _ in range(n)]
-    colors: list[int] = []
-    top = 0
-    for a, b in state.ends:
-        at_a, at_b = uses[a], uses[b]
-        c = _value_order(at_a, at_b, top)[0]
-        at_a[c] += 1
-        at_b[c] += 1
-        colors.append(c)
-        if c == top and c < q - 1:
-            top += 1
-    ranked = dict(zip(state.ends, colors))
-    if _verdict(n, ranked, [1 << c for c in colors], lambda: state.adjacency):
-        return None
-    return dict(zip(state.edge_order, colors))
-
-
 def _search_level(
     state: _SearchState, q: int, max_nodes: int | None, deadline: float | None
 ) -> DecisionResult:
@@ -643,31 +611,64 @@ def _search_level(
     rows of q counts, and sorts only when more than two colors are
     allowed.
 
-    One driver runs every level on the tables of _prune_tables: mask
-    tables at q = 2, path tables elsewhere; the module docstring says
-    why both give one search tree at q = 2.
+    When the level's m nodes fit max_nodes, it opens with the first dive
+    and no prune table: every depth takes the first color of
+    _value_order under restricted growth, and the whole coloring is
+    checked once by rainbow's coloring verdict, _verdict: the 2-path
+    pass, then the search on the pairs it leaves. Colors never change
+    along the dive, so a path dead at some depth is still dead at the
+    leaf. If the leaf coloring rainbow-connects the graph, no tracked
+    pair ever lost all of its paths and no assign failed, so the table
+    search follows the same dive to the same leaf and is SAT there after
+    m nodes and one leaf check, learning nothing and jumping nowhere;
+    conversely, a table search that is SAT after m nodes made exactly
+    this dive. So a passing dive is recorded as that SAT, and a failing
+    one leaves the table search to run from the root as if it had not
+    been made; every value, witness and level record is the table
+    search's.
+
+    Every table search runs on the tables of _prune_tables: mask tables
+    at q = 2, path tables elsewhere; the module docstring says why both
+    give one search tree at q = 2.
     """
     edges, ends, adjacency = state.edge_order, state.ends, state.adjacency
     m = len(edges)
-    assignment = [-1] * m
-    assign, unassign, learn, known = _prune_tables(state, q, assignment)
-    # per ranked vertex and color, the assigned edges of that color there
-    uses = [[0] * q for _ in adjacency]
-    next_color = [0] * (m + 1)  # per depth, the index in tries of its next color
-    top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
-    tries: list[Sequence[int]] = [(0,)] * (m + 1)  # per depth, those colors in the order tried
-    # per depth, as a bitset: the earlier depths its failed colors depend on
-    conflicts = [0] * (m + 1)
-    every_depth = (1 << m) - 1
     nodes = leaf_checks = learned = jumps = 0
     # the budget is checked at the node cap (cap) and, with a deadline,
     # before the first node and then every 1024 nodes (the clock is read)
     cap = (1 << 63) if max_nodes is None else max_nodes
-    check_at = 0 if deadline is not None else cap
-    i = 0
 
     def done(status: DecisionStatus, coloring: Coloring | None = None) -> DecisionResult:
         return DecisionResult(q, status, coloring, nodes, leaf_checks, learned, jumps)
+
+    # per ranked vertex and color, the assigned edges of that color there
+    uses = [[0] * q for _ in adjacency]
+    top = [0] * (m + 1)  # colors allowed at depth i: 0..top[i]
+    if m <= cap:
+        # the first dive, checked once; after a failed one uses is reset,
+        # and the search sets each top[i] before it reads it
+        dive = []
+        for i, (a, b) in enumerate(ends):
+            c = _value_order(uses[a], uses[b], top[i])[0]
+            uses[a][c] += 1
+            uses[b][c] += 1
+            dive.append(c)
+            top[i + 1] = c + 1 if c == top[i] and c < q - 1 else top[i]
+        bits = [1 << c for c in dive]
+        if _verdict(len(adjacency), dict(zip(ends, dive)), bits, lambda: adjacency) is None:
+            nodes, leaf_checks = m, 1
+            return done(DecisionStatus.SAT, dict(zip(edges, dive)))
+        uses = [[0] * q for _ in adjacency]
+
+    assignment = [-1] * m
+    assign, unassign, learn, known = _prune_tables(state, q, assignment)
+    next_color = [0] * (m + 1)  # per depth, the index in tries of its next color
+    tries: list[Sequence[int]] = [(0,)] * (m + 1)  # per depth, those colors in the order tried
+    # per depth, as a bitset: the earlier depths its failed colors depend on
+    conflicts = [0] * (m + 1)
+    every_depth = (1 << m) - 1
+    check_at = 0 if deadline is not None else cap
+    i = 0
 
     def backjump(depth: int, culprits: int) -> int:
         """Every color at depth failed (at depth m: the full coloring),
@@ -788,7 +789,7 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     a lower bound instead.
 
     g's distance table is built at most once, and only when something
-    reads it: a lower bound above 2, a path-table level the first descent
+    reads it: a lower bound above 2, a path-table level the first dive
     does not solve, or a witness search that walks a path.
     """
     budget = budget or Budget()
@@ -809,16 +810,7 @@ def rc_exact(g: Graph, budget: Budget | None = None) -> ExactResult:
     left = budget.max_nodes  # the nodes the next level may expand
     while (left is None or left > 0) and (deadline is None or time.monotonic() < deadline):
         state = state or _SearchState(g, distances)
-        # the first descent stands in for the level's first m nodes, so it
-        # runs only when they fit the node allowance; the clock was just
-        # read, and the dive reads it no more than a level's first 1,024
-        # nodes do
-        dive = left is None or left >= g.m
-        coloring = _first_descent(state, q) if dive else None
-        if coloring is None:
-            level = _search_level(state, q, left, deadline)
-        else:
-            level = DecisionResult(q, DecisionStatus.SAT, coloring, g.m, leaf_checks=1)
+        level = _search_level(state, q, left, deadline)
         levels.append(level)
         if level.status is DecisionStatus.SAT:
             return result(ExactStatus.EXACT, q, level.coloring)

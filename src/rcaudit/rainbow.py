@@ -17,8 +17,8 @@ with the lexicographically first pair that has no rainbow path:
   edge or a rainbow 2-path with no search (_two_path_cover, on per-color
   neighbor masks), which on a graph of diameter 2 is usually every pair,
   and runs first_failing_pair's scan only on the pairs left. The exact
-  solver's first descent checks its one coloring per level with the
-  same verdict (_verdict, on the solver's relabeled graph). The checks
+  solver's level search checks its first dive with the same verdict
+  (_verdict, on the solver's relabeled graph). The checks
   at the solver's leaves skip that pass: their colorings fail often,
   and on the pairs the pass leaves, so it costs them more than it saves.
 - is_rainbow_connected, the certificate, in a scan of its own: it walks

@@ -168,10 +168,10 @@ class TestAuditGraph:
         # rc_exact builds g's distance table, one BFS row per vertex, only
         # when something reads it, and audit_graph builds none of its own:
         # K_{2,3} has diameter 2 and rc 2, one mask-table level and no
-        # table; C_5 has diameter 2 and rc 3, and the first descent solves
+        # table; C_5 has diameter 2 and rc 3, and the first dive solves
         # its q = 3 level with no table; the star K_{1,4} has diameter 2
         # and rc 4, and its table is built once, at its q = 3 level, which
-        # the descent does not solve; C_6 has diameter 3, so its bound
+        # the dive does not solve; C_6 has diameter 3, so its bound
         # needs it
         import rcaudit.graphs
 

@@ -407,6 +407,24 @@ class TestSweep:
         assert len(lines) == 2
         assert json.loads(lines[0])["rc_value"] == 3
 
+    def test_text_names_each_error(self, tmp_path, capsys):
+        # B? has no edge, so it is not connected: the sweep records its
+        # error, audits the rest, and exits 0
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("Bg\nB?\nBw\n")
+        code, out, _ = run(capsys, "sweep", str(corpus))
+        assert code == 0
+        assert out == (
+            "graphs audited: 2 (complete: 1)\n"
+            "rc exact: 2, not exact: 0\n"
+            "construction failures: 0\n"
+            "errors: 1\n"
+            "min_degree_slack: min=0 mean=0\n"
+            "degree_sum_slack: min=0 mean=0 over 1 graph(s)\n"
+            "findings: 0\n"
+            "  error: B?: audit requires a connected graph\n"
+        )
+
     def test_all_connected_small(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--all-connected", "4", "--format", "json"

@@ -24,7 +24,6 @@ from rcaudit import (
 from rcaudit.cli import main
 from rcaudit.exact import (
     _PATH_CAP,
-    _first_descent,
     _paths_within,
     _search_level,
     _search_order,
@@ -37,7 +36,7 @@ from rcaudit.generators import (
     random_corpus,
 )
 from rcaudit.graphs import bfs_distances, distance_table, parse_graph6
-from rcaudit.rainbow import edge_adjacency
+from rcaudit.rainbow import FailingPair, edge_adjacency
 
 from .conftest import MASTER_SEED, random_connected_graph
 from .oracles import (
@@ -197,6 +196,14 @@ class TestDecision:
         ]
         assert len(reads) == 4
 
+    def test_a_node_allowance_below_m_skips_the_dive(self):
+        # K_3 has m = 3: an allowance of 2 nodes cannot hold the dive, so
+        # the table search stops after 2 and the seeded witness search
+        # closes q = 1 with its first check
+        res = rc_exact(parse_graph6("Bw"), Budget(max_nodes=2))
+        assert (res.status, res.value) == (ExactStatus.EXACT, 1)
+        assert (res.stats.nodes, res.stats.witness_checks) == (2, 1)
+
     def test_budget_spent_on_arrival_builds_nothing(self, monkeypatch):
         # a spent budget stops the deepening with no level searched, before
         # the search order and the prune tables are built; a spent clock
@@ -295,6 +302,12 @@ def record_leaf_failures(monkeypatch):
     return failures
 
 
+def dive_fails(n, colors, bits, adjacency):
+    """A stub for the verdict on each level's first dive that fails
+    every dive, so the level search runs on its tables alone."""
+    return FailingPair(0, 1)
+
+
 def failures_by_level(failures, levels):
     """The recorded failing pairs split by level: each level's leaf
     checks but a satisfying one failed, in order."""
@@ -348,9 +361,9 @@ class TestLearnedAgainstPlainSearch:
         # the leaf check skips the pairs the level search passes as known
         # (neighbors, and preloaded or learned pairs); each must have a
         # rainbow path under the leaf's coloring, or the skip could hide
-        # the first failing pair. The first descent is turned off, so
-        # that every level runs on the tables to its leaves
-        monkeypatch.setattr(rcaudit.exact, "_first_descent", lambda state, q: None)
+        # the first failing pair. Every first dive fails, so that every
+        # level runs on the tables to its leaves
+        monkeypatch.setattr(rcaudit.exact, "_verdict", dive_fails)
         check = rcaudit.exact.first_failing_pair
         leaves = tracked = 0
 
@@ -872,6 +885,7 @@ class TestMaskTables:
         "preload_cap, max_nodes", [(None, 2000), (3, 100), (1, 100), (None, 17)]
     )
     def test_same_result_as_path_tables(self, monkeypatch, preload_cap, max_nodes):
+        monkeypatch.setattr(rcaudit.exact, "_verdict", dive_fails)
         if preload_cap is not None:
             monkeypatch.setattr(rcaudit.exact, "_PRELOAD_CAP", preload_cap)
         listed = []
@@ -919,16 +933,25 @@ class TestMaskTables:
 
 
 class TestFirstDescent:
-    """rc_exact tries each level's first dive with no prune table before
-    the level search. The dive must return a coloring exactly when
-    _search_level on the same state is SAT after m nodes, with one leaf
-    check and no learned pair or jump, and then the two colorings, and
-    rc_exact's level record and the search's, must be equal."""
+    """_search_level opens each level whose m nodes fit the allowance
+    with a dive that builds no prune table. The dive must solve a level
+    exactly when the table search alone (every dive failed by a stub
+    verdict) is SAT after m nodes, with one leaf check and no learned
+    pair or jump, and the level search must return the table search's
+    record either way."""
 
     @staticmethod
-    def solved(graphs, max_nodes=None):
+    def solved(monkeypatch, graphs, max_nodes=None):
         """Per graph with an edge, per level rc_exact searches, whether
         the dive solves it."""
+        builds = []
+        prune_tables = rcaudit.exact._prune_tables
+
+        def counted(state, q, assignment):
+            builds.append(q)
+            return prune_tables(state, q, assignment)
+
+        monkeypatch.setattr(rcaudit.exact, "_prune_tables", counted)
         rows = []
         for g in graphs:
             if g.m == 0:
@@ -936,44 +959,49 @@ class TestFirstDescent:
             state = _SearchState(g, None)
             row = []
             for level in rc_exact(g, Budget(max_nodes=max_nodes)).stats.levels:
-                dive = _first_descent(state, level.q)
                 # the dive is the search's first m nodes, so m decide it
+                builds.clear()
                 search = _search_level(state, level.q, g.m, None)
+                dived = not builds
+                with monkeypatch.context() as patched:
+                    patched.setattr(rcaudit.exact, "_verdict", dive_fails)
+                    tables = _search_level(state, level.q, g.m, None)
                 first = (
-                    search.status, search.nodes, search.leaf_checks,
-                    search.learned_pairs, search.jumps,
+                    tables.status, tables.nodes, tables.leaf_checks,
+                    tables.learned_pairs, tables.jumps,
                 ) == (DecisionStatus.SAT, g.m, 1, 0, 0)
-                assert (dive is not None) == first, (to_graph6(g), level.q)
+                assert dived == first, (to_graph6(g), level.q)
+                assert search == tables, (to_graph6(g), level.q)
                 if first:
-                    assert dive == search.coloring, (to_graph6(g), level.q)
-                    assert level == search, (to_graph6(g), level.q)
+                    assert level == tables, (to_graph6(g), level.q)
                 row.append(first)
             rows.append(row)
         return rows
 
-    def test_small_graphs(self):
-        rows = self.solved(g for n in range(1, 6) for g in iter_connected_graphs(n))
+    def test_small_graphs(self, monkeypatch):
+        graphs = (g for n in range(1, 6) for g in iter_connected_graphs(n))
+        rows = self.solved(monkeypatch, graphs)
         assert len(rows) == 771
         assert sum(row[0] for row in rows) == 328
 
-    def test_random_corpus(self):
-        rows = self.solved(random_corpus(500, 4, 40, MASTER_SEED), 2000)
+    def test_random_corpus(self, monkeypatch):
+        rows = self.solved(monkeypatch, random_corpus(500, 4, 40, MASTER_SEED), 2000)
         assert (sum(map(sum, rows)), sum(map(len, rows))) == (230, 513)
         assert sum(row[0] for row in rows) == 226
 
     def test_a_deadline_far_off_keeps_the_dive(self, monkeypatch):
         # a wall-clock budget takes the same path as none: every level
-        # tries the dive first, and every result and record stays the same
+        # checks its dive first, and every result and record stays the same
         graphs = [g for n in range(2, 6) for g in iter_connected_graphs(n)]
         plain = [rc_exact(g) for g in graphs]
         dives = []
-        descent = rcaudit.exact._first_descent
+        verdict = rcaudit.exact._verdict
 
-        def counted(state, q):
-            dives.append(q)
-            return descent(state, q)
+        def counted(n, colors, bits, adjacency):
+            dives.append(n)
+            return verdict(n, colors, bits, adjacency)
 
-        monkeypatch.setattr(rcaudit.exact, "_first_descent", counted)
+        monkeypatch.setattr(rcaudit.exact, "_verdict", counted)
         assert [rc_exact(g, Budget(max_seconds=3600)) for g in graphs] == plain
         assert len(dives) == sum(len(res.stats.levels) for res in plain)
 
